@@ -10,6 +10,7 @@
 package phom
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -92,9 +93,10 @@ func planPair(b *testing.B) (*core.CompiledPlan, []*big.Rat) {
 func BenchmarkE21_ProgramExec(b *testing.B) {
 	cp, probs := planPair(b)
 	prog := cp.Program()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := prog.Exec(probs)
+		p, err := prog.ExecCtx(ctx, probs)
 		if err != nil {
 			b.Fatal(err)
 		}

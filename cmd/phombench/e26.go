@@ -25,6 +25,7 @@ package main
 //     response caching relies on).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/big"
@@ -67,7 +68,7 @@ func runApproxHardCells(e *E) {
 	failures, samples := 0, int64(0)
 	start := time.Now()
 	for seed := uint64(0); seed < seeds; seed++ {
-		res, err := cp.EvaluateOpts(h.Probs(),
+		res, err := cp.Evaluate(context.Background(), h.Probs(),
 			&core.Options{Precision: core.PrecisionApprox, Epsilon: eps, Delta: delta, Seed: seed})
 		e.check(err)
 		samples += res.ApproxSamples

@@ -79,16 +79,15 @@ import (
 )
 
 var (
-	runFilter  = flag.String("run", "", "run only experiments whose id matches this regexp (unanchored, like go test -run)")
-	experiment = flag.String("experiment", "", "deprecated: run a single experiment by exact id (use -run)")
-	seed       = flag.Int64("seed", 1, "random seed")
-	maxN       = flag.Int("maxn", 4096, "largest instance size for scaling sweeps")
-	csvOut     = flag.Bool("csv", false, "emit CSV rows instead of aligned text")
-	jsonDir    = flag.String("json", "", "write one BENCH_<experiment>.json per experiment into this directory")
-	diffMode   = flag.Bool("diff", false, "compare two BENCH_*.json files: phombench -diff a.json b.json")
-	workers    = flag.Int("workers", 0, "E19: fixed engine worker count (0 = sweep 1, 2, 4, NumCPU)")
-	batchJobs  = flag.Int("batchjobs", 128, "E19: number of jobs in the engine batch workload")
-	reweights  = flag.Int("reweights", 64, "E20–E25: reweighted evaluations per compiled plan")
+	runFilter = flag.String("run", "", "run only experiments whose id matches this regexp (unanchored, like go test -run)")
+	seed      = flag.Int64("seed", 1, "random seed")
+	maxN      = flag.Int("maxn", 4096, "largest instance size for scaling sweeps")
+	csvOut    = flag.Bool("csv", false, "emit CSV rows instead of aligned text")
+	jsonDir   = flag.String("json", "", "write one BENCH_<experiment>.json per experiment into this directory")
+	diffMode  = flag.Bool("diff", false, "compare two BENCH_*.json files: phombench -diff a.json b.json")
+	workers   = flag.Int("workers", 0, "E19: fixed engine worker count (0 = sweep 1, 2, 4, NumCPU)")
+	batchJobs = flag.Int("batchjobs", 128, "E19: number of jobs in the engine batch workload")
+	reweights = flag.Int("reweights", 64, "E20–E25: reweighted evaluations per compiled plan")
 )
 
 // E is the per-experiment context handed to every experiment function:
@@ -199,14 +198,10 @@ func main() {
 		runDiff(flag.Args())
 		return
 	}
-	pattern := *runFilter
-	if pattern == "" && *experiment != "" {
-		pattern = "(?i)^" + regexp.QuoteMeta(*experiment) + "$"
-	}
 	var re *regexp.Regexp
-	if pattern != "" {
+	if *runFilter != "" {
 		var err error
-		if re, err = regexp.Compile(pattern); err != nil {
+		if re, err = regexp.Compile(*runFilter); err != nil {
 			fmt.Fprintf(os.Stderr, "phombench: bad -run regexp: %v\n", err)
 			os.Exit(2)
 		}
@@ -238,7 +233,7 @@ func main() {
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "phombench: no experiments match %q\n", pattern)
+		fmt.Fprintf(os.Stderr, "phombench: no experiments match %q\n", *runFilter)
 	}
 	if *jsonDir != "" {
 		paths, err := rec.WriteDir(*jsonDir)
@@ -714,7 +709,7 @@ func runPlanReweight(e *E) {
 		// (c) Evaluate per assignment, checking exactness.
 		start = time.Now()
 		for i, probs := range assignments {
-			res, err := cp.Evaluate(probs)
+			res, err := cp.Evaluate(context.Background(), probs, nil)
 			e.check(err)
 			if res.Prob.Cmp(cold[i]) != 0 {
 				e.fatalf("%s: plan evaluation %d differs from cold solve", wl.name, i)
@@ -806,11 +801,12 @@ func runPlanSnapshot(e *E) {
 			treeRes[i] = res.Prob
 		}
 		dTree := time.Since(start)
-		// Raw interpreter against raw tree: probe Exec directly so both
-		// sides skip the serving path's probability validation.
+		// Raw interpreter against raw tree: probe ExecCtx directly so
+		// both sides skip the serving path's probability validation.
+		ctx := context.Background()
 		start = time.Now()
 		for i, h2 := range variants {
-			pr, err := prog.Exec(h2.Probs())
+			pr, err := prog.ExecCtx(ctx, h2.Probs())
 			e.check(err)
 			if pr.Cmp(treeRes[i]) != 0 {
 				e.fatalf("%s: interpreter diverged from tree evaluation", wl.name)
@@ -868,8 +864,8 @@ func runPlanSnapshot(e *E) {
 // runFloatPath covers E22: the dual-precision evaluation of the Program
 // IR. Part one measures raw substrate throughput over a reweight stream
 // on the 2WP and DWT workloads — the exact big.Rat interpreter
-// (Program.Exec) against the certified float64 interval kernel
-// (Program.ExecFloat) — asserting for every evaluation that the exact
+// (Program.ExecCtx) against the certified float64 interval kernel run
+// one vector at a time (Program.ExecFloatBatchCtx, one lane) — asserting for every evaluation that the exact
 // answer lies inside the kernel's reported enclosure (the containment
 // guarantee is a hard invariant, so its violation fails the
 // experiment). Part two sweeps the auto-mode tolerance and reports the
@@ -915,18 +911,20 @@ func runFloatPath(e *E) {
 
 		// Part one: substrate throughput, with containment checked on
 		// every single evaluation.
+		ctx := context.Background()
 		exact := make([]*big.Rat, k)
 		start := time.Now()
 		for i, probs := range assignments {
-			exact[i], err = prog.Exec(probs)
+			exact[i], err = prog.ExecCtx(ctx, probs)
 			e.check(err)
 		}
 		dExact := time.Since(start)
 		enclosures := make([]plan.Enclosure, k)
 		start = time.Now()
 		for i, probs := range assignments {
-			enclosures[i], err = prog.ExecFloat(probs)
+			lane, err := prog.ExecFloatBatchCtx(ctx, [][]*big.Rat{probs})
 			e.check(err)
+			enclosures[i] = lane[0]
 		}
 		dFloat := time.Since(start)
 		// Containment is verified outside the timed loop (the check
@@ -950,15 +948,15 @@ func runFloatPath(e *E) {
 
 		// The batched kernel over the same vectors: one dispatch per
 		// instruction for all lanes. Its contract is bitwise equality
-		// with per-vector ExecFloat, so the enclosures are compared
+		// with the one-lane runs, so the enclosures are compared
 		// exactly, not within a tolerance.
 		start = time.Now()
-		batched, err := prog.ExecFloatBatch(assignments)
+		batched, err := prog.ExecFloatBatchCtx(ctx, assignments)
 		e.check(err)
 		dBatch := time.Since(start)
 		for i, iv := range batched {
 			if iv != enclosures[i] {
-				e.fatalf("%s: batched lane %d enclosure [%g, %g] != ExecFloat [%g, %g]",
+				e.fatalf("%s: batched lane %d enclosure [%g, %g] != one-lane [%g, %g]",
 					wl.name, i, iv.Lo, iv.Hi, enclosures[i].Lo, enclosures[i].Hi)
 			}
 		}
@@ -975,7 +973,7 @@ func runFloatPath(e *E) {
 			fast, fallbacks := 0, 0
 			start = time.Now()
 			for i, probs := range assignments {
-				res, err := cp.EvaluateOpts(probs, aopts)
+				res, err := cp.Evaluate(ctx, probs, aopts)
 				e.check(err)
 				if res.Precision == core.PrecisionFast {
 					fast++

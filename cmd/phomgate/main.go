@@ -32,7 +32,7 @@
 // and recovery rejoins it. The gate also pulls GET /plans/export
 // snapshots on a timer (-snapinterval) and pushes them back via
 // POST /plans/import when a replica restarts (detected by a
-// dead→alive transition or an uptime_ms regression), so a rejoining
+// dead→alive transition or a changed /healthz boot_id), so a rejoining
 // replica is hot from its first request — zero recompiles. With
 // -snapdir the snapshots survive gate restarts too.
 //

@@ -1,13 +1,34 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
 
 	"phom/internal/gen"
 	"phom/internal/graph"
+	"phom/internal/plan"
 )
+
+// cellProb evaluates one cell compiler's plan the way Compile's guard
+// table does — sealed (lowered to the Program IR) and evaluated exactly
+// — against h's own probabilities.
+func cellProb(t *testing.T, p plan.Plan, err error, h *graph.ProbGraph) *big.Rat {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := seal(context.Background(), MethodTrivial, p, h.G.NumEdges(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cp.Evaluate(context.Background(), h.Probs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Prob
+}
 
 // TestTwoIndependentAlgorithmsAgreeOnDWT: a DWT instance is also a
 // polytree, so the unlabeled path probability can be computed both by
@@ -19,14 +40,10 @@ func TestTwoIndependentAlgorithmsAgreeOnDWT(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		h := gen.RandProb(r, gen.RandDWT(r, 2+r.Intn(20), nil), 0.3)
 		m := r.Intn(7)
-		viaChain, err := DirectedPathProbOnDWTs(h, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaAutomaton, err := DirectedPathProbOnPolytrees(h, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chain, err := plan.DirectedPathOnDWTs(h, m)
+		viaChain := cellProb(t, chain, err, h)
+		automaton, err := plan.DirectedPathOnPolytrees(h, m)
+		viaAutomaton := cellProb(t, automaton, err, h)
 		if viaChain.Cmp(viaAutomaton) != 0 {
 			t.Fatalf("chain DP %s vs automaton %s (m=%d)\nh=%v",
 				viaChain.RatString(), viaAutomaton.RatString(), m, h)
@@ -35,7 +52,8 @@ func TestTwoIndependentAlgorithmsAgreeOnDWT(t *testing.T) {
 }
 
 // TestSolveAllOnDWTUngradedIsZero: non-graded queries (cycles or jumping
-// paths) have probability 0 on forest instances (Proposition 3.6).
+// paths) have probability 0 on forest instances (Proposition 3.6); the
+// solver answers so without falling back to a baseline.
 func TestSolveAllOnDWTUngradedIsZero(t *testing.T) {
 	h := gen.RandProb(rand.New(rand.NewSource(3)), gen.RandDWT(rand.New(rand.NewSource(3)), 8, nil), 0.3)
 	// A directed cycle.
@@ -43,18 +61,18 @@ func TestSolveAllOnDWTUngradedIsZero(t *testing.T) {
 	cyc.MustAddEdge(0, 1, graph.Unlabeled)
 	cyc.MustAddEdge(1, 2, graph.Unlabeled)
 	cyc.MustAddEdge(2, 0, graph.Unlabeled)
-	p, err := SolveAllOnDWT(cyc, h)
-	if err != nil || p.Sign() != 0 {
-		t.Fatalf("cycle query: %v %v", p, err)
+	res, err := Solve(cyc, h, &Options{DisableFallback: true})
+	if err != nil || res.Prob.Sign() != 0 {
+		t.Fatalf("cycle query: %v %v", res, err)
 	}
 	// A jumping edge.
 	jump := graph.New(3)
 	jump.MustAddEdge(0, 1, graph.Unlabeled)
 	jump.MustAddEdge(1, 2, graph.Unlabeled)
 	jump.MustAddEdge(0, 2, graph.Unlabeled)
-	p, err = SolveAllOnDWT(jump, h)
-	if err != nil || p.Sign() != 0 {
-		t.Fatalf("jumping query: %v %v", p, err)
+	res, err = Solve(jump, h, &Options{DisableFallback: true})
+	if err != nil || res.Prob.Sign() != 0 {
+		t.Fatalf("jumping query: %v %v", res, err)
 	}
 	// And brute force agrees.
 	if BruteForce(jump, h).Sign() != 0 {
@@ -62,18 +80,19 @@ func TestSolveAllOnDWTUngradedIsZero(t *testing.T) {
 	}
 }
 
-// TestAlgorithmsRejectWrongClasses: each algorithm validates its
-// preconditions instead of silently computing nonsense.
+// TestAlgorithmsRejectWrongClasses: each cell compiler validates its
+// preconditions instead of silently computing nonsense, and the guard
+// table does not route a query outside a cell to it.
 func TestAlgorithmsRejectWrongClasses(t *testing.T) {
 	poly := graph.New(3) // polytree that is not a DWT
 	poly.MustAddEdge(0, 1, graph.Unlabeled)
 	poly.MustAddEdge(2, 1, graph.Unlabeled)
 	hPoly := graph.NewProbGraph(poly)
 
-	if _, err := SolvePath1WPOnDWT(graph.UnlabeledPath(2), hPoly); err == nil {
+	if _, err := plan.Path1WPOnDWT(graph.UnlabeledPath(2), hPoly); err == nil {
 		t.Fatal("Prop 4.10 accepted a non-DWT instance")
 	}
-	if _, err := SolveAllOnDWT(graph.UnlabeledPath(2), hPoly); err == nil {
+	if _, err := plan.DirectedPathOnDWTs(hPoly, 2); err == nil {
 		t.Fatal("Prop 3.6 accepted a non-⊔DWT instance")
 	}
 	tri := graph.New(3)
@@ -81,14 +100,16 @@ func TestAlgorithmsRejectWrongClasses(t *testing.T) {
 	tri.MustAddEdge(1, 2, graph.Unlabeled)
 	tri.MustAddEdge(0, 2, graph.Unlabeled)
 	hTri := graph.NewProbGraph(tri)
-	if _, err := DirectedPathProbOnPolytrees(hTri, 2); err == nil {
+	if _, err := plan.DirectedPathOnPolytrees(hTri, 2); err == nil {
 		t.Fatal("Prop 5.4 accepted a non-polytree instance")
 	}
-	if _, err := SolveConnectedOn2WP(graph.UnlabeledPath(1), hTri); err == nil {
+	if _, err := plan.ConnectedOn2WP(graph.UnlabeledPath(1), hTri); err == nil {
 		t.Fatal("Prop 4.11 accepted a non-2WP instance")
 	}
-	if _, err := SolveUDWTQueryOnPolytrees(tri, hPoly); err == nil {
-		t.Fatal("Prop 5.5 accepted a non-⊔DWT query")
+	for _, rt := range solveRoutes {
+		if rt.method == MethodAutomatonPT && rt.applies(tri, hPoly, true) {
+			t.Fatal("Prop 5.5 accepted a non-⊔DWT query")
+		}
 	}
 }
 
@@ -188,10 +209,8 @@ func TestLemma37Decomposition(t *testing.T) {
 		u, _ := graph.DisjointUnion(parts...)
 		h := gen.RandProb(r, u, 0.3)
 		m := 1 + r.Intn(4)
-		got, err := DirectedPathProbOnPolytrees(h, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, err := plan.DirectedPathOnPolytrees(h, m)
+		got := cellProb(t, p, err, h)
 		want := BruteForce(graph.UnlabeledPath(m), h)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("Lemma 3.7 decomposition wrong: %s vs %s", got.RatString(), want.RatString())
@@ -206,10 +225,8 @@ func TestFloatDPDriftBounded(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		h := gen.RandProb(r, gen.RandDWT(r, 50, nil), 0.3)
 		m := 1 + r.Intn(4)
-		exact, err := DirectedPathProbOnDWTs(h, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, err := plan.DirectedPathOnDWTs(h, m)
+		exact := cellProb(t, p, err, h)
 		// Rebuild the chain system for the float evaluation.
 		res, err := Solve(graph.UnlabeledPath(m), h, &Options{DisableFallback: true})
 		if err != nil {

@@ -76,7 +76,7 @@ func TestApproxDifferentialHardCell(t *testing.T) {
 	const eps, delta = 0.4, 0.3
 	failures := 0
 	for seed := uint64(0); seed < seeds; seed++ {
-		res, err := cp.EvaluateOpts(h.Probs(), approxOpts(seed))
+		res, err := cp.Evaluate(context.Background(), h.Probs(), approxOpts(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -139,18 +139,18 @@ func TestApproxSeedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := cp.EvaluateOpts(h.Probs(), approxOpts(42))
+	a, err := cp.Evaluate(context.Background(), h.Probs(), approxOpts(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cp.EvaluateOpts(h.Probs(), approxOpts(42))
+	b, err := cp.Evaluate(context.Background(), h.Probs(), approxOpts(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Prob.Cmp(b.Prob) != 0 || *a.Bounds != *b.Bounds || a.ApproxSamples != b.ApproxSamples {
 		t.Fatalf("equal seeds disagree: %+v vs %+v", a, b)
 	}
-	c, err := cp.EvaluateOpts(h.Probs(), approxOpts(43))
+	c, err := cp.Evaluate(context.Background(), h.Probs(), approxOpts(43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestApproxDisableFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("approx compile with DisableFallback refused: %v", err)
 	}
-	res, err := cp.EvaluateOpts(h.Probs(), opts)
+	res, err := cp.Evaluate(context.Background(), h.Probs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestApproxDisableFallback(t *testing.T) {
 		t.Fatalf("nofallback approx result: %+v", res)
 	}
 	// The same plan under exact options keeps the pinned refusal.
-	if _, err := cp.EvaluateOpts(h.Probs(), &Options{DisableFallback: true}); !errors.Is(err, phomerr.ErrIntractable) {
+	if _, err := cp.Evaluate(context.Background(), h.Probs(), &Options{DisableFallback: true}); !errors.Is(err, phomerr.ErrIntractable) {
 		t.Fatalf("exact evaluate on nofallback plan err = %v, want ErrIntractable", err)
 	}
 	// And plain Solve still refuses outright without approx.
@@ -232,7 +232,7 @@ func TestApproxLineageMemoized(t *testing.T) {
 	if cp.approx == nil {
 		t.Fatal("opaque plan without approx state")
 	}
-	if _, err := cp.EvaluateOpts(h.Probs(), approxOpts(1)); err != nil {
+	if _, err := cp.Evaluate(context.Background(), h.Probs(), approxOpts(1)); err != nil {
 		t.Fatal(err)
 	}
 	cp.approx.mu.Lock()
@@ -247,7 +247,7 @@ func TestApproxLineageMemoized(t *testing.T) {
 	for i := range probs {
 		probs[i] = big.NewRat(int64(1+r.Intn(7)), 8)
 	}
-	if _, err := cp.EvaluateOpts(probs, approxOpts(2)); err != nil {
+	if _, err := cp.Evaluate(context.Background(), probs, approxOpts(2)); err != nil {
 		t.Fatal(err)
 	}
 	cp.approx.mu.Lock()
@@ -299,7 +299,7 @@ func TestApproxBatchLanes(t *testing.T) {
 	}
 	bad := []*big.Rat{big.NewRat(1, 2)} // wrong length
 	opts := approxOpts(6)
-	outs := cp.EvaluateBatchOpts([][]*big.Rat{h.Probs(), bad, good}, opts)
+	outs := cp.EvaluateBatch(context.Background(), [][]*big.Rat{h.Probs(), bad, good}, opts)
 	if len(outs) != 3 {
 		t.Fatalf("got %d lanes", len(outs))
 	}
@@ -314,7 +314,7 @@ func TestApproxBatchLanes(t *testing.T) {
 		if k == 2 {
 			probs = good
 		}
-		want, err := cp.EvaluateOpts(probs, opts)
+		want, err := cp.Evaluate(context.Background(), probs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

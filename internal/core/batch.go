@@ -8,13 +8,13 @@ import (
 // This file is the batched half of the dual-precision evaluation
 // contract: evaluating one compiled plan against K probability vectors
 // in a single pass. The fast and auto modes dispatch the plan's program
-// once through plan.ExecFloatBatch (one instruction decode for all K
+// once through plan.ExecFloatBatchCtx (one instruction decode for all K
 // lanes) and apply the serve-or-fall-back decision per lane, so a batch
-// keeps the exact-fallback semantics of K independent EvaluateOpts
-// calls while paying interpreter dispatch once. Exact mode and opaque
-// plans have no vectorizable kernel and degrade to a per-lane loop —
-// the results are identical either way, batching is purely a
-// performance property.
+// keeps the exact-fallback semantics of K independent Evaluate calls
+// while paying interpreter dispatch once. Exact mode and opaque plans
+// have no vectorizable kernel and degrade to a per-lane loop — the
+// results are identical either way, batching is purely a performance
+// property.
 
 // BatchOutcome is the per-lane outcome of a batched evaluation: exactly
 // one of Result and Err is non-nil.
@@ -23,21 +23,16 @@ type BatchOutcome struct {
 	Err    error
 }
 
-// EvaluateBatchOpts evaluates the plan against every probability vector
+// EvaluateBatch evaluates the plan against every probability vector
 // of probVecs and returns one outcome per lane, in lane order. Each
 // lane's outcome — result, precision served, certified bounds, or
-// error — is identical to what EvaluateOpts(probVecs[k], opts) would
+// error — is identical to what Evaluate(ctx, probVecs[k], opts) would
 // return; a malformed lane fails only itself. Under the fast and auto
 // precision modes the lanes share one batched kernel dispatch.
-func (cp *CompiledPlan) EvaluateBatchOpts(probVecs [][]*big.Rat, opts *Options) []BatchOutcome {
-	return cp.EvaluateBatchOptsContext(context.Background(), probVecs, opts)
-}
-
-// EvaluateBatchOptsContext is EvaluateBatchOpts under a context:
-// cancellation aborts the batched kernel at an op checkpoint and any
+// Cancellation aborts the batched kernel at an op checkpoint and any
 // per-lane exact fallbacks at theirs, so a cancelled batch surfaces the
 // typed cancellation error on the lanes that had not completed.
-func (cp *CompiledPlan) EvaluateBatchOptsContext(ctx context.Context, probVecs [][]*big.Rat, opts *Options) []BatchOutcome {
+func (cp *CompiledPlan) EvaluateBatch(ctx context.Context, probVecs [][]*big.Rat, opts *Options) []BatchOutcome {
 	pol := opts.policy()
 	out := make([]BatchOutcome, len(probVecs))
 	if len(probVecs) == 0 {
@@ -50,7 +45,7 @@ func (cp *CompiledPlan) EvaluateBatchOptsContext(ctx context.Context, probVecs [
 	// extraction cost is paid once).
 	if cp.opaque || pol.prec == PrecisionExact || pol.prec == PrecisionApprox {
 		for k, probs := range probVecs {
-			res, err := cp.evaluate(ctx, probs, pol)
+			res, err := cp.Evaluate(ctx, probs, opts)
 			out[k] = BatchOutcome{Result: res, Err: err}
 		}
 		return out
@@ -85,12 +80,8 @@ func (cp *CompiledPlan) EvaluateBatchOptsContext(ctx context.Context, probVecs [
 		// Kernel failure (cancellation, degenerate arithmetic) or a lane
 		// the serve decision rejected (NaN enclosure, auto-mode tolerance
 		// miss): exact fallback, byte-identical to PrecisionExact.
-		pr, execErr := cp.prog.ExecCtx(ctx, probVecs[k])
-		if execErr != nil {
-			out[k] = BatchOutcome{Err: execErr}
-			continue
-		}
-		out[k] = BatchOutcome{Result: &Result{Prob: pr, Method: cp.method, Precision: PrecisionExact}}
+		res, execErr := cp.evaluateExact(ctx, probVecs[k])
+		out[k] = BatchOutcome{Result: res, Err: execErr}
 	}
 	return out
 }

@@ -14,9 +14,9 @@ import (
 
 // TestEvaluateBatchMatchesPerLane is the batch API's acceptance test:
 // for every tractable cell and every precision mode, each lane of
-// EvaluateBatchOptsContext is identical — probability bytes, method,
-// precision served, certified bounds — to an independent EvaluateOpts
-// call on that lane's vector.
+// EvaluateBatch is identical — probability bytes, method, precision
+// served, certified bounds — to an independent Evaluate call on that
+// lane's vector.
 func TestEvaluateBatchMatchesPerLane(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	modes := []*Options{
@@ -43,12 +43,12 @@ func TestEvaluateBatchMatchesPerLane(t *testing.T) {
 			if cp.Opaque() && opts.EffectivePrecision() != PrecisionExact {
 				continue // opaque evaluation under float modes is covered below
 			}
-			got := cp.EvaluateBatchOpts(vecs, opts)
+			got := cp.EvaluateBatch(context.Background(), vecs, opts)
 			if len(got) != lanes {
 				t.Fatalf("%s: %d outcomes for %d lanes", job.name, len(got), lanes)
 			}
 			for k := range vecs {
-				want, err := cp.EvaluateOpts(vecs[k], opts)
+				want, err := cp.Evaluate(context.Background(), vecs[k], opts)
 				if err != nil {
 					t.Fatalf("%s lane %d: %v", job.name, k, err)
 				}
@@ -98,9 +98,9 @@ func TestEvaluateBatchOpaque(t *testing.T) {
 		}
 	}
 	for _, opts := range []*Options{nil, {Precision: PrecisionFast}} {
-		got := cp.EvaluateBatchOpts(vecs, opts)
+		got := cp.EvaluateBatch(context.Background(), vecs, opts)
 		for k := range vecs {
-			want, err := cp.EvaluateOpts(vecs[k], opts)
+			want, err := cp.Evaluate(context.Background(), vecs[k], opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,13 +133,13 @@ func TestEvaluateBatchBadLaneIsolated(t *testing.T) {
 		good,
 	}
 	for _, opts := range []*Options{nil, {Precision: PrecisionFast}, {Precision: PrecisionAuto}} {
-		got := cp.EvaluateBatchOpts(vecs, opts)
+		got := cp.EvaluateBatch(context.Background(), vecs, opts)
 		for _, k := range []int{1, 2, 3} {
 			if got[k].Err == nil || !errors.Is(got[k].Err, phomerr.ErrBadInput) {
 				t.Fatalf("opts %s lane %d: err = %v, want ErrBadInput", opts.Fingerprint(), k, got[k].Err)
 			}
 		}
-		want, err := cp.EvaluateOpts(good, opts)
+		want, err := cp.Evaluate(context.Background(), good, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestEvaluateBatchCanceled(t *testing.T) {
 	vecs := [][]*big.Rat{{big.NewRat(1, 3)}, {big.NewRat(1, 7)}}
 	// The one-op program finishes under any checkpoint interval, so use
 	// exact mode, whose per-lane ExecCtx checks the context up front...
-	got := cp.EvaluateBatchOptsContext(ctx, vecs, nil)
+	got := cp.EvaluateBatch(ctx, vecs, nil)
 	for k := range got {
 		if got[k].Err == nil {
 			// Tiny programs may complete before the first checkpoint;

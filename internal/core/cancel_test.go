@@ -75,11 +75,11 @@ func TestOpaqueEvaluateCanceledDeterministic(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cp.EvaluateOptsContext(ctx, h.Probs(), nil); !errors.Is(err, phomerr.ErrCanceled) {
+	if _, err := cp.Evaluate(ctx, h.Probs(), nil); !errors.Is(err, phomerr.ErrCanceled) {
 		t.Fatalf("opaque evaluate err = %v, want ErrCanceled", err)
 	}
 	// The same plan still evaluates fine under a live context.
-	res, err := cp.EvaluateOptsContext(context.Background(), h.Probs(), nil)
+	res, err := cp.Evaluate(context.Background(), h.Probs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTypedErrorCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.Evaluate([]*big.Rat{big.NewRat(1, 2)}); !errors.Is(err, phomerr.ErrBadInput) {
+	if _, err := cp.Evaluate(context.Background(), []*big.Rat{big.NewRat(1, 2)}, nil); !errors.Is(err, phomerr.ErrBadInput) {
 		t.Fatalf("short prob vector err = %v, want ErrBadInput", err)
 	}
 }

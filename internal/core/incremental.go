@@ -254,5 +254,5 @@ func patchCompile(ctx context.Context, q *graph.Graph, old *CompiledPlan, oldG *
 	key := sync.OnceValues(func() (string, []int) {
 		return graphio.StructKeyJob([]string{qCanon}, newG, opts.StructFingerprint())
 	})
-	return seal(ctx, old.method, plan.Components{Parts: parts}, newG.NumEdges(), key, opts)
+	return seal(ctx, old.method, plan.Components{Parts: parts}, newG.NumEdges(), key)
 }

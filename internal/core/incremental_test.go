@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -136,8 +137,8 @@ func TestPatchCompileDifferentialCorpus(t *testing.T) {
 					spliced++
 				}
 				probs := newH.Probs()
-				pr, err1 := patched.Evaluate(probs)
-				sr, err2 := scratch.Evaluate(probs)
+				pr, err1 := patched.Evaluate(context.Background(), probs, nil)
+				sr, err2 := scratch.Evaluate(context.Background(), probs, nil)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("seed %d fam %v step %d: evaluate: %v / %v", seed, c.fam, step, err1, err2)
 				}
@@ -218,11 +219,11 @@ func TestPatchCompileSplicesOnlyTouchedComponent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scratch compile: %v", err)
 	}
-	pr, err := cp.Evaluate(newH.Probs())
+	pr, err := cp.Evaluate(context.Background(), newH.Probs(), nil)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
-	sr, err := scratch.Evaluate(newH.Probs())
+	sr, err := scratch.Evaluate(context.Background(), newH.Probs(), nil)
 	if err != nil {
 		t.Fatalf("evaluate scratch: %v", err)
 	}
@@ -302,8 +303,8 @@ func TestPatchCompileRouteChangeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scratch: %v", err)
 	}
-	pr, _ := cp.Evaluate(newH.Probs())
-	sr, _ := scratch.Evaluate(newH.Probs())
+	pr, _ := cp.Evaluate(context.Background(), newH.Probs(), nil)
+	sr, _ := scratch.Evaluate(context.Background(), newH.Probs(), nil)
 	if pr == nil || sr == nil || pr.Prob.RatString() != sr.Prob.RatString() {
 		t.Fatalf("fallback result mismatch: %v vs %v", pr, sr)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestProgramExecMatchesTreeAndSolve(t *testing.T) {
 		}
 		for reweight := 0; reweight < 5; reweight++ {
 			probs := job.h.Probs()
-			exec, err := cp.Evaluate(probs)
+			exec, err := cp.Evaluate(context.Background(), probs, nil)
 			if err != nil {
 				t.Fatalf("%s: Evaluate (program): %v", job.name, err)
 			}
@@ -137,11 +138,11 @@ func TestPlanMarshalRoundTrip(t *testing.T) {
 			}
 		}
 		for reweight := 0; reweight < 3; reweight++ {
-			want, err := cp.Evaluate(job.h.Probs())
+			want, err := cp.Evaluate(context.Background(), job.h.Probs(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := restored.Evaluate(job.h.Probs())
+			got, err := restored.Evaluate(context.Background(), job.h.Probs(), nil)
 			if err != nil {
 				t.Fatalf("%s: restored Evaluate: %v", job.name, err)
 			}
@@ -196,7 +197,7 @@ func TestOpaquePlanHasNoProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cp.Evaluate(h.Probs())
+	got, err := cp.Evaluate(context.Background(), h.Probs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

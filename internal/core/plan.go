@@ -27,8 +27,8 @@ import (
 // concurrent Evaluate calls.
 //
 // A non-opaque plan holds the same artifact twice: the plan tree built
-// by the cell compilers of internal/plan (the PR 2 evaluation path,
-// kept as the differential reference and for benchmarks) and its
+// by the cell compilers of internal/plan (the original evaluation
+// path, kept as the differential reference and for benchmarks) and its
 // lowering to the flat Program IR, which is what Evaluate executes and
 // what MarshalBinary serializes. Plans restored from a serialized form
 // carry only the program (Tree evaluation is then unavailable); their
@@ -44,13 +44,6 @@ type CompiledPlan struct {
 	// exponential work cancellation exists for).
 	resolve  func(context.Context, []*big.Rat) (*Result, error)
 	numEdges int
-	// pol is the compile-time evaluation policy (Options precision,
-	// tolerance and approx parameters, defaults resolved): Evaluate
-	// routes through it, so a plan compiled for fast, auto or approx
-	// serving keeps that behavior. Plans restored from bytes default to
-	// exact — the serialized form carries arithmetic, not policy — and
-	// the engine overrides per job via EvaluateOpts either way.
-	pol evalPolicy
 	// approx is the Karp–Luby sampling state of an opaque plan: the
 	// lineage extraction and its memoized DNF (see approx.go). Nil on
 	// structural plans — the approx mode never samples where a
@@ -111,28 +104,10 @@ func (cp *CompiledPlan) Method() (m Method, ok bool) {
 	return cp.method, true
 }
 
-// Evaluate computes Pr(G ⇝ H) under the probability assignment probs,
-// indexed by the edge list of the instance the plan was compiled from
-// (see graph.ProbGraph.Probs), on the numeric substrate the plan was
-// compiled for (Options.Precision; see EvaluateOpts to override). With
-// the default exact precision the result is byte-identical to Solve on
-// the correspondingly reweighted instance; with fast or auto it may be
-// a certified float64 enclosure instead (Result.Bounds).
-func (cp *CompiledPlan) Evaluate(probs []*big.Rat) (*Result, error) {
-	return cp.evaluate(context.Background(), probs, cp.pol)
-}
-
-// EvaluateContext is Evaluate under a context: exact evaluation and
-// opaque re-solves poll ctx at cooperative checkpoints (the float
-// kernel runs to completion — it is microseconds even on huge plans).
-func (cp *CompiledPlan) EvaluateContext(ctx context.Context, probs []*big.Rat) (*Result, error) {
-	return cp.evaluate(ctx, probs, cp.pol)
-}
-
 // EvaluateTree evaluates through the plan tree instead of the
-// flattened program — the PR 2 evaluation path, kept as the
-// differential reference (the tests pin Exec and tree evaluation
-// byte-identical) and for the interpreter-vs-tree benchmark. It fails
+// flattened program — the original evaluation path, kept as the
+// differential reference (the tests pin the interpreter and tree
+// evaluation byte-identical) and for the interpreter-vs-tree benchmark. It fails
 // for opaque plans and for plans restored from bytes, which carry no
 // tree.
 func (cp *CompiledPlan) EvaluateTree(probs []*big.Rat) (*Result, error) {
@@ -146,19 +121,13 @@ func (cp *CompiledPlan) EvaluateTree(probs []*big.Rat) (*Result, error) {
 	return &Result{Prob: pr, Method: cp.method}, nil
 }
 
-// EvaluateInstance evaluates the plan against the probabilities of h,
-// which must carry the structure the plan was compiled from.
-func (cp *CompiledPlan) EvaluateInstance(h *graph.ProbGraph) (*Result, error) {
-	return cp.Evaluate(h.Probs())
-}
-
 // MarshalBinary encodes the plan in the canonical binary form of
 // graphio (versioned header, flattened program, embedded structure key
 // and canonical edge order). Opaque plans are not serializable: their
 // evaluation is an exponential re-solve, not data.
 func (cp *CompiledPlan) MarshalBinary() ([]byte, error) {
 	if cp.opaque {
-		return nil, fmt.Errorf("core: opaque plans are not serializable: %w", plan.ErrOpaque)
+		return nil, fmt.Errorf("core: opaque plans are not serializable")
 	}
 	structKey, canonOrder := cp.key()
 	return graphio.AppendPlanRecord(nil, &graphio.PlanRecord{
@@ -297,7 +266,7 @@ func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opt
 	})
 	// An edgeless query maps every vertex to any instance vertex.
 	if q.NumEdges() == 0 {
-		return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key, opts)
+		return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key)
 	}
 	// A query label absent from the instance kills every match.
 	hLabels := map[graph.Label]bool{}
@@ -306,7 +275,7 @@ func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opt
 	}
 	for _, l := range q.Labels() {
 		if !hLabels[l] {
-			return seal(ctx, MethodLabelMismatch, plan.NewConst(new(big.Rat)), n, key, opts)
+			return seal(ctx, MethodLabelMismatch, plan.NewConst(new(big.Rat)), n, key)
 		}
 	}
 	// After the check above, the unlabeled setting (|σ| = 1) holds iff
@@ -324,7 +293,7 @@ func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opt
 			if err != nil {
 				return nil, err
 			}
-			return seal(ctx, rt.method, p, n, key, opts)
+			return seal(ctx, rt.method, p, n, key)
 		}
 	}
 
@@ -342,7 +311,7 @@ func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opt
 		// error (an exact job hitting this cached plan behaves exactly as
 		// if it had compiled it) while approx evaluation samples.
 		resolve := func(context.Context, []*big.Rat) (*Result, error) { return nil, err }
-		return opaquePlan(resolve, extract, n, key, opts), nil
+		return opaquePlan(resolve, extract, n, key), nil
 	}
 	resolve := func(ctx context.Context, probs []*big.Rat) (*Result, error) {
 		h2, err := reweighted(h, probs)
@@ -363,7 +332,7 @@ func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opt
 		}
 		return &Result{Prob: p, Method: MethodLineage}, nil
 	}
-	return opaquePlan(resolve, extract, n, key, opts), nil
+	return opaquePlan(resolve, extract, n, key), nil
 }
 
 // CompileUCQ runs the probability-independent phase of SolveUCQ,
@@ -387,7 +356,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		key := sync.OnceValues(func() (string, []int) {
 			return graphio.StructKeyJob(nil, h.G, opts.StructFingerprint())
 		})
-		return seal(ctx, MethodTrivial, plan.NewConst(new(big.Rat)), h.G.NumEdges(), key, opts)
+		return seal(ctx, MethodTrivial, plan.NewConst(new(big.Rat)), h.G.NumEdges(), key)
 	}
 	if h.G.NumVertices() == 0 {
 		return nil, phomerr.New(phomerr.CodeBadInput, "core: empty instance graph")
@@ -422,7 +391,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 			return nil, phomerr.New(phomerr.CodeBadInput, "core: empty query graph in union")
 		}
 		if q.NumEdges() == 0 {
-			return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key, opts)
+			return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key)
 		}
 		ok := true
 		for _, l := range q.Labels() {
@@ -436,7 +405,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		}
 	}
 	if len(live) == 0 {
-		return seal(ctx, MethodLabelMismatch, plan.NewConst(new(big.Rat)), n, key, opts)
+		return seal(ctx, MethodLabelMismatch, plan.NewConst(new(big.Rat)), n, key)
 	}
 	unlabeled := len(hLabels) <= 1
 	// The UCQ guard-table checkpoint, mirroring CompileContext's: the
@@ -469,13 +438,13 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 			// Prop 3.6 lifted: non-graded disjuncts never match a forest
 			// world; the rest collapse to →^minM.
 			if minM < 0 {
-				return seal(ctx, MethodGradedDWT, plan.NewConst(new(big.Rat)), n, key, opts)
+				return seal(ctx, MethodGradedDWT, plan.NewConst(new(big.Rat)), n, key)
 			}
 			p, err := plan.DirectedPathOnDWTs(h, minM)
 			if err != nil {
 				return nil, err
 			}
-			return seal(ctx, MethodGradedDWT, p, n, key, opts)
+			return seal(ctx, MethodGradedDWT, p, n, key)
 		}
 		if h.G.InClass(graph.ClassUPT) {
 			// Prop 5.5 lifted, when every disjunct is a ⊔DWT query (the
@@ -499,7 +468,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 				if err != nil {
 					return nil, err
 				}
-				return seal(ctx, MethodAutomatonPT, p, n, key, opts)
+				return seal(ctx, MethodAutomatonPT, p, n, key)
 			}
 		}
 	}
@@ -510,7 +479,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		if err != nil {
 			return nil, err
 		}
-		return seal(ctx, MethodXProperty2WP, p, n, key, opts)
+		return seal(ctx, MethodXProperty2WP, p, n, key)
 	}
 
 	// Labeled 1WP disjuncts on ⊔DWT instances: merged chain lineage
@@ -527,7 +496,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		if err != nil {
 			return nil, err
 		}
-		return seal(ctx, MethodBetaAcyclicDWT, p, n, key, opts)
+		return seal(ctx, MethodBetaAcyclicDWT, p, n, key)
 	}
 
 	extract := ucqLineageExtract(live, h.G, opts.matchLimit())
@@ -540,7 +509,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		// Same contract as CompileContext: exact re-solves keep the pinned
 		// intractable error, approx evaluation samples the union lineage.
 		resolve := func(context.Context, []*big.Rat) (*Result, error) { return nil, err }
-		return opaquePlan(resolve, extract, n, key, opts), nil
+		return opaquePlan(resolve, extract, n, key), nil
 	}
 	bruteLimit := opts.bruteLimit()
 	resolve := func(ctx context.Context, probs []*big.Rat) (*Result, error) {
@@ -554,17 +523,17 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		}
 		return &Result{Prob: p, Method: MethodBruteForce}, nil
 	}
-	return opaquePlan(resolve, extract, n, key, opts), nil
+	return opaquePlan(resolve, extract, n, key), nil
 }
 
 // seal lowers a plan tree to its flattened program and stamps the
-// job's structure identity and evaluation substrate (opts precision)
-// on the resulting CompiledPlan. Every structural compile path funnels
-// through here, so non-opaque plans always carry both evaluation forms
-// and are always serializable — and every lowering polls ctx (the
-// compile-time dynamic programs unroll inside Lower, so this is where
-// the bulk of compile-side cancellation happens).
-func seal(ctx context.Context, m Method, p plan.Plan, numEdges int, key func() (string, []int), opts *Options) (*CompiledPlan, error) {
+// job's structure identity on the resulting CompiledPlan. Every
+// structural compile path funnels through here, so non-opaque plans
+// always carry both evaluation forms and are always serializable — and
+// every lowering polls ctx (the compile-time dynamic programs unroll
+// inside LowerContext, so this is where the bulk of compile-side
+// cancellation happens).
+func seal(ctx context.Context, m Method, p plan.Plan, numEdges int, key func() (string, []int)) (*CompiledPlan, error) {
 	prog, err := plan.LowerContext(ctx, p, numEdges)
 	if err != nil {
 		return nil, err
@@ -575,23 +544,21 @@ func seal(ctx context.Context, m Method, p plan.Plan, numEdges int, key func() (
 		prog:     prog,
 		numEdges: numEdges,
 		key:      key,
-		pol:      opts.policy(),
 	}, nil
 }
 
 // opaquePlan builds the plan of an exponential-baseline cell: resolve
 // is the exact re-solve, extract the lineage extraction the approx mode
 // samples over. Every opaque plan carries both — which path an
-// evaluation takes is decided by its policy, and a cached plan serves
-// jobs of every precision mode.
-func opaquePlan(resolve func(context.Context, []*big.Rat) (*Result, error), extract func(context.Context) (*boolform.DNF, error), numEdges int, key func() (string, []int), opts *Options) *CompiledPlan {
+// evaluation takes is decided by the options it is evaluated under, and
+// a cached plan serves jobs of every precision mode.
+func opaquePlan(resolve func(context.Context, []*big.Rat) (*Result, error), extract func(context.Context) (*boolform.DNF, error), numEdges int, key func() (string, []int)) *CompiledPlan {
 	return &CompiledPlan{
 		opaque:   true,
 		resolve:  resolve,
 		approx:   &approxState{extract: extract},
 		numEdges: numEdges,
 		key:      key,
-		pol:      opts.policy(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -66,7 +67,7 @@ func TestCompileEvaluateMatchesSolve(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Solve: %v", job.name, err)
 				}
-				got, err := cp.Evaluate(job.h.Probs())
+				got, err := cp.Evaluate(context.Background(), job.h.Probs(), nil)
 				if err != nil {
 					t.Fatalf("%s: Evaluate: %v", job.name, err)
 				}
@@ -124,7 +125,7 @@ func TestCompileUCQEvaluateMatchesSolveUCQ(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: SolveUCQ: %v", u.name, err)
 			}
-			got, err := cp.Evaluate(u.h.Probs())
+			got, err := cp.Evaluate(context.Background(), u.h.Probs(), nil)
 			if err != nil {
 				t.Fatalf("%s: Evaluate: %v", u.name, err)
 			}
@@ -166,7 +167,7 @@ func TestOpaquePlanSwitchesBaseline(t *testing.T) {
 	for i := range certain {
 		certain[i] = graph.RatOne
 	}
-	res, err := cp.Evaluate(certain)
+	res, err := cp.Evaluate(context.Background(), certain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestOpaquePlanSwitchesBaseline(t *testing.T) {
 		t.Fatalf("certain evaluation used %v, want brute force", res.Method)
 	}
 	// Half probabilities: many uncertain edges, lineage takes over.
-	res2, err := cp.Evaluate(halves(h.G.NumEdges()))
+	res2, err := cp.Evaluate(context.Background(), halves(h.G.NumEdges()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +216,13 @@ func TestPlanEvaluateRejectsBadProbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.Evaluate([]*big.Rat{graph.RatOne}); err == nil {
+	if _, err := cp.Evaluate(context.Background(), []*big.Rat{graph.RatOne}, nil); err == nil {
 		t.Error("short vector accepted")
 	}
-	if _, err := cp.Evaluate([]*big.Rat{graph.RatOne, nil}); err == nil {
+	if _, err := cp.Evaluate(context.Background(), []*big.Rat{graph.RatOne, nil}, nil); err == nil {
 		t.Error("nil probability accepted")
 	}
-	if _, err := cp.Evaluate([]*big.Rat{graph.RatOne, big.NewRat(3, 2)}); err == nil {
+	if _, err := cp.Evaluate(context.Background(), []*big.Rat{graph.RatOne, big.NewRat(3, 2)}, nil); err == nil {
 		t.Error("probability > 1 accepted")
 	}
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // This file defines the dual-precision evaluation contract: which
-// numeric substrate — the exact big.Rat interpreter (plan.Program.Exec)
-// or the certified float64 interval kernel (plan.Program.ExecFloat) —
-// a compiled plan evaluates with, and when the auto mode is allowed to
-// serve the float result instead of falling back to exact arithmetic.
+// numeric substrate — the exact big.Rat interpreter
+// (plan.Program.ExecCtx) or the certified float64 interval kernel
+// (plan.Program.ExecFloatBatchCtx) — a compiled plan evaluates with,
+// and when the auto mode is allowed to serve the float result instead
+// of falling back to exact arithmetic.
 // See DESIGN.md, "Numerics: dual-precision evaluation".
 
 // Precision selects the numeric substrate of plan evaluation.
@@ -155,30 +156,26 @@ func (o *Options) policy() evalPolicy {
 	return pol
 }
 
-// EvaluateOpts is Evaluate with the precision mode and tolerance taken
-// from opts instead of from the options the plan was compiled with.
-// The engine evaluates cached and snapshot-restored plans through this
-// (the per-job options decide the substrate; a restored plan carries no
-// precision of its own), and tests use it to force substrates.
-func (cp *CompiledPlan) EvaluateOpts(probs []*big.Rat, opts *Options) (*Result, error) {
-	return cp.evaluate(context.Background(), probs, opts.policy())
-}
-
-// EvaluateOptsContext is EvaluateOpts under a context: exact program
-// execution polls ctx every phomerr.CheckInterval ops and opaque plans
-// pass ctx into their exponential re-solve (or, under the approx mode,
-// into the sampling loop), so cancellation works on the evaluation side
-// of the pipeline too.
-func (cp *CompiledPlan) EvaluateOptsContext(ctx context.Context, probs []*big.Rat, opts *Options) (*Result, error) {
-	return cp.evaluate(ctx, probs, opts.policy())
-}
-
-// evaluate is the routing core shared by Evaluate and EvaluateOpts:
-// validate the probability vector, then pick the numeric substrate.
-func (cp *CompiledPlan) evaluate(ctx context.Context, probs []*big.Rat, pol evalPolicy) (*Result, error) {
+// Evaluate computes Pr(G ⇝ H) under the probability assignment probs,
+// indexed by the edge list of the instance the plan was compiled from
+// (see graph.ProbGraph.Probs), on the numeric substrate opts selects;
+// nil opts means the defaults (exact). The options of the evaluation,
+// not those of the compile, decide: a plan carries no precision of its
+// own, so a cached or restored plan serves jobs of every mode. With
+// exact precision the result is byte-identical to Solve on the
+// correspondingly reweighted instance; with fast or auto it may be a
+// certified float64 enclosure instead (Result.Bounds), and with approx
+// an opaque plan samples (see evaluateApprox).
+//
+// Exact program execution and the float kernel poll ctx every
+// phomerr.CheckInterval ops, and opaque plans pass ctx into their
+// exponential re-solve or sampling loop, so cancellation works on the
+// evaluation side of the pipeline too.
+func (cp *CompiledPlan) Evaluate(ctx context.Context, probs []*big.Rat, opts *Options) (*Result, error) {
 	if err := cp.validateProbs(probs); err != nil {
 		return nil, err
 	}
+	pol := opts.policy()
 	if cp.opaque {
 		// Opaque plans have no program, hence no float kernel. The approx
 		// mode routes them to the Karp–Luby estimator over the plan's
@@ -190,10 +187,22 @@ func (cp *CompiledPlan) evaluate(ctx context.Context, probs []*big.Rat, pol eval
 		return cp.resolve(ctx, probs)
 	}
 	if pol.prec == PrecisionFast || pol.prec == PrecisionAuto {
-		if res, ok := cp.evaluateFloat(probs, pol.prec, pol.tol); ok {
-			return res, nil
+		// One lane of the batched kernel: a lane's enclosure is the same
+		// whatever the batch width, and a lane degenerating to NaN is
+		// rejected by serveFloat like any other unservable enclosure.
+		ivs, err := cp.prog.ExecFloatBatchCtx(ctx, [][]*big.Rat{probs})
+		if err == nil {
+			if res, ok := cp.serveFloat(ivs[0], pol.prec, pol.tol); ok {
+				return res, nil
+			}
 		}
 	}
+	return cp.evaluateExact(ctx, probs)
+}
+
+// evaluateExact runs the exact interpreter: the answer of the exact
+// mode and the fallback of the fast and auto modes.
+func (cp *CompiledPlan) evaluateExact(ctx context.Context, probs []*big.Rat) (*Result, error) {
 	pr, err := cp.prog.ExecCtx(ctx, probs)
 	if err != nil {
 		return nil, err
@@ -223,23 +232,11 @@ func (cp *CompiledPlan) validateProbs(probs []*big.Rat) error {
 	return nil
 }
 
-// evaluateFloat runs the float64 interval kernel and decides whether
-// its result may be served: always for PrecisionFast (the caller asked
-// for float speed), and only within tolerance for PrecisionAuto. ok is
-// false when the caller must fall back to exact arithmetic — kernel
-// failure, a non-finite enclosure, or an auto-mode tolerance miss.
-func (cp *CompiledPlan) evaluateFloat(probs []*big.Rat, prec Precision, tol float64) (*Result, bool) {
-	iv, err := cp.prog.ExecFloat(probs)
-	if err != nil {
-		return nil, false
-	}
-	return cp.serveFloat(iv, prec, tol)
-}
-
-// serveFloat applies the serve-or-fall-back decision to one certified
-// enclosure — the per-lane half of evaluateFloat, shared with the
-// batched path, which produces K enclosures from a single kernel
-// dispatch and routes each lane through this independently.
+// serveFloat decides whether one lane's certified enclosure may be
+// served: always for PrecisionFast (the caller asked for float speed),
+// and only within tolerance for PrecisionAuto. ok is false when the
+// caller must fall back to exact arithmetic — a non-finite (or NaN)
+// enclosure, or an auto-mode tolerance miss.
 func (cp *CompiledPlan) serveFloat(iv plan.Enclosure, prec Precision, tol float64) (*Result, bool) {
 	mid := iv.Mid()
 	if math.IsInf(mid, 0) || math.IsNaN(mid) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"math/rand"
@@ -151,7 +152,7 @@ func TestPrecisionDifferentialGuardRows(t *testing.T) {
 		}
 		for reweight := 0; reweight < 4; reweight++ {
 			probs := job.h.Probs()
-			exact, err := cp.EvaluateOpts(probs, nil)
+			exact, err := cp.Evaluate(context.Background(), probs, nil)
 			if err != nil {
 				t.Fatalf("%s: exact: %v", job.name, err)
 			}
@@ -159,7 +160,7 @@ func TestPrecisionDifferentialGuardRows(t *testing.T) {
 				t.Fatalf("%s: exact result claims substrate %v, bounds %v", job.name, exact.Precision, exact.Bounds)
 			}
 
-			fast, err := cp.EvaluateOpts(probs, &Options{Precision: PrecisionFast})
+			fast, err := cp.Evaluate(context.Background(), probs, &Options{Precision: PrecisionFast})
 			if err != nil {
 				t.Fatalf("%s: fast: %v", job.name, err)
 			}
@@ -182,7 +183,7 @@ func TestPrecisionDifferentialGuardRows(t *testing.T) {
 			}
 
 			for _, tol := range []float64{DefaultFloatTolerance, 5e-324} {
-				auto, err := cp.EvaluateOpts(probs, &Options{Precision: PrecisionAuto, FloatTolerance: tol})
+				auto, err := cp.Evaluate(context.Background(), probs, &Options{Precision: PrecisionAuto, FloatTolerance: tol})
 				if err != nil {
 					t.Fatalf("%s: auto: %v", job.name, err)
 				}
@@ -336,7 +337,7 @@ func TestPrecisionOpaqueFallsBack(t *testing.T) {
 	if !cp.Opaque() {
 		t.Fatal("expected an opaque plan for the cyclic pair")
 	}
-	exact, err := cp.EvaluateOpts(h.Probs(), nil)
+	exact, err := cp.Evaluate(context.Background(), h.Probs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestPrecisionOpaqueFallsBack(t *testing.T) {
 		{Precision: PrecisionFast},
 		{Precision: PrecisionAuto},
 	} {
-		res, err := cp.EvaluateOpts(h.Probs(), opts)
+		res, err := cp.Evaluate(context.Background(), h.Probs(), opts)
 		if err != nil {
 			t.Fatalf("%v: %v", opts.Precision, err)
 		}
@@ -357,10 +358,12 @@ func TestPrecisionOpaqueFallsBack(t *testing.T) {
 	}
 }
 
-// TestCompiledPrecisionSticks pins that a plan compiled with a fast
-// precision keeps it for plain Evaluate calls (the public Compile +
-// Evaluate flow), while a plan restored from bytes reverts to exact.
-func TestCompiledPrecisionSticks(t *testing.T) {
+// TestEvaluateNilOptsIsExact pins the nil-options contract: a plan
+// carries no precision of its own, so a plan compiled with
+// PrecisionFast answers Evaluate(ctx, probs, nil) exactly, byte-
+// identical to its restored-from-bytes twin — and the evaluation's own
+// options still route either one to the float kernel.
+func TestEvaluateNilOptsIsExact(t *testing.T) {
 	q := graph.Path1WP("R")
 	hg := graph.New(3)
 	hg.MustAddEdge(0, 1, "R")
@@ -368,17 +371,18 @@ func TestCompiledPrecisionSticks(t *testing.T) {
 	h := graph.NewProbGraph(hg)
 	h.MustSetEdgeProb(0, 1, big.NewRat(1, 3))
 	h.MustSetEdgeProb(1, 2, big.NewRat(1, 7))
+	ctx := context.Background()
 
 	cp, err := Compile(q, h, &Options{Precision: PrecisionFast})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp.Evaluate(h.Probs())
+	res, err := cp.Evaluate(ctx, h.Probs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Precision != PrecisionFast || res.Bounds == nil {
-		t.Fatalf("fast-compiled plan evaluated on substrate %v", res.Precision)
+	if res.Precision != PrecisionExact || res.Bounds != nil {
+		t.Fatalf("fast-compiled plan under nil opts evaluated on substrate %v", res.Precision)
 	}
 
 	data, err := cp.MarshalBinary()
@@ -389,22 +393,20 @@ func TestCompiledPrecisionSticks(t *testing.T) {
 	if err := restored.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	rres, err := restored.Evaluate(h.Probs())
+	rres, err := restored.Evaluate(ctx, h.Probs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rres.Precision != PrecisionExact {
-		t.Fatalf("restored plan evaluated on substrate %v, want exact", rres.Precision)
+	if rres.Precision != PrecisionExact || rres.Prob.RatString() != res.Prob.RatString() {
+		t.Fatalf("restored plan answered %s on %v, compiled plan %s", rres.Prob.RatString(), rres.Precision, res.Prob.RatString())
 	}
-	// But the job's options still route it, via EvaluateOpts.
-	rfast, err := restored.EvaluateOpts(h.Probs(), &Options{Precision: PrecisionFast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rfast.Precision != PrecisionFast || rfast.Bounds == nil {
-		t.Fatal("EvaluateOpts did not route a restored plan to the float kernel")
-	}
-	if !rfast.Bounds.Contains(rres.Prob) {
-		t.Fatal("restored plan's enclosure misses the exact answer")
+	for _, p := range []*CompiledPlan{cp, restored} {
+		fast, err := p.Evaluate(ctx, h.Probs(), &Options{Precision: PrecisionFast})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Precision != PrecisionFast || fast.Bounds == nil || !fast.Bounds.Contains(res.Prob) {
+			t.Fatalf("fast options evaluated on substrate %v with bounds %v", fast.Precision, fast.Bounds)
+		}
 	}
 }

@@ -76,7 +76,8 @@ type Options struct {
 	// rational arithmetic (the zero value), the certified float64
 	// interval kernel (PrecisionFast), or float-first with exact
 	// fallback beyond FloatTolerance (PrecisionAuto). Compilation is
-	// unaffected — the same plan serves every mode.
+	// unaffected — the same plan serves every mode, routed by the options
+	// each CompiledPlan.Evaluate call passes.
 	Precision Precision
 	// FloatTolerance is the widest certified enclosure PrecisionAuto
 	// accepts before falling back to exact arithmetic, as an absolute
@@ -253,5 +254,5 @@ func SolveContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opts 
 	if err != nil {
 		return nil, err
 	}
-	return cp.EvaluateOptsContext(ctx, h.Probs(), opts)
+	return cp.Evaluate(ctx, h.Probs(), opts)
 }

@@ -103,5 +103,5 @@ func SolveUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Opti
 	if err != nil {
 		return nil, err
 	}
-	return cp.EvaluateOptsContext(ctx, h.Probs(), opts)
+	return cp.Evaluate(ctx, h.Probs(), opts)
 }

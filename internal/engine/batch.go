@@ -22,7 +22,7 @@ import (
 // hashing, a plan-cache fetch and a full interpreter walk. Grouped,
 // the K lanes share one key-derivation pass (graphio.BatchJobKeys
 // amortizes the canonical prefix), one plan fetch and one vectorized
-// kernel dispatch (core.EvaluateBatchOptsContext): per-lane cost drops
+// kernel dispatch (core.CompiledPlan.EvaluateBatch): per-lane cost drops
 // to the probability-suffix hash and the lane's arithmetic. Grouping
 // is invisible in results — every lane's outcome matches what
 // DoContext would have returned — and visible in Stats.BatchRuns and
@@ -443,7 +443,7 @@ func (e *Engine) executeBatch(ctx context.Context, qs []*graph.Graph, opts *core
 		}
 		probVecs[k] = vec
 	}
-	return e.finishBatch(cp.EvaluateBatchOptsContext(ctx, probVecs, opts), opts, planHit), planHit
+	return e.finishBatch(cp.EvaluateBatch(ctx, probVecs, opts), opts, planHit), planHit
 }
 
 // finishBatch applies per-lane execution accounting to a batch group's

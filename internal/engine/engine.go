@@ -785,11 +785,9 @@ func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []
 		e.mu.Lock()
 		e.stats.PlanHits++
 		e.mu.Unlock()
-		// EvaluateOpts rather than Evaluate: the job's own options pick
-		// the numeric substrate, which matters for snapshot-restored
-		// plans (they carry no precision of their own) and for cached
-		// plans shared across precision modes.
-		res, err := ent.EvaluateOptsContext(ctx, probs, job.Opts)
+		// The job's own options pick the numeric substrate: a cached
+		// plan is shared across precision modes.
+		res, err := ent.Evaluate(ctx, probs, job.Opts)
 		e.noteFloat(job.Opts, res, err)
 		return res, err
 	}
@@ -817,7 +815,7 @@ func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []
 	if err != nil {
 		return nil, err
 	}
-	res, evalErr := cp.EvaluateOptsContext(ctx, job.Instance.Probs(), job.Opts)
+	res, evalErr := cp.Evaluate(ctx, job.Instance.Probs(), job.Opts)
 	e.noteFloat(job.Opts, res, evalErr)
 	return res, evalErr
 }

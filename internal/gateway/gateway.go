@@ -12,8 +12,8 @@
 // typed 503 + Retry-After when a backend's outstanding-work ledger is
 // full. A probe loop watches each replica's /healthz: consecutive
 // failures eject it from routing (keys deterministically drain to ring
-// successors), recovery rejoins it, and an uptime_ms regression — a
-// restart the probes never saw as down — triggers a warm-start push of
+// successors), recovery rejoins it, and a changed boot_id — a restart
+// the probes never saw as down — triggers a warm-start push of
 // the replica's last /plans/export snapshot so it rejoins hot with
 // zero recompiles.
 //
@@ -109,7 +109,7 @@ type backend struct {
 	mu            sync.Mutex
 	alive         bool
 	fails         int
-	lastUptime    int64
+	bootID        string // last probed /healthz boot_id; "" until the first probe
 	lastInstances int
 	snapshot      []byte
 }
@@ -386,7 +386,7 @@ func (g *Gateway) ProbeNow() {
 
 // probe checks one backend's /healthz and reconciles routing state:
 // consecutive failures eject, success rejoins, and a restart — seen
-// either as a dead→alive transition or as an uptime_ms regression on a
+// either as a dead→alive transition or as a changed boot_id on a
 // replica that was never probed as down — gets the stored plan
 // snapshot pushed before traffic resumes, so it rejoins hot.
 func (g *Gateway) probe(b *backend) {
@@ -405,10 +405,10 @@ func (g *Gateway) probe(b *backend) {
 			err = fmt.Errorf("healthz status %d (%v)", resp.StatusCode, derr)
 		} else {
 			b.mu.Lock()
-			restarted := !b.alive || hr.UptimeMS < b.lastUptime
+			restarted := !b.alive || (b.bootID != "" && hr.BootID != b.bootID)
 			snap := b.snapshot
 			b.fails = 0
-			b.lastUptime = hr.UptimeMS
+			b.bootID = hr.BootID
 			b.lastInstances = hr.Stats.Instances
 			b.mu.Unlock()
 			if restarted && len(snap) > 0 {

@@ -480,8 +480,9 @@ func TestWarmStartRejoin(t *testing.T) {
 }
 
 // TestUptimeRegressionWarmStart: a replica that restarts between probes
-// — never observed dead — is detected by its uptime_ms regression and
-// still gets the warm-start push.
+// — never observed dead — is detected by its changed boot id and still
+// gets the warm-start push, however soon after the first probe it
+// restarts.
 func TestUptimeRegressionWarmStart(t *testing.T) {
 	rp := startReplica(t, "")
 	defer func() { rp.stop() }()
@@ -491,12 +492,11 @@ func TestUptimeRegressionWarmStart(t *testing.T) {
 	if n := g.PullSnapshots(); n != 1 {
 		t.Fatal("snapshot pull failed")
 	}
-	g.ProbeNow() // record the first uptime
-	time.Sleep(150 * time.Millisecond)
+	g.ProbeNow() // record the first boot id
 
 	rp.stop()
 	rp = startReplica(t, rp.addr)
-	g.ProbeNow() // uptime regressed: push without ever seeing it down
+	g.ProbeNow() // boot id changed: push without ever seeing it down
 
 	var bh serve.HealthResponse
 	getHealth(t, "http://"+rp.addr, &bh)

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -160,11 +161,11 @@ func TestOptimizedProgramRoundTrips(t *testing.T) {
 		t.Fatal("re-encoding an optimized program changed bytes")
 	}
 	probs := []*big.Rat{graph.Rat("1/2"), graph.Rat("1/3"), graph.Rat("1/5")}
-	want, err := raw.Exec(probs)
+	want, err := raw.ExecCtx(context.Background(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Program.Exec(probs)
+	have, err := got.Program.ExecCtx(context.Background(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"strings"
 	"testing"
@@ -112,7 +113,7 @@ func FuzzDecodePlanRecord(f *testing.F) {
 		for i := range probs {
 			probs[i] = big.NewRat(1, 2)
 		}
-		if _, err := rec.Program.Exec(probs); err != nil {
+		if _, err := rec.Program.ExecCtx(context.Background(), probs); err != nil {
 			t.Fatalf("validated program failed to execute: %v", err)
 		}
 	})

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -58,11 +59,11 @@ func TestPlanRecordRoundTrip(t *testing.T) {
 		}
 	}
 	probs := []*big.Rat{graph.Rat("1/2"), graph.Rat("1/3"), graph.Rat("1/5")}
-	want, err := rec.Program.Exec(probs)
+	want, err := rec.Program.ExecCtx(context.Background(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := got.Program.Exec(probs)
+	have, err := got.Program.ExecCtx(context.Background(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,42 +8,41 @@ import (
 	"phom/internal/phomerr"
 )
 
-// This file is the batched evaluation kernel: ExecFloatBatch runs one
+// This file is the float evaluation kernel: ExecFloatBatchCtx runs one
 // Program against K probability vectors simultaneously, over a float64
 // interval register *matrix* instead of a register file. The reweight
 // serving pattern — one structure, many probability assignments —
-// executes the same instruction stream once per vector today; batching
-// pays instruction dispatch (the op decode, the switch, the bounds
-// checks, the loop bookkeeping) once per op for all K lanes, and turns
-// the per-lane arithmetic into tight contiguous loops the hardware can
-// pipeline. Each lane's arithmetic is the exact op-for-op sequence
-// ExecFloat would run, so lane k's enclosure is bitwise identical to
-// ExecFloat(probVecs[k]) whenever the latter succeeds.
+// would otherwise execute the same instruction stream once per vector;
+// batching pays instruction dispatch (the op decode, the switch, the
+// bounds checks, the loop bookkeeping) once per op for all K lanes, and
+// turns the per-lane arithmetic into tight contiguous loops the
+// hardware can pipeline. A single vector is simply one lane. Each
+// lane's arithmetic is the same op-for-op sequence whatever the batch
+// width, so lane k's enclosure is bitwise identical to that of a
+// one-lane run on probVecs[k].
 
-// ExecFloatBatch executes the program against K probability vectors at
-// once and returns one certified enclosure per lane: Exec(probVecs[k])
-// ∈ [out[k].Lo, out[k].Hi] for every lane whose enclosure is finite.
-// See ExecFloatBatchCtx for the full contract.
-func (p *Program) ExecFloatBatch(probVecs [][]*big.Rat) ([]Enclosure, error) {
-	return p.ExecFloatBatchCtx(context.Background(), probVecs)
-}
-
-// ExecFloatBatchCtx is ExecFloatBatch with cooperative cancellation
-// (one poll per instruction, each instruction now being K lanes of
-// work).
+// ExecFloatBatchCtx executes the program against K probability vectors
+// at once and returns one certified enclosure per lane:
+// ExecCtx(probVecs[k]) ∈ [out[k].Lo, out[k].Hi] for every lane whose
+// enclosure is finite. It polls ctx once per instruction (each
+// instruction being K lanes of work), so a cancelled context aborts
+// within one checkpoint interval. Per op it costs a handful of flops
+// per lane instead of arbitrary-precision multiplication with GCD
+// normalization, which is what makes it the serving fast path; the
+// price is a one-ulp outward widening per op, so the final Width grows
+// linearly with program length and stays far below any practical
+// tolerance for the linear-size programs the tractable cells lower to.
 //
 // Error contract: malformed inputs — a lane of the wrong length, a nil
-// probability, an unknown opcode — fail the whole call, exactly as
-// they fail ExecFloat. NaN degeneration does NOT: where the
-// single-vector kernel errors, a batched lane that degenerates
-// (possible only for decoded programs with overflowing constants)
-// comes back with NaN endpoints and the other lanes stay valid, so a
-// caller can fall back per lane instead of discarding the batch. NaN
-// endpoints never escape undetected into a served bound: Enclosure
-// arithmetic propagates NaN to the output (directed rounding,
-// min/max and the 2Sum test all preserve it), and callers route lanes
-// with non-finite enclosures to the exact path (core's serveFloat
-// rejects a NaN midpoint).
+// probability, an unknown opcode — fail the whole call. NaN
+// degeneration (possible only for decoded programs with overflowing
+// constants) does not: a lane that degenerates comes back with NaN
+// endpoints and the other lanes stay valid, so a caller can fall back
+// per lane instead of discarding the batch. NaN endpoints never escape
+// undetected into a served bound: Enclosure arithmetic propagates NaN
+// to the output (directed rounding, min/max and the 2Sum test all
+// preserve it), and callers route lanes with non-finite enclosures to
+// the exact path (core's serveFloat rejects a NaN midpoint).
 func (p *Program) ExecFloatBatchCtx(ctx context.Context, probVecs [][]*big.Rat) ([]Enclosure, error) {
 	lanes := len(probVecs)
 	if lanes == 0 {

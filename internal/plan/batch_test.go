@@ -11,9 +11,20 @@ import (
 	"phom/internal/phomerr"
 )
 
+// execFloat evaluates one probability vector on the float kernel: a
+// batch of one lane, the way core's single-vector fast path runs it.
+func execFloat(p *Program, probs []*big.Rat) (Enclosure, error) {
+	ivs, err := p.ExecFloatBatchCtx(context.Background(), [][]*big.Rat{probs})
+	if err != nil {
+		return Enclosure{}, err
+	}
+	return ivs[0], nil
+}
+
 // TestExecFloatBatchMatchesExecFloat pins the lane-exactness contract:
 // every lane of the batched kernel is bitwise identical (Lo and Hi) to
-// an independent ExecFloat call on that lane's probability vector.
+// an independent single-vector (one-lane) run on that lane's
+// probability vector.
 func TestExecFloatBatchMatchesExecFloat(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 200; trial++ {
@@ -27,7 +38,7 @@ func TestExecFloatBatchMatchesExecFloat(t *testing.T) {
 		for k := range probVecs {
 			probVecs[k] = randomProbs(r, numEdges)
 		}
-		batch, err := prog.ExecFloatBatch(probVecs)
+		batch, err := prog.ExecFloatBatchCtx(context.Background(), probVecs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,14 +46,14 @@ func TestExecFloatBatchMatchesExecFloat(t *testing.T) {
 			t.Fatalf("trial %d: %d enclosures for %d lanes", trial, len(batch), lanes)
 		}
 		for k := range probVecs {
-			single, err := prog.ExecFloat(probVecs[k])
+			single, err := execFloat(prog, probVecs[k])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch[k].Lo != single.Lo || batch[k].Hi != single.Hi {
 				t.Fatalf("trial %d lane %d: batch %v != single %v", trial, k, batch[k], single)
 			}
-			exact, err := prog.Exec(probVecs[k])
+			exact, err := prog.ExecCtx(context.Background(), probVecs[k])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,14 +72,14 @@ func TestExecFloatBatchInputErrors(t *testing.T) {
 		return b.OneMinus(b.Mul(b.Load(0), b.Load(1)))
 	}, 2)
 
-	if out, err := prog.ExecFloatBatch(nil); out != nil || err != nil {
+	if out, err := prog.ExecFloatBatchCtx(context.Background(), nil); out != nil || err != nil {
 		t.Fatalf("empty batch: got (%v, %v), want (nil, nil)", out, err)
 	}
 	good := []*big.Rat{rat("1/2"), rat("1/3")}
-	if _, err := prog.ExecFloatBatch([][]*big.Rat{good, {rat("1/2")}}); err == nil {
+	if _, err := prog.ExecFloatBatchCtx(context.Background(), [][]*big.Rat{good, {rat("1/2")}}); err == nil {
 		t.Fatal("short lane 1 must fail")
 	}
-	if _, err := prog.ExecFloatBatch([][]*big.Rat{good, {rat("1/2"), nil}}); err == nil {
+	if _, err := prog.ExecFloatBatchCtx(context.Background(), [][]*big.Rat{good, {rat("1/2"), nil}}); err == nil {
 		t.Fatal("nil probability in lane 1 must fail")
 	}
 }
@@ -97,7 +108,7 @@ func TestExecFloatBatchNaNLaneIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	vecs := [][]*big.Rat{{rat("1/2")}, {huge}, {rat("1/3")}}
-	out, err := prog.ExecFloatBatch(vecs)
+	out, err := prog.ExecFloatBatchCtx(context.Background(), vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,7 @@ func TestExecFloatBatchNaNLaneIsolated(t *testing.T) {
 		t.Fatalf("overflowing lane should be NaN, got %v", out[1])
 	}
 	for _, k := range []int{0, 2} {
-		exact, err := prog.Exec(vecs[k])
+		exact, err := prog.ExecCtx(context.Background(), vecs[k])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +133,7 @@ func TestExecFloatBatchNaNLaneIsolated(t *testing.T) {
 // cancellation at its per-op checkpoint.
 func TestExecFloatBatchCanceled(t *testing.T) {
 	p := bigIntervalPlan(256, 16)
-	prog, err := Lower(p, 256)
+	prog, err := LowerContext(context.Background(), p, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +159,7 @@ func TestExecFloatBatchCanceled(t *testing.T) {
 // evaluation benchmarks.
 func benchProgram(b *testing.B, nVars int) (*Program, []*big.Rat) {
 	b.Helper()
-	prog, err := Lower(bigIntervalPlan(nVars, 8), nVars)
+	prog, err := LowerContext(context.Background(), bigIntervalPlan(nVars, 8), nVars)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,27 +171,28 @@ func benchProgram(b *testing.B, nVars int) (*Program, []*big.Rat) {
 }
 
 // BenchmarkExecAllocs pins the pooled exact register file: steady-state
-// Exec allocates the result rational and transient big.Int scratch, not
+// ExecCtx allocates the result rational and transient big.Int scratch, not
 // a fresh register file per call.
 func BenchmarkExecAllocs(b *testing.B) {
 	prog, probs := benchProgram(b, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.Exec(probs); err != nil {
+		if _, err := prog.ExecCtx(context.Background(), probs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkExecFloatAllocs pins the pooled interval register file:
-// steady-state ExecFloat is allocation-free.
+// BenchmarkExecFloatAllocs pins the pooled interval register matrix
+// on the single-vector (one-lane) path: steady state allocates only the
+// one-enclosure result slice.
 func BenchmarkExecFloatAllocs(b *testing.B) {
 	prog, probs := benchProgram(b, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.ExecFloat(probs); err != nil {
+		if _, err := execFloat(prog, probs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +211,7 @@ func BenchmarkExecFloatBatch(b *testing.B) {
 		b.Run(benchWidthName(width), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := prog.ExecFloatBatch(vecs); err != nil {
+				if _, err := prog.ExecFloatBatchCtx(context.Background(), vecs); err != nil {
 					b.Fatal(err)
 				}
 			}

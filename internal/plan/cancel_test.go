@@ -55,10 +55,10 @@ func TestLowerContextCanceledDeterministic(t *testing.T) {
 
 // TestExecCtxCanceledDeterministic: the exact interpreter aborts a
 // cancelled execution at an op checkpoint, and a live-context run is
-// byte-identical to Exec.
+// byte-identical to the plan tree's evaluation.
 func TestExecCtxCanceledDeterministic(t *testing.T) {
 	p := bigIntervalPlan(256, 16)
-	prog, err := Lower(p, 256)
+	prog, err := LowerContext(context.Background(), p, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestExecCtxCanceledDeterministic(t *testing.T) {
 	for i := range probs {
 		probs[i] = big.NewRat(int64(i%7+1), 9)
 	}
-	want, err := prog.Exec(probs)
+	want, err := p.Evaluate(probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExecCtxCanceledDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want.RatString() != got.RatString() {
-		t.Fatalf("ExecCtx %s != Exec %s", got.RatString(), want.RatString())
+		t.Fatalf("ExecCtx %s != tree Evaluate %s", got.RatString(), want.RatString())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,7 +106,7 @@ func TestChainEmitCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Chain{System: cc, NodeEdge: nodeEdge}
-	prog, err := Lower(p, n-1)
+	prog, err := LowerContext(context.Background(), p, n-1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,9 +118,8 @@ func PartDirectedPathOnDWT(comp *graph.ProbGraph, m int, edgeMap []int) (Plan, e
 
 // DirectedPathOnDWTs compiles the workhorse of Proposition 3.6: the
 // chain system deciding whether a world of the ⊔DWT instance h contains
-// a directed path of m edges. The per-component structure (parents,
-// depths, chain clauses) is exactly the one core.DirectedPathProbOnDWTs
-// used to build inline; the probability inputs are lifted out into the
+// a directed path of m edges. The probability inputs are lifted out of
+// the per-component structure (parents, depths, chain clauses) into the
 // plan's NodeEdge mapping.
 func DirectedPathOnDWTs(h *graph.ProbGraph, m int) (Plan, error) {
 	if m == 0 {

@@ -20,11 +20,12 @@
 // structure-only job hash of package graphio, and package core builds
 // them via the compile functions of this package.
 //
-// Non-opaque plans lower (Lower) to the flat Program IR — straight-line
+// Plans lower (LowerContext) to the flat Program IR — straight-line
 // code over a register file — which executes on two numeric substrates:
-// Exec interprets it over exact rationals, and ExecFloat over float64
-// intervals with per-op directed-rounding error tracking, returning a
-// certified Enclosure of the exact answer. Package core routes between
+// ExecCtx interprets it over exact rationals, and ExecFloatBatchCtx over
+// float64 intervals (one lane per probability vector) with per-op
+// directed-rounding error tracking, returning a certified Enclosure of
+// the exact answer per lane. Package core routes between
 // the substrates per the caller's precision options.
 //
 // All plans are immutable after construction and safe for concurrent

@@ -7,10 +7,11 @@ import (
 	"sync"
 )
 
-// floatRegPool recycles interval register files across ExecFloat calls,
-// the same way ratRegPool does for the exact path: the fast kernel's
-// per-call cost is a few flops per op, so a register-file allocation
-// per call is a measurable fraction of a dense reweight's budget.
+// floatRegPool recycles interval register matrices across
+// ExecFloatBatchCtx calls, the same way ratRegPool does for the exact
+// path: the fast kernel's per-call cost is a few flops per op and lane,
+// so a register-file allocation per call is a measurable fraction of a
+// dense reweight's budget.
 // Define-before-use (Validate) makes stale contents invisible.
 var floatRegPool sync.Pool
 
@@ -23,19 +24,20 @@ func getFloatRegs(n int) *[]Enclosure {
 	return &s
 }
 
-// This file is the second numeric substrate of the Program IR: ExecFloat
-// runs the same instruction stream as Exec, but over a float64 register
-// file with per-op directed-rounding error tracking. Each register holds
-// a closed interval [Lo, Hi] certified to contain the exact rational
-// value the corresponding Exec register would hold, so the final
-// interval is a machine-checked enclosure of the exact answer — near
-// hardware-speed arithmetic whose error bound is a result, not a hope.
-// Package core routes evaluation through ExecFloat for the fast and
-// auto precision modes, falling back to Exec when the enclosure is
-// wider than the caller's tolerance.
+// This file holds the arithmetic of the second numeric substrate of the
+// Program IR: ExecFloatBatchCtx (batch.go) runs the same instruction
+// stream as ExecCtx, but over float64 registers with per-op
+// directed-rounding error tracking. Each register holds a closed
+// interval [Lo, Hi] certified to contain the exact rational value the
+// corresponding ExecCtx register would hold, so the final interval is a
+// machine-checked enclosure of the exact answer — near hardware-speed
+// arithmetic whose error bound is a result, not a hope. Package core
+// routes evaluation through the float kernel for the fast and auto
+// precision modes, falling back to ExecCtx when the enclosure is wider
+// than the caller's tolerance.
 
 // Enclosure is a certified enclosure [Lo, Hi] of an exact rational
-// value: the exact value v produced by Exec on the same inputs
+// value: the exact value v produced by ExecCtx on the same inputs
 // satisfies Lo ≤ v ≤ Hi. A valid interval has Lo ≤ Hi and no NaN
 // endpoints; infinite endpoints are possible in principle (overflow on
 // hostile decoded programs) and simply make the enclosure vacuous on
@@ -251,56 +253,4 @@ func mulEnclosure(a, b Enclosure) Enclosure {
 		lo, hi = math.Min(lo, l), math.Max(hi, h)
 	}
 	return Enclosure{Lo: lo, Hi: hi}
-}
-
-// ExecFloat interprets the program against probs — the same probability
-// vector Exec takes — over float64 intervals and returns a certified
-// enclosure of the exact result: Exec(probs) ∈ [Lo, Hi] whenever both
-// succeed. Per op it costs a handful of flops instead of arbitrary-
-// precision multiplication with GCD normalization, which is what makes
-// it the serving fast path; the price is a one-ulp outward widening per
-// op, so the final Width grows linearly with program length and stays
-// far below any practical tolerance for the linear-size programs the
-// tractable cells lower to.
-//
-// ExecFloat fails only on malformed inputs (wrong vector length, nil
-// probabilities, unknown opcodes) or if interval arithmetic degenerates
-// to NaN (possible only for decoded programs with overflowing
-// constants); it never returns an unsound interval.
-func (p *Program) ExecFloat(probs []*big.Rat) (Enclosure, error) {
-	if len(probs) != p.NumEdges {
-		return Enclosure{}, fmt.Errorf("plan: %d probabilities for a program over %d edges", len(probs), p.NumEdges)
-	}
-	rp := getFloatRegs(p.NumRegs)
-	defer floatRegPool.Put(rp)
-	regs := *rp
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		var r Enclosure
-		switch op.Code {
-		case OpConst:
-			r = enclose(p.Consts[op.A])
-		case OpLoad:
-			pr := probs[op.A]
-			if pr == nil {
-				return Enclosure{}, fmt.Errorf("plan: nil probability for edge %d", op.A)
-			}
-			r = enclose(pr)
-		case OpMul:
-			r = mulEnclosure(regs[op.A], regs[op.B])
-		case OpAdd:
-			a, b := regs[op.A], regs[op.B]
-			r = Enclosure{Lo: sumLo(a.Lo, b.Lo), Hi: sumHi(a.Hi, b.Hi)}
-		case OpOneMinus:
-			a := regs[op.A]
-			r = Enclosure{Lo: sumLo(1, -a.Hi), Hi: sumHi(1, -a.Lo)}
-		default:
-			return Enclosure{}, fmt.Errorf("plan: unknown opcode %d", op.Code)
-		}
-		if math.IsNaN(r.Lo) || math.IsNaN(r.Hi) {
-			return Enclosure{}, fmt.Errorf("plan: op %d: interval arithmetic degenerated to NaN", i)
-		}
-		regs[op.Dst] = r
-	}
-	return regs[p.Out], nil
 }

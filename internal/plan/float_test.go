@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"math/big"
 	"math/rand"
@@ -62,19 +63,19 @@ func TestExecFloatKnownValues(t *testing.T) {
 	p := mustProgram(t, func(b *Builder) uint32 {
 		return b.OneMinus(b.Mul(b.OneMinus(b.Load(0)), b.OneMinus(b.Load(1))))
 	}, 2)
-	iv, err := p.ExecFloat([]*big.Rat{big.NewRat(1, 2), big.NewRat(1, 4)})
+	iv, err := execFloat(p, []*big.Rat{big.NewRat(1, 2), big.NewRat(1, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if iv.Lo != 0.625 || iv.Hi != 0.625 {
-		t.Fatalf("ExecFloat = %v, want exactly [0.625, 0.625]", iv)
+		t.Fatalf("float kernel = %v, want exactly [0.625, 0.625]", iv)
 	}
 	// The same with p1 = 1/3: a genuine enclosure around 2/3·…
-	want, err := p.Exec([]*big.Rat{big.NewRat(1, 2), big.NewRat(1, 3)})
+	want, err := p.ExecCtx(context.Background(), []*big.Rat{big.NewRat(1, 2), big.NewRat(1, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv, err = p.ExecFloat([]*big.Rat{big.NewRat(1, 2), big.NewRat(1, 3)})
+	iv, err = execFloat(p, []*big.Rat{big.NewRat(1, 2), big.NewRat(1, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +92,19 @@ func TestExecFloatKnownValues(t *testing.T) {
 
 func TestExecFloatInputErrors(t *testing.T) {
 	p := mustProgram(t, func(b *Builder) uint32 { return b.Load(0) }, 1)
-	if _, err := p.ExecFloat(nil); err == nil {
+	if _, err := execFloat(p, nil); err == nil {
 		t.Fatal("accepted a short probability vector")
 	}
-	if _, err := p.ExecFloat([]*big.Rat{nil}); err == nil {
+	if _, err := execFloat(p, []*big.Rat{nil}); err == nil {
 		t.Fatal("accepted a nil probability")
 	}
 }
 
 // TestExecFloatOverflowIsSound pins the hostile-program path: constants
-// beyond float64 range must either produce a sound (possibly vacuous)
-// enclosure or an explicit error — never an unsound finite interval.
+// beyond float64 range must produce a sound (possibly vacuous)
+// enclosure or a NaN one, which contains nothing and so is never served
+// (core falls back to exact arithmetic) — never an unsound finite
+// interval.
 func TestExecFloatOverflowIsSound(t *testing.T) {
 	huge := new(big.Rat).SetFrac(new(big.Int).Exp(big.NewInt(10), big.NewInt(400), nil), big.NewInt(1))
 	// huge · huge: ±Inf bounds are vacuous but sound.
@@ -109,24 +112,22 @@ func TestExecFloatOverflowIsSound(t *testing.T) {
 		h := b.Const(huge)
 		return b.Mul(h, h)
 	}, 0)
-	if iv, err := p.ExecFloat(nil); err == nil {
-		exact := new(big.Rat).Mul(huge, huge)
-		if !iv.Contains(exact) {
-			t.Fatalf("overflow enclosure %v excludes the exact product", iv)
-		}
+	iv, err := execFloat(p, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// huge · 0 is Inf · 0 = NaN in float arithmetic: must error, not
-	// return a NaN interval.
+	if !iv.Contains(new(big.Rat).Mul(huge, huge)) {
+		t.Fatalf("overflow enclosure %v excludes the exact product", iv)
+	}
+	// huge · 0 is Inf · 0 = NaN in float arithmetic.
 	p = mustProgram(t, func(b *Builder) uint32 {
 		return b.Mul(b.Const(huge), b.Zero())
 	}, 0)
-	if iv, err := p.ExecFloat(nil); err == nil {
-		if math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) {
-			t.Fatalf("NaN enclosure %v escaped", iv)
-		}
-		if !iv.Contains(new(big.Rat)) {
-			t.Fatalf("enclosure %v excludes the exact 0", iv)
-		}
+	if iv, err = execFloat(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if nan := math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi); nan == iv.Contains(new(big.Rat)) {
+		t.Fatalf("enclosure %v is neither NaN nor a sound enclosure of 0", iv)
 	}
 }
 
@@ -185,7 +186,7 @@ func randomProgram(r *rand.Rand, numEdges, numOps int) (*Program, error) {
 
 // TestExecFloatContainmentRandom is the deterministic twin of the fuzz
 // target: across seeded random programs and probability maps, the exact
-// Exec answer always lies in ExecFloat's certified enclosure.
+// ExecCtx answer always lies in the float kernel's certified enclosure.
 func TestExecFloatContainmentRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 300; trial++ {
@@ -195,11 +196,11 @@ func TestExecFloatContainmentRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		probs := randomProbs(r, numEdges)
-		exact, err := prog.Exec(probs)
+		exact, err := prog.ExecCtx(context.Background(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		iv, err := prog.ExecFloat(probs)
+		iv, err := execFloat(prog, probs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,11 +228,11 @@ func FuzzExecFloatContainment(f *testing.F) {
 			t.Fatal(err)
 		}
 		probs := randomProbs(r, numEdges)
-		exact, err := prog.Exec(probs)
+		exact, err := prog.ExecCtx(context.Background(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		iv, err := prog.ExecFloat(probs)
+		iv, err := execFloat(prog, probs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 )
@@ -11,11 +10,6 @@ import (
 // adapters here contribute only the variable-to-edge indirection that
 // the tree evaluators apply at evaluation time, so the emitted ops load
 // straight from the instance probability vector.
-
-// ErrOpaque is returned when lowering or serializing an opaque plan:
-// its evaluation re-runs an exponential baseline and is not expressible
-// as straight-line arithmetic.
-var ErrOpaque = errors.New("plan: opaque plan has no flattened program")
 
 // edgeMapEmitter adapts a Builder to the OpEmitter interfaces of
 // betadnf and ddnnf (structurally identical), translating substrate
@@ -94,9 +88,4 @@ func (c Components) EmitOps(b *Builder) (uint32, error) {
 	out := b.OneMinus(miss)
 	b.Release(miss)
 	return out, nil
-}
-
-// EmitOps on an opaque plan fails: there is no structure to flatten.
-func (o Opaque) EmitOps(b *Builder) (uint32, error) {
-	return 0, ErrOpaque
 }

@@ -15,8 +15,8 @@ import (
 // algebraic identities x·1 = x, x·0 = 0, x+0 = x and 1−(1−x) = x.
 //
 // Every rewrite is exact: program arithmetic is rational, so folding
-// and reassociation cannot change a single result bit (Exec of the
-// optimized program is RatString-byte-identical to Exec of the
+// and reassociation cannot change a single result bit (ExecCtx of the
+// optimized program is RatString-byte-identical to ExecCtx of the
 // original). On the float substrate the optimized program runs the
 // same-or-fewer interval operations, so its certified enclosure still
 // contains the exact value — it is typically tighter, never unsound
@@ -146,8 +146,8 @@ func (o *optimizer) internOneMinus(a int) int {
 
 // Optimize returns an equivalent program with redundant arithmetic
 // removed: constant subcomputations folded (exactly — rational
-// arithmetic has no rounding, so Exec of the result is byte-identical
-// to Exec of the receiver on every probability vector), structurally
+// arithmetic has no rounding, so ExecCtx of the result is
+// byte-identical to ExecCtx of the receiver on every probability vector), structurally
 // identical subcomputations shared, the identities x·1, x·0, x+0 and
 // 1−(1−x) applied, and every op whose value cannot reach the output
 // register dropped. The receiver is not modified; the result passes

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -26,11 +27,11 @@ func lowerRaw(t *testing.T, p Plan, numEdges int) *Program {
 	return prog
 }
 
-// execString runs Exec and returns the exact result as a RatString,
+// execString runs ExecCtx and returns the exact result as a RatString,
 // failing the test on error.
 func execString(t *testing.T, p *Program, probs []*big.Rat) string {
 	t.Helper()
-	v, err := p.Exec(probs)
+	v, err := p.ExecCtx(context.Background(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestOptimizeIdentities(t *testing.T) {
 			t.Errorf("%s: optimized to %d ops, want %d", tc.name, opt.NumOps(), tc.wantOps)
 		}
 		if got, want := execString(t, opt, probs), execString(t, raw, probs); got != want {
-			t.Errorf("%s: optimized Exec %s != raw %s", tc.name, got, want)
+			t.Errorf("%s: optimized ExecCtx %s != raw %s", tc.name, got, want)
 		}
 	}
 }
@@ -148,13 +149,13 @@ func TestOptimizeReducesOpsOnCorpora(t *testing.T) {
 		for reweight := 0; reweight < 3; reweight++ {
 			probs := randomProbs(r, n)
 			if got, want := execString(t, opt, probs), execString(t, raw, probs); got != want {
-				t.Fatalf("trial %d: optimized Exec %s != raw %s", trial, got, want)
+				t.Fatalf("trial %d: optimized ExecCtx %s != raw %s", trial, got, want)
 			}
-			exact, err := opt.Exec(probs)
+			exact, err := opt.ExecCtx(context.Background(), probs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			iv, err := opt.ExecFloat(probs)
+			iv, err := execFloat(opt, probs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,18 +205,18 @@ func TestOptimizeEquivalenceRandom(t *testing.T) {
 			t.Fatalf("trial %d: optimizer grew the program (%d → %d)", trial, raw.NumOps(), opt.NumOps())
 		}
 		probs := randomProbs(r, numEdges)
-		exact, err := raw.Exec(probs)
+		exact, err := raw.ExecCtx(context.Background(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := opt.Exec(probs)
+		got, err := opt.ExecCtx(context.Background(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Cmp(exact) != 0 {
-			t.Fatalf("trial %d: optimized Exec %s != raw %s", trial, got.RatString(), exact.RatString())
+			t.Fatalf("trial %d: optimized ExecCtx %s != raw %s", trial, got.RatString(), exact.RatString())
 		}
-		iv, err := opt.ExecFloat(probs)
+		iv, err := execFloat(opt, probs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,18 +249,18 @@ func FuzzOptimizeEquivalence(f *testing.F) {
 			t.Fatalf("optimizer grew the program (%d → %d)", raw.NumOps(), opt.NumOps())
 		}
 		probs := randomProbs(r, numEdges)
-		exact, err := raw.Exec(probs)
+		exact, err := raw.ExecCtx(context.Background(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := opt.Exec(probs)
+		got, err := opt.ExecCtx(context.Background(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Cmp(exact) != 0 {
-			t.Fatalf("optimized Exec %s != raw %s", got.RatString(), exact.RatString())
+			t.Fatalf("optimized ExecCtx %s != raw %s", got.RatString(), exact.RatString())
 		}
-		iv, err := opt.ExecFloat(probs)
+		iv, err := execFloat(opt, probs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,10 +15,10 @@ import (
 // a structurally identical instance with a different edge numbering must
 // permute the vector first (see graphio.CanonicalEdgeOrder).
 //
-// Evaluate walks the plan tree (the PR 2 evaluation path, kept as the
-// differential reference); EmitOps lowers the same arithmetic to the
-// flat Program IR, which is what the solver pipeline executes and what
-// internal/graphio serializes. Opaque plans do not lower (ErrOpaque).
+// Evaluate walks the plan tree (the original evaluation path, kept as
+// the differential reference); EmitOps lowers the same arithmetic to
+// the flat Program IR, which is what the solver pipeline executes and
+// what internal/graphio serializes.
 type Plan interface {
 	Evaluate(probs []*big.Rat) (*big.Rat, error)
 	EmitOps(b *Builder) (uint32, error)
@@ -126,17 +126,4 @@ func (c Components) Evaluate(probs []*big.Rat) (*big.Rat, error) {
 		miss.Mul(miss, p.Sub(graph.RatOne, p))
 	}
 	return miss.Sub(graph.RatOne, miss), nil
-}
-
-// Opaque is a plan with no exploitable structure: evaluation re-solves
-// the captured job against each probability assignment. It is the plan
-// form of the exponential baselines, kept so that structure-keyed plan
-// caching stays total — an opaque hit is correct, merely not faster.
-type Opaque struct {
-	Eval func(probs []*big.Rat) (*big.Rat, error)
-}
-
-// Evaluate re-solves under π.
-func (o Opaque) Evaluate(probs []*big.Rat) (*big.Rat, error) {
-	return o.Eval(probs)
 }

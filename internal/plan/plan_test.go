@@ -80,16 +80,6 @@ func TestIntervalEvaluateMapsEdges(t *testing.T) {
 	}
 }
 
-func TestOpaqueDelegates(t *testing.T) {
-	o := Opaque{Eval: func(probs []*big.Rat) (*big.Rat, error) {
-		return new(big.Rat).Set(probs[0]), nil
-	}}
-	p, err := o.Evaluate([]*big.Rat{rat("5/7")})
-	if err != nil || p.Cmp(rat("5/7")) != 0 {
-		t.Fatalf("Opaque = %v, %v", p, err)
-	}
-}
-
 // oracleWorlds computes Pr(world contains →^m) on h by world enumeration.
 func oracleWorlds(t *testing.T, h *graph.ProbGraph, m int) *big.Rat {
 	t.Helper()

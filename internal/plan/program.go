@@ -11,13 +11,13 @@ import (
 
 // This file defines the flattened evaluation IR: a Program is a linear
 // instruction stream over a register file of rationals, the common
-// compilation target of every non-opaque plan. Where the PR 2 plan tree
-// evaluated through a heterogeneous set of Go closures (chain DP,
+// compilation target of every non-opaque plan. Where the plan tree
+// evaluates through a heterogeneous set of Go closures (chain DP,
 // interval DP, d-DNNF traversal), a Program is pure data — one op
-// array, one constant pool — executed by the single Exec hot loop
+// array, one constant pool — executed by the single ExecCtx hot loop
 // below, and serializable by internal/graphio. The per-substrate tree
 // evaluators remain as the differential reference (Plan.Evaluate);
-// Lower turns a tree into its Program.
+// LowerContext turns a tree into its Program.
 
 // OpCode enumerates the instruction set. The set is deliberately tiny:
 // every tractable cell of the paper evaluates by a straight-line
@@ -55,12 +55,12 @@ type Op struct {
 // Program is a compiled plan flattened into straight-line code: execute
 // the ops in order against a register file of NumRegs rationals, then
 // read the result from register Out. Programs are immutable after
-// construction and safe for concurrent Exec calls (each call owns its
-// register file). Programs built by Lower are valid by construction;
-// decoded ones must pass Validate before Exec (the decoder of
-// internal/graphio enforces this).
+// construction and safe for concurrent ExecCtx calls (each call owns
+// its register file). Programs built by LowerContext are valid by
+// construction; decoded ones must pass Validate before ExecCtx (the
+// decoder of internal/graphio enforces this).
 type Program struct {
-	// NumEdges is the length of the probability vector Exec expects —
+	// NumEdges is the length of the probability vector ExecCtx expects —
 	// the edge count of the instance the plan was compiled from.
 	NumEdges int
 	// NumRegs is the size of the register file.
@@ -78,7 +78,7 @@ func (p *Program) NumOps() int { return len(p.Ops) }
 
 // Validate checks the program statically: opcode and operand ranges,
 // definition before use, and a defined Out register. A valid program
-// cannot make Exec panic on any probability vector of length NumEdges.
+// cannot make ExecCtx panic on any probability vector of length NumEdges.
 func (p *Program) Validate() error {
 	if p.NumEdges < 0 {
 		return fmt.Errorf("plan: negative edge count %d", p.NumEdges)
@@ -137,16 +137,7 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Exec interprets the program against the probability vector probs
-// (indexed by the edge list of the instance the plan was compiled
-// from) and returns a freshly allocated result. All arithmetic is
-// exact; the result is the same rational the plan tree's Evaluate
-// computes, hence RatString-byte-identical.
-func (p *Program) Exec(probs []*big.Rat) (*big.Rat, error) {
-	return p.ExecCtx(context.Background(), probs)
-}
-
-// ratRegPool recycles exact register files across Exec calls. Pooling
+// ratRegPool recycles exact register files across ExecCtx calls. Pooling
 // does more than skip one make: a reused big.Rat keeps the big.Int
 // backing arrays its numerators and denominators grew on earlier runs,
 // so steady-state reweight serving performs the GCD-normalizing
@@ -166,11 +157,14 @@ func getRatRegs(n int) *[]big.Rat {
 	return &s
 }
 
-// ExecCtx is Exec with cooperative cancellation: the interpreter polls
-// ctx every phomerr.CheckInterval ops, so a cancelled context aborts a
+// ExecCtx interprets the program against the probability vector probs
+// (indexed by the edge list of the instance the plan was compiled
+// from) and returns a freshly allocated result. All arithmetic is
+// exact; the result is the same rational the plan tree's Evaluate
+// computes, hence RatString-byte-identical. The interpreter polls ctx
+// every phomerr.CheckInterval ops, so a cancelled context aborts a
 // long exact evaluation (programs over large instances run millions of
-// big.Rat operations) within one checkpoint interval. The arithmetic
-// is unchanged — a run that completes is byte-identical to Exec.
+// big.Rat operations) within one checkpoint interval.
 func (p *Program) ExecCtx(ctx context.Context, probs []*big.Rat) (*big.Rat, error) {
 	if len(probs) != p.NumEdges {
 		return nil, fmt.Errorf("plan: %d probabilities for a program over %d edges", len(probs), p.NumEdges)
@@ -377,21 +371,14 @@ var (
 	ratZero = new(big.Rat)
 )
 
-// Lower flattens a plan tree into a Program over numEdges instance
-// edges and runs the Optimize pass on the result, so every program the
-// solver pipeline executes or serializes is already folded, shared and
-// dead-op free. Opaque plans have no program (ErrOpaque): their
-// evaluation re-runs an exponential baseline and is not expressible as
-// straight-line arithmetic.
-func Lower(p Plan, numEdges int) (*Program, error) {
-	return LowerContext(context.Background(), p, numEdges)
-}
-
-// LowerContext is Lower with cooperative cancellation: the builder
-// polls ctx every phomerr.CheckInterval emitted ops, so cancelling the
-// context aborts the compile-time dynamic programs (the chain/interval
-// trellis unrolling of betadnf, the per-gate emission of ddnnf) within
-// one checkpoint interval and surfaces the typed cancellation error.
+// LowerContext flattens a plan tree into a Program over numEdges
+// instance edges and runs the Optimize pass on the result, so every
+// program the solver pipeline executes or serializes is already
+// folded, shared and dead-op free. The builder polls ctx every
+// phomerr.CheckInterval emitted ops, so cancelling the context aborts
+// the compile-time dynamic programs (the chain/interval trellis
+// unrolling of betadnf, the per-gate emission of ddnnf) within one
+// checkpoint interval and surfaces the typed cancellation error.
 func LowerContext(ctx context.Context, p Plan, numEdges int) (*Program, error) {
 	b := NewBuilderCtx(ctx, numEdges)
 	out, err := p.EmitOps(b)

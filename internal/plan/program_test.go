@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -26,12 +27,12 @@ func TestProgramBuilderExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prog.Exec([]*big.Rat{rat("1/2"), rat("1/4")})
+	got, err := prog.ExecCtx(context.Background(), []*big.Rat{rat("1/2"), rat("1/4")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := rat("11/24"); got.Cmp(want) != 0 {
-		t.Fatalf("Exec = %s, want %s", got.RatString(), want.RatString())
+		t.Fatalf("ExecCtx = %s, want %s", got.RatString(), want.RatString())
 	}
 	// Register reuse: releasing p0 and om must have bounded the file.
 	if prog.NumRegs > 5 {
@@ -40,11 +41,11 @@ func TestProgramBuilderExec(t *testing.T) {
 }
 
 func TestProgramExecRejectsBadInput(t *testing.T) {
-	prog, err := Lower(NewConst(rat("1/2")), 3)
+	prog, err := LowerContext(context.Background(), NewConst(rat("1/2")), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Exec([]*big.Rat{rat("1")}); err == nil {
+	if _, err := prog.ExecCtx(context.Background(), []*big.Rat{rat("1")}); err == nil {
 		t.Fatal("expected a length-mismatch error")
 	}
 	b := NewBuilder(2)
@@ -53,7 +54,7 @@ func TestProgramExecRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog2.Exec([]*big.Rat{rat("1"), nil}); err == nil {
+	if _, err := prog2.ExecCtx(context.Background(), []*big.Rat{rat("1"), nil}); err == nil {
 		t.Fatal("expected a nil-probability error")
 	}
 }
@@ -98,9 +99,9 @@ func TestProgramValidate(t *testing.T) {
 // reweightings of h.
 func lowerAndCompare(t *testing.T, r *rand.Rand, p Plan, h *graph.ProbGraph, what string) {
 	t.Helper()
-	prog, err := Lower(p, h.G.NumEdges())
+	prog, err := LowerContext(context.Background(), p, h.G.NumEdges())
 	if err != nil {
-		t.Fatalf("%s: Lower: %v", what, err)
+		t.Fatalf("%s: LowerContext: %v", what, err)
 	}
 	if err := prog.Validate(); err != nil {
 		t.Fatalf("%s: lowered program invalid: %v", what, err)
@@ -111,9 +112,9 @@ func lowerAndCompare(t *testing.T, r *rand.Rand, p Plan, h *graph.ProbGraph, wha
 		if err != nil {
 			t.Fatalf("%s: tree Evaluate: %v", what, err)
 		}
-		flat, err := prog.Exec(probs)
+		flat, err := prog.ExecCtx(context.Background(), probs)
 		if err != nil {
-			t.Fatalf("%s: Exec: %v", what, err)
+			t.Fatalf("%s: ExecCtx: %v", what, err)
 		}
 		if tree.RatString() != flat.RatString() {
 			t.Fatalf("%s: tree %s vs program %s", what, tree.RatString(), flat.RatString())
@@ -194,13 +195,6 @@ func TestLowerConstAndComponents(t *testing.T) {
 	lowerAndCompare(t, r, NewConst(rat("1")), h, "Const 1")
 }
 
-func TestLowerOpaqueFails(t *testing.T) {
-	o := Opaque{Eval: func(probs []*big.Rat) (*big.Rat, error) { return new(big.Rat), nil }}
-	if _, err := Lower(o, 1); err != ErrOpaque {
-		t.Fatalf("Lower(Opaque) = %v, want ErrOpaque", err)
-	}
-}
-
 // TestChainEmitMatchesProbDirect drives the betadnf chain lowering on a
 // hand-built multi-level system (deep chains, dead subtrees) where the
 // pruning and streak-cap paths all fire.
@@ -223,7 +217,7 @@ func TestChainEmitMatchesProbDirect(t *testing.T) {
 		nodeEdge[i] = i - 1 // node v reads edge v−1; root reads nothing
 	}
 	c := Chain{System: cc, NodeEdge: nodeEdge}
-	prog, err := Lower(c, n-1)
+	prog, err := LowerContext(context.Background(), c, n-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +230,7 @@ func TestChainEmitMatchesProbDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := prog.Exec(probs)
+		flat, err := prog.ExecCtx(context.Background(), probs)
 		if err != nil {
 			t.Fatal(err)
 		}

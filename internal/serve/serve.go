@@ -181,11 +181,13 @@ type HealthResponse struct {
 	// operator can tell which member of the tier answered a probe.
 	Shard string `json:"shard,omitempty"`
 	// UptimeMS is the monotonic time since this process created its
-	// server, in milliseconds. The gateway watches it across probes: an
-	// uptime regression means the replica restarted (losing its plan
-	// cache) even if no probe ever failed, and triggers a warm-start
-	// snapshot push.
+	// server, in milliseconds.
 	UptimeMS int64 `json:"uptime_ms"`
+	// BootID is a random id minted when the server was created. The
+	// gateway watches it across probes: a changed boot id means the
+	// replica restarted (losing its plan cache) even if no probe ever
+	// failed, and triggers a warm-start snapshot push.
+	BootID string `json:"boot_id"`
 	// HTTP counts every response served since startup, keyed by status
 	// code — the server-side half of phomgen's replay accounting (a
 	// replay is clean when the two sides agree).
@@ -241,6 +243,9 @@ type Server struct {
 	shard string
 	// start anchors the /healthz uptime_ms monotonic clock.
 	start time.Time
+	// bootID is the /healthz boot_id: random per server, so a restart
+	// is visible to the gateway whatever the probe timing.
+	bootID string
 	// httpByStatus counts served responses per status code, under
 	// httpMu; surfaced through /healthz for replay accounting.
 	httpMu       sync.Mutex
@@ -248,7 +253,11 @@ type Server struct {
 }
 
 func New(e *engine.Engine) *Server {
-	return &Server{engine: e, start: time.Now(), httpByStatus: map[int]uint64{}}
+	var boot [8]byte
+	// crypto/rand does not fail on supported platforms; if it did, the
+	// zero id would only hide changed-id restarts, not dead→alive ones.
+	_, _ = rand.Read(boot[:])
+	return &Server{engine: e, start: time.Now(), bootID: hex.EncodeToString(boot[:]), httpByStatus: map[int]uint64{}}
 }
 
 // WithMaxBody sets the request-body cap (the -maxbody flag).
@@ -416,6 +425,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Stats:    s.engine.Stats(),
 		Shard:    s.shard,
 		UptimeMS: time.Since(s.start).Milliseconds(),
+		BootID:   s.bootID,
 		HTTP:     s.httpCounts(),
 	})
 }

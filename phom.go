@@ -225,9 +225,10 @@ func Solve(query *Graph, instance *ProbGraph, opts *Options) (*Result, error) {
 
 // Plan is a compiled solver plan: the probability-independent phase of
 // Solve, reusable across probability assignments. Compile once, then
-// Evaluate per assignment — Evaluate takes the probability vector in
-// the instance's edge-list order (ProbGraph.Probs) and returns results
-// byte-identical to Solve on the correspondingly reweighted instance.
+// Evaluate per assignment — Evaluate takes a context, the probability
+// vector in the instance's edge-list order (ProbGraph.Probs) and the
+// evaluation's options (nil: exact), and returns results byte-identical
+// to Solve on the correspondingly reweighted instance.
 // Every tractable cell evaluates in linear time; #P-hard cells compile
 // to an opaque plan that re-solves per evaluation (Plan.Opaque reports
 // this). Plans are immutable and safe for concurrent use.

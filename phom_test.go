@@ -1,6 +1,7 @@
 package phom
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -130,7 +131,7 @@ func TestCompileReweightAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := plan.Evaluate(h.Probs())
+		got, err := plan.Evaluate(context.Background(), h.Probs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +172,11 @@ func TestPlanSerializationAPI(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := cp.Evaluate(h.Probs())
+		want, err := cp.Evaluate(context.Background(), h.Probs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.Evaluate(h.Probs())
+		got, err := restored.Evaluate(context.Background(), h.Probs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,9 +212,10 @@ func ExampleCompile() {
 	h := NewProbGraph(Path1WP("R", "R"))
 
 	plan, _ := Compile(q, h, nil)
+	ctx := context.Background()
 	for _, p := range []string{"1/4", "1/2", "3/4"} {
 		h.MustSetEdgeProb(1, 2, Rat(p))
-		res, _ := plan.Evaluate(h.Probs())
+		res, _ := plan.Evaluate(ctx, h.Probs(), nil) // nil options: exact
 		fmt.Printf("p=%s -> Pr=%s\n", p, res.Prob.RatString())
 	}
 	// Output:
