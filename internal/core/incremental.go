@@ -33,7 +33,9 @@ func PatchCompile(q *graph.Graph, old *CompiledPlan, oldG *graph.Graph, newH *gr
 // PatchCompileContext compiles a plan for the single-query job
 // (q, newH, opts), reusing the untouched per-component parts of old — a
 // plan previously compiled for the same (q, opts) against oldG, the
-// structure newH's underlying graph was derived from by edge deltas.
+// structure newH's underlying graph was derived from by edge deltas,
+// or against any structurally equal graph (same structure key, edges
+// possibly listed in another order).
 // The returned plan is semantically identical to
 // CompileContext(ctx, q, newH, opts): same method, same exact
 // probabilities (RatString-byte-identical) under every probability
@@ -216,13 +218,28 @@ func patchCompile(ctx context.Context, q *graph.Graph, old *CompiledPlan, oldG *
 		}
 	}
 
+	// The old plan numbers edges as the graph it was compiled against
+	// did: structurally equal to oldG (same structure key) but not
+	// necessarily in oldG's edge order — another instance's compile, a
+	// stateless job inserting edges differently, or a plan restored from
+	// a snapshot. Plan edge p is the oldG edge of equal canonical rank,
+	// so the splice renumbers plan edges through both canonical orders.
+	planOrder, gOrder := old.CanonOrder(), graphio.CanonicalEdgeOrder(oldG)
+	if len(planOrder) != len(gOrder) || old.NumEdges() != len(gOrder) {
+		return nil, nil
+	}
+	planRemap := make([]int, len(planOrder))
+	for k, p := range planOrder {
+		planRemap[p] = remap[gOrder[k]]
+	}
+
 	parts := make([]plan.Plan, len(newVS))
 	for cj := range newVS {
 		if err := phomerr.FromContext(ctx); err != nil {
 			return nil, err
 		}
 		if ci := intactOld[cj]; ci >= 0 {
-			np, err := plan.RemapEdges(oldComposite.Parts[ci], remap)
+			np, err := plan.RemapEdges(oldComposite.Parts[ci], planRemap)
 			if err != nil {
 				return nil, nil // defensive: fall back rather than fail
 			}

@@ -324,3 +324,174 @@ func TestPatchCompileConflictErrType(t *testing.T) {
 		t.Fatalf("stale ifVersion error = %v, want ErrConflict", err)
 	}
 }
+
+// permutedCopy returns h over a structurally equal graph whose edges
+// are listed in a random order: same vertices, same labelled edges and
+// probabilities, different edge numbering — what another instance, a
+// stateless job with a different insertion order, or a plan snapshot
+// leaves under the same structure key.
+func permutedCopy(r *rand.Rand, h *graph.ProbGraph) *graph.ProbGraph {
+	g := graph.New(h.G.NumVertices())
+	perm := r.Perm(h.G.NumEdges())
+	for _, i := range perm {
+		e := h.G.Edge(i)
+		g.MustAddEdge(e.From, e.To, e.Label)
+	}
+	p := graph.NewProbGraph(g)
+	for j, i := range perm {
+		p.SetProb(j, h.Prob(i))
+	}
+	return p
+}
+
+// openProbs returns n random probabilities strictly inside (0, 1), so
+// no answer saturates at 0 or 1 and hides a misnumbered edge.
+func openProbs(r *rand.Rand, n int) []*big.Rat {
+	out := make([]*big.Rat, n)
+	for i := range out {
+		out[i] = big.NewRat(int64(1+r.Intn(96)), 97)
+	}
+	return out
+}
+
+// checkPatchMatchesCompile applies one PatchCompile step — old was
+// compiled for q against a graph structurally equal to oldG, newH is
+// oldG after deltas — and requires it to agree with a from-scratch
+// compile on errors, method, structure key and the exact answer under
+// newH's probabilities plus reweights random probability vectors. It
+// returns the patched plan (nil when both sides failed alike) and
+// whether the splice path ran.
+func checkPatchMatchesCompile(t *testing.T, r *rand.Rand, q *graph.Graph, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options, reweights int) (*CompiledPlan, bool) {
+	t.Helper()
+	patched, incremental, perr := PatchCompile(q, old, oldG, newH, opts)
+	scratch, serr := Compile(q, newH, opts)
+	if (perr == nil) != (serr == nil) || phomerr.CodeOf(perr) != phomerr.CodeOf(serr) {
+		t.Fatalf("patch err %v vs scratch err %v", perr, serr)
+	}
+	if perr != nil {
+		return nil, false
+	}
+	if patched.StructKey() != scratch.StructKey() {
+		t.Fatal("struct keys diverge")
+	}
+	vecs := [][]*big.Rat{newH.Probs()}
+	for k := 0; k < reweights; k++ {
+		vecs = append(vecs, openProbs(r, newH.G.NumEdges()))
+	}
+	for k, probs := range vecs {
+		pr, err1 := patched.Evaluate(context.Background(), probs, nil)
+		sr, err2 := scratch.Evaluate(context.Background(), probs, nil)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("vector %d: evaluate: %v / %v", k, err1, err2)
+		}
+		if pr.Prob.RatString() != sr.Prob.RatString() || pr.Method != sr.Method {
+			t.Fatalf("vector %d: incremental=%v %s (%v) != scratch %s (%v)", k, incremental,
+				pr.Prob.RatString(), pr.Method, sr.Prob.RatString(), sr.Method)
+		}
+	}
+	return patched, incremental
+}
+
+// TestPatchCompileOldPlanOnPermutedGraph pins plan migration across
+// edge numberings: the old plan was compiled against an edge-permuted
+// copy of oldG (same structure key, different numbering), so its
+// spliced parts must be renumbered through the canonical edge order,
+// not through oldG's own indices.
+func TestPatchCompileOldPlanOnPermutedGraph(t *testing.T) {
+	q := graph.Path2WP(graph.Fwd(graph.Unlabeled), graph.Bwd(graph.Unlabeled))
+	spliced := 0
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		parts := make([]*graph.Graph, 6)
+		for i := range parts {
+			parts[i] = gen.Rand2WP(r, 8, nil)
+		}
+		g, offs := graph.DisjointUnion(parts...)
+		h := graph.NewProbGraph(g)
+		for i, p := range openProbs(r, g.NumEdges()) {
+			h.SetProb(i, p)
+		}
+		old, err := Compile(q, permutedCopy(r, h), nil)
+		if err != nil {
+			t.Fatalf("seed %d: compile: %v", seed, err)
+		}
+		inst, err := instance.New("perm", h)
+		if err != nil {
+			t.Fatalf("instance.New: %v", err)
+		}
+		// Either join two paths end to start (every old edge survives)
+		// or remove one edge; the untouched components are carried over
+		// through the renumbering either way.
+		d := instance.Delta{Op: instance.OpAddEdge, From: offs[1] - 1, To: offs[2],
+			Label: graph.Unlabeled, Prob: big.NewRat(1, 3)}
+		if seed%2 == 1 {
+			e := g.Edge(r.Intn(g.NumEdges()))
+			d = instance.Delta{Op: instance.OpRemoveEdge, From: e.From, To: e.To}
+		}
+		if _, err := inst.Apply(-1, []instance.Delta{d}); err != nil {
+			t.Fatalf("seed %d: Apply: %v", seed, err)
+		}
+		if _, incremental := checkPatchMatchesCompile(t, r, q, old, g, inst.Snapshot().H, nil, 4); incremental {
+			spliced++
+		}
+	}
+	if spliced == 0 {
+		t.Fatal("no case took the splice path; the test is vacuous")
+	}
+}
+
+// FuzzPatchCompileMatchesCompile drives PatchCompile with random delta
+// streams on the tractable union families and the fallback-exercising
+// random models, where before every step the graph handed in as oldG is
+// (at random) an edge-permuted copy of the graph the old plan was
+// compiled on. Every patched plan must agree with CompileContext.
+func FuzzPatchCompileMatchesCompile(f *testing.F) {
+	for seed := int64(0); seed < 10; seed++ {
+		f.Add(seed, uint8(seed), uint8(3))
+	}
+	fams := []gen.Family{gen.FamU2WP, gen.FamUDWT, gen.FamUPT, gen.FamER, gen.FamBA}
+	opts := &Options{BruteForceLimit: 12}
+	f.Fuzz(func(t *testing.T, seed int64, fam, steps uint8) {
+		r := rand.New(rand.NewSource(seed))
+		g := gen.RandFamily(r, fams[int(fam)%len(fams)], 5+r.Intn(7), nil)
+		if g.NumEdges() == 0 {
+			return
+		}
+		h := graph.NewProbGraph(g)
+		for i, p := range openProbs(r, g.NumEdges()) {
+			h.SetProb(i, p)
+		}
+		q := gen.RandWalkQuery(r, g, 2)
+		if q == nil || q.NumEdges() == 0 {
+			return
+		}
+		cur, err := Compile(q, h, opts)
+		if err != nil {
+			return // past the fallback budget: nothing to patch
+		}
+		inst, err := instance.New("fuzz", h)
+		if err != nil {
+			t.Fatalf("instance.New: %v", err)
+		}
+		curH := h
+		for step := 0; step < 1+int(steps)%4; step++ {
+			batch := randDeltaBatch(r, curH.G, nil)
+			if len(batch) == 0 {
+				continue
+			}
+			if _, err := inst.Apply(-1, batch); err != nil {
+				t.Fatalf("step %d: Apply: %v", step, err)
+			}
+			oldG := curH.G
+			if r.Intn(2) == 0 {
+				oldG = permutedCopy(r, curH).G
+			}
+			newH := inst.Snapshot().H
+			cur, _ = checkPatchMatchesCompile(t, r, q, cur, oldG, newH, opts, 2)
+			if cur == nil {
+				return
+			}
+			curH = newH
+		}
+	})
+}

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/maphash"
 	"math/big"
 	"sort"
 	"time"
@@ -26,58 +24,17 @@ import (
 // to the probability-suffix hash and the lane's arithmetic. Grouping
 // is invisible in results — every lane's outcome matches what
 // DoContext would have returned — and visible in Stats.BatchRuns and
-// Stats.BatchLanes.
+// Stats.BatchLanes. The group shares the per-job path's machinery
+// rather than copying it: plan acquisition is acquirePlan, outcome
+// accounting is Stats.countPrecision, and the lanes' job keys (derived
+// whether or not memoization is on) both probe the memo cache and
+// dedupe identical lanes.
 
 // batchMaxLanes caps the width of one batched kernel dispatch; wider
 // groups are chunked. The cap bounds the kernel's register matrix
 // (NumRegs × lanes enclosures) and keeps per-chunk latency compatible
 // with completion-order streaming.
 const batchMaxLanes = 256
-
-// probsSeed seeds the in-group dedup fingerprint; per-process, like any
-// maphash seed.
-var probsSeed = maphash.MakeSeed()
-
-// probsFingerprint hashes inst's probability assignment into a cheap
-// 64-bit bucket key for in-group dedup when memoization is off: equal
-// assignments always hash equal, and bucket collisions are resolved by
-// sameProbs. buf is a reusable scratch buffer, returned for the next
-// call.
-func probsFingerprint(inst *graph.ProbGraph, buf []byte) (uint64, []byte) {
-	buf = buf[:0]
-	var b [8]byte
-	for i := 0; i < inst.G.NumEdges(); i++ {
-		p := inst.Prob(i)
-		if n, d := p.Num(), p.Denom(); n.IsInt64() && d.IsInt64() {
-			binary.LittleEndian.PutUint64(b[:], uint64(n.Int64()))
-			buf = append(buf, b[:]...)
-			binary.LittleEndian.PutUint64(b[:], uint64(d.Int64()))
-			buf = append(buf, b[:]...)
-		} else {
-			buf = append(buf, 0xff)
-			buf = append(buf, p.RatString()...)
-			buf = append(buf, 0xff)
-		}
-	}
-	return maphash.Bytes(probsSeed, buf), buf
-}
-
-// sameProbs reports whether two same-graph instances carry identical
-// probability assignments, comparing numerators and denominators
-// directly (big.Rat is normalized, and this avoids Rat.Cmp's allocating
-// cross-multiplication).
-func sameProbs(a, b *graph.ProbGraph) bool {
-	if a == b {
-		return true
-	}
-	for i := 0; i < a.G.NumEdges(); i++ {
-		pa, pb := a.Prob(i), b.Prob(i)
-		if pa.Num().Cmp(pb.Num()) != 0 || pa.Denom().Cmp(pb.Denom()) != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // batchGroups partitions a Stream batch into batchable groups (slices
 // of job indices, each with at least 2 and at most batchMaxLanes
@@ -173,95 +130,40 @@ func (e *Engine) runBatchGroup(ctx context.Context, out chan<- StreamResult, job
 	for k, i := range lanes {
 		instances[k] = jobs[i].Instance
 	}
-	var jobKeys []string
-	var structKey string
-	var canonOrder []int
-	if e.cache != nil {
-		// One keying pass for all lanes: the canonical prefix (query
-		// sections, instance header, edge lines) is derived once and only
-		// the probability suffixes are hashed per lane.
-		jobKeys, structKey, canonOrder = graphio.BatchJobKeys(canon, instances,
-			lead.Opts.Fingerprint(), lead.Opts.StructFingerprint())
-	} else {
-		// Memoization off: no lane needs a memo key, so skip per-lane
-		// hashing entirely — only the group-level structure key (plan
-		// cache) and canonical edge order (probability transport) are
-		// derived, and in-group dedup compares assignments directly.
-		structKey, canonOrder = graphio.StructKeyJob(canon, lead.Instance.G, lead.Opts.StructFingerprint())
-	}
+	// One keying pass for all lanes: the canonical prefix (query
+	// sections, instance header, edge lines) is derived once and only the
+	// probability suffixes are hashed per lane.
+	jobKeys, structKey, canonOrder := graphio.BatchJobKeys(canon, instances,
+		lead.Opts.Fingerprint(), lead.Opts.StructFingerprint())
 
 	// Memo pass: lanes whose exact job was answered before are served
-	// from the result cache without occupying a kernel lane.
-	pending := make([]int, 0, len(lanes))
+	// from the result cache without occupying a kernel lane. Identical
+	// lanes are deduplicated by job key, the in-group analogue of the
+	// per-job path's singleflight: one lane per distinct key executes,
+	// its duplicates share the outcome.
+	var pending []int          // lane positions that execute
+	dupOf := make(map[int]int) // duplicate lane position → index into pending
+	primary := make(map[string]int, len(lanes))
 	var hits []StreamResult
-	if e.cache != nil {
-		e.mu.Lock()
-		for k := range lanes {
-			if res, ok := e.cache.get(jobKeys[k]); ok {
-				e.stats.CacheHits++
-				hits = append(hits, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
-				continue
-			}
-			pending = append(pending, k)
-		}
-		e.mu.Unlock()
-	} else {
-		for k := range lanes {
+	e.mu.Lock()
+	for k := range lanes {
+		if res, ok := e.cache.get(jobKeys[k]); ok {
+			e.stats.CacheHits++
+			hits = append(hits, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
+		} else if pi, ok := primary[jobKeys[k]]; ok {
+			dupOf[k] = pi
+		} else {
+			primary[jobKeys[k]] = len(pending)
 			pending = append(pending, k)
 		}
 	}
+	e.mu.Unlock()
 	for _, h := range hits {
 		out <- h
 	}
 	if len(pending) == 0 {
 		return
 	}
-
-	// Deduplicate identical lanes, the in-group analogue of the per-job
-	// path's singleflight: one lane per distinct job key executes, its
-	// duplicates share the outcome. With memoization on, a duplicate is
-	// served by the memo entry its primary populates (a cache hit, just
-	// without the redundant lookup); with it off, it counts as coalesced,
-	// like an in-flight waiter.
-	execLanes := make([]int, 0, len(pending))
-	dupOf := make(map[int]int) // lane position → index into execLanes
-	if jobKeys != nil {
-		primary := make(map[string]int, len(pending))
-		for _, k := range pending {
-			if pi, ok := primary[jobKeys[k]]; ok {
-				dupOf[k] = pi
-				continue
-			}
-			primary[jobKeys[k]] = len(execLanes)
-			execLanes = append(execLanes, k)
-		}
-	} else {
-		// No memo keys to compare — bucket lanes by a cheap 64-bit
-		// fingerprint of the assignment and resolve buckets exactly.
-		// Within a group the query, graph and options already match, so
-		// equal assignments are exactly the lanes equal job keys would
-		// have found.
-		buckets := make(map[uint64][]int, len(pending))
-		var fbuf []byte
-		for _, k := range pending {
-			var fp uint64
-			fp, fbuf = probsFingerprint(instances[k], fbuf)
-			dup := -1
-			for _, pi := range buckets[fp] {
-				if sameProbs(instances[execLanes[pi]], instances[k]) {
-					dup = pi
-					break
-				}
-			}
-			if dup >= 0 {
-				dupOf[k] = dup
-				continue
-			}
-			buckets[fp] = append(buckets[fp], len(execLanes))
-			execLanes = append(execLanes, k)
-		}
-	}
-	pending = execLanes
 
 	// Lane execution runs under the engine's lifetime context with the
 	// stream's cancellation propagated in — the double bound the
@@ -315,149 +217,85 @@ func (e *Engine) runBatchGroup(ctx context.Context, out chan<- StreamResult, job
 	}
 	<-done
 
-	if e.cache != nil {
-		e.mu.Lock()
-		for pi, k := range pending {
-			if outs[pi].Err == nil {
-				e.cache.add(jobKeys[k], outs[pi].Result)
-			}
-		}
-		e.mu.Unlock()
-	}
+	memo := e.cache != nil
+	e.mu.Lock()
 	for pi, k := range pending {
-		jr := JobResult{Err: outs[pi].Err, PlanHit: planHit}
 		if outs[pi].Err == nil {
-			jr.Result = cloneResult(outs[pi].Result)
+			e.cache.add(jobKeys[k], outs[pi].Result)
 		}
-		out <- StreamResult{Index: lanes[k], JobResult: jr}
 	}
-	for k, pi := range dupOf {
-		jr := JobResult{Err: outs[pi].Err}
-		if outs[pi].Err == nil {
-			jr.Result = cloneResult(outs[pi].Result)
-		}
-		e.mu.Lock()
-		if e.cache != nil && outs[pi].Err == nil {
-			// The primary's result is in the memo cache by now; serving
-			// the duplicate from it is a cache hit minus the lookup.
-			jr.CacheHit = true
+	// A duplicate of a successful lane is served by the memo entry its
+	// primary just populated (a cache hit minus the lookup); with
+	// memoization off, or when the primary failed, it counts as
+	// coalesced, like an in-flight waiter.
+	for _, pi := range dupOf {
+		if memo && outs[pi].Err == nil {
 			e.stats.CacheHits++
 		} else {
-			jr.Shared = true
 			e.stats.Coalesced++
 		}
-		e.mu.Unlock()
-		out <- StreamResult{Index: lanes[k], JobResult: jr}
 	}
+	e.mu.Unlock()
+	for pi, k := range pending {
+		out <- StreamResult{Index: lanes[k], JobResult: laneResult(outs[pi], JobResult{PlanHit: planHit})}
+	}
+	for k, pi := range dupOf {
+		jr := JobResult{Shared: true}
+		if memo && outs[pi].Err == nil {
+			jr = JobResult{CacheHit: true}
+		}
+		out <- StreamResult{Index: lanes[k], JobResult: laneResult(outs[pi], jr)}
+	}
+}
+
+// laneResult fills jr with a lane's outcome, cloning the result so no
+// two lanes (or the memo cache) share a mutable value.
+func laneResult(o core.BatchOutcome, jr JobResult) JobResult {
+	jr.Err = o.Err
+	if o.Err == nil {
+		jr.Result = cloneResult(o.Result)
+	}
+	return jr
 }
 
 // executeBatch runs one group's pending lanes on the calling worker:
-// it acquires the group's compiled plan — cache hit, wait on an
-// in-flight compile, or compile as the leader, the same per-structure
-// singleflight protocol runPlanned uses — transports every lane's
-// probabilities onto the plan's edge numbering, and evaluates all
-// lanes through core's batched kernel. Returns one outcome per lane
-// and whether the lanes were served by a cached plan.
+// it acquires the group's compiled plan through acquirePlan (the same
+// per-structure singleflight single jobs use), transports every lane's
+// probabilities onto the plan's edge numbering, and evaluates all lanes
+// through core's batched kernel. Every lane then counts as executed
+// (Solved); error lanes count like failed executions (with
+// cancellations also counted Canceled, as the per-job path does for
+// abandoned calls), plan-hit groups count one PlanHit per lane, and
+// successful lanes update the precision counters exactly as a single
+// job would. Returns one outcome per lane and whether the lanes were
+// served by a cached plan.
 func (e *Engine) executeBatch(ctx context.Context, qs []*graph.Graph, opts *core.Options, structKey string, canonOrder []int, instances []*graph.ProbGraph) ([]core.BatchOutcome, bool) {
-	failAll := func(err error) []core.BatchOutcome {
-		outs := make([]core.BatchOutcome, len(instances))
+	var outs []core.BatchOutcome
+	// All lanes share one graph value (grouping keys on it), so a fresh
+	// plan compiled against lane 0 numbers every lane's edges.
+	cp, hit, err := e.acquirePlan(ctx, structKey, canonOrder, qs, instances[0], opts)
+	if err != nil {
+		outs = make([]core.BatchOutcome, len(instances))
 		for k := range outs {
 			outs[k] = core.BatchOutcome{Err: err}
 		}
-		return outs
-	}
-
-	var ent *core.CompiledPlan
-	registered := false
-	for {
-		var wait chan struct{}
-		e.mu.Lock()
-		if e.plans == nil {
-			e.mu.Unlock()
-			break
-		}
-		if got, ok := e.plans.get(structKey); ok {
-			ent = got
-		} else if ch, ok := e.planFlight[structKey]; ok {
-			wait = ch
-		} else {
-			e.planFlight[structKey] = make(chan struct{})
-			registered = true
-		}
-		e.mu.Unlock()
-		if wait != nil {
-			select {
-			case <-wait:
-				continue // the leader finished; re-check the plan cache
-			case <-ctx.Done():
-				return e.finishBatch(failAll(phomerr.FromContext(ctx)), opts, false), false
+	} else {
+		probVecs := make([][]*big.Rat, len(instances))
+		for k, inst := range instances {
+			if hit {
+				probVecs[k] = transportProbs(cp, canonOrder, inst)
+			} else {
+				probVecs[k] = inst.Probs()
 			}
 		}
-		break
+		outs = cp.EvaluateBatch(ctx, probVecs, opts)
 	}
 
-	planHit := false
-	cp := ent
-	if cp != nil {
-		// All lanes share one structure, so the transport check is
-		// lane-independent: probe with lane 0. A mismatch (only possible
-		// under a structure-hash collision) falls through to a fresh
-		// compile, mirroring runPlanned.
-		if _, ok := transportProbs(cp, canonOrder, instances[0]); ok {
-			planHit = true
-		} else {
-			cp = nil
-		}
-	}
-	if cp == nil {
-		var err error
-		if len(qs) > 1 {
-			cp, err = core.CompileUCQContext(ctx, qs, instances[0], opts)
-		} else {
-			cp, err = core.CompileContext(ctx, qs[0], instances[0], opts)
-		}
-		e.mu.Lock()
-		if err == nil {
-			e.stats.PlanCompiles++
-			if e.plans != nil {
-				e.plans.add(structKey, cp)
-			}
-		}
-		if registered {
-			// Release waiters; on error nothing was cached, so one of
-			// them becomes the next leader and retries.
-			close(e.planFlight[structKey])
-			delete(e.planFlight, structKey)
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return e.finishBatch(failAll(err), opts, false), false
-		}
-	}
-
-	probVecs := make([][]*big.Rat, len(instances))
-	for k, inst := range instances {
-		vec, ok := transportProbs(cp, canonOrder, inst)
-		if !ok { // unreachable: the plan was just matched or compiled against this structure
-			return e.finishBatch(failAll(phomerr.New(phomerr.CodeUnknown, "engine: plan/instance edge count mismatch")), opts, planHit), planHit
-		}
-		probVecs[k] = vec
-	}
-	return e.finishBatch(cp.EvaluateBatch(ctx, probVecs, opts), opts, planHit), planHit
-}
-
-// finishBatch applies per-lane execution accounting to a batch group's
-// outcomes: every lane counts as executed (Solved), error lanes count
-// like failed executions (with cancellations also counted Canceled,
-// as the per-job path does for abandoned calls), plan-hit groups count
-// one PlanHit per lane, and float-path lanes update the dual-precision
-// counters exactly as noteFloat would.
-func (e *Engine) finishBatch(outs []core.BatchOutcome, opts *core.Options, planHit bool) []core.BatchOutcome {
 	prec := opts.EffectivePrecision()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.Solved += uint64(len(outs))
-	if planHit {
+	if hit {
 		e.stats.PlanHits += uint64(len(outs))
 	}
 	for _, o := range outs {
@@ -468,24 +306,7 @@ func (e *Engine) finishBatch(outs []core.BatchOutcome, opts *core.Options, planH
 			}
 			continue
 		}
-		if prec == core.PrecisionExact || o.Result == nil {
-			continue
-		}
-		// Same carve-outs as noteFloat: approx lanes feed the sampler
-		// counters (and only when actually sampled), float lanes the
-		// dual-precision ones.
-		if prec == core.PrecisionApprox {
-			if o.Result.Precision == core.PrecisionApprox {
-				e.stats.ApproxRuns++
-				e.stats.ApproxSamples += uint64(o.Result.ApproxSamples)
-			}
-			continue
-		}
-		if o.Result.Precision == core.PrecisionFast {
-			e.stats.FloatFast++
-		} else {
-			e.stats.FloatFallbacks++
-		}
+		e.stats.countPrecision(prec, o.Result)
 	}
-	return outs
+	return outs, hit
 }

@@ -80,8 +80,8 @@ func TestBatchedReweightMatchesPerJob(t *testing.T) {
 }
 
 // TestBatchedReweightFloatAccounting: a fast/auto batch updates the
-// dual-precision counters per lane, exactly as the per-job path's
-// noteFloat would.
+// dual-precision counters per lane, exactly as the per-job path does
+// (both go through Stats.countPrecision).
 func TestBatchedReweightFloatAccounting(t *testing.T) {
 	jobs := reweightWorkload(t, 43, 12, &core.Options{Precision: core.PrecisionAuto})
 	want := solveSequential(t, jobs)

@@ -266,8 +266,8 @@ type Engine struct {
 	closed     bool
 	active     sync.WaitGroup // Solve/SolveBatch calls in flight, for Close
 	inflight   map[string]*call
-	cache      *lruCache[*core.Result]       // nil when memoization is disabled
-	plans      *lruCache[*core.CompiledPlan] // nil when plan caching is disabled
+	cache      *lruCache[*core.Result]       // nil (always missing) when memoization is disabled
+	plans      *lruCache[*core.CompiledPlan] // nil (always missing) when plan caching is disabled
 	planFlight map[string]chan struct{}      // structures being compiled right now
 	instances  map[string]*instEntry         // live named instances (instances.go)
 	stats      Stats
@@ -302,10 +302,14 @@ func New(opts Options) *Engine {
 		base = context.Background()
 	}
 	baseCtx, baseStop := context.WithCancel(base)
+	snapPath := opts.PlanSnapshotPath
+	if plans == nil {
+		snapPath = "" // no plan cache to restore into or snapshot from
+	}
 	e := &Engine{
 		workers:    workers,
 		jobs:       make(chan func()),
-		snapPath:   opts.PlanSnapshotPath,
+		snapPath:   snapPath,
 		baseCtx:    baseCtx,
 		baseStop:   baseStop,
 		inflight:   make(map[string]*call),
@@ -314,7 +318,7 @@ func New(opts Options) *Engine {
 		planFlight: make(map[string]chan struct{}),
 		instances:  make(map[string]*instEntry),
 	}
-	if e.snapPath != "" && e.plans != nil {
+	if e.snapPath != "" {
 		if f, err := os.Open(e.snapPath); err == nil {
 			_, lerr := e.LoadPlans(f)
 			f.Close()
@@ -347,12 +351,8 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
-	if e.cache != nil {
-		s.CacheLen = e.cache.len()
-	}
-	if e.plans != nil {
-		s.PlanCacheLen = e.plans.len()
-	}
+	s.CacheLen = e.cache.len()
+	s.PlanCacheLen = e.plans.len()
 	s.Instances = len(e.instances)
 	return s
 }
@@ -561,7 +561,7 @@ func (e *Engine) Close() error {
 	// All jobs have drained; release the engine's registration in the
 	// base context (a leak otherwise when BaseContext is long-lived).
 	e.baseStop()
-	if e.snapPath != "" && e.plans != nil {
+	if e.snapPath != "" {
 		if err := e.snapshotToPath(); err != nil {
 			e.mu.Lock()
 			e.stats.SnapshotErrors++
@@ -617,14 +617,9 @@ func (e *Engine) savePlansUnchecked(w io.Writer) (int, error) {
 	// without it: plans are immutable, so only the cache walk needs
 	// synchronization.
 	e.mu.Lock()
-	var cps []*core.CompiledPlan
-	if e.plans != nil {
-		// Oldest first: sequential re-insertion on load restores the
-		// recency order.
-		for _, cp := range e.plans.values() {
-			cps = append(cps, cp)
-		}
-	}
+	// Oldest first: sequential re-insertion on load restores the
+	// recency order.
+	cps := e.plans.values()
 	e.mu.Unlock()
 	var records [][]byte
 	for _, cp := range cps {
@@ -671,12 +666,10 @@ func (e *Engine) LoadPlans(r io.Reader) (int, error) {
 			return err
 		}
 		e.mu.Lock()
-		if e.plans != nil {
-			e.plans.add(cp.StructKey(), cp)
-			e.stats.PlansLoaded++
-			loaded++
-		}
+		e.plans.add(cp.StructKey(), cp)
+		e.stats.PlansLoaded++
 		e.mu.Unlock()
+		loaded++
 		return nil
 	})
 	return loaded, err
@@ -723,147 +716,148 @@ func jobKeys(job Job) (qs []*graph.Graph, canon []string, key, structKey string,
 	return qs, canon, key, structKey, canonOrder, nil
 }
 
-// runPlanned executes a job through the compile/evaluate pipeline,
-// consulting and feeding the structure-keyed plan cache. canonOrder is
-// the job instance's canonical edge order, already computed during key
-// derivation.
-//
-// Compilation is deduplicated per structure: the singleflight table of
-// do() coalesces only byte-identical jobs (probabilities included), so
-// without this a cold burst of reweighted variants of one structure —
-// the dominant serving pattern — would compile the same plan once per
-// worker. A job that finds its structure being compiled waits for that
-// compilation and then evaluates the cached plan. Waiting holds a
-// worker, which cannot deadlock: the flight is only ever registered by
-// a task already running on some worker, which finishes independently.
+// runPlanned executes a job through the compile/evaluate pipeline:
+// acquirePlan supplies the structure's plan (cached or fresh), and the
+// job's own probabilities are evaluated against it.
 func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []int, job Job, qs []*graph.Graph, planHit *bool) (*core.Result, error) {
-	registered := false
-	for {
-		var ent *core.CompiledPlan
-		var wait chan struct{}
-		e.mu.Lock()
-		if e.plans == nil {
-			e.mu.Unlock()
-			break
-		}
-		if got, ok := e.plans.get(structKey); ok {
-			ent = got
-		} else if ch, ok := e.planFlight[structKey]; ok {
-			wait = ch
-		} else {
-			e.planFlight[structKey] = make(chan struct{})
-			registered = true
-		}
-		e.mu.Unlock()
-		if wait != nil {
-			select {
-			case <-wait:
-			case <-ctx.Done():
-				return nil, phomerr.FromContext(ctx)
-			}
-			continue // the leader finished; re-check the plan cache
-		}
-		if ent == nil {
-			break // this call is the compile leader
-		}
+	cp, hit, err := e.acquirePlan(ctx, structKey, canonOrder, qs, job.Instance, job.Opts)
+	if err != nil {
+		return nil, err
+	}
+	var probs []*big.Rat
+	if hit {
 		// The fresh-compile path validates probabilities inside
 		// core.Compile; mirror it so both paths fail identically.
 		if err := phomerr.Wrap(phomerr.CodeBadInput, job.Instance.Validate()); err != nil {
 			return nil, err
 		}
-		// A transport mismatch (only possible under a structure-hash
-		// collision) falls through to a fresh compile; an evaluation
-		// error does not — a fresh compile of the same structure would
-		// produce the same plan and the same error, and for opaque
-		// (baseline) plans retrying would re-run exponential work just
-		// to fail identically.
-		probs, ok := transportProbs(ent, canonOrder, job.Instance)
-		if !ok {
+		*planHit = true
+		probs = transportProbs(cp, canonOrder, job.Instance)
+	} else {
+		probs = job.Instance.Probs()
+	}
+	// The job's own options pick the numeric substrate: a cached plan is
+	// shared across precision modes.
+	res, err := cp.Evaluate(ctx, probs, job.Opts)
+	e.mu.Lock()
+	if hit {
+		e.stats.PlanHits++
+	}
+	if err == nil {
+		e.stats.countPrecision(job.Opts.EffectivePrecision(), res)
+	}
+	e.mu.Unlock()
+	return res, err
+}
+
+// acquirePlan returns the compiled plan for a job structure, shared by
+// single jobs (runPlanned) and batch groups (executeBatch): a plan-cache
+// hit (hit=true; evaluate with transportProbs), or a fresh compile of
+// qs against inst that then populates the cache (hit=false; inst's own
+// edge numbering is the plan's).
+//
+// Compilation is deduplicated per structure: the singleflight table of
+// do() coalesces only byte-identical jobs (probabilities included), so
+// without this a cold burst of reweighted variants of one structure —
+// the dominant serving pattern — would compile the same plan once per
+// worker. A caller that finds its structure being compiled waits for
+// that compilation and then re-checks the cache; on a compile error
+// nothing is cached, so a waiter becomes the next leader (errors are
+// never cached). Waiting holds a worker, which cannot deadlock: the
+// flight is only ever registered by a task already running on some
+// worker, which finishes independently. With plan caching disabled no
+// flight is registered — there is nothing to wait for, and compiles of
+// one structure must not serialize.
+//
+// A cached plan whose edge count does not fit (only possible under a
+// structure-hash collision) is recompiled fresh. An evaluation error
+// is not retried: a fresh compile of the same structure would produce
+// the same plan and the same error, and for opaque (baseline) plans
+// retrying would re-run exponential work just to fail identically.
+func (e *Engine) acquirePlan(ctx context.Context, structKey string, canonOrder []int, qs []*graph.Graph, inst *graph.ProbGraph, opts *core.Options) (cp *core.CompiledPlan, hit bool, err error) {
+	registered := false
+	for {
+		var wait chan struct{}
+		e.mu.Lock()
+		if got, ok := e.plans.get(structKey); ok {
+			cp = got
+		} else if ch, ok := e.planFlight[structKey]; ok {
+			wait = ch
+		} else if e.plans != nil {
+			e.planFlight[structKey] = make(chan struct{})
+			registered = true
+		}
+		e.mu.Unlock()
+		if wait == nil {
 			break
 		}
-		*planHit = true
-		e.mu.Lock()
-		e.stats.PlanHits++
-		e.mu.Unlock()
-		// The job's own options pick the numeric substrate: a cached
-		// plan is shared across precision modes.
-		res, err := ent.Evaluate(ctx, probs, job.Opts)
-		e.noteFloat(job.Opts, res, err)
-		return res, err
+		select {
+		case <-wait: // the leader finished; re-check the plan cache
+		case <-ctx.Done():
+			return nil, false, phomerr.FromContext(ctx)
+		}
 	}
-	var cp *core.CompiledPlan
-	var err error
+	if cp != nil {
+		order := cp.CanonOrder()
+		if len(canonOrder) == len(order) && cp.NumEdges() == len(order) {
+			return cp, true, nil
+		}
+	}
 	if len(qs) > 1 {
-		cp, err = core.CompileUCQContext(ctx, qs, job.Instance, job.Opts)
+		cp, err = core.CompileUCQContext(ctx, qs, inst, opts)
 	} else {
-		cp, err = core.CompileContext(ctx, qs[0], job.Instance, job.Opts)
+		cp, err = core.CompileContext(ctx, qs[0], inst, opts)
 	}
 	e.mu.Lock()
 	if err == nil {
 		e.stats.PlanCompiles++
-		if e.plans != nil {
-			e.plans.add(structKey, cp)
-		}
+		e.plans.add(structKey, cp)
 	}
 	if registered {
-		// Release waiters; on error nothing was cached, so one of them
-		// becomes the next leader and retries (errors are never cached).
 		close(e.planFlight[structKey])
 		delete(e.planFlight, structKey)
 	}
 	e.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	res, evalErr := cp.Evaluate(ctx, job.Instance.Probs(), job.Opts)
-	e.noteFloat(job.Opts, res, evalErr)
-	return res, evalErr
+	return cp, false, err
 }
 
-// noteFloat updates the dual-precision counters after an evaluation:
-// jobs that requested the float fast path (precision fast or auto)
-// count as FloatFast when the float kernel answered and as
-// FloatFallbacks when exact arithmetic did. Exact-precision jobs touch
-// neither counter. Approx jobs feed the sampler counters instead: a
-// sampled answer counts ApproxRuns/ApproxSamples, an approx job that
-// landed on a tractable cell (answered exactly) counts nothing.
-func (e *Engine) noteFloat(opts *core.Options, res *core.Result, err error) {
-	if err != nil || res == nil || opts.EffectivePrecision() == core.PrecisionExact {
-		return
-	}
-	if opts.EffectivePrecision() == core.PrecisionApprox {
+// countPrecision updates the dual-precision counters after a successful
+// evaluation, for single jobs and batch lanes alike: jobs that
+// requested the float fast path (precision fast or auto) count as
+// FloatFast when the float kernel answered and as FloatFallbacks when
+// exact arithmetic did. Exact-precision jobs touch neither counter.
+// Approx jobs feed the sampler counters instead: a sampled answer
+// counts ApproxRuns/ApproxSamples, an approx job that landed on a
+// tractable cell (answered exactly) counts nothing. Caller holds the
+// engine mutex.
+func (s *Stats) countPrecision(requested core.Precision, res *core.Result) {
+	switch {
+	case res == nil || requested == core.PrecisionExact:
+	case requested == core.PrecisionApprox:
 		if res.Precision == core.PrecisionApprox {
-			e.mu.Lock()
-			e.stats.ApproxRuns++
-			e.stats.ApproxSamples += uint64(res.ApproxSamples)
-			e.mu.Unlock()
+			s.ApproxRuns++
+			s.ApproxSamples += uint64(res.ApproxSamples)
 		}
-		return
+	case res.Precision == core.PrecisionFast:
+		s.FloatFast++
+	default:
+		s.FloatFallbacks++
 	}
-	e.mu.Lock()
-	if res.Precision == core.PrecisionFast {
-		e.stats.FloatFast++
-	} else {
-		e.stats.FloatFallbacks++
-	}
-	e.mu.Unlock()
 }
 
 // transportProbs maps the probability vector of h onto the edge
 // numbering of the cached plan: rank k of h's canonical edge order cur
 // corresponds to rank k of the compile-time instance's canonical order
 // (carried by the plan itself, surviving serialization), because equal
-// StructKeys mean equal canonical edge sequences.
-func transportProbs(cp *core.CompiledPlan, cur []int, h *graph.ProbGraph) ([]*big.Rat, bool) {
+// StructKeys mean equal canonical edge sequences. acquirePlan has
+// already checked that the lengths agree.
+func transportProbs(cp *core.CompiledPlan, cur []int, h *graph.ProbGraph) []*big.Rat {
 	order := cp.CanonOrder()
-	if len(cur) != len(order) || cp.NumEdges() != len(order) {
-		return nil, false
-	}
 	probs := make([]*big.Rat, len(cur))
 	for k, ei := range cur {
 		probs[order[k]] = h.Prob(ei)
 	}
-	return probs, true
+	return probs
 }
 
 // do answers the keyed job from the cache, an in-flight identical call,
@@ -873,12 +867,10 @@ func transportProbs(cp *core.CompiledPlan, cur []int, h *graph.ProbGraph) ([]*bi
 func (e *Engine) do(ctx context.Context, key string, run func(context.Context) (*core.Result, error)) (JobResult, bool) {
 	for {
 		e.mu.Lock()
-		if e.cache != nil {
-			if res, ok := e.cache.get(key); ok {
-				e.stats.CacheHits++
-				e.mu.Unlock()
-				return JobResult{Result: cloneResult(res), CacheHit: true}, true
-			}
+		if res, ok := e.cache.get(key); ok {
+			e.stats.CacheHits++
+			e.mu.Unlock()
+			return JobResult{Result: cloneResult(res), CacheHit: true}, true
 		}
 		// Coalesce only onto a call somebody is still waiting for. An
 		// abandoned call's context is already cancelled — joining it
@@ -913,7 +905,7 @@ func (e *Engine) do(ctx context.Context, key string, run func(context.Context) (
 			e.stats.Solved++
 			if c.err != nil {
 				e.stats.Errors++
-			} else if e.cache != nil && !c.abandoned {
+			} else if !c.abandoned {
 				// A short run can complete between its abandonment and
 				// its next checkpoint; honor the documented invariant
 				// that abandoned results never reach the cache.
@@ -997,7 +989,9 @@ func cloneResult(r *core.Result) *core.Result {
 
 // lruCache is a plain bounded LRU over canonical job keys, generic in
 // the cached value (solver results, compiled plans). It is not itself
-// synchronized; the Engine's mutex guards it.
+// synchronized; the Engine's mutex guards it. A nil *lruCache is the
+// disabled cache: get always misses, add and remove do nothing, len is
+// 0 and values is nil.
 type lruCache[V any] struct {
 	capacity int
 	order    *list.List // front = most recently used; values are *lruEntry[V]
@@ -1017,11 +1011,19 @@ func newLRUCache[V any](capacity int) *lruCache[V] {
 	}
 }
 
-func (c *lruCache[V]) len() int { return c.order.Len() }
+func (c *lruCache[V]) len() int {
+	if c == nil {
+		return 0
+	}
+	return c.order.Len()
+}
 
 // values returns the cached values oldest-first, without touching
 // recency.
 func (c *lruCache[V]) values() []V {
+	if c == nil {
+		return nil
+	}
 	out := make([]V, 0, c.order.Len())
 	for el := c.order.Back(); el != nil; el = el.Prev() {
 		out = append(out, el.Value.(*lruEntry[V]).val)
@@ -1030,6 +1032,10 @@ func (c *lruCache[V]) values() []V {
 }
 
 func (c *lruCache[V]) get(key string) (V, bool) {
+	if c == nil {
+		var zero V
+		return zero, false
+	}
 	el, ok := c.entries[key]
 	if !ok {
 		var zero V
@@ -1044,6 +1050,9 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 // touched instance's memoized results (and its superseded structural
 // plans), never a neighbor's.
 func (c *lruCache[V]) remove(key string) {
+	if c == nil {
+		return
+	}
 	if el, ok := c.entries[key]; ok {
 		c.order.Remove(el)
 		delete(c.entries, key)
@@ -1051,6 +1060,9 @@ func (c *lruCache[V]) remove(key string) {
 }
 
 func (c *lruCache[V]) add(key string, val V) {
+	if c == nil {
+		return
+	}
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)

@@ -42,7 +42,10 @@ var ErrNoInstance error = phomerr.New(phomerr.CodeBadInput, "engine: no such ins
 // trackedPlan records one structural plan an instance's solves put in
 // the plan cache, with everything ApplyDelta needs to migrate it across
 // a structural delta: the resolved query graphs, the normalized
-// options, and the exact graph value the plan was compiled against.
+// options, and the instance's graph when the plan was tracked. The
+// plan cached under the structure key may since have been replaced by
+// one compiled against a structurally equal graph in another edge
+// order; PatchCompile maps between the two numberings.
 type trackedPlan struct {
 	qs   []*graph.Graph
 	opts *core.Options
@@ -146,16 +149,12 @@ func (e *Engine) DeleteInstance(id string) bool {
 // evictLocked drops the entry's memoized results and tracked plans from
 // the caches. Caller holds e.mu.
 func (e *Engine) evictLocked(ent *instEntry) {
-	if e.cache != nil {
-		for k := range ent.results {
-			e.cache.remove(k)
-		}
+	for k := range ent.results {
+		e.cache.remove(k)
 	}
 	ent.results = make(map[string]struct{})
-	if e.plans != nil {
-		for sk := range ent.plans {
-			e.plans.remove(sk)
-		}
+	for sk := range ent.plans {
+		e.plans.remove(sk)
 	}
 }
 
@@ -219,10 +218,8 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 
 	e.mu.Lock()
 	e.stats.DeltasApplied += uint64(len(deltas))
-	if e.cache != nil {
-		for k := range ent.results {
-			e.cache.remove(k)
-		}
+	for k := range ent.results {
+		e.cache.remove(k)
 	}
 	ent.results = make(map[string]struct{})
 	var work map[string]*trackedPlan
@@ -246,10 +243,7 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 			cerr        error
 		)
 		e.mu.Lock()
-		var old *core.CompiledPlan
-		if e.plans != nil {
-			old, _ = e.plans.get(oldSK)
-		}
+		old, _ := e.plans.get(oldSK)
 		e.mu.Unlock()
 		switch {
 		case old == nil:
@@ -264,18 +258,14 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 			cp, cerr = core.CompileUCQContext(e.baseCtx, tp.qs, res.New.H, tp.opts)
 		}
 		e.mu.Lock()
-		if e.plans != nil {
-			e.plans.remove(oldSK) // superseded structure
-		}
+		e.plans.remove(oldSK) // superseded structure
 		if cerr == nil && cp != nil {
 			if incremental {
 				e.stats.IncrementalRecompiles++
 			} else {
 				e.stats.FullRecompiles++
 			}
-			if e.plans != nil {
-				e.plans.add(cp.StructKey(), cp)
-			}
+			e.plans.add(cp.StructKey(), cp)
 			if cur, still := e.instances[id]; still && cur == ent {
 				ent.plans[cp.StructKey()] = &trackedPlan{qs: tp.qs, opts: tp.opts, g: res.New.H.G}
 			}

@@ -203,6 +203,76 @@ func TestStructuralDeltaMigratesPlan(t *testing.T) {
 	}
 }
 
+// TestSharedStructureMigration pins plan migration when two instances
+// share a structure key: instance a removes and re-adds an edge, so the
+// plan cached under the shared key is now numbered in a's edge order
+// (the re-added edge moved to the end). Instance b's next structural
+// delta migrates that plan against b's own graph, which lists the same
+// edges in the original order; every answer, before and after, must
+// equal a from-scratch core.Solve.
+func TestSharedStructureMigration(t *testing.T) {
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	q := graph.Path2WP(graph.Fwd(graph.Unlabeled), graph.Bwd(graph.Unlabeled))
+	paths := make([]*graph.Graph, 4)
+	for i := range paths {
+		paths[i] = graph.Path2WP(graph.Fwd(graph.Unlabeled), graph.Bwd(graph.Unlabeled),
+			graph.Bwd(graph.Unlabeled), graph.Fwd(graph.Unlabeled), graph.Bwd(graph.Unlabeled))
+	}
+	g, offs := graph.DisjointUnion(paths...)
+	h := graph.NewProbGraph(g)
+	for i := 0; i < g.NumEdges(); i++ {
+		if err := h.SetProb(i, big.NewRat(int64(2+i), 41)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"a", "b"} {
+		if _, err := e.CreateInstance(id, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(id string) {
+		t.Helper()
+		job, ver, err := e.InstanceJob(id, Job{Query: q})
+		if err != nil {
+			t.Fatalf("InstanceJob(%s): %v", id, err)
+		}
+		r := e.Do(job)
+		if r.Err != nil {
+			t.Fatalf("Do(%s): %v", id, r.Err)
+		}
+		want, err := core.Solve(q, job.Instance, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Result.Prob.RatString() != want.Prob.RatString() {
+			t.Fatalf("%s v%d (plan_hit=%v): engine %s, scratch %s", id, ver, r.PlanHit,
+				r.Result.Prob.RatString(), want.Prob.RatString())
+		}
+	}
+	apply := func(id string, d instance.Delta) {
+		t.Helper()
+		if _, err := e.ApplyDelta(id, -1, []instance.Delta{d}); err != nil {
+			t.Fatalf("ApplyDelta(%s, %v): %v", id, d.Op, err)
+		}
+		check(id)
+	}
+	check("a")
+	check("b")
+	first := g.Edge(0)
+	apply("a", instance.Delta{Op: instance.OpRemoveEdge, From: first.From, To: first.To})
+	apply("a", instance.Delta{Op: instance.OpAddEdge, From: first.From, To: first.To,
+		Label: first.Label, Prob: big.NewRat(3, 7)})
+	// Join the last two paths end to start: every old edge of b survives,
+	// so the migration splices the untouched paths from the shared plan.
+	apply("b", instance.Delta{Op: instance.OpAddEdge, From: offs[3] - 1, To: offs[3],
+		Label: graph.Unlabeled, Prob: big.NewRat(5, 9)})
+	check("a")
+	if st := e.Stats(); st.IncrementalRecompiles == 0 {
+		t.Fatal("no migration took the incremental splice; the test is vacuous")
+	}
+}
+
 // TestApplyDeltaConflictThroughEngine pins the typed conflict surface.
 func TestApplyDeltaConflictThroughEngine(t *testing.T) {
 	e := New(Options{Workers: 1})

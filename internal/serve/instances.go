@@ -257,28 +257,7 @@ func (s *Server) handleInstanceReweight(w http.ResponseWriter, r *http.Request, 
 	if !ok {
 		return
 	}
-	if len(req.Probs) > 0 && len(req.ProbsBatch) > 0 {
-		WriteError(w, http.StatusBadRequest, "provide probs or probs_batch, not both")
-		return
-	}
-	if req.ProbsBatch != nil {
-		s.reweightBatch(w, r, job, req.ProbsBatch)
-		return
-	}
-	if len(req.Probs) > 0 {
-		inst, err := applyProbs(job.Instance, req.Probs)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		job.Instance = inst
-	}
-	resp, jerr := s.runJob(r.Context(), job)
-	if jerr != nil {
-		WriteJSON(w, StatusOf(jerr), resp)
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	s.reweight(w, r, job, &req)
 }
 
 func (s *Server) handleInstanceBatch(w http.ResponseWriter, r *http.Request, id string) {

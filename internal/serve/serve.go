@@ -472,6 +472,14 @@ func (s *Server) handleReweight(w http.ResponseWriter, r *http.Request) {
 		WriteTypedError(w, phomerr.Wrap(phomerr.CodeBadInput, err))
 		return
 	}
+	s.reweight(w, r, job, &req)
+}
+
+// reweight is the shared tail of the stateless and the instance-scoped
+// reweight endpoints, run once the wire job is resolved: it applies the
+// request's probs override (or fans probs_batch out as one batch) and
+// writes the response.
+func (s *Server) reweight(w http.ResponseWriter, r *http.Request, job engine.Job, req *ReweightRequest) {
 	if len(req.Probs) > 0 && len(req.ProbsBatch) > 0 {
 		WriteError(w, http.StatusBadRequest, "provide probs or probs_batch, not both")
 		return
