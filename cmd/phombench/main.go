@@ -863,7 +863,7 @@ func runPlanSnapshot(e *E) {
 
 // runFloatPath covers E22: the dual-precision evaluation of the Program
 // IR. Part one measures raw substrate throughput over a reweight stream
-// on the 2WP and DWT workloads — the exact big.Rat interpreter
+// on the 2WP and DWT workloads — the exact interpreter
 // (Program.ExecCtx) against the certified float64 interval kernel run
 // one vector at a time (Program.ExecFloatBatchCtx, one lane) — asserting for every evaluation that the exact
 // answer lies inside the kernel's reported enclosure (the containment

@@ -33,29 +33,58 @@ func hardHalfInstance(t *testing.T, n, extra int) *graph.ProbGraph {
 	return h
 }
 
+// pollCancelCtx is a context that reports cancellation from its
+// (k+1)-th poll of Err or Done on, so a test can cancel a computation at
+// an exact checkpoint instead of racing a timer against it.
+type pollCancelCtx struct {
+	context.Context
+	k, polls int
+	done     chan struct{}
+}
+
+func newPollCancelCtx(k int) *pollCancelCtx {
+	return &pollCancelCtx{Context: context.Background(), k: k, done: make(chan struct{})}
+}
+
+func (c *pollCancelCtx) poll() bool {
+	c.polls++
+	if c.polls == c.k+1 {
+		close(c.done)
+	}
+	return c.polls > c.k
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.poll() {
+		return context.Canceled
+	}
+	return nil
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} {
+	c.poll()
+	return c.done
+}
+
 // TestBruteForceCancelMidEnumeration: cancelling the context while the
 // possible-world enumeration runs aborts it within the checkpoint
-// contract — promptly, with an error satisfying both the typed and the
-// context-package sentinels — instead of walking all 2^24 worlds.
+// contract — at the first poll that sees the cancellation, with an
+// error satisfying both the typed and the context-package sentinels —
+// instead of walking all 2^24 worlds.
 func TestBruteForceCancelMidEnumeration(t *testing.T) {
 	h := hardHalfInstance(t, 12, 13) // ≥ 24 uncertain edges
 	q := graph.UnlabeledPath(3)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(25 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
+	const k = 3 // the enumeration is k checkpoint intervals in when cancelled
+	ctx := newPollCancelCtx(k)
 	_, err := BruteForceLimitContext(ctx, q, h, h.G.NumEdges())
-	elapsed := time.Since(start)
 	if !errors.Is(err, phomerr.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v must unwrap to context.Canceled", err)
 	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("cancellation took %v: checkpoints are not firing", elapsed)
+	if ctx.polls != k+1 {
+		t.Fatalf("enumeration polled the context %d times, want it to stop at poll %d", ctx.polls, k+1)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // This file defines the dual-precision evaluation contract: which
-// numeric substrate — the exact big.Rat interpreter
+// numeric substrate — the exact interpreter
 // (plan.Program.ExecCtx) or the certified float64 interval kernel
 // (plan.Program.ExecFloatBatchCtx) — a compiled plan evaluates with,
 // and when the auto mode is allowed to serve the float result instead

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -23,6 +24,16 @@ import (
 // DefaultCacheSize is the default capacity of the result cache.
 const DefaultCacheSize = 4096
 
+// memoWordsPerEntry bounds the result cache by answer size as well as
+// by count: its results' exact answers (numerators plus denominators)
+// may total at most CacheSize·memoWordsPerEntry big.Word limbs, 2 MiB
+// at the default size. Answers of a few hundred bits never reach that
+// bound. Wide ones do: with every edge a 9-digit decimal, a 128-vertex
+// path's answer takes ~1 KB, and wider probabilities make entries
+// arbitrarily large, so a count bound alone does not bound memory.
+// Past the budget the least recently used results are evicted.
+const memoWordsPerEntry = 64
+
 // DefaultPlanCacheSize is the default capacity of the compiled-plan
 // cache. Plans are heavier than results (they hold lineage systems and
 // d-DNNF circuits), so the default is smaller than the result cache.
@@ -37,7 +48,8 @@ var ErrClosed error = phomerr.New(phomerr.CodeUnavailable, "engine: closed")
 type Options struct {
 	// Workers is the number of worker goroutines. 0 means GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the number of memoized results. 0 means
+	// CacheSize bounds the number of memoized results, and through it
+	// their total size (see memoWordsPerEntry). 0 means
 	// DefaultCacheSize; negative disables memoization entirely
 	// (in-flight deduplication still applies).
 	CacheSize int
@@ -286,9 +298,9 @@ func New(opts Options) *Engine {
 	var cache *lruCache[*core.Result]
 	switch {
 	case opts.CacheSize == 0:
-		cache = newLRUCache[*core.Result](DefaultCacheSize)
+		cache = newResultCache(DefaultCacheSize)
 	case opts.CacheSize > 0:
-		cache = newLRUCache[*core.Result](opts.CacheSize)
+		cache = newResultCache(opts.CacheSize)
 	}
 	var plans *lruCache[*core.CompiledPlan]
 	switch {
@@ -988,19 +1000,24 @@ func cloneResult(r *core.Result) *core.Result {
 }
 
 // lruCache is a plain bounded LRU over canonical job keys, generic in
-// the cached value (solver results, compiled plans). It is not itself
-// synchronized; the Engine's mutex guards it. A nil *lruCache is the
-// disabled cache: get always misses, add and remove do nothing, len is
-// 0 and values is nil.
+// the cached value (solver results, compiled plans). It bounds the
+// number of entries and, when weigh is set, their total weight. It is
+// not itself synchronized; the Engine's mutex guards it. A nil
+// *lruCache is the disabled cache: get always misses, add and remove do
+// nothing, len is 0 and values is nil.
 type lruCache[V any] struct {
 	capacity int
 	order    *list.List // front = most recently used; values are *lruEntry[V]
 	entries  map[string]*list.Element
+	weigh    func(V) int // nil: every entry weighs 0
+	budget   int         // bound on weight
+	weight   int         // total weight of the entries
 }
 
 type lruEntry[V any] struct {
 	key string
 	val V
+	w   int
 }
 
 func newLRUCache[V any](capacity int) *lruCache[V] {
@@ -1009,6 +1026,18 @@ func newLRUCache[V any](capacity int) *lruCache[V] {
 		order:    list.New(),
 		entries:  make(map[string]*list.Element),
 	}
+}
+
+// newResultCache returns the result memo: capacity entries weighed by
+// the limbs of their answers, within the memoWordsPerEntry budget.
+func newResultCache(capacity int) *lruCache[*core.Result] {
+	c := newLRUCache[*core.Result](capacity)
+	c.weigh = func(r *core.Result) int { return len(r.Prob.Num().Bits()) + len(r.Prob.Denom().Bits()) }
+	c.budget = math.MaxInt
+	if capacity < math.MaxInt/memoWordsPerEntry {
+		c.budget = capacity * memoWordsPerEntry
+	}
+	return c
 }
 
 func (c *lruCache[V]) len() int {
@@ -1055,6 +1084,7 @@ func (c *lruCache[V]) remove(key string) {
 	}
 	if el, ok := c.entries[key]; ok {
 		c.order.Remove(el)
+		c.weight -= el.Value.(*lruEntry[V]).w
 		delete(c.entries, key)
 	}
 }
@@ -1063,15 +1093,26 @@ func (c *lruCache[V]) add(key string, val V) {
 	if c == nil {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*lruEntry[V]).val = val
-		c.order.MoveToFront(el)
-		return
+	w := 0
+	if c.weigh != nil {
+		w = c.weigh(val)
 	}
-	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
-	for c.order.Len() > c.capacity {
+	if el, ok := c.entries[key]; ok {
+		e := el.Value.(*lruEntry[V])
+		c.weight += w - e.w
+		e.val, e.w = val, w
+		c.order.MoveToFront(el)
+	} else {
+		c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val, w: w})
+		c.weight += w
+	}
+	// An entry heavier than the whole budget evicts everything, itself
+	// included.
+	for c.order.Len() > c.capacity || c.weight > c.budget {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruEntry[V]).key)
+		e := oldest.Value.(*lruEntry[V])
+		c.weight -= e.w
+		delete(c.entries, e.key)
 	}
 }

@@ -256,6 +256,45 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestResultCacheWordBudget: the result memo evicts least recently used
+// results once their answers' limbs exceed CacheSize·memoWordsPerEntry,
+// keeps its weight in step through replacements and removals, and never
+// retains an answer wider than the whole budget.
+func TestResultCacheWordBudget(t *testing.T) {
+	wide := func(words int) *core.Result {
+		// (2^(64·words−1) − 1) / 2^(64·words−1): words limbs each.
+		den := new(big.Int).Lsh(big.NewInt(1), uint(64*words-1))
+		return &core.Result{Prob: new(big.Rat).SetFrac(new(big.Int).Sub(den, big.NewInt(1)), den)}
+	}
+	c := newResultCache(4) // budget 4·memoWordsPerEntry words
+	half := memoWordsPerEntry / 2
+	for _, k := range []string{"a", "b", "c"} {
+		c.add(k, wide(half)) // weighs memoWordsPerEntry
+	}
+	c.get("a")                 // "b" is now the least recently used
+	c.add("d", wide(2*half-1)) // within the count bound, over the budget by 62 words
+	if _, ok := c.get("b"); ok {
+		t.Error("least recently used result survived an over-budget add")
+	}
+	for _, k := range []string{"a", "c", "d"} {
+		if _, ok := c.get(k); !ok {
+			t.Errorf("result %q evicted, want only the least recently used gone", k)
+		}
+	}
+	if c.len() != 3 || c.weight > c.budget {
+		t.Fatalf("len %d weight %d budget %d after eviction", c.len(), c.weight, c.budget)
+	}
+	c.add("a", wide(1)) // replacement reweighs the entry
+	c.remove("c")
+	if want := 2 + 2*(2*half-1); c.weight != want {
+		t.Fatalf("weight %d after replace and remove, want %d", c.weight, want)
+	}
+	c.add("huge", wide(3*memoWordsPerEntry))
+	if _, ok := c.get("huge"); ok || c.len() != 0 || c.weight != 0 {
+		t.Fatalf("an answer wider than the budget was kept (len %d, weight %d)", c.len(), c.weight)
+	}
+}
+
 // TestSingleflightCoalescing drives the internal do() with a controlled
 // slow call, so coalescing is deterministic rather than timing-dependent.
 func TestSingleflightCoalescing(t *testing.T) {

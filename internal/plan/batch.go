@@ -27,8 +27,8 @@ import (
 // enclosure is finite. It polls ctx once per instruction (each
 // instruction being K lanes of work), so a cancelled context aborts
 // within one checkpoint interval. Per op it costs a handful of flops
-// per lane instead of arbitrary-precision multiplication with GCD
-// normalization, which is what makes it the serving fast path; the
+// per lane instead of arbitrary-precision arithmetic, which is what
+// makes it the serving fast path; the
 // price is a one-ulp outward widening per op, so the final Width grows
 // linearly with program length and stays far below any practical
 // tolerance for the linear-size programs the tractable cells lower to.

@@ -28,6 +28,12 @@
 // the exact answer per lane. Package core routes between
 // the substrates per the caller's precision options.
 //
+// ExecCtx keeps each register as a big.Int numerator over a power of
+// the inputs' common denominator, so an evaluation pays one GCD at the
+// end instead of one per op; a big.Rat loop inside the same entry takes
+// over on inputs where that representation would not pay (unrelated
+// denominators, or degrees no honest lowering produces).
+//
 // All plans are immutable after construction and safe for concurrent
 // Evaluate calls; every Evaluate returns a freshly allocated *big.Rat.
 package plan

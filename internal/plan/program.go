@@ -14,7 +14,7 @@ import (
 // compilation target of every non-opaque plan. Where the plan tree
 // evaluates through a heterogeneous set of Go closures (chain DP,
 // interval DP, d-DNNF traversal), a Program is pure data — one op
-// array, one constant pool — executed by the single ExecCtx hot loop
+// array, one constant pool — executed by the single ExecCtx entry
 // below, and serializable by internal/graphio. The per-substrate tree
 // evaluators remain as the differential reference (Plan.Evaluate);
 // LowerContext turns a tree into its Program.
@@ -137,15 +137,222 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// ratRegPool recycles exact register files across ExecCtx calls. Pooling
-// does more than skip one make: a reused big.Rat keeps the big.Int
-// backing arrays its numerators and denominators grew on earlier runs,
-// so steady-state reweight serving performs the GCD-normalizing
-// arithmetic of OpMul/OpAdd almost entirely in place instead of
-// re-allocating limb storage per op. Register files of different
-// programs share the pool; an entry too small for the requesting
-// program is dropped and replaced (define-before-use makes stale
-// register contents invisible, so no clearing is needed).
+// ExecCtx interprets the program against the probability vector probs
+// (indexed by the edge list of the instance the plan was compiled
+// from) and returns a freshly allocated result. All arithmetic is
+// exact; the result is the same rational the plan tree's Evaluate
+// computes, hence RatString-byte-identical.
+//
+// Registers normally run as big.Int numerators over powers of one
+// common denominator D (execInt), normalized by a single GCD at the
+// end; the big.Rat loop (execRat), which pays a GCD per op, serves the
+// inputs where that representation would not pay off. Either way the
+// interpreter polls ctx every phomerr.CheckInterval ops, so a cancelled
+// context aborts a long exact evaluation within one checkpoint
+// interval.
+func (p *Program) ExecCtx(ctx context.Context, probs []*big.Rat) (*big.Rat, error) {
+	if len(probs) != p.NumEdges {
+		return nil, fmt.Errorf("plan: %d probabilities for a program over %d edges", len(probs), p.NumEdges)
+	}
+	cp := phomerr.NewCheckpoint(ctx)
+	if r, ok, err := p.execInt(cp, probs); ok {
+		return r, err
+	}
+	return p.execRat(cp, probs)
+}
+
+// denomBlowup bounds the common denominator D of the integer
+// interpreter: D may have at most denomBlowup times the bits of the
+// largest single input denominator (but always a machine word's worth).
+// Inputs whose denominators share their prime factors — decimals, k/2^j
+// — have D equal to the largest denominator; unrelated denominators
+// make D their product, and every degree-k register would then carry
+// k·|D| bits where the reduced rationals carry far fewer.
+const denomBlowup = 2
+
+// intFile is the pooled state of one execInt call: the numerator
+// register file with its parallel degree slice, the powers of D
+// computed so far (pow[k] = D^k where powOK[k]), D itself and two
+// scratch integers. A reused entry keeps the limb storage its integers
+// grew on earlier runs, so steady-state reweight serving computes in
+// place; define-before-use makes stale register contents invisible.
+type intFile struct {
+	num   []big.Int
+	deg   []int
+	pow   []big.Int
+	powOK []bool
+	d     big.Int
+	t, q  big.Int
+}
+
+var intFilePool sync.Pool
+
+func getIntFile(n int) *intFile {
+	f, _ := intFilePool.Get().(*intFile)
+	if f == nil || cap(f.num) < n {
+		f = &intFile{num: make([]big.Int, n), deg: make([]int, n)}
+	}
+	f.num, f.deg = f.num[:n], f.deg[:n]
+	clear(f.powOK)
+	return f
+}
+
+var intOne = big.NewInt(1)
+
+// dpow returns D^k, computed on first use within the call.
+func (f *intFile) dpow(k int) *big.Int {
+	if k == 0 {
+		return intOne
+	}
+	if k >= len(f.pow) {
+		// Grow without copying: big.Int values must not be shallow
+		// copied, and powers are cheap to recompute.
+		f.pow, f.powOK = make([]big.Int, 2*k), make([]bool, 2*k)
+	}
+	if !f.powOK[k] {
+		if f.powOK[k-1] {
+			f.pow[k].Mul(&f.pow[k-1], &f.d)
+		} else {
+			f.pow[k].Exp(&f.d, big.NewInt(int64(k)), nil)
+		}
+		f.powOK[k] = true
+	}
+	return &f.pow[k]
+}
+
+// load sets z to the numerator of x over D and returns its degree: 0
+// for an integer (a certain or impossible edge, an integral constant),
+// 1 otherwise.
+func (f *intFile) load(z *big.Int, x *big.Rat) int {
+	if x.IsInt() {
+		z.Set(x.Num())
+		return 0
+	}
+	if den := x.Denom(); den.Cmp(&f.d) == 0 {
+		z.Set(x.Num())
+	} else {
+		f.q.Quo(&f.d, den)
+		z.Mul(x.Num(), &f.q)
+	}
+	return 1
+}
+
+// input returns the rational a Load or Const op reads; ok is false for
+// the other opcodes.
+func (p *Program) input(op *Op, probs []*big.Rat) (x *big.Rat, ok bool) {
+	switch op.Code {
+	case OpLoad:
+		return probs[op.A], true
+	case OpConst:
+		return p.Consts[op.A], true
+	}
+	return nil, false
+}
+
+// execInt is the integer interpreter behind ExecCtx. Every register
+// holds a rational N / D^k as its numerator N and degree k, where D is
+// the lcm of the denominators of the probabilities and constants the
+// program reads: a Load or non-integer Const has degree 1 (integers have
+// degree 0), Mul adds degrees, Add lifts the lower-degree operand by
+// D^Δ, and OneMinus computes D^k − N. The d-DNNF lineages are
+// decomposable and the chain/interval trellises multiply distinct
+// edges, so honest programs keep every degree within their Load+Const
+// count. ok is false when execInt declines the input, before or during
+// the run, and the caller falls back to execRat:
+//   - some probability is nil (execRat reports it if the edge is
+//     loaded) or an opcode is unknown;
+//   - D outgrows denomBlowup times the largest single denominator;
+//   - a degree exceeds the program's Load+Const count, which only a
+//     hostile decoded program can reach and which would otherwise
+//     build powers like D^(2^k).
+func (p *Program) execInt(cp *phomerr.Checkpoint, probs []*big.Rat) (r *big.Rat, ok bool, err error) {
+	// D and the degree bound cover only what the program reads, so edges
+	// it never loads cost nothing and cannot trip the fallback.
+	maxBits, maxDeg := 0, 0
+	for i := range p.Ops {
+		x, ok := p.input(&p.Ops[i], probs)
+		if !ok {
+			continue
+		}
+		if x == nil {
+			return nil, false, nil
+		}
+		maxDeg++
+		if !x.IsInt() {
+			maxBits = max(maxBits, x.Denom().BitLen())
+		}
+	}
+	f := getIntFile(p.NumRegs)
+	defer intFilePool.Put(f)
+	limit := max(denomBlowup*maxBits, 64)
+	f.d.SetInt64(1)
+	for i := range p.Ops {
+		x, ok := p.input(&p.Ops[i], probs)
+		if !ok || x.IsInt() {
+			continue
+		}
+		den := x.Denom()
+		if den.Cmp(&f.d) == 0 {
+			continue
+		}
+		if f.q.QuoRem(&f.d, den, &f.t); f.t.Sign() == 0 {
+			continue // den divides D
+		}
+		f.q.GCD(nil, nil, &f.d, den)
+		f.t.Quo(den, &f.q)
+		f.d.Mul(&f.d, &f.t)
+		if f.d.BitLen() > limit {
+			return nil, false, nil
+		}
+	}
+
+	num, deg := f.num, f.deg
+	for i := range p.Ops {
+		if err := cp.Check(); err != nil {
+			return nil, true, err
+		}
+		op := &p.Ops[i]
+		dst := &num[op.Dst]
+		switch op.Code {
+		case OpConst, OpLoad:
+			x, _ := p.input(op, probs)
+			deg[op.Dst] = f.load(dst, x)
+		case OpMul:
+			k := deg[op.A] + deg[op.B]
+			if k > maxDeg {
+				return nil, false, nil
+			}
+			dst.Mul(&num[op.A], &num[op.B])
+			deg[op.Dst] = k
+		case OpAdd:
+			a, b := op.A, op.B
+			if deg[a] > deg[b] {
+				a, b = b, a
+			}
+			k := deg[b]
+			if deg[a] == k {
+				dst.Add(&num[a], &num[b])
+			} else {
+				f.t.Mul(&num[a], f.dpow(k-deg[a]))
+				dst.Add(&f.t, &num[b])
+			}
+			deg[op.Dst] = k
+		case OpOneMinus:
+			k := deg[op.A]
+			dst.Sub(f.dpow(k), &num[op.A])
+			deg[op.Dst] = k
+		default:
+			return nil, false, nil
+		}
+	}
+	return new(big.Rat).SetFrac(&num[p.Out], f.dpow(deg[p.Out])), true, nil
+}
+
+// ratRegPool recycles the register files of execRat. A reused big.Rat
+// keeps the big.Int backing arrays its numerator and denominator grew
+// on earlier runs, so the GCD-normalizing arithmetic runs mostly in
+// place. Register files of different programs share the pool; an entry
+// too small for the requesting program is dropped and replaced.
 var ratRegPool sync.Pool
 
 func getRatRegs(n int) *[]big.Rat {
@@ -157,19 +364,10 @@ func getRatRegs(n int) *[]big.Rat {
 	return &s
 }
 
-// ExecCtx interprets the program against the probability vector probs
-// (indexed by the edge list of the instance the plan was compiled
-// from) and returns a freshly allocated result. All arithmetic is
-// exact; the result is the same rational the plan tree's Evaluate
-// computes, hence RatString-byte-identical. The interpreter polls ctx
-// every phomerr.CheckInterval ops, so a cancelled context aborts a
-// long exact evaluation (programs over large instances run millions of
-// big.Rat operations) within one checkpoint interval.
-func (p *Program) ExecCtx(ctx context.Context, probs []*big.Rat) (*big.Rat, error) {
-	if len(probs) != p.NumEdges {
-		return nil, fmt.Errorf("plan: %d probabilities for a program over %d edges", len(probs), p.NumEdges)
-	}
-	cp := phomerr.NewCheckpoint(ctx)
+// execRat is the big.Rat interpreter behind ExecCtx: one normalized
+// rational per register, a GCD after every op. It serves the inputs
+// execInt declines.
+func (p *Program) execRat(cp *phomerr.Checkpoint, probs []*big.Rat) (*big.Rat, error) {
 	rp := getRatRegs(p.NumRegs)
 	defer ratRegPool.Put(rp)
 	regs := *rp
