@@ -21,6 +21,7 @@ import (
 	"phom/internal/gen"
 	"phom/internal/graph"
 	"phom/internal/lineage"
+	"phom/internal/plan"
 	"phom/internal/reductions"
 	"phom/internal/treeauto"
 	"phom/internal/xprop"
@@ -455,9 +456,10 @@ func BenchmarkAblation_BacktrackingHom(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_RatDP vs FloatDP: exact rational vs float64
-// arithmetic in the Proposition 4.10 chain DP.
-func ablationChain() (*betadnf.ChainSystem, []*big.Rat, []float64) {
+// BenchmarkAblation_RatDP vs FloatDP: exact rational arithmetic in the
+// Proposition 4.10 chain DP vs the certified float kernel (one lane of
+// ExecFloatBatchCtx) on the same job's lowered program.
+func ablationChain() (*betadnf.ChainSystem, []*big.Rat, *plan.Program, []*big.Rat) {
 	r := rand.New(rand.NewSource(1))
 	q := gen.Rand1WP(r, 5, []Label{"R", "S"})
 	h := gen.RandProb(r, gen.RandDWT(r, 2048, []Label{"R", "S"}), 0.5)
@@ -465,15 +467,19 @@ func ablationChain() (*betadnf.ChainSystem, []*big.Rat, []float64) {
 	if err != nil {
 		panic(err)
 	}
-	floats := make([]float64, len(lin.Probs))
-	for i, p := range lin.Probs {
-		floats[i], _ = p.Float64()
+	p, err := plan.Path1WPOnDWT(q, h)
+	if err != nil {
+		panic(err)
 	}
-	return lin.System, lin.Probs, floats
+	prog, err := plan.LowerContext(context.Background(), p, h.G.NumEdges())
+	if err != nil {
+		panic(err)
+	}
+	return lin.System, lin.Probs, prog, h.Probs()
 }
 
 func BenchmarkAblation_RatDP(b *testing.B) {
-	sys, probs, _ := ablationChain()
+	sys, probs, _, _ := ablationChain()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := sys.Prob(probs)
@@ -485,10 +491,11 @@ func BenchmarkAblation_RatDP(b *testing.B) {
 }
 
 func BenchmarkAblation_FloatDP(b *testing.B) {
-	sys, _, floats := ablationChain()
+	_, _, prog, probs := ablationChain()
+	lanes := [][]*big.Rat{probs}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ProbFloat(floats); err != nil {
+		if _, err := prog.ExecFloatBatchCtx(context.Background(), lanes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,17 +16,16 @@ import (
 
 // OpEmitter receives the flattened arithmetic of EmitOps. Load yields
 // the probability of system variable v (the emitter owns the mapping
-// from variables to whatever backs them, e.g. instance edges);
-// Release returns a register whose value is no longer needed, bounding
-// the register file by peak liveness. Implemented by plan.Builder
-// adapters.
+// from variables to whatever backs them, e.g. instance edges). The
+// returned handles name values, not registers: the emitter decides
+// which values share a register and when it is free. Implemented by
+// plan.Builder adapters.
 type OpEmitter interface {
 	Load(v int) uint32
 	Const(v *big.Rat) uint32
 	Mul(a, b uint32) uint32
 	Add(a, b uint32) uint32
 	OneMinus(a uint32) uint32
-	Release(r uint32)
 	// Failed reports the emitter's sticky-error state (a lowering bug
 	// or a cancelled context — plan.Builder polls its context from
 	// inside the emit methods). The dynamic-program loops below consult
@@ -43,16 +42,15 @@ var (
 )
 
 // EmitOps lowers the chain dynamic program of Prob to flat ops,
-// returning the register holding the final probability. The emitted
-// program computes, like Prob, the complementary probability f(v, s)
-// over live subtrees only, with the node probabilities loaded once per
-// child.
+// returning the value of the final probability. The emitted program
+// computes, like Prob, the complementary probability f(v, s) over live
+// subtrees only, with the node probabilities loaded once per child.
 func (cc *CompiledChain) EmitOps(em OpEmitter) (uint32, error) {
 	if cc.cap0 == 0 {
 		return em.Const(emitZero), nil
 	}
 	n := len(cc.chainLen)
-	// f[v][s] = register holding f(v, s), for live v in traversal order.
+	// f[v][s] = the value f(v, s), for live v in traversal order.
 	f := make([][]uint32, n)
 	for i := len(cc.order) - 1; i >= 0; i-- {
 		if em.Failed() {
@@ -61,17 +59,17 @@ func (cc *CompiledChain) EmitOps(em OpEmitter) (uint32, error) {
 		v := cc.order[i]
 		// Load p and 1−p once per live child (Prob recomputes q per
 		// state; the value is identical).
-		type childReg struct {
+		type child struct {
 			u    int
 			p, q uint32
 		}
-		var kids []childReg
+		var kids []child
 		for _, u := range cc.children[v] {
 			if !cc.live[u] {
 				continue // f[u] ≡ 1: the child's factor is q + p = 1
 			}
 			p := em.Load(u)
-			kids = append(kids, childReg{u: u, p: p, q: em.OneMinus(p)})
+			kids = append(kids, child{u: u, p: p, q: em.OneMinus(p)})
 		}
 		fv := make([]uint32, cc.cap0+1)
 		for s := 0; s <= cc.cap0; s++ {
@@ -85,51 +83,31 @@ func (cc *CompiledChain) EmitOps(em OpEmitter) (uint32, error) {
 					ns = cc.cap0
 				}
 				if !(cc.chainLen[k.u] != 0 && ns >= cc.chainLen[k.u]) {
-					t := em.Mul(k.p, f[k.u][ns])
-					sum := em.Add(term, t)
-					em.Release(term)
-					em.Release(t)
-					term = sum
+					term = em.Add(term, em.Mul(k.p, f[k.u][ns]))
 				}
-				next := em.Mul(acc, term)
-				em.Release(acc)
-				em.Release(term)
-				acc = next
+				acc = em.Mul(acc, term)
 			}
 			fv[s] = acc
 		}
 		// The children's states are fully consumed by this node.
 		for _, k := range kids {
-			em.Release(k.p)
-			em.Release(k.q)
-			for _, r := range f[k.u] {
-				em.Release(r)
-			}
 			f[k.u] = nil
 		}
 		f[v] = fv
 	}
 	alive := em.Const(emitOne)
 	for _, r := range cc.roots {
-		if !cc.live[r] {
-			continue
+		if cc.live[r] {
+			alive = em.Mul(alive, f[r][0])
 		}
-		next := em.Mul(alive, f[r][0])
-		em.Release(alive)
-		for _, fr := range f[r] {
-			em.Release(fr)
-		}
-		alive = next
 	}
-	out := em.OneMinus(alive)
-	em.Release(alive)
-	return out, nil
+	return em.OneMinus(alive), nil
 }
 
 // EmitOps lowers the interval dynamic program of Prob to flat ops,
-// returning the register holding the final probability. Streak states
-// that are structurally unreachable at a scan position (the symbolic
-// analogue of Prob skipping zero-weight states) emit no code.
+// returning the value of the final probability. Streak states that are
+// structurally unreachable at a scan position (the symbolic analogue of
+// Prob skipping zero-weight states) emit no code.
 func (s *IntervalSystem) EmitOps(em OpEmitter) (uint32, error) {
 	maxLen := 0
 	minEnd := make([]int, s.NumVars)
@@ -151,8 +129,8 @@ func (s *IntervalSystem) EmitOps(em OpEmitter) (uint32, error) {
 	if len(s.Clauses) == 0 {
 		return em.Const(emitZero), nil // false
 	}
-	// cur[st] = register holding the survival weight of streak st;
-	// curOK marks states reachable at this position.
+	// cur[st] = the survival weight of streak st; curOK marks states
+	// reachable at this position.
 	cur := make([]uint32, maxLen+1)
 	curOK := make([]bool, maxLen+1)
 	cur[0] = em.Const(emitOne)
@@ -165,16 +143,11 @@ func (s *IntervalSystem) EmitOps(em OpEmitter) (uint32, error) {
 		q := em.OneMinus(p)
 		next := make([]uint32, maxLen+1)
 		nextOK := make([]bool, maxLen+1)
-		accum := func(st int, reg uint32) {
+		accum := func(st int, v uint32) {
 			if nextOK[st] {
-				sum := em.Add(next[st], reg)
-				em.Release(next[st])
-				em.Release(reg)
-				next[st] = sum
-				return
+				v = em.Add(next[st], v)
 			}
-			next[st] = reg
-			nextOK[st] = true
+			next[st], nextOK[st] = v, true
 		}
 		for st := 0; st <= maxLen; st++ {
 			if !curOK[st] {
@@ -192,13 +165,6 @@ func (s *IntervalSystem) EmitOps(em OpEmitter) (uint32, error) {
 			}
 			accum(nst, em.Mul(cur[st], p))
 		}
-		for st := 0; st <= maxLen; st++ {
-			if curOK[st] {
-				em.Release(cur[st])
-			}
-		}
-		em.Release(p)
-		em.Release(q)
 		cur, curOK = next, nextOK
 	}
 	var alive uint32
@@ -211,15 +177,10 @@ func (s *IntervalSystem) EmitOps(em OpEmitter) (uint32, error) {
 			alive, has = cur[st], true
 			continue
 		}
-		sum := em.Add(alive, cur[st])
-		em.Release(alive)
-		em.Release(cur[st])
-		alive = sum
+		alive = em.Add(alive, cur[st])
 	}
 	if !has {
 		alive = em.Const(emitZero) // unreachable: state 0 always survives
 	}
-	out := em.OneMinus(alive)
-	em.Release(alive)
-	return out, nil
+	return em.OneMinus(alive), nil
 }

@@ -9,16 +9,15 @@ import (
 // AND input, one Add per OR input, Load/OneMinus for literals — the
 // linear-time d-DNNF probability computation as straight-line code.
 // Load yields the probability of circuit variable v (the emitter owns
-// the mapping from variables to instance edges); Release returns a
-// register whose value is no longer needed. Implemented by the Program
-// builder adapters of internal/plan.
+// the mapping from variables to instance edges). The returned handles
+// name values, not registers. Implemented by the Program builder
+// adapters of internal/plan.
 type OpEmitter interface {
 	Load(v int) uint32
 	Const(v *big.Rat) uint32
 	Mul(a, b uint32) uint32
 	Add(a, b uint32) uint32
 	OneMinus(a uint32) uint32
-	Release(r uint32)
 	// Failed reports the emitter's sticky-error state (a lowering bug
 	// or a cancelled context — plan.Builder polls its context from
 	// inside the emit methods). The per-gate recursion consults it and
@@ -36,9 +35,8 @@ var (
 
 // EmitOps lowers the probability computation of the subcircuit rooted
 // at g (the arithmetic of Prob: AND → ×, OR → +) to flat ops on em,
-// returning the register holding the result. Gate results are memoized
-// like in Prob, so shared subcircuits emit once; their registers are
-// consequently shared by later consumers and never released.
+// returning the value of the result. Gate results are memoized like in
+// Prob, so shared subcircuits emit once.
 func (c *Circuit) EmitOps(g Gate, em OpEmitter) (uint32, error) {
 	if int(g) < 0 || int(g) >= len(c.gates) {
 		return 0, fmt.Errorf("ddnnf: gate %d of %d", g, len(c.gates))
@@ -62,9 +60,7 @@ func (c *Circuit) EmitOps(g Gate, em OpEmitter) (uint32, error) {
 			r = em.Const(emitOne)
 		case kindLit:
 			if gd.neg {
-				lit := em.Load(gd.v)
-				r = em.OneMinus(lit)
-				em.Release(lit)
+				r = em.OneMinus(em.Load(gd.v))
 			} else {
 				r = em.Load(gd.v)
 			}
@@ -77,25 +73,14 @@ func (c *Circuit) EmitOps(g Gate, em OpEmitter) (uint32, error) {
 				}
 				break
 			}
-			// Fold inputs left to right. Intermediate accumulators are
-			// fresh registers and releasable; input registers may be
-			// memoized gates shared with other parents, so they are not.
-			acc := rec(gd.inputs[0])
-			fresh := false
+			r = rec(gd.inputs[0])
 			for _, in := range gd.inputs[1:] {
-				ri := rec(in)
-				var next uint32
-				if gd.kind == kindAnd {
-					next = em.Mul(acc, ri)
+				if ri := rec(in); gd.kind == kindAnd {
+					r = em.Mul(r, ri)
 				} else {
-					next = em.Add(acc, ri)
+					r = em.Add(r, ri)
 				}
-				if fresh {
-					em.Release(acc)
-				}
-				acc, fresh = next, true
 			}
-			r = acc
 		}
 		memo[g], done[g] = r, true
 		return r

@@ -62,7 +62,7 @@ func FuzzParseProbGraph(f *testing.F) {
 // encode ∘ decode is the identity) and execute without panicking.
 func FuzzDecodePlanRecord(f *testing.F) {
 	// Seed with a well-formed record and some near-misses.
-	b := plan.NewBuilder(2)
+	b := plan.NewBuilder(context.Background(), 2)
 	p0 := b.Load(0)
 	om := b.OneMinus(p0)
 	p1 := b.Load(1)

@@ -16,7 +16,7 @@ import (
 // loaded edge, exercising every opcode.
 func buildTestProgram(t *testing.T) *plan.Program {
 	t.Helper()
-	b := plan.NewBuilder(3)
+	b := plan.NewBuilder(context.Background(), 3)
 	p0 := b.Load(0)
 	om := b.OneMinus(p0)
 	c := b.Const(big.NewRat(2, 7))

@@ -1,0 +1,337 @@
+package plan
+
+import (
+	"context"
+	"fmt"
+	"math/big"
+
+	"phom/internal/phomerr"
+)
+
+// This file builds Programs. The emit dynamic programs of betadnf and
+// ddnnf favour regularity over minimality: chain and interval trellises
+// emit mul-by-one accumulator seeds, per-state complements of the same
+// variable, and constant subtrees that never vary with π. The Builder
+// removes that redundancy as it is emitted, by value numbering: every
+// emit call is answered from a table of canonical computations, after
+// constant folding and the identities x·1 = x, x·0 = 0, x+0 = x and
+// 1−(1−x) = x, with Mul and Add operands in canonical order so that a·b
+// and b·a share one value. Finish drops the values that cannot reach
+// the output and allocates registers by liveness.
+//
+// Every rewrite is exact: program arithmetic is rational, so folding
+// and sharing cannot change a single result bit. On the float substrate
+// the built program runs the same-or-fewer interval operations than the
+// emitted arithmetic, so its certified enclosure still contains the
+// exact value (soundness is a per-op property of the kernel, not of the
+// schedule). Decoded programs are executed exactly as encoded, so
+// snapshot round-trips stay byte-identical (see graphio's plan
+// encoding).
+
+// value is one entry of the Builder's value table: a canonical,
+// deduplicated computation. a and b are value ids (operands) for
+// OpMul/OpAdd; a is a value id for OpOneMinus, an instance edge index
+// for OpLoad and an index into the Builder's constants for OpConst.
+// Operand ids always precede the value's own id, so the table is
+// topologically ordered by construction.
+type value struct {
+	a, b uint32
+	code OpCode
+}
+
+// Builder assembles a Program. The emit methods return value handles
+// (ids into the value table), not registers; equal computations get
+// equal handles, and a handle stays valid for the builder's lifetime.
+// Errors (out-of-range loads or handles, cancellation) are sticky and
+// reported by Finish, so lowering code needs no per-call checks; once
+// the builder has failed, every emit method becomes a cheap no-op,
+// which is what makes cancellation effective inside the compile-time
+// dynamic programs of betadnf and ddnnf — the loops may keep running,
+// but they stop growing the table.
+type Builder struct {
+	numEdges int
+	vals     []value
+	exprs    map[value]uint32  // non-constant values
+	consts   []*big.Rat        // the distinct constants, by OpConst's a
+	constIdx map[string]uint32 // constant values by RatString
+	check    *phomerr.Checkpoint
+	err      error
+}
+
+// NewBuilder returns a Builder for programs over numEdges instance
+// edges whose emit methods poll ctx every phomerr.CheckInterval calls:
+// when ctx is cancelled mid-lowering the builder fails sticky with the
+// typed cancellation error, emission degenerates to no-ops, and Finish
+// reports the abort.
+func NewBuilder(ctx context.Context, numEdges int) *Builder {
+	return &Builder{
+		numEdges: numEdges,
+		exprs:    make(map[value]uint32),
+		constIdx: make(map[string]uint32),
+		check:    phomerr.NewCheckpoint(ctx),
+	}
+}
+
+// step gates every emit method: it reports whether emission should
+// proceed, polling the cancellation checkpoint and turning a cancelled
+// context into the builder's sticky error.
+func (b *Builder) step() bool {
+	if b.err != nil {
+		return false
+	}
+	if err := b.check.Check(); err != nil {
+		b.err = err
+		return false
+	}
+	return true
+}
+
+// Failed reports whether the builder is in its sticky-error state
+// (lowering bug or cancellation). The emit loops of betadnf and ddnnf
+// consult this through their OpEmitter to break out of compile-time
+// dynamic programs early instead of spinning through no-op emission.
+func (b *Builder) Failed() bool { return b.err != nil }
+
+func (b *Builder) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+}
+
+// operands reports whether every handle names a value, failing the
+// builder otherwise.
+func (b *Builder) operands(hs ...uint32) bool {
+	for _, h := range hs {
+		if int(h) >= len(b.vals) {
+			b.fail(fmt.Errorf("plan: operand %d of %d values", h, len(b.vals)))
+			return false
+		}
+	}
+	return true
+}
+
+func (b *Builder) intern(v value) uint32 {
+	if id, ok := b.exprs[v]; ok {
+		return id
+	}
+	id := uint32(len(b.vals))
+	b.vals = append(b.vals, v)
+	b.exprs[v] = id
+	return id
+}
+
+// konst interns an exact constant; the table keeps its own copy of r.
+func (b *Builder) konst(r *big.Rat) uint32 {
+	key := r.RatString()
+	if id, ok := b.constIdx[key]; ok {
+		return id
+	}
+	id := uint32(len(b.vals))
+	b.vals = append(b.vals, value{code: OpConst, a: uint32(len(b.consts))})
+	b.consts = append(b.consts, new(big.Rat).Set(r))
+	b.constIdx[key] = id
+	return id
+}
+
+// constant returns the rational of value id when it is a constant.
+func (b *Builder) constant(id uint32) (*big.Rat, bool) {
+	if v := b.vals[id]; v.code == OpConst {
+		return b.consts[v.a], true
+	}
+	return nil, false
+}
+
+// Load returns the value π[edge].
+func (b *Builder) Load(edge int) uint32 {
+	if !b.step() {
+		return 0
+	}
+	if edge < 0 || edge >= b.numEdges {
+		b.fail(fmt.Errorf("plan: load of edge %d of %d", edge, b.numEdges))
+		return 0
+	}
+	return b.intern(value{code: OpLoad, a: uint32(edge)})
+}
+
+// Const returns the constant value v.
+func (b *Builder) Const(v *big.Rat) uint32 {
+	if !b.step() {
+		return 0
+	}
+	return b.konst(v)
+}
+
+// One returns the constant 1.
+func (b *Builder) One() uint32 { return b.Const(ratOne) }
+
+// Zero returns the constant 0.
+func (b *Builder) Zero() uint32 { return b.Const(ratZero) }
+
+// Mul returns the value x·y.
+func (b *Builder) Mul(x, y uint32) uint32 {
+	if !b.step() || !b.operands(x, y) {
+		return 0
+	}
+	cx, okx := b.constant(x)
+	cy, oky := b.constant(y)
+	if okx && oky {
+		return b.konst(new(big.Rat).Mul(cx, cy))
+	}
+	// x·1 = x and x·0 = 0 hold exactly; the float kernel's enclosure of
+	// the replacement is the operand's own (tighter or equal, and the
+	// exact value is unchanged, so it stays sound).
+	switch {
+	case okx && cx.Cmp(ratOne) == 0:
+		return y
+	case okx && cx.Sign() == 0:
+		return x
+	case oky && cy.Cmp(ratOne) == 0:
+		return x
+	case oky && cy.Sign() == 0:
+		return y
+	}
+	// Multiplication commutes exactly on both substrates (the interval
+	// kernel bounds the same four products either way).
+	return b.intern(value{code: OpMul, a: min(x, y), b: max(x, y)})
+}
+
+// Add returns the value x+y.
+func (b *Builder) Add(x, y uint32) uint32 {
+	if !b.step() || !b.operands(x, y) {
+		return 0
+	}
+	cx, okx := b.constant(x)
+	cy, oky := b.constant(y)
+	switch {
+	case okx && oky:
+		return b.konst(new(big.Rat).Add(cx, cy))
+	case okx && cx.Sign() == 0:
+		return y
+	case oky && cy.Sign() == 0:
+		return x
+	}
+	return b.intern(value{code: OpAdd, a: min(x, y), b: max(x, y)})
+}
+
+// OneMinus returns the value 1−x.
+func (b *Builder) OneMinus(x uint32) uint32 {
+	if !b.step() || !b.operands(x) {
+		return 0
+	}
+	switch vx := b.vals[x]; vx.code {
+	case OpConst:
+		return b.konst(new(big.Rat).Sub(ratOne, b.consts[vx.a]))
+	case OpOneMinus:
+		return vx.a // 1−(1−x) = x exactly
+	}
+	return b.intern(value{code: OpOneMinus, a: x})
+}
+
+// Finish seals the program computing value out. Only the values out
+// depends on are emitted, in value order (a valid schedule, since
+// operands precede their users); a value's register returns to a LIFO
+// free list right after its last user, so the register file is bounded
+// by peak liveness, and the constant pool is laid out in schedule
+// order. Validate is run once as an internal consistency check on the
+// lowering itself.
+func (b *Builder) Finish(out uint32) (*Program, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	if int(out) >= len(b.vals) {
+		return nil, fmt.Errorf("plan: output value %d of %d", out, len(b.vals))
+	}
+	// lastUse[id] is the id of the last user of a live value and 0 for a
+	// dead one (a user's id is never 0: its operands precede it); out is
+	// never freed. A descending sweep meets each operand's last user
+	// first.
+	n := int(out) + 1
+	lastUse := make([]int, n)
+	lastUse[out] = n
+	live := 0
+	for id := n - 1; id >= 0; id-- {
+		if lastUse[id] == 0 {
+			continue
+		}
+		live++
+		v := &b.vals[id]
+		switch v.code {
+		case OpMul, OpAdd:
+			if lastUse[v.b] == 0 {
+				lastUse[v.b] = id
+			}
+			fallthrough
+		case OpOneMinus:
+			if lastUse[v.a] == 0 {
+				lastUse[v.a] = id
+			}
+		}
+	}
+
+	p := &Program{NumEdges: b.numEdges, Ops: make([]Op, 0, live)}
+	regOf := make([]uint32, n)
+	var free []uint32
+	release := func(id uint32, user int) {
+		if lastUse[id] == user {
+			free = append(free, regOf[id])
+		}
+	}
+	for id := 0; id < n; id++ {
+		if lastUse[id] == 0 {
+			continue
+		}
+		var dst uint32
+		if k := len(free); k > 0 {
+			dst, free = free[k-1], free[:k-1]
+		} else {
+			dst = uint32(p.NumRegs)
+			p.NumRegs++
+		}
+		regOf[id] = dst
+		v := &b.vals[id]
+		op := Op{Code: v.code, Dst: dst}
+		switch v.code {
+		case OpConst:
+			op.A = uint32(len(p.Consts))
+			p.Consts = append(p.Consts, b.consts[v.a])
+		case OpLoad:
+			op.A = v.a
+		case OpMul, OpAdd:
+			op.A, op.B = regOf[v.a], regOf[v.b]
+			release(v.a, id)
+			if v.b != v.a {
+				release(v.b, id)
+			}
+		case OpOneMinus:
+			op.A = regOf[v.a]
+			release(v.a, id)
+		}
+		p.Ops = append(p.Ops, op)
+	}
+	p.Out = regOf[out]
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("plan: lowering produced an invalid program: %v", err)
+	}
+	return p, nil
+}
+
+var (
+	ratOne  = big.NewRat(1, 1)
+	ratZero = new(big.Rat)
+)
+
+// LowerContext flattens a plan tree into a Program over numEdges
+// instance edges; the Builder folds, shares and drops dead arithmetic
+// as the plan emits it. The builder polls ctx every
+// phomerr.CheckInterval emit calls, so cancelling the context aborts
+// the compile-time dynamic programs (the chain/interval trellis
+// unrolling of betadnf, the per-gate emission of ddnnf) within one
+// checkpoint interval and surfaces the typed cancellation error.
+func LowerContext(ctx context.Context, p Plan, numEdges int) (*Program, error) {
+	b := NewBuilder(ctx, numEdges)
+	out, err := p.EmitOps(b)
+	if err != nil {
+		return nil, err
+	}
+	return b.Finish(out)
+}

@@ -28,6 +28,14 @@
 // the exact answer per lane. Package core routes between
 // the substrates per the caller's precision options.
 //
+// Lowering emits through a Builder that value-numbers at emit time:
+// each emit call is answered from a table of canonical computations
+// after exact constant folding, the identities x·1, x·0, x+0 and
+// 1−(1−x), and sharing of equal subterms (Mul and Add operands in
+// canonical order). Builder.Finish keeps only the values the output
+// depends on and assigns registers by liveness, so emitters never
+// manage registers.
+//
 // ExecCtx keeps each register as a big.Int numerator over a power of
 // the inputs' common denominator, so an evaluation pays one GCD at the
 // end instead of one per op; a big.Rat loop inside the same entry takes

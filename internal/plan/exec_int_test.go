@@ -181,7 +181,7 @@ func TestExecIntDegreeGuard(t *testing.T) {
 // register twenty times stays on the integer path (at degree 1 it would
 // pass the Load+Const bound of 2 after the second squaring).
 func TestExecIntCertainEdgesDegreeZero(t *testing.T) {
-	b := NewBuilder(1)
+	b := NewBuilder(context.Background(), 1)
 	acc := b.Load(0)
 	for i := 0; i < 20; i++ {
 		acc = b.Mul(acc, acc)
@@ -189,6 +189,9 @@ func TestExecIntCertainEdgesDegreeZero(t *testing.T) {
 	prog, err := b.Finish(b.Add(acc, b.Const(big.NewRat(2, 1))))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prog.NumOps() != 23 {
+		t.Fatalf("program has %d ops, want Load, 20 Muls, Const, Add", prog.NumOps())
 	}
 	got, ok, err := prog.execInt(nil, []*big.Rat{big.NewRat(1, 1)})
 	if err != nil || !ok {

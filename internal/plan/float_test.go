@@ -12,7 +12,7 @@ import (
 // lowering errors.
 func mustProgram(t *testing.T, build func(b *Builder) uint32, numEdges int) *Program {
 	t.Helper()
-	b := NewBuilder(numEdges)
+	b := NewBuilder(context.Background(), numEdges)
 	p, err := b.Finish(build(b))
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +63,10 @@ func TestExecFloatKnownValues(t *testing.T) {
 	p := mustProgram(t, func(b *Builder) uint32 {
 		return b.OneMinus(b.Mul(b.OneMinus(b.Load(0)), b.OneMinus(b.Load(1))))
 	}, 2)
+	// Nothing here folds: two loads, three OneMinus, one Mul.
+	if p.NumOps() != 6 {
+		t.Fatalf("program has %d ops, want 6", p.NumOps())
+	}
 	iv, err := execFloat(p, []*big.Rat{big.NewRat(1, 2), big.NewRat(1, 4)})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +90,7 @@ func TestExecFloatKnownValues(t *testing.T) {
 		t.Fatalf("enclosure %v misses exact %s", iv, want.RatString())
 	}
 	if iv.Width() > 1e-15 {
-		t.Fatalf("enclosure %v too wide for a 7-op program", iv)
+		t.Fatalf("enclosure %v too wide for a 6-op program", iv)
 	}
 }
 
@@ -107,12 +111,30 @@ func TestExecFloatInputErrors(t *testing.T) {
 // interval.
 func TestExecFloatOverflowIsSound(t *testing.T) {
 	huge := new(big.Rat).SetFrac(new(big.Int).Exp(big.NewInt(10), big.NewInt(400), nil), big.NewInt(1))
+	// Raw Program literals, not Builder programs: the Builder would fold
+	// both products to a single Const and the kernel's Mul would never
+	// see the overflowing operands.
+	mulConsts := func(a, b *big.Rat) *Program {
+		p := &Program{
+			NumRegs: 3,
+			Consts:  []*big.Rat{a, b},
+			Ops: []Op{
+				{Code: OpConst, Dst: 0, A: 0},
+				{Code: OpConst, Dst: 1, A: 1},
+				{Code: OpMul, Dst: 2, A: 0, B: 1},
+			},
+			Out: 2,
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if p.NumOps() != 3 {
+			t.Fatalf("program has %d ops, want the unfolded Const, Const, Mul", p.NumOps())
+		}
+		return p
+	}
 	// huge · huge: ±Inf bounds are vacuous but sound.
-	p := mustProgram(t, func(b *Builder) uint32 {
-		h := b.Const(huge)
-		return b.Mul(h, h)
-	}, 0)
-	iv, err := execFloat(p, nil)
+	iv, err := execFloat(mulConsts(huge, huge), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +142,7 @@ func TestExecFloatOverflowIsSound(t *testing.T) {
 		t.Fatalf("overflow enclosure %v excludes the exact product", iv)
 	}
 	// huge · 0 is Inf · 0 = NaN in float arithmetic.
-	p = mustProgram(t, func(b *Builder) uint32 {
-		return b.Mul(b.Const(huge), b.Zero())
-	}, 0)
-	if iv, err = execFloat(p, nil); err != nil {
+	if iv, err = execFloat(mulConsts(huge, new(big.Rat)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if nan := math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi); nan == iv.Contains(new(big.Rat)) {
@@ -158,30 +177,43 @@ func randomProbs(r *rand.Rand, n int) []*big.Rat {
 	return probs
 }
 
-// randomProgram emits a random valid program over numEdges edges: a
+// randomProgram returns a random valid program over numEdges edges: a
 // stream of loads, constants and arithmetic over previously defined
-// registers, as the Builder's structural discipline guarantees.
+// registers, each op writing a fresh one. It is a raw Program literal,
+// not a Builder program, so the unfolded sequences the Builder would
+// rewrite (Const·Const, x·0, 1−(1−x), repeated subterms) reach the
+// interpreters.
 func randomProgram(r *rand.Rand, numEdges, numOps int) (*Program, error) {
-	b := NewBuilder(numEdges)
-	regs := []uint32{b.Const(big.NewRat(int64(r.Intn(5)), 4))}
-	pick := func() uint32 { return regs[r.Intn(len(regs))] }
+	p := &Program{NumEdges: numEdges}
+	emit := func(op Op) {
+		op.Dst = uint32(len(p.Ops))
+		p.Ops = append(p.Ops, op)
+	}
+	konst := func(c *big.Rat) {
+		emit(Op{Code: OpConst, A: uint32(len(p.Consts))})
+		p.Consts = append(p.Consts, c)
+	}
+	pick := func() uint32 { return uint32(r.Intn(len(p.Ops))) }
+	konst(big.NewRat(int64(r.Intn(5)), 4))
 	for i := 0; i < numOps; i++ {
 		switch r.Intn(10) {
 		case 0:
-			regs = append(regs, b.Const(big.NewRat(int64(r.Intn(9)), int64(1+r.Intn(8)))))
+			konst(big.NewRat(int64(r.Intn(9)), int64(1+r.Intn(8))))
 		case 1, 2, 3:
 			if numEdges > 0 {
-				regs = append(regs, b.Load(r.Intn(numEdges)))
+				emit(Op{Code: OpLoad, A: uint32(r.Intn(numEdges))})
 			}
 		case 4, 5, 6:
-			regs = append(regs, b.Mul(pick(), pick()))
+			emit(Op{Code: OpMul, A: pick(), B: pick()})
 		case 7, 8:
-			regs = append(regs, b.Add(pick(), pick()))
+			emit(Op{Code: OpAdd, A: pick(), B: pick()})
 		default:
-			regs = append(regs, b.OneMinus(pick()))
+			emit(Op{Code: OpOneMinus, A: pick()})
 		}
 	}
-	return b.Finish(pick())
+	p.NumRegs = len(p.Ops)
+	p.Out = pick()
+	return p, p.Validate()
 }
 
 // TestExecFloatContainmentRandom is the deterministic twin of the fuzz

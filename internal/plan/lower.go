@@ -44,7 +44,6 @@ func (m *edgeMapEmitter) Failed() bool             { return m.b.Failed() }
 func (m *edgeMapEmitter) Mul(a, b uint32) uint32   { return m.b.Mul(a, b) }
 func (m *edgeMapEmitter) Add(a, b uint32) uint32   { return m.b.Add(a, b) }
 func (m *edgeMapEmitter) OneMinus(a uint32) uint32 { return m.b.OneMinus(a) }
-func (m *edgeMapEmitter) Release(r uint32)         { m.b.Release(r) }
 
 // EmitOps lowers a constant plan to a single constant op.
 func (c Const) EmitOps(b *Builder) (uint32, error) {
@@ -78,14 +77,7 @@ func (c Components) EmitOps(b *Builder) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		omp := b.OneMinus(p)
-		b.Release(p)
-		next := b.Mul(miss, omp)
-		b.Release(miss)
-		b.Release(omp)
-		miss = next
+		miss = b.Mul(miss, b.OneMinus(p))
 	}
-	out := b.OneMinus(miss)
-	b.Release(miss)
-	return out, nil
+	return b.OneMinus(miss), nil
 }

@@ -398,194 +398,3 @@ func (p *Program) execRat(cp *phomerr.Checkpoint, probs []*big.Rat) (*big.Rat, e
 	}
 	return new(big.Rat).Set(&regs[p.Out]), nil
 }
-
-// Builder assembles a Program. Lowering code obtains registers from the
-// emit methods and returns exhausted ones with Release, which bounds
-// the register file by the peak live-value count of the computation
-// rather than its length. Errors (out-of-range loads, cancellation) are
-// sticky and reported by Finish, so lowering code needs no per-call
-// checks; once the builder has failed, every emit method becomes a
-// cheap no-op, which is what makes cancellation effective inside the
-// compile-time dynamic programs of betadnf and ddnnf — the loops may
-// keep running, but they stop allocating registers and ops.
-type Builder struct {
-	numEdges int
-	ops      []Op
-	consts   []*big.Rat
-	constIdx map[string]uint32
-	numRegs  uint32
-	free     []uint32
-	check    *phomerr.Checkpoint
-	err      error
-}
-
-// NewBuilder returns a Builder for programs over numEdges instance
-// edges, without cancellation (the context-free v1 path).
-func NewBuilder(numEdges int) *Builder {
-	return &Builder{numEdges: numEdges, constIdx: make(map[string]uint32)}
-}
-
-// NewBuilderCtx returns a Builder whose emit methods poll ctx every
-// phomerr.CheckInterval ops: when ctx is cancelled mid-lowering the
-// builder fails sticky with the typed cancellation error, emission
-// degenerates to no-ops, and Finish reports the abort.
-func NewBuilderCtx(ctx context.Context, numEdges int) *Builder {
-	b := NewBuilder(numEdges)
-	b.check = phomerr.NewCheckpoint(ctx)
-	return b
-}
-
-// step gates every emit method: it reports whether emission should
-// proceed, polling the cancellation checkpoint and turning a cancelled
-// context into the builder's sticky error.
-func (b *Builder) step() bool {
-	if b.err != nil {
-		return false
-	}
-	if err := b.check.Check(); err != nil {
-		b.err = err
-		return false
-	}
-	return true
-}
-
-// Failed reports whether the builder is in its sticky-error state
-// (lowering bug or cancellation). The emit loops of betadnf and ddnnf
-// consult this through their OpEmitter to break out of compile-time
-// dynamic programs early instead of spinning through no-op emission.
-func (b *Builder) Failed() bool { return b.err != nil }
-
-func (b *Builder) alloc() uint32 {
-	if n := len(b.free); n > 0 {
-		r := b.free[n-1]
-		b.free = b.free[:n-1]
-		return r
-	}
-	r := b.numRegs
-	b.numRegs++
-	return r
-}
-
-// Release returns a register to the free pool. The value it holds must
-// not be referenced by any later op.
-func (b *Builder) Release(r uint32) { b.free = append(b.free, r) }
-
-// Load emits reg ← π[edge] and returns the register.
-func (b *Builder) Load(edge int) uint32 {
-	if !b.step() {
-		return 0
-	}
-	if edge < 0 || edge >= b.numEdges {
-		b.fail(fmt.Errorf("plan: load of edge %d of %d", edge, b.numEdges))
-		return 0
-	}
-	dst := b.alloc()
-	b.ops = append(b.ops, Op{Code: OpLoad, Dst: dst, A: uint32(edge)})
-	return dst
-}
-
-// Const emits reg ← v and returns the register. Equal rationals share
-// one constant-pool entry.
-func (b *Builder) Const(v *big.Rat) uint32 {
-	if !b.step() {
-		return 0
-	}
-	key := v.RatString()
-	idx, ok := b.constIdx[key]
-	if !ok {
-		idx = uint32(len(b.consts))
-		b.consts = append(b.consts, new(big.Rat).Set(v))
-		b.constIdx[key] = idx
-	}
-	dst := b.alloc()
-	b.ops = append(b.ops, Op{Code: OpConst, Dst: dst, A: idx})
-	return dst
-}
-
-// One emits reg ← 1.
-func (b *Builder) One() uint32 { return b.Const(ratOne) }
-
-// Zero emits reg ← 0.
-func (b *Builder) Zero() uint32 { return b.Const(ratZero) }
-
-// Mul emits reg ← a·b into a fresh register.
-func (b *Builder) Mul(a, r2 uint32) uint32 {
-	if !b.step() {
-		return 0
-	}
-	dst := b.alloc()
-	b.ops = append(b.ops, Op{Code: OpMul, Dst: dst, A: a, B: r2})
-	return dst
-}
-
-// Add emits reg ← a+b into a fresh register.
-func (b *Builder) Add(a, r2 uint32) uint32 {
-	if !b.step() {
-		return 0
-	}
-	dst := b.alloc()
-	b.ops = append(b.ops, Op{Code: OpAdd, Dst: dst, A: a, B: r2})
-	return dst
-}
-
-// OneMinus emits reg ← 1−a into a fresh register.
-func (b *Builder) OneMinus(a uint32) uint32 {
-	if !b.step() {
-		return 0
-	}
-	dst := b.alloc()
-	b.ops = append(b.ops, Op{Code: OpOneMinus, Dst: dst, A: a})
-	return dst
-}
-
-func (b *Builder) fail(err error) {
-	if b.err == nil {
-		b.err = err
-	}
-}
-
-// Finish seals the program with out as the result register. The
-// returned program is valid by construction; Validate is run once as a
-// cheap internal consistency check on the lowering itself.
-func (b *Builder) Finish(out uint32) (*Program, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	p := &Program{
-		NumEdges: b.numEdges,
-		NumRegs:  int(b.numRegs),
-		Consts:   b.consts,
-		Ops:      b.ops,
-		Out:      out,
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: lowering produced an invalid program: %v", err)
-	}
-	return p, nil
-}
-
-var (
-	ratOne  = big.NewRat(1, 1)
-	ratZero = new(big.Rat)
-)
-
-// LowerContext flattens a plan tree into a Program over numEdges
-// instance edges and runs the Optimize pass on the result, so every
-// program the solver pipeline executes or serializes is already
-// folded, shared and dead-op free. The builder polls ctx every
-// phomerr.CheckInterval emitted ops, so cancelling the context aborts
-// the compile-time dynamic programs (the chain/interval trellis
-// unrolling of betadnf, the per-gate emission of ddnnf) within one
-// checkpoint interval and surfaces the typed cancellation error.
-func LowerContext(ctx context.Context, p Plan, numEdges int) (*Program, error) {
-	b := NewBuilderCtx(ctx, numEdges)
-	out, err := p.EmitOps(b)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := b.Finish(out)
-	if err != nil {
-		return nil, err
-	}
-	return prog.Optimize(), nil
-}

@@ -13,14 +13,11 @@ import (
 
 func TestProgramBuilderExec(t *testing.T) {
 	// (1 − π0)·π1 + 1/3 over two edges, by hand.
-	b := NewBuilder(2)
+	b := NewBuilder(context.Background(), 2)
 	p0 := b.Load(0)
 	om := b.OneMinus(p0)
-	b.Release(p0)
 	p1 := b.Load(1)
 	m := b.Mul(om, p1)
-	b.Release(om)
-	b.Release(p1)
 	c := b.Const(rat("1/3"))
 	out := b.Add(m, c)
 	prog, err := b.Finish(out)
@@ -34,9 +31,10 @@ func TestProgramBuilderExec(t *testing.T) {
 	if want := rat("11/24"); got.Cmp(want) != 0 {
 		t.Fatalf("ExecCtx = %s, want %s", got.RatString(), want.RatString())
 	}
-	// Register reuse: releasing p0 and om must have bounded the file.
-	if prog.NumRegs > 5 {
-		t.Errorf("NumRegs = %d, expected reuse to keep it ≤ 5", prog.NumRegs)
+	// Register reuse: Finish frees p0, om and p1 after their last use,
+	// so six ops need only three registers.
+	if prog.NumRegs > 3 {
+		t.Errorf("NumRegs = %d, expected reuse to keep it ≤ 3", prog.NumRegs)
 	}
 }
 
@@ -48,7 +46,7 @@ func TestProgramExecRejectsBadInput(t *testing.T) {
 	if _, err := prog.ExecCtx(context.Background(), []*big.Rat{rat("1")}); err == nil {
 		t.Fatal("expected a length-mismatch error")
 	}
-	b := NewBuilder(2)
+	b := NewBuilder(context.Background(), 2)
 	out := b.Load(1)
 	prog2, err := b.Finish(out)
 	if err != nil {
@@ -60,7 +58,7 @@ func TestProgramExecRejectsBadInput(t *testing.T) {
 }
 
 func TestBuilderRejectsBadLoad(t *testing.T) {
-	b := NewBuilder(2)
+	b := NewBuilder(context.Background(), 2)
 	out := b.Load(5)
 	if _, err := b.Finish(out); err == nil {
 		t.Fatal("expected a sticky out-of-range error")

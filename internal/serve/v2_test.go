@@ -315,9 +315,16 @@ func TestShutdownCancelsInflightJobs(t *testing.T) {
 		done <- result{status: resp.StatusCode, code: payload.Code}
 	}()
 
-	// Let the job start chewing, then pull the plug the way main does
-	// on SIGTERM.
-	time.Sleep(150 * time.Millisecond)
+	// Wait until a worker holds the job — its opaque plan is compiled,
+	// so the brute-force evaluation is what remains — then pull the plug
+	// the way main does on SIGTERM.
+	for eng.Stats().PlanCompiles == 0 {
+		select {
+		case r := <-done:
+			t.Fatalf("job finished before shutdown: %+v", r)
+		case <-time.After(time.Millisecond):
+		}
+	}
 	shutdown()
 
 	select {
