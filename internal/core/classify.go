@@ -65,7 +65,7 @@ var (
 func PredictInput(q *graph.Graph, h *graph.ProbGraph) (qc, ic graph.Class, labeled bool, v Verdict) {
 	qc = q.TightestClass()
 	ic = h.G.TightestClass()
-	labeled = len(h.G.Labels()) > 1 || len(q.Labels()) > 1
+	labeled = !h.G.IsUnlabeled() || !q.IsUnlabeled()
 	return qc, ic, labeled, Predict(qc, ic, labeled)
 }
 

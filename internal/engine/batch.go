@@ -147,7 +147,7 @@ func (e *Engine) runBatchGroup(ctx context.Context, out chan<- StreamResult, job
 	var hits []StreamResult
 	e.mu.Lock()
 	for k := range lanes {
-		if res, ok := e.cache.get(jobKeys[k]); ok {
+		if res, ok := e.cache.Get(jobKeys[k]); ok {
 			e.stats.CacheHits++
 			hits = append(hits, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
 		} else if pi, ok := primary[jobKeys[k]]; ok {
@@ -221,7 +221,7 @@ func (e *Engine) runBatchGroup(ctx context.Context, out chan<- StreamResult, job
 	e.mu.Lock()
 	for pi, k := range pending {
 		if outs[pi].Err == nil {
-			e.cache.add(jobKeys[k], outs[pi].Result)
+			e.cache.Add(jobKeys[k], outs[pi].Result)
 		}
 	}
 	// A duplicate of a successful lane is served by the memo entry its

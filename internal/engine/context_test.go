@@ -44,6 +44,35 @@ func fastJob(seed int64) Job {
 	return Job{Query: q, Instance: h}
 }
 
+// when runs f on its own goroutine as soon as cond holds of the
+// engine's counters. It is how these tests interrupt a job at the state
+// they mean to test — a worker evaluating it, a caller waiting for a
+// worker — instead of sleeping and hoping the job got there. A
+// condition still false when the test ends gives up without calling f.
+func when(t *testing.T, e *Engine, cond func(Stats) bool, f func()) {
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		for !cond(e.Stats()) {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+		f()
+	}()
+}
+
+// compiled is the condition that n plans have compiled. Each job of
+// these tests compiles its own plan on a worker and then evaluates it
+// there, so once a slow job's plan is counted a worker is running its
+// exponential evaluation, which only cancellation ends.
+func compiled(n uint64) func(Stats) bool {
+	return func(s Stats) bool { return s.PlanCompiles >= n }
+}
+
 // closeWithin fails the test if Close does not return within d — a
 // hanging Close means a worker is stuck on work cancellation should
 // have stopped (the goroutine-leak guard of these tests).
@@ -68,10 +97,7 @@ func TestDoContextCancelMidSolve(t *testing.T) {
 	e := New(Options{Workers: 2})
 	job := slowJob(t, 14, 16) // ≈ 2^29 worlds: days of work uncancelled
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	when(t, e, compiled(1), cancel)
 	start := time.Now()
 	r := e.DoContext(ctx, job)
 	if !errors.Is(r.Err, phomerr.ErrCanceled) {
@@ -171,9 +197,8 @@ func TestBaseContextCancelAbortsJobs(t *testing.T) {
 	e := New(Options{Workers: 2, BaseContext: base})
 	job := slowJob(t, 14, 16)
 	done := make(chan JobResult, 1)
+	when(t, e, compiled(1), cancelBase)
 	go func() { done <- e.Do(job) }() // v1 call: caller has no context at all
-	time.Sleep(50 * time.Millisecond)
-	cancelBase()
 	select {
 	case r := <-done:
 		if !errors.Is(r.Err, phomerr.ErrCanceled) {
@@ -191,10 +216,10 @@ func TestSolveBatchContextCancelMidBatch(t *testing.T) {
 	e := New(Options{Workers: 2})
 	jobs := []Job{fastJob(1), slowJob(t, 14, 16), fastJob(2), slowJob(t, 15, 17)}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
+	// Two workers: each compiles at least the first job it takes before
+	// a slow one pins it, so two compiles always happen, and by then a
+	// slow job is running or waiting for a worker.
+	when(t, e, compiled(2), cancel)
 	start := time.Now()
 	out := e.SolveBatchContext(ctx, jobs)
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
@@ -253,10 +278,7 @@ func TestStreamCancel(t *testing.T) {
 	e := New(Options{Workers: 2})
 	jobs := []Job{slowJob(t, 14, 16), slowJob(t, 15, 17), fastJob(1)}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
+	when(t, e, compiled(2), cancel) // as in TestSolveBatchContextCancelMidBatch
 	n, canceled := 0, 0
 	for sr := range e.Stream(ctx, jobs) {
 		n++
@@ -280,22 +302,19 @@ func TestDoContextCancelWhileQueued(t *testing.T) {
 	base, cancelBase := context.WithCancel(context.Background())
 	defer cancelBase()
 	e := New(Options{Workers: 1, BaseContext: base})
-	// Occupy the only worker with an exponential job.
+	// Occupy the only worker with an exponential job, and wait until
+	// the worker is evaluating it.
+	hogJob := slowJob(t, 14, 16)
 	hog := make(chan JobResult, 1)
-	go func() { hog <- e.Do(slowJob(t, 14, 16)) }()
-	for {
-		if st := e.Stats(); st.Submitted >= 1 && st.CacheHits == 0 {
-			break
-		}
-		runtime.Gosched()
-	}
-	time.Sleep(50 * time.Millisecond) // let the worker actually pick it up
+	hogBusy := make(chan struct{})
+	when(t, e, compiled(1), func() { close(hogBusy) })
+	go func() { hog <- e.Do(hogJob) }()
+	<-hogBusy
 
+	// Cancel once the second job is submitted: with the only worker
+	// busy it can only be waiting for one.
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	when(t, e, func(s Stats) bool { return s.Submitted >= 2 }, cancel)
 	start := time.Now()
 	r := e.DoContext(ctx, fastJob(99))
 	if !errors.Is(r.Err, phomerr.ErrCanceled) {
@@ -318,10 +337,7 @@ func TestFreshCallerDoesNotInheritAbandonedCancellation(t *testing.T) {
 	e := New(Options{Workers: 2})
 	job := fastJobSlowEnough(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
+	when(t, e, compiled(1), cancel)
 	if r := e.DoContext(ctx, job); !errors.Is(r.Err, phomerr.ErrCanceled) {
 		t.Fatalf("first caller err = %v, want ErrCanceled", r.Err)
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"phom/internal/core"
 	"phom/internal/graph"
 	"phom/internal/graphio"
+	"phom/internal/lru"
 	"phom/internal/phomerr"
 )
 
@@ -278,10 +278,10 @@ type Engine struct {
 	closed     bool
 	active     sync.WaitGroup // Solve/SolveBatch calls in flight, for Close
 	inflight   map[string]*call
-	cache      *lruCache[*core.Result]       // nil (always missing) when memoization is disabled
-	plans      *lruCache[*core.CompiledPlan] // nil (always missing) when plan caching is disabled
-	planFlight map[string]chan struct{}      // structures being compiled right now
-	instances  map[string]*instEntry         // live named instances (instances.go)
+	cache      *lru.Cache[*core.Result]       // nil (always missing) when memoization is disabled
+	plans      *lru.Cache[*core.CompiledPlan] // nil (always missing) when plan caching is disabled
+	planFlight map[string]chan struct{}       // structures being compiled right now
+	instances  map[string]*instEntry          // live named instances (instances.go)
 	stats      Stats
 }
 
@@ -295,19 +295,19 @@ func New(opts Options) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var cache *lruCache[*core.Result]
+	var cache *lru.Cache[*core.Result]
 	switch {
 	case opts.CacheSize == 0:
 		cache = newResultCache(DefaultCacheSize)
 	case opts.CacheSize > 0:
 		cache = newResultCache(opts.CacheSize)
 	}
-	var plans *lruCache[*core.CompiledPlan]
+	var plans *lru.Cache[*core.CompiledPlan]
 	switch {
 	case opts.PlanCacheSize == 0:
-		plans = newLRUCache[*core.CompiledPlan](DefaultPlanCacheSize)
+		plans = lru.New[*core.CompiledPlan](DefaultPlanCacheSize)
 	case opts.PlanCacheSize > 0:
-		plans = newLRUCache[*core.CompiledPlan](opts.PlanCacheSize)
+		plans = lru.New[*core.CompiledPlan](opts.PlanCacheSize)
 	}
 	base := opts.BaseContext
 	if base == nil {
@@ -363,8 +363,8 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
-	s.CacheLen = e.cache.len()
-	s.PlanCacheLen = e.plans.len()
+	s.CacheLen = e.cache.Len()
+	s.PlanCacheLen = e.plans.Len()
 	s.Instances = len(e.instances)
 	return s
 }
@@ -631,7 +631,7 @@ func (e *Engine) savePlansUnchecked(w io.Writer) (int, error) {
 	e.mu.Lock()
 	// Oldest first: sequential re-insertion on load restores the
 	// recency order.
-	cps := e.plans.values()
+	cps := e.plans.Values()
 	e.mu.Unlock()
 	var records [][]byte
 	for _, cp := range cps {
@@ -678,7 +678,7 @@ func (e *Engine) LoadPlans(r io.Reader) (int, error) {
 			return err
 		}
 		e.mu.Lock()
-		e.plans.add(cp.StructKey(), cp)
+		e.plans.Add(cp.StructKey(), cp)
 		e.stats.PlansLoaded++
 		e.mu.Unlock()
 		loaded++
@@ -791,7 +791,7 @@ func (e *Engine) acquirePlan(ctx context.Context, structKey string, canonOrder [
 	for {
 		var wait chan struct{}
 		e.mu.Lock()
-		if got, ok := e.plans.get(structKey); ok {
+		if got, ok := e.plans.Get(structKey); ok {
 			cp = got
 		} else if ch, ok := e.planFlight[structKey]; ok {
 			wait = ch
@@ -823,7 +823,7 @@ func (e *Engine) acquirePlan(ctx context.Context, structKey string, canonOrder [
 	e.mu.Lock()
 	if err == nil {
 		e.stats.PlanCompiles++
-		e.plans.add(structKey, cp)
+		e.plans.Add(structKey, cp)
 	}
 	if registered {
 		close(e.planFlight[structKey])
@@ -879,7 +879,7 @@ func transportProbs(cp *core.CompiledPlan, cur []int, h *graph.ProbGraph) []*big
 func (e *Engine) do(ctx context.Context, key string, run func(context.Context) (*core.Result, error)) (JobResult, bool) {
 	for {
 		e.mu.Lock()
-		if res, ok := e.cache.get(key); ok {
+		if res, ok := e.cache.Get(key); ok {
 			e.stats.CacheHits++
 			e.mu.Unlock()
 			return JobResult{Result: cloneResult(res), CacheHit: true}, true
@@ -921,7 +921,7 @@ func (e *Engine) do(ctx context.Context, key string, run func(context.Context) (
 				// A short run can complete between its abandonment and
 				// its next checkpoint; honor the documented invariant
 				// that abandoned results never reach the cache.
-				e.cache.add(key, c.res)
+				e.cache.Add(key, c.res)
 			}
 			// Only remove the entry if it is still ours — an abandoned
 			// call may have been replaced by a fresh leader under the
@@ -999,120 +999,14 @@ func cloneResult(r *core.Result) *core.Result {
 	return c
 }
 
-// lruCache is a plain bounded LRU over canonical job keys, generic in
-// the cached value (solver results, compiled plans). It bounds the
-// number of entries and, when weigh is set, their total weight. It is
-// not itself synchronized; the Engine's mutex guards it. A nil
-// *lruCache is the disabled cache: get always misses, add and remove do
-// nothing, len is 0 and values is nil.
-type lruCache[V any] struct {
-	capacity int
-	order    *list.List // front = most recently used; values are *lruEntry[V]
-	entries  map[string]*list.Element
-	weigh    func(V) int // nil: every entry weighs 0
-	budget   int         // bound on weight
-	weight   int         // total weight of the entries
-}
-
-type lruEntry[V any] struct {
-	key string
-	val V
-	w   int
-}
-
-func newLRUCache[V any](capacity int) *lruCache[V] {
-	return &lruCache[V]{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-	}
-}
-
 // newResultCache returns the result memo: capacity entries weighed by
 // the limbs of their answers, within the memoWordsPerEntry budget.
-func newResultCache(capacity int) *lruCache[*core.Result] {
-	c := newLRUCache[*core.Result](capacity)
-	c.weigh = func(r *core.Result) int { return len(r.Prob.Num().Bits()) + len(r.Prob.Denom().Bits()) }
-	c.budget = math.MaxInt
+func newResultCache(capacity int) *lru.Cache[*core.Result] {
+	budget := math.MaxInt
 	if capacity < math.MaxInt/memoWordsPerEntry {
-		c.budget = capacity * memoWordsPerEntry
+		budget = capacity * memoWordsPerEntry
 	}
-	return c
-}
-
-func (c *lruCache[V]) len() int {
-	if c == nil {
-		return 0
-	}
-	return c.order.Len()
-}
-
-// values returns the cached values oldest-first, without touching
-// recency.
-func (c *lruCache[V]) values() []V {
-	if c == nil {
-		return nil
-	}
-	out := make([]V, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, el.Value.(*lruEntry[V]).val)
-	}
-	return out
-}
-
-func (c *lruCache[V]) get(key string) (V, bool) {
-	if c == nil {
-		var zero V
-		return zero, false
-	}
-	el, ok := c.entries[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
-}
-
-// remove drops the entry under key, if any. It is how the instance
-// registry performs targeted invalidation: a delta evicts exactly the
-// touched instance's memoized results (and its superseded structural
-// plans), never a neighbor's.
-func (c *lruCache[V]) remove(key string) {
-	if c == nil {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		c.order.Remove(el)
-		c.weight -= el.Value.(*lruEntry[V]).w
-		delete(c.entries, key)
-	}
-}
-
-func (c *lruCache[V]) add(key string, val V) {
-	if c == nil {
-		return
-	}
-	w := 0
-	if c.weigh != nil {
-		w = c.weigh(val)
-	}
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*lruEntry[V])
-		c.weight += w - e.w
-		e.val, e.w = val, w
-		c.order.MoveToFront(el)
-	} else {
-		c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val, w: w})
-		c.weight += w
-	}
-	// An entry heavier than the whole budget evicts everything, itself
-	// included.
-	for c.order.Len() > c.capacity || c.weight > c.budget {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		e := oldest.Value.(*lruEntry[V])
-		c.weight -= e.w
-		delete(c.entries, e.key)
-	}
+	return lru.NewWeighted(capacity, budget, func(r *core.Result) int {
+		return len(r.Prob.Num().Bits()) + len(r.Prob.Denom().Bits())
+	})
 }

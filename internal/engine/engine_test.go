@@ -269,29 +269,29 @@ func TestResultCacheWordBudget(t *testing.T) {
 	c := newResultCache(4) // budget 4·memoWordsPerEntry words
 	half := memoWordsPerEntry / 2
 	for _, k := range []string{"a", "b", "c"} {
-		c.add(k, wide(half)) // weighs memoWordsPerEntry
+		c.Add(k, wide(half)) // weighs memoWordsPerEntry
 	}
-	c.get("a")                 // "b" is now the least recently used
-	c.add("d", wide(2*half-1)) // within the count bound, over the budget by 62 words
-	if _, ok := c.get("b"); ok {
+	c.Get("a")                 // "b" is now the least recently used
+	c.Add("d", wide(2*half-1)) // within the count bound, over the budget by 62 words
+	if _, ok := c.Get("b"); ok {
 		t.Error("least recently used result survived an over-budget add")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Errorf("result %q evicted, want only the least recently used gone", k)
 		}
 	}
-	if c.len() != 3 || c.weight > c.budget {
-		t.Fatalf("len %d weight %d budget %d after eviction", c.len(), c.weight, c.budget)
+	if budget := 4 * memoWordsPerEntry; c.Len() != 3 || c.Weight() > budget {
+		t.Fatalf("len %d weight %d budget %d after eviction", c.Len(), c.Weight(), budget)
 	}
-	c.add("a", wide(1)) // replacement reweighs the entry
-	c.remove("c")
-	if want := 2 + 2*(2*half-1); c.weight != want {
-		t.Fatalf("weight %d after replace and remove, want %d", c.weight, want)
+	c.Add("a", wide(1)) // replacement reweighs the entry
+	c.Remove("c")
+	if want := 2 + 2*(2*half-1); c.Weight() != want {
+		t.Fatalf("weight %d after replace and remove, want %d", c.Weight(), want)
 	}
-	c.add("huge", wide(3*memoWordsPerEntry))
-	if _, ok := c.get("huge"); ok || c.len() != 0 || c.weight != 0 {
-		t.Fatalf("an answer wider than the budget was kept (len %d, weight %d)", c.len(), c.weight)
+	c.Add("huge", wide(3*memoWordsPerEntry))
+	if _, ok := c.Get("huge"); ok || c.Len() != 0 || c.Weight() != 0 {
+		t.Fatalf("an answer wider than the budget was kept (len %d, weight %d)", c.Len(), c.Weight())
 	}
 }
 

@@ -150,11 +150,11 @@ func (e *Engine) DeleteInstance(id string) bool {
 // the caches. Caller holds e.mu.
 func (e *Engine) evictLocked(ent *instEntry) {
 	for k := range ent.results {
-		e.cache.remove(k)
+		e.cache.Remove(k)
 	}
 	ent.results = make(map[string]struct{})
 	for sk := range ent.plans {
-		e.plans.remove(sk)
+		e.plans.Remove(sk)
 	}
 }
 
@@ -219,7 +219,7 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 	e.mu.Lock()
 	e.stats.DeltasApplied += uint64(len(deltas))
 	for k := range ent.results {
-		e.cache.remove(k)
+		e.cache.Remove(k)
 	}
 	ent.results = make(map[string]struct{})
 	var work map[string]*trackedPlan
@@ -243,7 +243,7 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 			cerr        error
 		)
 		e.mu.Lock()
-		old, _ := e.plans.get(oldSK)
+		old, _ := e.plans.Get(oldSK)
 		e.mu.Unlock()
 		switch {
 		case old == nil:
@@ -258,14 +258,14 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 			cp, cerr = core.CompileUCQContext(e.baseCtx, tp.qs, res.New.H, tp.opts)
 		}
 		e.mu.Lock()
-		e.plans.remove(oldSK) // superseded structure
+		e.plans.Remove(oldSK) // superseded structure
 		if cerr == nil && cp != nil {
 			if incremental {
 				e.stats.IncrementalRecompiles++
 			} else {
 				e.stats.FullRecompiles++
 			}
-			e.plans.add(cp.StructKey(), cp)
+			e.plans.Add(cp.StructKey(), cp)
 			if cur, still := e.instances[id]; still && cur == ent {
 				ent.plans[cp.StructKey()] = &trackedPlan{qs: tp.qs, opts: tp.opts, g: res.New.H.G}
 			}

@@ -181,8 +181,17 @@ func (g *Graph) Labels() []Label {
 	return out
 }
 
-// IsUnlabeled reports whether g uses at most one distinct label.
-func (g *Graph) IsUnlabeled() bool { return len(g.Labels()) <= 1 }
+// IsUnlabeled reports whether g uses at most one distinct label. It
+// stops at the first edge whose label differs from the first edge's,
+// so it allocates nothing, unlike len(g.Labels()).
+func (g *Graph) IsUnlabeled() bool {
+	for _, e := range g.edges {
+		if e.Label != g.edges[0].Label {
+			return false
+		}
+	}
+	return true
+}
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {

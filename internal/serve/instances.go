@@ -236,7 +236,7 @@ func (s *Server) handleInstanceSolve(w http.ResponseWriter, r *http.Request, id 
 	if !ok {
 		return
 	}
-	resp, jerr := s.runJob(r.Context(), job)
+	resp, jerr := s.runJob(r.Context(), job, predicted(job))
 	if jerr != nil {
 		WriteJSON(w, StatusOf(jerr), resp)
 		return
@@ -257,7 +257,7 @@ func (s *Server) handleInstanceReweight(w http.ResponseWriter, r *http.Request, 
 	if !ok {
 		return
 	}
-	s.reweight(w, r, job, &req)
+	s.reweight(w, r, job, predicted(job), &req)
 }
 
 func (s *Server) handleInstanceBatch(w http.ResponseWriter, r *http.Request, id string) {
@@ -277,15 +277,15 @@ func (s *Server) handleInstanceBatch(w http.ResponseWriter, r *http.Request, id 
 		return
 	}
 	var version uint64
-	s.serveBatch(w, r, req, func(jr SolveRequest) (engine.Job, error) {
+	s.serveBatch(w, r, req, func(jr SolveRequest) (engine.Job, *VerdictResponse, error) {
 		job, err := s.resolveInstanceJob(id, &jr)
 		if err != nil {
-			return engine.Job{}, err
+			return engine.Job{}, nil, err
 		}
 		if v := job.version; version == 0 {
 			version = v
 		}
-		return job.Job, nil
+		return job.Job, predicted(job.Job), nil
 	})
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +11,7 @@ import (
 	"phom/internal/approx"
 	"phom/internal/core"
 	"phom/internal/graphio"
+	"phom/internal/lru"
 )
 
 // RouteInfo is what a gateway needs to place one wire job on a
@@ -159,15 +159,8 @@ const DefaultRouteCacheSize = 4096
 // call; parse failures are never cached (their raw-byte keys depend on
 // the full body, probabilities included).
 type RouteCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used; values are *routeEntry
-}
-
-type routeEntry struct {
-	fp   string
-	info RouteInfo // Vectors/DisableFallback normalized (1, false)
+	mu    sync.Mutex
+	infos *lru.Cache[RouteInfo] // Vectors/DisableFallback/Approx normalized (1, false, false)
 }
 
 // NewRouteCache returns a RouteCache holding up to size structures
@@ -176,14 +169,14 @@ func NewRouteCache(size int) *RouteCache {
 	if size <= 0 {
 		size = DefaultRouteCacheSize
 	}
-	return &RouteCache{max: size, entries: make(map[string]*list.Element), order: list.New()}
+	return &RouteCache{infos: lru.New[RouteInfo](size)}
 }
 
 // Len returns the number of cached structures.
 func (c *RouteCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.infos.Len()
 }
 
 // Route is RouteJob through the cache: identical results, with the
@@ -194,8 +187,11 @@ func (c *RouteCache) Route(raw []byte) RouteInfo {
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return rawRoute(raw, err)
 	}
-	fp := routeFingerprint(&req)
-	if info, ok := c.get(fp); ok {
+	fp := routeFingerprint(&req.SolveRequest)
+	c.mu.Lock()
+	info, ok := c.infos.Get(fp)
+	c.mu.Unlock()
+	if ok {
 		if req.Options != nil {
 			info.DisableFallback = req.Options.DisableFallback
 		}
@@ -205,14 +201,16 @@ func (c *RouteCache) Route(raw []byte) RouteInfo {
 		}
 		return info
 	}
-	info := routeParsed(&req)
+	info = routeParsed(&req)
 	if info.ParseErr == nil {
 		cached := info
 		cached.Vectors = 1
 		cached.DisableFallback = false
 		cached.Approx = false
 		cached.ApproxSamples = 0
-		c.put(fp, cached)
+		c.mu.Lock()
+		c.infos.Add(fp, cached)
+		c.mu.Unlock()
 	}
 	return info
 }
@@ -230,38 +228,12 @@ func (c *RouteCache) Batch(raw []byte) (jobs []json.RawMessage, infos []RouteInf
 	return jobs, infos, nil
 }
 
-func (c *RouteCache) get(fp string) (RouteInfo, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[fp]
-	if !ok {
-		return RouteInfo{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*routeEntry).info, true
-}
-
-func (c *RouteCache) put(fp string, info RouteInfo) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[fp]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*routeEntry).info = info
-		return
-	}
-	c.entries[fp] = c.order.PushFront(&routeEntry{fp: fp, info: info})
-	for c.order.Len() > c.max {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*routeEntry).fp)
-	}
-}
-
-// routeFingerprint hashes exactly the fields of a wire job that
-// determine its structure-derived RouteInfo: queries and instance in
-// every wire form. Probability maps and evaluation options are
-// deliberately excluded — they never move a job between shards.
-func routeFingerprint(req *ReweightRequest) string {
+// routeFingerprint hashes exactly the structure-bearing fields of a
+// wire job: queries and instance in every wire form. Probability maps
+// and evaluation options are deliberately excluded — they never move a
+// job between shards, and they are not part of the parsed structure
+// the server's structure cache keeps under the same fingerprint.
+func routeFingerprint(req *SolveRequest) string {
 	h := sha256.New()
 	section := func(tag string, b []byte) {
 		fmt.Fprintf(h, "%s %d\n", tag, len(b))

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -192,6 +193,14 @@ type HealthResponse struct {
 	// code — the server-side half of phomgen's replay accounting (a
 	// replay is clean when the two sides agree).
 	HTTP map[string]uint64 `json:"http,omitempty"`
+	// StructCacheHits and StructCacheMisses count stateless /solve,
+	// /reweight and /batch jobs whose structure-bearing fields (query
+	// and instance, every wire form) were found in, or parsed into, the
+	// replica's parsed-structure cache; StructCacheLen is its current
+	// number of entries.
+	StructCacheHits   uint64 `json:"struct_cache_hits"`
+	StructCacheMisses uint64 `json:"struct_cache_misses"`
+	StructCacheLen    int    `json:"struct_cache_len"`
 }
 
 type ErrorResponse struct {
@@ -250,6 +259,9 @@ type Server struct {
 	// httpMu; surfaced through /healthz for replay accounting.
 	httpMu       sync.Mutex
 	httpByStatus map[int]uint64
+	// structs holds parsed stateless structures by routeFingerprint
+	// (structs.go).
+	structs *structCache
 }
 
 func New(e *engine.Engine) *Server {
@@ -257,7 +269,7 @@ func New(e *engine.Engine) *Server {
 	// crypto/rand does not fail on supported platforms; if it did, the
 	// zero id would only hide changed-id restarts, not dead→alive ones.
 	_, _ = rand.Read(boot[:])
-	return &Server{engine: e, start: time.Now(), bootID: hex.EncodeToString(boot[:]), httpByStatus: map[int]uint64{}}
+	return &Server{engine: e, start: time.Now(), bootID: hex.EncodeToString(boot[:]), httpByStatus: map[int]uint64{}, structs: newStructCache()}
 }
 
 // WithMaxBody sets the request-body cap (the -maxbody flag).
@@ -419,14 +431,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
+	hits, misses, n := s.structs.stats()
 	WriteJSON(w, http.StatusOK, HealthResponse{
-		Status:   "ok",
-		Workers:  s.engine.Workers(),
-		Stats:    s.engine.Stats(),
-		Shard:    s.shard,
-		UptimeMS: time.Since(s.start).Milliseconds(),
-		BootID:   s.bootID,
-		HTTP:     s.httpCounts(),
+		Status:            "ok",
+		Workers:           s.engine.Workers(),
+		Stats:             s.engine.Stats(),
+		Shard:             s.shard,
+		UptimeMS:          time.Since(s.start).Milliseconds(),
+		BootID:            s.bootID,
+		HTTP:              s.httpCounts(),
+		StructCacheHits:   hits,
+		StructCacheMisses: misses,
+		StructCacheLen:    n,
 	})
 }
 
@@ -439,12 +455,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	job, err := req.toJob(s.defPrec, s.defTol)
+	job, verdict, err := s.parseJob(&req)
 	if err != nil {
 		WriteTypedError(w, phomerr.Wrap(phomerr.CodeBadInput, err))
 		return
 	}
-	resp, jerr := s.runJob(r.Context(), job)
+	resp, jerr := s.runJob(r.Context(), job, verdict)
 	if jerr != nil {
 		WriteJSON(w, StatusOf(jerr), resp)
 		return
@@ -467,25 +483,25 @@ func (s *Server) handleReweight(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	job, err := req.SolveRequest.toJob(s.defPrec, s.defTol)
+	job, verdict, err := s.parseJob(&req.SolveRequest)
 	if err != nil {
 		WriteTypedError(w, phomerr.Wrap(phomerr.CodeBadInput, err))
 		return
 	}
-	s.reweight(w, r, job, &req)
+	s.reweight(w, r, job, verdict, &req)
 }
 
 // reweight is the shared tail of the stateless and the instance-scoped
-// reweight endpoints, run once the wire job is resolved: it applies the
-// request's probs override (or fans probs_batch out as one batch) and
-// writes the response.
-func (s *Server) reweight(w http.ResponseWriter, r *http.Request, job engine.Job, req *ReweightRequest) {
+// reweight endpoints, run once the wire job and its verdict are
+// resolved: it applies the request's probs override (or fans
+// probs_batch out as one batch) and writes the response.
+func (s *Server) reweight(w http.ResponseWriter, r *http.Request, job engine.Job, verdict *VerdictResponse, req *ReweightRequest) {
 	if len(req.Probs) > 0 && len(req.ProbsBatch) > 0 {
 		WriteError(w, http.StatusBadRequest, "provide probs or probs_batch, not both")
 		return
 	}
 	if req.ProbsBatch != nil {
-		s.reweightBatch(w, r, job, req.ProbsBatch)
+		s.reweightBatch(w, r, job, verdict, req.ProbsBatch)
 		return
 	}
 	if len(req.Probs) > 0 {
@@ -496,7 +512,7 @@ func (s *Server) reweight(w http.ResponseWriter, r *http.Request, job engine.Job
 		}
 		job.Instance = inst
 	}
-	resp, jerr := s.runJob(r.Context(), job)
+	resp, jerr := s.runJob(r.Context(), job, verdict)
 	if jerr != nil {
 		WriteJSON(w, StatusOf(jerr), resp)
 		return
@@ -512,9 +528,17 @@ func (s *Server) reweight(w http.ResponseWriter, r *http.Request, job engine.Job
 func applyProbs(base *graph.ProbGraph, probs map[string]string) (*graph.ProbGraph, error) {
 	inst := base.CloneProbs()
 	// Distinct JSON keys can normalize to the same edge ("0>1" vs
-	// " 0>1"); map iteration order must never decide which wins.
+	// " 0>1"), and a map may hold several bad entries: map iteration
+	// order must decide neither which wins nor which error a malformed
+	// map reports, so keys are visited in sorted order.
+	keys := make([]string, 0, len(probs))
+	for key := range probs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 	seen := make(map[[2]int]bool, len(probs))
-	for key, val := range probs {
+	for _, key := range keys {
+		val := probs[key]
 		from, to, ok := graphio.ParseEdgeKey(key)
 		if !ok {
 			return nil, fmt.Errorf("bad probs key %q: want \"from>to\"", key)
@@ -541,8 +565,9 @@ func applyProbs(base *graph.ProbGraph, probs map[string]string) (*graph.ProbGrap
 // exactly like /batch. The lanes are submitted in one Engine.Stream
 // call so the engine's same-structure grouping routes them through the
 // vectorized kernel (stats.batch_runs/batch_lanes in the response show
-// it happened).
-func (s *Server) reweightBatch(w http.ResponseWriter, r *http.Request, job engine.Job, vecs []map[string]string) {
+// it happened). The lanes share one structure, so they share its
+// verdict too.
+func (s *Server) reweightBatch(w http.ResponseWriter, r *http.Request, job engine.Job, verdict *VerdictResponse, vecs []map[string]string) {
 	if len(vecs) == 0 {
 		WriteError(w, http.StatusBadRequest, "probs_batch is empty")
 		return
@@ -567,7 +592,7 @@ func (s *Server) reweightBatch(w http.ResponseWriter, r *http.Request, job engin
 	for sr := range s.engine.Stream(r.Context(), jobs) {
 		// elapsed_us is completion-order latency (batch start to this
 		// lane's delivery), matching the streamed /batch convention.
-		results[sr.Index] = buildResponse(jobs[sr.Index], sr.JobResult, time.Since(start))
+		results[sr.Index] = buildResponse(verdict, sr.JobResult, time.Since(start))
 	}
 	WriteJSON(w, http.StatusOK, BatchResponse{
 		Results:   results,
@@ -639,17 +664,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	s.serveBatch(w, r, req, func(jr SolveRequest) (engine.Job, error) {
-		return jr.toJob(s.defPrec, s.defTol)
+	s.serveBatch(w, r, req, func(jr SolveRequest) (engine.Job, *VerdictResponse, error) {
+		return s.parseJob(&jr)
 	})
 }
 
 // serveBatch runs a parsed batch request with toJob resolving each wire
-// job. The indirection is what lets /instances/{id}/batch reuse the
-// whole batch machinery (validation, streaming, per-job accounting)
-// with jobs bound to a live instance snapshot instead of an inline
-// instance field.
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req BatchRequest, toJob func(SolveRequest) (engine.Job, error)) {
+// job and its verdict. The indirection is what lets
+// /instances/{id}/batch reuse the whole batch machinery (validation,
+// streaming, per-job accounting) with jobs bound to a live instance
+// snapshot instead of an inline instance field.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req BatchRequest, toJob func(SolveRequest) (engine.Job, *VerdictResponse, error)) {
 	if len(req.Jobs) == 0 {
 		WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
@@ -670,7 +695,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req BatchReq
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i, jr := range req.Jobs {
-		job, err := toJob(jr)
+		job, verdict, err := toJob(jr)
 		if err != nil {
 			results[i] = parseFailure(err)
 			continue
@@ -678,7 +703,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req BatchReq
 		wg.Add(1)
 		go func(i int, job engine.Job) {
 			defer wg.Done()
-			results[i], _ = s.runJob(r.Context(), job)
+			results[i], _ = s.runJob(r.Context(), job, verdict)
 		}(i, job)
 	}
 	wg.Wait()
@@ -728,22 +753,24 @@ type StreamTrailer struct {
 // and the server never buffers the full result slice; cancelling the
 // request (client disconnect) aborts the remaining jobs at their next
 // cooperative checkpoint.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, req BatchRequest, toJob func(SolveRequest) (engine.Job, error)) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, req BatchRequest, toJob func(SolveRequest) (engine.Job, *VerdictResponse, error)) {
 	start := time.Now()
 	reqID := r.Header.Get(RequestIDHeader) // set by instrument when absent
 	// Parse first: malformed jobs yield immediate error lines and never
 	// reach the engine; idx maps engine-stream positions back to the
 	// caller's job numbering.
 	jobs := make([]engine.Job, 0, len(req.Jobs))
+	verdicts := make([]*VerdictResponse, 0, len(req.Jobs))
 	idx := make([]int, 0, len(req.Jobs))
 	parseFailures := make([]StreamLine, 0)
 	for i, jr := range req.Jobs {
-		job, err := toJob(jr)
+		job, verdict, err := toJob(jr)
 		if err != nil {
 			parseFailures = append(parseFailures, StreamLine{Index: i, SolveResponse: parseFailure(err), RequestID: reqID})
 			continue
 		}
 		jobs = append(jobs, job)
+		verdicts = append(verdicts, verdict)
 		idx = append(idx, i)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -760,7 +787,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, req BatchRe
 		emit(line)
 	}
 	for sr := range s.engine.Stream(r.Context(), jobs) {
-		resp := buildResponse(jobs[sr.Index], sr.JobResult, time.Since(start))
+		resp := buildResponse(verdicts[sr.Index], sr.JobResult, time.Since(start))
 		emit(StreamLine{Index: idx[sr.Index], SolveResponse: resp, RequestID: reqID})
 	}
 	emit(StreamTrailer{
@@ -778,13 +805,17 @@ func parseFailure(err error) SolveResponse {
 	return SolveResponse{Error: terr.Error(), Code: phomerr.CodeOf(terr).String()}
 }
 
-func (s *Server) runJob(ctx context.Context, job engine.Job) (SolveResponse, error) {
+func (s *Server) runJob(ctx context.Context, job engine.Job, verdict *VerdictResponse) (SolveResponse, error) {
 	start := time.Now()
 	jr := s.engine.DoContext(ctx, job)
-	return buildResponse(job, jr, time.Since(start)), jr.Err
+	return buildResponse(verdict, jr, time.Since(start)), jr.Err
 }
 
-func buildResponse(job engine.Job, jr engine.JobResult, elapsed time.Duration) SolveResponse {
+// buildResponse renders one job's result. verdict is the job's Tables
+// 1–3 verdict (predicted; nil for a union of queries), reported on
+// success only. Responses on one structure may share it: it is only
+// ever read.
+func buildResponse(verdict *VerdictResponse, jr engine.JobResult, elapsed time.Duration) SolveResponse {
 	resp := SolveResponse{ElapsedUS: elapsed.Microseconds(), CacheHit: jr.CacheHit, Shared: jr.Shared, PlanHit: jr.PlanHit}
 	if jr.Err != nil {
 		resp.Error = jr.Err.Error()
@@ -801,18 +832,7 @@ func buildResponse(job engine.Job, jr engine.JobResult, elapsed time.Duration) S
 	resp.ApproxSamples = jr.Result.ApproxSamples
 	resp.Method = jr.Result.Method.String()
 	resp.PTime = jr.Result.Method.PTime()
-	// The Tables 1–3 verdict is defined per conjunctive query; report it
-	// for single-query jobs only.
-	if job.Query != nil {
-		qc, ic, labeled, v := core.PredictInput(job.Query, job.Instance)
-		resp.Predicted = &VerdictResponse{
-			QueryClass:    qc.String(),
-			InstanceClass: ic.String(),
-			Labeled:       labeled,
-			Tractable:     v.Tractable,
-			Verdict:       v.String(),
-		}
-	}
+	resp.Predicted = verdict
 	return resp
 }
 
@@ -846,21 +866,27 @@ func (r *SolveRequest) toJob(defPrec core.Precision, defTol float64) (engine.Job
 // whose instance is the live registered one rather than a request
 // field.
 func (r *SolveRequest) jobSkeleton(defPrec core.Precision, defTol float64) (engine.Job, error) {
-	var job engine.Job
-
 	queries, err := r.parseQueries()
 	if err != nil {
-		return job, err
+		return engine.Job{}, err
 	}
-	switch len(queries) {
-	case 0:
-		return job, fmt.Errorf("no query: provide query, queries, query_text or queries_text")
-	case 1:
+	if len(queries) == 0 {
+		return engine.Job{}, fmt.Errorf("no query: provide query, queries, query_text or queries_text")
+	}
+	job, err := r.jobOptions(defPrec, defTol)
+	if len(queries) == 1 {
 		job.Query = queries[0]
-	default:
+	} else {
 		job.Queries = queries
 	}
+	return job, err
+}
 
+// jobOptions parses and validates the request's options and timeout
+// into a job with no query and no instance. A structure-cache hit
+// (Server.parseJob) runs only this part of the parse.
+func (r *SolveRequest) jobOptions(defPrec core.Precision, defTol float64) (engine.Job, error) {
+	var job engine.Job
 	if r.Options != nil {
 		// Negative limits would mean "unbounded" to the solver; reject
 		// them along with values above the server-side caps so one
