@@ -2,9 +2,7 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"math/big"
-	"sort"
 	"time"
 
 	"phom/internal/core"
@@ -13,22 +11,19 @@ import (
 	"phom/internal/phomerr"
 )
 
-// This file is the engine's batched reweight path. Production reweight
-// traffic — one structure, many probability vectors — arrives at
-// Stream/SolveBatch as K jobs differing only in probabilities. Run
-// individually, each pays goroutine spawn, canonicalization and key
-// hashing, a plan-cache fetch and a full interpreter walk. Grouped,
-// the K lanes share one key-derivation pass (graphio.BatchJobKeys
-// amortizes the canonical prefix), one plan fetch and one vectorized
-// kernel dispatch (core.CompiledPlan.EvaluateBatch): per-lane cost drops
-// to the probability-suffix hash and the lane's arithmetic. Grouping
-// is invisible in results — every lane's outcome matches what
-// DoContext would have returned — and visible in Stats.BatchRuns and
-// Stats.BatchLanes. The group shares the per-job path's machinery
-// rather than copying it: plan acquisition is acquirePlan, outcome
-// accounting is Stats.countPrecision, and the lanes' job keys (derived
-// whether or not memoization is on) both probe the memo cache and
-// dedupe identical lanes.
+// This file is the engine's one execution path. Every job runs as a
+// lane of a batch group: DoContext runs a group of one, Stream runs the
+// groups batchGroups forms. Production reweight traffic — one
+// structure, many probability vectors — arrives at Stream/SolveBatch as
+// K jobs differing only in probabilities. Run individually, each pays
+// canonicalization and key hashing, a plan-cache fetch and a full
+// interpreter walk. Grouped, the K lanes share one key-derivation pass
+// (graphio.BatchJobKeys amortizes the canonical prefix), one plan fetch
+// and one vectorized kernel dispatch (core.CompiledPlan.EvaluateBatch):
+// per-lane cost drops to the probability-suffix hash and the lane's
+// arithmetic. Grouping is invisible in results — every lane's outcome
+// matches what DoContext would have returned — and visible in
+// Stats.BatchRuns and Stats.BatchLanes.
 
 // batchMaxLanes caps the width of one batched kernel dispatch; wider
 // groups are chunked. The cap bounds the kernel's register matrix
@@ -36,277 +31,349 @@ import (
 // with completion-order streaming.
 const batchMaxLanes = 256
 
-// batchGroups partitions a Stream batch into batchable groups (slices
-// of job indices, each with at least 2 and at most batchMaxLanes
-// lanes) and the remaining singles. Jobs group when they share the
-// query graph, the instance's underlying graph value (pointer
-// identity — the cheap, sound test; reweight producers share it via
+// batchGroups partitions a Stream batch into groups (slices of job
+// indices, at most batchMaxLanes each), in order of first appearance;
+// every job is in exactly one group. Jobs group when they share the
+// query graph, the instance's underlying graph value (pointer identity
+// — the cheap, sound test; reweight producers share it via
 // graph.ProbGraph.CloneProbs), the options fingerprint and the per-job
 // Timeout (equal budgets become one group deadline, started when the
 // group starts — the moment each lane's own clock would have started),
-// and use the single-query form.
-func batchGroups(jobs []Job) (groups [][]int, singles []int) {
+// and use the single-query form. Any other job is a group of one.
+func batchGroups(jobs []Job) [][]int {
 	type groupKey struct {
 		q       *graph.Graph
 		g       *graph.Graph
 		fp      string
 		timeout time.Duration
 	}
-	idx := make(map[groupKey][]int)
-	var order []groupKey
+	open := make(map[groupKey]int) // key → its group still taking lanes
+	var groups [][]int
 	for i, job := range jobs {
 		if job.Query == nil || len(job.Queries) != 0 || job.Instance == nil {
-			singles = append(singles, i)
+			groups = append(groups, []int{i})
 			continue
 		}
 		k := groupKey{q: job.Query, g: job.Instance.G, fp: job.Opts.Fingerprint(), timeout: job.Timeout}
-		if _, ok := idx[k]; !ok {
-			order = append(order, k)
+		if gi, ok := open[k]; ok && len(groups[gi]) < batchMaxLanes {
+			groups[gi] = append(groups[gi], i)
+			continue
 		}
-		idx[k] = append(idx[k], i)
+		open[k] = len(groups)
+		groups = append(groups, []int{i})
 	}
-	for _, k := range order {
-		lanes := idx[k]
-		for len(lanes) > batchMaxLanes {
-			groups = append(groups, lanes[:batchMaxLanes])
-			lanes = lanes[batchMaxLanes:]
-		}
-		if len(lanes) >= 2 {
-			groups = append(groups, lanes)
-		} else {
-			singles = append(singles, lanes...)
-		}
-	}
-	return groups, singles
+	return groups
 }
 
-// runBatchGroup executes one group of same-structure jobs: derive all
-// lane keys in one pass, serve memo-cache hits immediately, and run the
-// remaining lanes through the batched kernel on a worker. It emits
-// exactly one StreamResult per lane.
-func (e *Engine) runBatchGroup(ctx context.Context, out chan<- StreamResult, jobs []Job, lanes []int) {
-	emitErr := func(idxs []int, err error) {
-		for _, i := range idxs {
-			out <- StreamResult{Index: i, JobResult: JobResult{Err: err}}
-		}
+// groupKeys validates a group and derives its canonical identities: the
+// resolved disjuncts, every lane's job key, and the structure key and
+// canonical edge order the lanes share. A group of one keys through
+// jobKeys (graphio.JobKeys); a wider group keys in one pass through
+// graphio.BatchJobKeys, which derives the canonical prefix (query
+// sections, instance header, edge lines) once and hashes only each
+// lane's probability suffix.
+func groupKeys(jobs []Job, lanes []int) (qs []*graph.Graph, keys []string, structKey string, canonOrder []int, err error) {
+	lead := jobs[lanes[0]]
+	if len(lanes) == 1 {
+		var key string
+		qs, key, structKey, canonOrder, err = jobKeys(lead)
+		return qs, []string{key}, structKey, canonOrder, err
 	}
+	if qs, err = lead.Disjuncts(); err != nil {
+		return nil, nil, "", nil, err
+	}
+	instances := make([]*graph.ProbGraph, len(lanes))
+	for k, i := range lanes {
+		instances[k] = jobs[i].Instance
+	}
+	keys, structKey, canonOrder = graphio.BatchJobKeys(canonicalQueries(qs), instances,
+		lead.Opts.Fingerprint(), lead.Opts.StructFingerprint())
+	return qs, keys, structKey, canonOrder, nil
+}
+
+// runGroup takes the jobs at lanes — one group of batchGroups — from key
+// to answer and calls deliver exactly once per lane, as soon as that
+// lane's answer is known. Per lane, in one pass under the engine mutex:
+// a memo hit is served; a key already in flight coalesces onto that
+// call, whether another caller or an identical lane of this group
+// registered it; any other key registers a new call this group leads.
+// The led calls run as one worker task (execute). A lane whose ctx
+// fires before its call completes abandons the call (see abandon).
+func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver func(i int, r JobResult)) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		emitErr(lanes, ErrClosed)
+		for _, i := range lanes {
+			deliver(i, JobResult{Err: ErrClosed})
+		}
 		return
 	}
 	e.active.Add(1)
 	e.stats.Submitted += uint64(len(lanes))
-	e.stats.BatchRuns++
-	e.stats.BatchLanes += uint64(len(lanes))
+	if len(lanes) > 1 {
+		e.stats.BatchRuns++
+		e.stats.BatchLanes += uint64(len(lanes))
+	}
 	e.mu.Unlock()
 	defer e.active.Done()
 
 	lead := jobs[lanes[0]]
 	if lead.Timeout > 0 {
 		// All lanes carry the same budget (grouping keys on it); one
-		// group deadline starting now is exactly the per-job clock each
-		// lane would have started at this point on the singleflight path.
-		var cancelTimeout context.CancelFunc
-		ctx, cancelTimeout = context.WithTimeout(ctx, lead.Timeout)
-		defer cancelTimeout()
+		// group deadline starting now is exactly the clock each lane
+		// would have started on its own.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, lead.Timeout)
+		defer cancel()
 	}
-	qs, err := lead.Disjuncts()
-	if err != nil { // unreachable given grouping eligibility, kept for parity with DoContext
+	qs, keys, structKey, canonOrder, err := groupKeys(jobs, lanes)
+	if err != nil {
 		e.mu.Lock()
 		e.stats.Rejected += uint64(len(lanes))
 		e.mu.Unlock()
-		emitErr(lanes, err)
+		for _, i := range lanes {
+			deliver(i, JobResult{Err: err})
+		}
 		return
 	}
-	canon := make([]string, len(qs))
-	for i, q := range qs {
-		canon[i] = graphio.CanonicalGraph(q)
-	}
-	sort.Strings(canon)
 
-	instances := make([]*graph.ProbGraph, len(lanes))
-	for k, i := range lanes {
-		instances[k] = jobs[i].Instance
-	}
-	// One keying pass for all lanes: the canonical prefix (query
-	// sections, instance header, edge lines) is derived once and only the
-	// probability suffixes are hashed per lane.
-	jobKeys, structKey, canonOrder := graphio.BatchJobKeys(canon, instances,
-		lead.Opts.Fingerprint(), lead.Opts.StructFingerprint())
-
-	// Memo pass: lanes whose exact job was answered before are served
-	// from the result cache without occupying a kernel lane. Identical
-	// lanes are deduplicated by job key, the in-group analogue of the
-	// per-job path's singleflight: one lane per distinct key executes,
-	// its duplicates share the outcome.
-	var pending []int          // lane positions that execute
-	dupOf := make(map[int]int) // duplicate lane position → index into pending
-	primary := make(map[string]int, len(lanes))
+	ready := make(chan int, len(lanes))
+	calls := make([]*call, len(lanes)) // the call each undelivered lane waits on
+	shared := make([]bool, len(lanes))
 	var hits []StreamResult
+	var ex *execution
+	var execCtx context.Context
+	var led []*call
+	var ledInst []*graph.ProbGraph
 	e.mu.Lock()
-	for k := range lanes {
-		if res, ok := e.cache.Get(jobKeys[k]); ok {
+	for k, key := range keys {
+		if res, ok := e.cache.Get(key); ok {
 			e.stats.CacheHits++
 			hits = append(hits, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
-		} else if pi, ok := primary[jobKeys[k]]; ok {
-			dupOf[k] = pi
-		} else {
-			primary[jobKeys[k]] = len(pending)
-			pending = append(pending, k)
+			continue
 		}
+		// An abandoned call cannot be joined: its execution may already
+		// be cancelled. A fresh call replaces it in the table; the old
+		// one, if still running, finds itself replaced when it completes.
+		c, ok := e.inflight[key]
+		if ok && !c.abandoned {
+			e.stats.Coalesced++
+			c.waiters++
+			shared[k] = true
+		} else {
+			if ex == nil {
+				ex = new(execution)
+				execCtx, ex.cancel = context.WithCancel(e.baseCtx)
+			}
+			c = &call{key: key, exec: ex, waiters: 1}
+			e.inflight[key] = c
+			ex.live++
+			led = append(led, c)
+			ledInst = append(ledInst, jobs[lanes[k]].Instance)
+		}
+		c.subs = append(c.subs, subscriber{ready: ready, lane: k})
+		calls[k] = c
 	}
 	e.mu.Unlock()
 	for _, h := range hits {
-		out <- h
+		deliver(h.Index, h.JobResult)
 	}
-	if len(pending) == 0 {
-		return
-	}
+	pending := len(lanes) - len(hits)
 
-	// Lane execution runs under the engine's lifetime context with the
-	// stream's cancellation propagated in — the double bound the
-	// singleflight path gets by deriving call contexts off baseCtx and
-	// cancelling on waiter abandonment.
-	runCtx, cancel := context.WithCancel(e.baseCtx)
-	defer cancel()
-	stop := context.AfterFunc(ctx, cancel)
-	defer stop()
-
-	pendInst := make([]*graph.ProbGraph, len(pending))
-	for pi, k := range pending {
-		pendInst[pi] = instances[k]
-	}
-	var outs []core.BatchOutcome
-	var planHit bool
-	done := make(chan struct{})
-	task := func() {
-		defer close(done)
-		outs, planHit = e.executeBatch(runCtx, qs, lead.Opts, structKey, canonOrder, pendInst)
-	}
-	abort := func(err error) {
-		e.mu.Lock()
-		e.stats.Canceled += uint64(len(pending) + len(dupOf))
-		e.mu.Unlock()
-		for _, k := range pending {
-			out <- StreamResult{Index: lanes[k], JobResult: JobResult{Err: err}}
+	// Wait for the lanes' calls, handing the led calls' task to a worker
+	// meanwhile. enqueue is nil once the task is off this goroutine's
+	// hands; withdraw fires if the execution is cancelled (engine
+	// shutdown) before a worker took the task, and then drop completes
+	// the led calls with the typed error, unexecuted. Checking ctx before
+	// every step makes a group that is dead on arrival — its context
+	// already cancelled, or a deadline expired before dispatch — abandon
+	// its lanes deterministically instead of racing a free worker.
+	var task, drop func()
+	var enqueue chan<- func()
+	var withdraw <-chan struct{}
+	if ex != nil {
+		task = func() {
+			defer ex.cancel()
+			e.execute(execCtx, led, ledInst, qs, lead.Opts, structKey, canonOrder)
 		}
-		for k := range dupOf {
-			out <- StreamResult{Index: lanes[k], JobResult: JobResult{Err: err, Shared: true}}
+		drop = func() { e.complete(led, failed(len(led), phomerr.FromContext(execCtx)), nil) }
+		enqueue, withdraw = e.jobs, execCtx.Done()
+	}
+	for pending > 0 && ctx.Err() == nil {
+		select {
+		case enqueue <- task:
+			enqueue, withdraw = nil, nil
+		case <-withdraw:
+			drop()
+			enqueue, withdraw = nil, nil
+		case k := <-ready:
+			deliver(lanes[k], calls[k].result(shared[k]))
+			calls[k] = nil
+			pending--
+		case <-ctx.Done():
 		}
 	}
-	// A group that is dead on arrival — stream already cancelled, or a
-	// per-job deadline that expired before dispatch — must not execute.
-	// The select below would also notice, but when a worker slot and
-	// ctx.Done() are both ready it picks randomly, and the AfterFunc
-	// propagation into runCtx is asynchronous, so a short group could
-	// run to completion without ever observing the expired context.
-	// Checking synchronously here makes the outcome deterministic.
-	if err := phomerr.FromContext(ctx); err != nil {
-		abort(err)
+	if pending == 0 {
 		return
 	}
-	// Hand the group to a worker, honoring the promptness contract: a
-	// cancelled stream does not sit in the queue.
-	select {
-	case e.jobs <- task:
-	case <-ctx.Done():
-		abort(phomerr.FromContext(ctx))
+	e.abandon(calls)
+	err = phomerr.FromContext(ctx)
+	for k, c := range calls {
+		if c != nil {
+			deliver(lanes[k], JobResult{Err: err, Shared: shared[k]})
+		}
+	}
+	if enqueue == nil {
 		return
 	}
-	<-done
+	// The task never reached a worker. If every call it leads is
+	// abandoned now, nobody wants it; otherwise lanes of other callers
+	// still wait on some of them, so keep offering the task on their
+	// behalf until a worker takes it or they leave too. The engine
+	// cannot close meanwhile: this goroutine holds an active count.
+	if execCtx.Err() != nil {
+		drop()
+		return
+	}
+	e.active.Add(1)
+	go func() {
+		defer e.active.Done()
+		select {
+		case e.jobs <- task:
+		case <-execCtx.Done():
+			drop()
+		}
+	}()
+}
 
-	memo := e.cache != nil
+// abandon withdraws the undelivered lanes (non-nil calls[k]) from their
+// calls after the group's context fired; each departure counts
+// Canceled. A call whose last waiter leaves is abandoned, and an
+// execution whose led calls are all abandoned is cancelled, so its
+// worker stops at the next cooperative checkpoint: one impatient caller
+// cannot cancel work another caller still waits for.
+func (e *Engine) abandon(calls []*call) {
+	var stop []context.CancelFunc
 	e.mu.Lock()
-	for pi, k := range pending {
-		if outs[pi].Err == nil {
-			e.cache.Add(jobKeys[k], outs[pi].Result)
+	for _, c := range calls {
+		if c == nil {
+			continue
 		}
-	}
-	// A duplicate of a successful lane is served by the memo entry its
-	// primary just populated (a cache hit minus the lookup); with
-	// memoization off, or when the primary failed, it counts as
-	// coalesced, like an in-flight waiter.
-	for _, pi := range dupOf {
-		if memo && outs[pi].Err == nil {
-			e.stats.CacheHits++
-		} else {
-			e.stats.Coalesced++
+		e.stats.Canceled++
+		if c.waiters--; c.waiters == 0 {
+			c.abandoned = true
+			if c.exec.live--; c.exec.live == 0 {
+				stop = append(stop, c.exec.cancel)
+			}
 		}
 	}
 	e.mu.Unlock()
-	for pi, k := range pending {
-		out <- StreamResult{Index: lanes[k], JobResult: laneResult(outs[pi], JobResult{PlanHit: planHit})}
-	}
-	for k, pi := range dupOf {
-		jr := JobResult{Shared: true}
-		if memo && outs[pi].Err == nil {
-			jr = JobResult{CacheHit: true}
-		}
-		out <- StreamResult{Index: lanes[k], JobResult: laneResult(outs[pi], jr)}
+	for _, cancel := range stop {
+		cancel()
 	}
 }
 
-// laneResult fills jr with a lane's outcome, cloning the result so no
-// two lanes (or the memo cache) share a mutable value.
-func laneResult(o core.BatchOutcome, jr JobResult) JobResult {
-	jr.Err = o.Err
-	if o.Err == nil {
-		jr.Result = cloneResult(o.Result)
-	}
-	return jr
-}
-
-// executeBatch runs one group's pending lanes on the calling worker:
-// it acquires the group's compiled plan through acquirePlan (the same
-// per-structure singleflight single jobs use), transports every lane's
-// probabilities onto the plan's edge numbering, and evaluates all lanes
-// through core's batched kernel. Every lane then counts as executed
-// (Solved); error lanes count like failed executions (with
-// cancellations also counted Canceled, as the per-job path does for
-// abandoned calls), plan-hit groups count one PlanHit per lane, and
-// successful lanes update the precision counters exactly as a single
-// job would. Returns one outcome per lane and whether the lanes were
-// served by a cached plan.
-func (e *Engine) executeBatch(ctx context.Context, qs []*graph.Graph, opts *core.Options, structKey string, canonOrder []int, instances []*graph.ProbGraph) ([]core.BatchOutcome, bool) {
-	var outs []core.BatchOutcome
+// execute runs one group's led calls on the calling worker: it acquires
+// the structure's compiled plan through acquirePlan, transports every
+// lane's probabilities onto the plan's edge numbering, and evaluates all
+// lanes through core's batched kernel. Every lane then counts as
+// executed (Solved); failed lanes count Errors, lanes evaluated against
+// a cached plan count PlanHits, and successful lanes update the
+// precision counters.
+func (e *Engine) execute(ctx context.Context, calls []*call, instances []*graph.ProbGraph, qs []*graph.Graph, opts *core.Options, structKey string, canonOrder []int) {
 	// All lanes share one graph value (grouping keys on it), so a fresh
 	// plan compiled against lane 0 numbers every lane's edges.
 	cp, hit, err := e.acquirePlan(ctx, structKey, canonOrder, qs, instances[0], opts)
-	if err != nil {
-		outs = make([]core.BatchOutcome, len(instances))
-		for k := range outs {
-			outs[k] = core.BatchOutcome{Err: err}
-		}
-	} else {
-		probVecs := make([][]*big.Rat, len(instances))
+	outs := failed(len(calls), err)
+	planHit := make([]bool, len(calls))
+	if err == nil {
+		var vecs [][]*big.Rat
+		var idx []int
 		for k, inst := range instances {
-			if hit {
-				probVecs[k] = transportProbs(cp, canonOrder, inst)
-			} else {
-				probVecs[k] = inst.Probs()
+			// A fresh compile validated lane 0's probabilities; check
+			// every other lane the same way, so each fails exactly as
+			// it would alone.
+			if hit || k > 0 {
+				if err := phomerr.Wrap(phomerr.CodeBadInput, inst.Validate()); err != nil {
+					outs[k].Err = err
+					continue
+				}
 			}
+			if hit {
+				planHit[k] = true
+				vecs = append(vecs, transportProbs(cp, canonOrder, inst))
+			} else {
+				vecs = append(vecs, inst.Probs())
+			}
+			idx = append(idx, k)
 		}
-		outs = cp.EvaluateBatch(ctx, probVecs, opts)
+		// The lanes' own options pick the numeric substrate: a cached
+		// plan is shared across precision modes.
+		for j, o := range cp.EvaluateBatch(ctx, vecs, opts) {
+			outs[idx[j]] = o
+		}
 	}
 
 	prec := opts.EffectivePrecision()
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stats.Solved += uint64(len(outs))
-	if hit {
-		e.stats.PlanHits += uint64(len(outs))
-	}
-	for _, o := range outs {
+	for k, o := range outs {
+		if planHit[k] {
+			e.stats.PlanHits++
+		}
 		if o.Err != nil {
 			e.stats.Errors++
-			if errors.Is(o.Err, phomerr.ErrCanceled) || errors.Is(o.Err, phomerr.ErrDeadline) {
-				e.stats.Canceled++
-			}
-			continue
+		} else {
+			e.stats.countPrecision(prec, o.Result)
 		}
-		e.stats.countPrecision(prec, o.Result)
 	}
-	return outs, hit
+	e.mu.Unlock()
+	e.complete(calls, outs, planHit)
+}
+
+// complete records the calls' outcomes, memoizes the successful ones
+// somebody still waits for (abandoned results never reach the cache),
+// retires the calls from the in-flight table, and notifies their
+// subscribers. planHit may be nil (no lane was evaluated).
+func (e *Engine) complete(calls []*call, outs []core.BatchOutcome, planHit []bool) {
+	var subs []subscriber
+	e.mu.Lock()
+	for k, c := range calls {
+		c.res, c.err = outs[k].Result, outs[k].Err
+		c.planHit = planHit != nil && planHit[k]
+		if c.err == nil && !c.abandoned {
+			e.cache.Add(c.key, c.res)
+		}
+		// Only remove the entry if it is still this call: an abandoned
+		// call may have been replaced under the same key meanwhile.
+		if cur, ok := e.inflight[c.key]; ok && cur == c {
+			delete(e.inflight, c.key)
+		}
+		subs = append(subs, c.subs...)
+		c.subs = nil
+	}
+	e.mu.Unlock()
+	for _, s := range subs {
+		s.ready <- s.lane
+	}
+}
+
+// result is the JobResult a completed call hands one of its lanes,
+// cloned so no two lanes (or the memo cache) share a mutable value. The
+// lane that led the call reports PlanHit; the others report Shared.
+func (c *call) result(shared bool) JobResult {
+	jr := JobResult{Err: c.err, Shared: shared, PlanHit: c.planHit && !shared}
+	if c.err == nil {
+		jr.Result = cloneResult(c.res)
+	}
+	return jr
+}
+
+// failed returns n outcomes carrying err (none when err is nil).
+func failed(n int, err error) []core.BatchOutcome {
+	outs := make([]core.BatchOutcome, n)
+	for k := range outs {
+		outs[k].Err = err
+	}
+	return outs
 }

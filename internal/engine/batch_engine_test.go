@@ -107,8 +107,9 @@ func TestBatchedReweightFloatAccounting(t *testing.T) {
 }
 
 // TestBatchInGroupDedup: identical lanes inside one group are executed
-// once; with memoization on, the duplicates are cache hits (the
-// primary's result is in the memo cache by the time they are served).
+// once. The duplicates coalesce onto the call their first lane
+// registered (Shared), by the same rule as a duplicate job from any
+// other caller, and none of them is a cache hit.
 func TestBatchInGroupDedup(t *testing.T) {
 	distinct := reweightWorkload(t, 47, 8, nil)
 	var jobs []Job
@@ -123,7 +124,7 @@ func TestBatchInGroupDedup(t *testing.T) {
 	defer e.Close()
 	got := e.SolveBatch(jobs)
 	st := e.Stats()
-	hits := 0
+	shared := 0
 	for i := range jobs {
 		if got[i].Err != nil {
 			t.Fatalf("lane %d: %v", i, got[i].Err)
@@ -131,15 +132,18 @@ func TestBatchInGroupDedup(t *testing.T) {
 		if got[i].Result.Prob.RatString() != want[i].Prob.RatString() {
 			t.Errorf("lane %d: batched %s, sequential %s", i, got[i].Result.Prob.RatString(), want[i].Prob.RatString())
 		}
-		if got[i].CacheHit {
-			hits++
+		if got[i].Shared {
+			shared++
 		}
 	}
 	if st.Solved != 8 {
 		t.Errorf("Solved = %d, want 8 (one per distinct vector)", st.Solved)
 	}
-	if st.CacheHits != 16 || hits != 16 {
-		t.Errorf("CacheHits = %d (flagged %d), want 16", st.CacheHits, hits)
+	if st.Coalesced != 16 || shared != 16 {
+		t.Errorf("Coalesced = %d (flagged %d), want 16", st.Coalesced, shared)
+	}
+	if st.CacheHits != 0 {
+		t.Errorf("CacheHits = %d, want 0", st.CacheHits)
 	}
 	if st.BatchLanes != 24 {
 		t.Errorf("BatchLanes = %d, want 24", st.BatchLanes)
@@ -277,10 +281,71 @@ func TestBatchPlanHitAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestStreamCoalescesWithDoContext: a Stream lane and a DoContext job
+// with the same key share one execution, whichever arrives first. The
+// only worker is held until both sides are registered, so the overlap
+// is deterministic: the late side reports Shared, and Solved counts the
+// shared key once.
+func TestStreamCoalescesWithDoContext(t *testing.T) {
+	for _, doFirst := range []bool{true, false} {
+		name := "stream joins do"
+		if !doFirst {
+			name = "do joins stream"
+		}
+		t.Run(name, func(t *testing.T) {
+			jobs := reweightWorkload(t, 89, 2, nil) // one group of two lanes
+			want := solveSequential(t, jobs)
+			e := New(Options{Workers: 1})
+			defer e.Close()
+			release := holdWorkers(e, 1)
+			defer release()
+
+			single := make(chan JobResult, 1)
+			batch := make(chan []JobResult, 1)
+			runDo := func() { single <- e.Do(jobs[0]) }
+			runStream := func() { batch <- e.SolveBatch(jobs) }
+			first, second, firstCalls := runDo, runStream, 1
+			if !doFirst {
+				first, second, firstCalls = runStream, runDo, 2
+			}
+			go first()
+			awaitEngine(t, e, "the first side's calls", func(n int, _ Stats) bool { return n == firstCalls })
+			go second()
+			awaitEngine(t, e, "the second side to coalesce", func(_ int, s Stats) bool { return s.Coalesced == 1 })
+			release()
+			d, lanes := <-single, <-batch
+
+			for i, r := range append([]JobResult{d}, lanes...) {
+				if r.Err != nil {
+					t.Fatalf("result %d: %v", i, r.Err)
+				}
+			}
+			for i, r := range lanes {
+				if r.Result.Prob.RatString() != want[i].Prob.RatString() {
+					t.Errorf("lane %d: %s, want %s", i, r.Result.Prob.RatString(), want[i].Prob.RatString())
+				}
+			}
+			if d.Result.Prob.RatString() != want[0].Prob.RatString() {
+				t.Errorf("DoContext: %s, want %s", d.Result.Prob.RatString(), want[0].Prob.RatString())
+			}
+			early, late := d, lanes[0]
+			if !doFirst {
+				early, late = lanes[0], d
+			}
+			if early.Shared || !late.Shared {
+				t.Errorf("Shared: early side %v, late side %v; want false, true", early.Shared, late.Shared)
+			}
+			if st := e.Stats(); st.Solved != 2 || st.Coalesced != 1 {
+				t.Errorf("Solved = %d, Coalesced = %d; want 2 and 1", st.Solved, st.Coalesced)
+			}
+		})
+	}
+}
+
 // TestBatchGroupsPartition pins the grouping predicate: same query
 // pointer + same underlying graph value + same options fingerprint +
-// same per-job timeout, single-query form; groups need at least two
-// lanes and chunk at batchMaxLanes.
+// same per-job timeout, single-query form; groups chunk at
+// batchMaxLanes, and every other job is a group of one.
 func TestBatchGroupsPartition(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	rs := []graph.Label{"R"}
@@ -288,6 +353,31 @@ func TestBatchGroupsPartition(t *testing.T) {
 	base := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 20, rs), 0.5)
 
 	lane := func() Job { return Job{Query: q, Instance: base.CloneProbs()} }
+	// partition splits batchGroups' output into the multi-lane groups
+	// and the groups of one, checking that every job is in exactly one.
+	partition := func(jobs []Job) (groups [][]int, singles []int) {
+		t.Helper()
+		seen := make([]bool, len(jobs))
+		for _, g := range batchGroups(jobs) {
+			for _, i := range g {
+				if seen[i] {
+					t.Fatalf("job %d in two groups", i)
+				}
+				seen[i] = true
+			}
+			if len(g) == 1 {
+				singles = append(singles, g[0])
+			} else {
+				groups = append(groups, g)
+			}
+		}
+		for i, ok := range seen {
+			if !ok {
+				t.Fatalf("job %d in no group", i)
+			}
+		}
+		return groups, singles
+	}
 
 	jobs := []Job{
 		lane(), // group A
@@ -299,7 +389,7 @@ func TestBatchGroupsPartition(t *testing.T) {
 		lane(), // group A
 		{Query: q, Instance: base.CloneProbs(), Timeout: time.Second}, // group B: shares the timeout budget with lane 2
 	}
-	groups, singles := batchGroups(jobs)
+	groups, singles := partition(jobs)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2", len(groups))
 	}
@@ -322,7 +412,7 @@ func TestBatchGroupsPartition(t *testing.T) {
 	for i := 0; i < batchMaxLanes+10; i++ {
 		wide = append(wide, lane())
 	}
-	groups, singles = batchGroups(wide)
+	groups, singles = partition(wide)
 	if len(singles) != 0 {
 		t.Fatalf("wide group produced singles: %v", singles)
 	}
@@ -330,8 +420,8 @@ func TestBatchGroupsPartition(t *testing.T) {
 		t.Fatalf("wide group chunking: got %d groups", len(groups))
 	}
 
-	// A lone wide-chunk remainder of one lane falls back to singles.
-	groups, singles = batchGroups(wide[:batchMaxLanes+1])
+	// A lone wide-chunk remainder of one lane is a group of one.
+	groups, singles = partition(wide[:batchMaxLanes+1])
 	if len(groups) != 1 || len(groups[0]) != batchMaxLanes || len(singles) != 1 {
 		t.Fatalf("remainder of 1: groups=%d singles=%d", len(groups), len(singles))
 	}

@@ -139,46 +139,87 @@ func TestJobTimeout(t *testing.T) {
 
 // TestCoalescedCancelIndependence: one impatient caller abandoning a
 // shared in-flight job must not cancel it for the caller still
-// waiting.
+// waiting, whether the impatient caller is a DoContext call or a lane
+// of a Stream group.
 func TestCoalescedCancelIndependence(t *testing.T) {
-	e := New(Options{Workers: 1})
-	job := fastJobSlowEnough(t)
+	t.Run("do", func(t *testing.T) {
+		e := New(Options{Workers: 1})
+		job := fastJobSlowEnough(t)
 
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	var r1, r2 JobResult
-	var wg sync.WaitGroup
-	wg.Add(2)
-	started := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		close(started)
-		r1 = e.DoContext(ctx1, job)
-	}()
-	<-started
-	go func() {
-		defer wg.Done()
-		r2 = e.DoContext(context.Background(), job)
-	}()
-	// Wait until the second caller has actually coalesced onto the
-	// first's call, then cancel the first.
-	for {
-		if st := e.Stats(); st.Coalesced >= 1 {
-			break
+		ctx1, cancel1 := context.WithCancel(context.Background())
+		var r1, r2 JobResult
+		var wg sync.WaitGroup
+		wg.Add(2)
+		started := make(chan struct{})
+		go func() {
+			defer wg.Done()
+			close(started)
+			r1 = e.DoContext(ctx1, job)
+		}()
+		<-started
+		go func() {
+			defer wg.Done()
+			r2 = e.DoContext(context.Background(), job)
+		}()
+		// Wait until the second caller has actually coalesced onto the
+		// first's call, then cancel the first.
+		for {
+			if st := e.Stats(); st.Coalesced >= 1 {
+				break
+			}
+			runtime.Gosched()
 		}
-		runtime.Gosched()
-	}
-	cancel1()
-	wg.Wait()
-	if !errors.Is(r1.Err, phomerr.ErrCanceled) && r1.Err != nil {
-		t.Fatalf("caller 1 err = %v", r1.Err)
-	}
-	if r2.Err != nil {
-		t.Fatalf("caller 2 must still get the answer, got err %v", r2.Err)
-	}
-	if r2.Result == nil || r2.Result.Prob == nil {
-		t.Fatal("caller 2 got an empty result")
-	}
-	closeWithin(t, e, 30*time.Second)
+		cancel1()
+		wg.Wait()
+		if !errors.Is(r1.Err, phomerr.ErrCanceled) && r1.Err != nil {
+			t.Fatalf("caller 1 err = %v", r1.Err)
+		}
+		if r2.Err != nil {
+			t.Fatalf("caller 2 must still get the answer, got err %v", r2.Err)
+		}
+		if r2.Result == nil || r2.Result.Prob == nil {
+			t.Fatal("caller 2 got an empty result")
+		}
+		closeWithin(t, e, 30*time.Second)
+	})
+
+	// The cancelling caller is a lane of a two-lane Stream group, and it
+	// leaves while the group's task still waits for the only worker:
+	// the task must still reach a worker for the DoContext caller that
+	// coalesced onto the lane's call.
+	t.Run("stream lane", func(t *testing.T) {
+		jobs := reweightWorkload(t, 97, 2, nil)
+		e := New(Options{Workers: 1})
+		release := holdWorkers(e, 1)
+		defer release()
+
+		ctx1, cancel1 := context.WithCancel(context.Background())
+		streamed := make(chan []JobResult, 1)
+		go func() { streamed <- e.SolveBatchContext(ctx1, jobs) }()
+		awaitEngine(t, e, "the stream group's calls", func(n int, _ Stats) bool { return n == 2 })
+		waited := make(chan JobResult, 1)
+		go func() { waited <- e.DoContext(context.Background(), jobs[0]) }()
+		awaitEngine(t, e, "the caller to coalesce onto the lane", func(_ int, s Stats) bool { return s.Coalesced >= 1 })
+		cancel1()
+		for i, r := range <-streamed {
+			if !errors.Is(r.Err, phomerr.ErrCanceled) {
+				t.Fatalf("stream lane %d err = %v, want ErrCanceled", i, r.Err)
+			}
+		}
+		release()
+		r2 := <-waited
+		if r2.Err != nil {
+			t.Fatalf("the coalesced caller must still get the answer, got err %v", r2.Err)
+		}
+		if r2.Result == nil || r2.Result.Prob == nil || !r2.Shared {
+			t.Fatalf("coalesced caller got %+v, want a shared answer", r2)
+		}
+		want := solveSequential(t, jobs[:1])[0]
+		if r2.Result.Prob.RatString() != want.Prob.RatString() {
+			t.Fatalf("coalesced caller got %s, want %s", r2.Result.Prob.RatString(), want.Prob.RatString())
+		}
+		closeWithin(t, e, 30*time.Second)
+	})
 }
 
 // fastJobSlowEnough returns a job slow enough (hundreds of ms) for

@@ -5,14 +5,22 @@
 // execution), and memoizes completed results in a bounded LRU cache
 // keyed by the canonical job hash of package graphio.
 //
+// Every job takes one path from key to answer: it is a lane of a batch
+// group (batch.go). DoContext runs a group of one on the caller's
+// goroutine; Stream and SolveBatch group same-structure reweight jobs
+// and run each group, however wide, through the same runner. Per lane
+// the runner serves a memo hit, coalesces onto an identical in-flight
+// call (of any caller), or registers a call the group leads; the led
+// calls run as one worker task.
+//
 // Below the result cache sits a second, structure-keyed cache of
-// compiled solver plans (core.Compile / internal/plan), keyed by
-// graphio.StructKey — the job hash with probabilities stripped. Jobs
-// that differ from a previously executed job only in edge probabilities
-// skip the structural phase (classification, lineage and circuit
-// construction) and pay only the linear evaluation, which is the
-// dominant serving pattern: what-if analysis, probability sweeps and
-// streaming weight updates over a fixed query/instance topology.
+// compiled solver plans (core.Compile / internal/plan), keyed by the
+// structure key of graphio.JobKeys — the job hash with probabilities
+// stripped. Jobs that differ from a previously executed job only in
+// edge probabilities skip the structural phase (classification, lineage
+// and circuit construction) and pay only the linear evaluation, which
+// is the dominant serving pattern: what-if analysis, probability sweeps
+// and streaming weight updates over a fixed query/instance topology.
 //
 // By default all results are exact *big.Rat probabilities,
 // byte-identical to what a sequential call to core.Solve / core.SolveUCQ

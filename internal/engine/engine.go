@@ -163,7 +163,9 @@ type Stats struct {
 	Solved uint64 `json:"solved"`
 	// CacheHits counts jobs answered from the memo cache.
 	CacheHits uint64 `json:"cache_hits"`
-	// Coalesced counts jobs deduplicated onto an identical in-flight job.
+	// Coalesced counts jobs deduplicated onto an identical in-flight job,
+	// whether another caller submitted it or it is an identical lane of
+	// the same batch group.
 	Coalesced uint64 `json:"coalesced"`
 	// Rejected counts jobs refused before execution (no query, no
 	// instance, …).
@@ -171,7 +173,7 @@ type Stats struct {
 	// Errors counts executed jobs whose solver returned an error
 	// (cancelled executions included).
 	Errors uint64 `json:"errors"`
-	// Canceled counts calls abandoned because their context fired while
+	// Canceled counts jobs abandoned because their context fired while
 	// the job was queued or running — before its result (if any)
 	// arrived. The execution itself additionally lands in Errors when
 	// the last waiter's departure aborted it.
@@ -182,13 +184,15 @@ type Stats struct {
 	PlanHits uint64 `json:"plan_hits"`
 	// PlanCompiles counts executed jobs that compiled a fresh plan.
 	PlanCompiles uint64 `json:"plan_compiles"`
-	// BatchRuns counts batched executions: groups of same-structure,
-	// same-options reweight jobs that Stream/SolveBatch routed through
-	// the vectorized kernel as one dispatch (each chunk of up to
-	// batchMaxLanes lanes is one run).
+	// BatchRuns counts batched executions: groups of two or more
+	// same-structure, same-options reweight jobs that Stream/SolveBatch
+	// routed through the vectorized kernel as one dispatch (each chunk
+	// of up to batchMaxLanes lanes is one run). A job run alone is a
+	// group of one and counts nowhere here.
 	BatchRuns uint64 `json:"batch_runs"`
 	// BatchLanes counts the jobs carried by those batched runs — lanes
-	// served from the memo cache included, kernel-evaluated or not.
+	// served from the memo cache or coalesced included, kernel-evaluated
+	// or not.
 	BatchLanes uint64 `json:"batch_lanes"`
 	// FloatFast counts executed jobs that requested the float64 fast
 	// path (precision fast or auto) and were answered by it — the
@@ -242,26 +246,46 @@ type Stats struct {
 	PlanCacheLen int `json:"plan_cache_len"`
 }
 
-// call is one singleflight execution shared by all identical jobs that
-// arrive while it is in flight. Its context is derived from the
-// engine's base context and reference-counted over the waiters: every
-// caller that abandons the call (its own context fired) decrements
-// waiters, and when the last one leaves the call's context is
-// cancelled, so the worker stops computing a result nobody wants at
-// its next cooperative checkpoint. waiters is guarded by the engine
-// mutex.
+// call is one singleflight execution: the evaluation of one job key,
+// shared by every lane — of any caller, the leading group included —
+// that asks for the key while it is in flight. The group that
+// registered the call leads it: the call is one lane of that group's
+// execution. waiters counts the lanes still interested; every lane
+// that abandons the call (its context fired) decrements it, and the
+// last one to leave abandons the call. Until the call completes, its
+// fields are guarded by the engine mutex; res, err and planHit are
+// read only by subscribers that were notified of completion.
 type call struct {
-	done    chan struct{}
-	res     *core.Result
-	err     error
+	key     string
+	exec    *execution
 	waiters int
-	cancel  context.CancelFunc
-	// abandoned is set (under the engine mutex) once nobody can ever
-	// receive this call's result: the last waiter left, or the leader
-	// withdrew before enqueueing. New arrivals must not coalesce onto
-	// an abandoned call — its context is cancelled and cannot be
-	// revived — they replace it in the in-flight table instead.
+	// abandoned is set once nobody can ever receive this call's
+	// result. New arrivals must not coalesce onto an abandoned call —
+	// its execution may already be cancelled — they replace it in the
+	// in-flight table instead, and its result never reaches the cache.
 	abandoned bool
+	subs      []subscriber // lanes to notify on completion
+	res       *core.Result
+	err       error
+	planHit   bool // evaluated against a cached plan
+}
+
+// subscriber is one lane waiting for a call: completion sends the
+// lane's position on its group's ready channel, whose buffer holds one
+// slot per lane, so the send never blocks.
+type subscriber struct {
+	ready chan<- int
+	lane  int
+}
+
+// execution is one group's worker task, which evaluates every call the
+// group leads. Its context derives from the engine's base context (so
+// engine shutdown aborts it) and is cancelled once every call it leads
+// is abandoned, so the worker stops computing results nobody wants at
+// its next cooperative checkpoint. live is guarded by the engine mutex.
+type execution struct {
+	live   int // led calls not yet abandoned
+	cancel context.CancelFunc
 }
 
 // Engine is a concurrent batch evaluator. Create with New; an Engine
@@ -402,38 +426,12 @@ func (e *Engine) Do(job Job) JobResult {
 // still waiting, the execution continues for them — one impatient
 // client cannot cancel another's work. Results computed under an
 // already-abandoned call are discarded, never cached.
+//
+// The job runs as a batch group of one on the calling goroutine, through
+// the same group runner Stream uses.
 func (e *Engine) DoContext(ctx context.Context, job Job) JobResult {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return JobResult{Err: ErrClosed}
-	}
-	e.active.Add(1)
-	e.stats.Submitted++
-	e.mu.Unlock()
-	defer e.active.Done()
-
-	if job.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.Timeout)
-		defer cancel()
-	}
-	key, run, planHit, err := e.prepare(job)
-	if err != nil {
-		e.mu.Lock()
-		e.stats.Rejected++
-		e.mu.Unlock()
-		return JobResult{Err: err}
-	}
-	r, completed := e.do(ctx, key, run)
-	// planHit is written by run before the call's done channel closes,
-	// so reading it after a completed call is race-free — but it MUST
-	// not be read when the call was abandoned on ctx (the worker may
-	// still be writing it). It is only meaningful when this call was
-	// the one that executed (not served from cache or coalesced).
-	if completed && !r.CacheHit && !r.Shared && *planHit {
-		r.PlanHit = true
-	}
+	var r JobResult
+	e.runGroup(ctx, []Job{job}, []int{0}, func(_ int, jr JobResult) { r = jr })
 	return r
 }
 
@@ -489,9 +487,10 @@ type StreamResult struct {
 // reweight pattern — are grouped and executed through the batched
 // evaluation kernel: one plan fetch and one vectorized dispatch for the
 // whole group instead of one interpreter walk per job (Stats.BatchRuns
-// / BatchLanes). Grouping changes scheduling only, never results:
-// per-lane results, errors, memo-cache interaction and cancellation
-// behave as if each job ran alone.
+// / BatchLanes). Every other job is a group of one, run exactly as
+// DoContext runs it. Grouping changes scheduling only, never results:
+// per-lane results, errors, memo-cache interaction, coalescing and
+// cancellation behave as if each job ran alone.
 func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan StreamResult {
 	// Buffered to len(jobs): each job sends exactly once, so the sends
 	// can never block and every job's result is delivered even if ctx
@@ -499,53 +498,37 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan StreamResult {
 	// O(len(jobs)) a SolveBatch result slice costs; what Stream saves
 	// is the *latency* of the barrier, not the result storage.
 	out := make(chan StreamResult, len(jobs))
-	groups, singles := batchGroups(jobs)
+	deliver := func(i int, r JobResult) { out <- StreamResult{Index: i, JobResult: r} }
 	go func() {
-		// Bound the submission fan-out like the historical SolveBatch:
-		// a slot is acquired *before* spawning, so a million-job stream
-		// holds at most a few goroutines per worker alive at a time
-		// rather than a million stacks. Coalesced waiters holding a
-		// slot cannot deadlock the stream: a waiter only ever waits on
-		// a call whose leader has already enqueued, and the workers
-		// drain independently of these slots. A batch group occupies
-		// one slot for all its lanes.
+		// Bound the submission fan-out: a slot is acquired *before*
+		// spawning, so a million-job stream holds at most a few
+		// goroutines per worker alive at a time rather than a million
+		// stacks. A group occupies one slot for all its lanes. Groups
+		// waiting on each other's calls cannot deadlock the stream: a
+		// call is only ever registered by a group that already holds a
+		// slot, and its execution reaches the workers, which drain
+		// independently of these slots.
 		sem := make(chan struct{}, 4*e.workers)
 		var wg sync.WaitGroup
-		// launch runs f on a fresh goroutine once a slot frees up; it
-		// reports false when ctx fired first (nothing was launched).
-		launch := func(f func()) bool {
+		for _, lanes := range batchGroups(jobs) {
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
-				return false
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f()
-				<-sem
-			}()
-			return true
-		}
-		for _, lanes := range groups {
-			lanes := lanes
-			if !launch(func() { e.runBatchGroup(ctx, out, jobs, lanes) }) {
 				// Cancelled while queueing: deliver the typed error
 				// directly — no worker slot, no goroutine — so the
 				// consumer still sees one result per job.
 				err := phomerr.FromContext(ctx)
 				for _, i := range lanes {
-					out <- StreamResult{Index: i, JobResult: JobResult{Err: err}}
+					deliver(i, JobResult{Err: err})
 				}
+				continue
 			}
-		}
-		for _, i := range singles {
-			i := i
-			if !launch(func() {
-				out <- StreamResult{Index: i, JobResult: e.DoContext(ctx, jobs[i])}
-			}) {
-				out <- StreamResult{Index: i, JobResult: JobResult{Err: phomerr.FromContext(ctx)}}
-			}
+			wg.Add(1)
+			go func(lanes []int) {
+				defer wg.Done()
+				e.runGroup(ctx, jobs, lanes, deliver)
+				<-sem
+			}(lanes)
 		}
 		wg.Wait()
 		close(out)
@@ -687,89 +670,40 @@ func (e *Engine) LoadPlans(r io.Reader) (int, error) {
 	return loaded, err
 }
 
-// prepare validates the job (through Job.Disjuncts, the shared
-// validation point) and returns its canonical key and the solver thunk
-// that executes it. The thunk routes through the structure-keyed plan
-// cache: a job whose structure was compiled before (under any
-// probabilities) evaluates the cached plan, everything else compiles
-// fresh and populates the cache. The returned bool is set by the thunk
-// when it served a plan-cache hit.
-func (e *Engine) prepare(job Job) (string, func(context.Context) (*core.Result, error), *bool, error) {
-	qs, _, key, structKey, canonOrder, err := jobKeys(job)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	planHit := new(bool)
-	run := func(ctx context.Context) (*core.Result, error) {
-		return e.runPlanned(ctx, structKey, canonOrder, job, qs, planHit)
-	}
-	return key, run, planHit, nil
-}
-
 // jobKeys validates the job (through Job.Disjuncts, the shared
 // validation point) and derives its canonical identities: the resolved
-// disjuncts, their sorted canonical encodings, the full memo key
-// (probabilities included), the structure key (probabilities stripped)
-// and the instance's canonical edge order. It is the single key
-// derivation shared by prepare and the instance registry.
-func jobKeys(job Job) (qs []*graph.Graph, canon []string, key, structKey string, canonOrder []int, err error) {
+// disjuncts, the full memo key (probabilities included), the structure
+// key (probabilities stripped) and the instance's canonical edge order.
+// It is the key derivation of a group of one and of the instance
+// registry.
+func jobKeys(job Job) (qs []*graph.Graph, key, structKey string, canonOrder []int, err error) {
 	qs, err = job.Disjuncts()
 	if err != nil {
-		return nil, nil, "", "", nil, err
+		return nil, "", "", nil, err
 	}
-	canon = make([]string, len(qs))
+	key, structKey, canonOrder = graphio.JobKeys(canonicalQueries(qs), job.Instance,
+		job.Opts.Fingerprint(), job.Opts.StructFingerprint())
+	return qs, key, structKey, canonOrder, nil
+}
+
+// canonicalQueries returns the sorted canonical encodings of the
+// disjuncts: disjunct order is irrelevant to the probability of a union.
+func canonicalQueries(qs []*graph.Graph) []string {
+	canon := make([]string, len(qs))
 	for i, q := range qs {
 		canon[i] = graphio.CanonicalGraph(q)
 	}
-	// Disjunct order is irrelevant to the probability of a union.
 	sort.Strings(canon)
-	key, structKey, canonOrder = graphio.JobKeys(canon, job.Instance,
-		job.Opts.Fingerprint(), job.Opts.StructFingerprint())
-	return qs, canon, key, structKey, canonOrder, nil
+	return canon
 }
 
-// runPlanned executes a job through the compile/evaluate pipeline:
-// acquirePlan supplies the structure's plan (cached or fresh), and the
-// job's own probabilities are evaluated against it.
-func (e *Engine) runPlanned(ctx context.Context, structKey string, canonOrder []int, job Job, qs []*graph.Graph, planHit *bool) (*core.Result, error) {
-	cp, hit, err := e.acquirePlan(ctx, structKey, canonOrder, qs, job.Instance, job.Opts)
-	if err != nil {
-		return nil, err
-	}
-	var probs []*big.Rat
-	if hit {
-		// The fresh-compile path validates probabilities inside
-		// core.Compile; mirror it so both paths fail identically.
-		if err := phomerr.Wrap(phomerr.CodeBadInput, job.Instance.Validate()); err != nil {
-			return nil, err
-		}
-		*planHit = true
-		probs = transportProbs(cp, canonOrder, job.Instance)
-	} else {
-		probs = job.Instance.Probs()
-	}
-	// The job's own options pick the numeric substrate: a cached plan is
-	// shared across precision modes.
-	res, err := cp.Evaluate(ctx, probs, job.Opts)
-	e.mu.Lock()
-	if hit {
-		e.stats.PlanHits++
-	}
-	if err == nil {
-		e.stats.countPrecision(job.Opts.EffectivePrecision(), res)
-	}
-	e.mu.Unlock()
-	return res, err
-}
-
-// acquirePlan returns the compiled plan for a job structure, shared by
-// single jobs (runPlanned) and batch groups (executeBatch): a plan-cache
-// hit (hit=true; evaluate with transportProbs), or a fresh compile of
-// qs against inst that then populates the cache (hit=false; inst's own
-// edge numbering is the plan's).
+// acquirePlan returns the compiled plan for a group's structure: a
+// plan-cache hit (hit=true; evaluate with transportProbs), or a fresh
+// compile of qs against inst that then populates the cache (hit=false;
+// inst's own edge numbering is the plan's).
 //
-// Compilation is deduplicated per structure: the singleflight table of
-// do() coalesces only byte-identical jobs (probabilities included), so
+// Compilation is deduplicated per structure: the engine's singleflight
+// table coalesces only byte-identical jobs (probabilities included), so
 // without this a cold burst of reweighted variants of one structure —
 // the dominant serving pattern — would compile the same plan once per
 // worker. A caller that finds its structure being compiled waits for
@@ -870,121 +804,6 @@ func transportProbs(cp *core.CompiledPlan, cur []int, h *graph.ProbGraph) []*big
 		probs[order[k]] = h.Prob(ei)
 	}
 	return probs
-}
-
-// do answers the keyed job from the cache, an in-flight identical call,
-// or a fresh execution on the worker pool, in that order. The second
-// return reports whether the call ran to completion (as opposed to
-// being abandoned because ctx fired first).
-func (e *Engine) do(ctx context.Context, key string, run func(context.Context) (*core.Result, error)) (JobResult, bool) {
-	for {
-		e.mu.Lock()
-		if res, ok := e.cache.Get(key); ok {
-			e.stats.CacheHits++
-			e.mu.Unlock()
-			return JobResult{Result: cloneResult(res), CacheHit: true}, true
-		}
-		// Coalesce only onto a call somebody is still waiting for. An
-		// abandoned call's context is already cancelled — joining it
-		// would hand this caller a cancellation it never asked for — so
-		// a fresh leader replaces it in the table (the old execution,
-		// if still running, aborts at its next checkpoint and its
-		// cleanup recognizes it was replaced).
-		if c, ok := e.inflight[key]; ok && !c.abandoned {
-			e.stats.Coalesced++
-			c.waiters++
-			e.mu.Unlock()
-			r, completed, retry := e.wait(ctx, c, true)
-			if retry {
-				continue // the leader withdrew before enqueueing; start over
-			}
-			return r, completed
-		}
-		// This call is the leader: it owns a fresh execution, run under
-		// a context derived from the engine's base context (so
-		// engine-level shutdown aborts it) and reference-counted over
-		// the waiters (so it is cancelled once nobody wants the answer
-		// anymore).
-		callCtx, cancel := context.WithCancel(e.baseCtx)
-		c := &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
-		e.inflight[key] = c
-		e.mu.Unlock()
-
-		task := func() {
-			c.res, c.err = run(callCtx)
-			cancel() // release the context's resources; idempotent
-			e.mu.Lock()
-			e.stats.Solved++
-			if c.err != nil {
-				e.stats.Errors++
-			} else if !c.abandoned {
-				// A short run can complete between its abandonment and
-				// its next checkpoint; honor the documented invariant
-				// that abandoned results never reach the cache.
-				e.cache.Add(key, c.res)
-			}
-			// Only remove the entry if it is still ours — an abandoned
-			// call may have been replaced by a fresh leader under the
-			// same key while this execution was winding down.
-			if cur, ok := e.inflight[key]; ok && cur == c {
-				delete(e.inflight, key)
-			}
-			e.mu.Unlock()
-			close(c.done)
-		}
-		// Hand the task to a worker, but do not let a caller whose
-		// context has fired sit in the queue: withdrawing here keeps
-		// the promptness contract even when every worker is busy.
-		select {
-		case e.jobs <- task:
-		case <-ctx.Done():
-			e.mu.Lock()
-			c.abandoned = true
-			if cur, ok := e.inflight[key]; ok && cur == c {
-				delete(e.inflight, key)
-			}
-			c.err = phomerr.FromContext(ctx)
-			e.stats.Canceled++
-			e.mu.Unlock()
-			cancel()
-			close(c.done) // waiters see abandoned and retry with a fresh leader
-			return JobResult{Err: c.err}, false
-		}
-		r, completed, _ := e.wait(ctx, c, false)
-		return r, completed
-	}
-}
-
-// wait blocks until the call completes or ctx fires, whichever comes
-// first. An abandoning waiter decrements the call's reference count
-// and cancels the execution when it was the last one interested. The
-// third return asks the caller to retry from scratch: the call's
-// leader withdrew before the task ever reached a worker, so no result
-// is coming, but this waiter's own context is still live.
-func (e *Engine) wait(ctx context.Context, c *call, shared bool) (JobResult, bool, bool) {
-	select {
-	case <-c.done:
-		if c.abandoned && shared {
-			return JobResult{}, false, true
-		}
-		if c.err != nil {
-			return JobResult{Err: c.err, Shared: shared}, true, false
-		}
-		return JobResult{Result: cloneResult(c.res), Shared: shared}, true, false
-	case <-ctx.Done():
-		e.mu.Lock()
-		c.waiters--
-		if c.waiters == 0 {
-			c.abandoned = true
-		}
-		last := c.waiters == 0
-		e.stats.Canceled++
-		e.mu.Unlock()
-		if last {
-			c.cancel()
-		}
-		return JobResult{Err: phomerr.FromContext(ctx), Shared: shared}, false, false
-	}
 }
 
 // cloneResult deep-copies a result so cache entries and singleflight

@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"context"
 	"math/big"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"phom/internal/core"
 	"phom/internal/gen"
@@ -295,27 +295,59 @@ func TestResultCacheWordBudget(t *testing.T) {
 	}
 }
 
-// TestSingleflightCoalescing drives the internal do() with a controlled
-// slow call, so coalescing is deterministic rather than timing-dependent.
+// holdWorkers occupies n workers with tasks that block until the
+// returned release is called, so a job submitted meanwhile stays in
+// flight — registered, not yet executed — for as long as a test needs.
+// release is idempotent; defer it after Close so it runs first.
+func holdWorkers(e *Engine, n int) (release func()) {
+	gate := make(chan struct{})
+	for i := 0; i < n; i++ {
+		e.jobs <- func() { <-gate }
+	}
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
+// awaitEngine polls the engine until cond holds of its in-flight call
+// count and counters, failing the test after a generous deadline
+// instead of hanging when the state never comes.
+func awaitEngine(t *testing.T, e *Engine, what string, cond func(inflight int, s Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		e.mu.Lock()
+		n := len(e.inflight)
+		e.mu.Unlock()
+		if cond(n, e.Stats()) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSingleflightCoalescing holds the only worker, so the leader's call
+// stays in flight while the followers arrive: coalescing is
+// deterministic rather than timing-dependent.
 func TestSingleflightCoalescing(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	want := &core.Result{Prob: big.NewRat(1, 3), Method: core.MethodBruteForce}
+	release := holdWorkers(e, 1)
+	defer release()
+	h := graph.NewProbGraph(graph.Path1WP("R"))
+	h.MustSetEdgeProb(0, 1, graph.Rat("1/3"))
+	job := Job{Query: graph.Path1WP("R"), Instance: h}
 
 	var leader JobResult
 	var leaderWG sync.WaitGroup
 	leaderWG.Add(1)
 	go func() {
 		defer leaderWG.Done()
-		leader, _ = e.do(context.Background(), "key", func(context.Context) (*core.Result, error) {
-			close(started)
-			<-block
-			return want, nil
-		})
+		leader = e.Do(job)
 	}()
-	<-started // the call is now in flight on the only worker
+	awaitEngine(t, e, "the leader's call", func(n int, _ Stats) bool { return n == 1 })
 
 	const followers = 3
 	results := make([]JobResult, followers)
@@ -324,20 +356,12 @@ func TestSingleflightCoalescing(t *testing.T) {
 	for i := 0; i < followers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = e.do(context.Background(), "key", func(context.Context) (*core.Result, error) {
-				t.Error("coalesced job must not execute")
-				return want, nil
-			})
+			results[i] = e.Do(job)
 		}(i)
 	}
 	// Wait until every follower is registered as coalesced, then release.
-	for {
-		if st := e.Stats(); st.Coalesced == followers {
-			break
-		}
-		runtime.Gosched()
-	}
-	close(block)
+	awaitEngine(t, e, "the followers to coalesce", func(_ int, s Stats) bool { return s.Coalesced == followers })
+	release()
 	leaderWG.Wait()
 	wg.Wait()
 

@@ -166,29 +166,59 @@ func (e *Engine) evictLocked(ent *instEntry) {
 // SolveBatch as usual. The snapshot's version is returned so callers
 // can report which version answered.
 func (e *Engine) InstanceJob(id string, job Job) (Job, uint64, error) {
+	jobs, version, err := e.InstanceJobs(id, []Job{job})
+	if err != nil {
+		return Job{}, 0, err
+	}
+	if _, err := jobs[0].Disjuncts(); err != nil {
+		return Job{}, 0, err
+	}
+	return jobs[0], version, nil
+}
+
+// InstanceJobs is InstanceJob for a batch: it binds every job to one
+// snapshot, so all of them answer the same version even while deltas
+// commit concurrently, and returns that version. A job that fails
+// validation (no query) is bound but not tracked; running it fails
+// with the typed error InstanceJob reports for it.
+func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	e.mu.Lock()
 	ent, ok := e.instances[id]
 	e.mu.Unlock()
 	if !ok {
-		return Job{}, 0, ErrNoInstance
+		return nil, 0, ErrNoInstance
 	}
 	snap := ent.inst.Snapshot()
-	job.Instance = snap.H
-	qs, _, key, structKey, _, err := jobKeys(job)
-	if err != nil {
-		return Job{}, 0, err
+	bound := make([]Job, len(jobs))
+	keys := make([]string, 0, len(jobs))
+	plans := make(map[string]*trackedPlan)
+	for i, job := range jobs {
+		job.Instance = snap.H
+		bound[i] = job
+		qs, key, structKey, _, err := jobKeys(job)
+		if err != nil {
+			continue
+		}
+		keys = append(keys, key)
+		if _, dup := plans[structKey]; !dup {
+			plans[structKey] = &trackedPlan{qs: qs, opts: job.Opts, g: snap.H.G}
+		}
 	}
 	e.mu.Lock()
 	// Re-check liveness under the lock: a concurrent DeleteInstance
 	// must not see its eviction silently undone by this tracking write.
 	if cur, still := e.instances[id]; still && cur == ent {
-		ent.results[key] = struct{}{}
-		if _, tracked := ent.plans[structKey]; !tracked {
-			ent.plans[structKey] = &trackedPlan{qs: qs, opts: job.Opts, g: snap.H.G}
+		for _, key := range keys {
+			ent.results[key] = struct{}{}
+		}
+		for structKey, tp := range plans {
+			if _, tracked := ent.plans[structKey]; !tracked {
+				ent.plans[structKey] = tp
+			}
 		}
 	}
 	e.mu.Unlock()
-	return job, snap.Version, nil
+	return bound, snap.Version, nil
 }
 
 // ApplyDelta applies a batch of deltas to the named instance (see

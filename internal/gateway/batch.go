@@ -60,7 +60,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			serve.WriteTypedError(w, errUnavailable("no backend alive for shard"))
 			return
 		}
-		if _, ferr := g.forward(w, r, b, body, 0); ferr != nil {
+		if ferr := g.forward(w, r, b, body, 0); ferr != nil {
 			serve.WriteTypedError(w, errUnavailable("backend unreachable: "+ferr.Error()))
 		}
 		return

@@ -1,7 +1,7 @@
 // Package gateway implements phomgate's routing core: a consistent-hash
 // front over N phomserve replicas.
 //
-// Jobs are placed by graphio.StructKey (via serve.RouteJob), so every
+// Jobs are placed by graphio.StructKey (via serve.RouteCache), so every
 // reweight of one structure lands on the replica whose plan cache
 // compiled it — sharding multiplies the caches instead of diluting
 // them. The ring (internal/ring) identifies replicas by index with

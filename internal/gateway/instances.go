@@ -124,7 +124,7 @@ func (g *Gateway) forwardInstance(w http.ResponseWriter, r *http.Request, id str
 		}
 		defer b.ledger.Release(units)
 	}
-	if _, err := g.forward(w, r, b, body, units); err != nil {
+	if err := g.forward(w, r, b, body, units); err != nil {
 		serve.WriteTypedError(w, errUnavailable("backend unreachable: "+err.Error()))
 	}
 }

@@ -69,8 +69,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer b.ledger.Release(units)
-	status, err := g.forward(w, r, b, body, units)
-	if err != nil {
+	if err := g.forward(w, r, b, body, units); err != nil {
 		// A connection error means no backend byte reached the client,
 		// so the hop is safe to replay: retry once against the next
 		// live owner before shedding with the typed 503. (A typed
@@ -78,14 +77,12 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		if nb := g.pickOther(info.Key, b); nb != nil && nb.ledger.Admit(units) {
 			g.retries.Add(1)
 			defer nb.ledger.Release(units)
-			if _, rerr := g.forward(w, r, nb, body, units); rerr == nil {
+			if rerr := g.forward(w, r, nb, body, units); rerr == nil {
 				return
 			}
 		}
 		serve.WriteTypedError(w, errUnavailable("backend unreachable: "+err.Error()))
-		return
 	}
-	_ = status
 }
 
 // pickOther returns the first alive owner of key other than not, or
@@ -106,17 +103,15 @@ func (g *Gateway) pickOther(key string, not *backend) *backend {
 // error before any byte reached the client is returned for the caller
 // to surface as a typed 503 and counts toward the backend's probe
 // failures so a crashed replica is ejected without waiting for the
-// next probe tick.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, b *backend, body []byte, units float64) (int, error) {
-	select {
-	case b.sem <- struct{}{}:
-	case <-r.Context().Done():
-		serve.WriteTypedError(w, phomerr.Wrap(phomerr.CodeCanceled, r.Context().Err()))
-		return serve.StatusClientClosedRequest, nil
+// next probe tick. A request cancelled while queued for an in-flight
+// slot is answered with the typed cancellation error.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, b *backend, body []byte, units float64) error {
+	release, err := g.acquire(r.Context(), b)
+	if err != nil {
+		serve.WriteTypedError(w, phomerr.Wrap(phomerr.CodeCanceled, err))
+		return nil
 	}
-	defer func() { <-b.sem }()
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
+	defer release()
 
 	url := b.url + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -124,7 +119,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, b *backend, bo
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 	// The ingress id (minted by instrument when the client sent none)
@@ -135,7 +130,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, b *backend, bo
 	resp, err := b.client.Do(req)
 	if err != nil {
 		g.noteTransportFailure(b)
-		return 0, err
+		return err
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -152,7 +147,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, b *backend, bo
 	if resp.StatusCode == http.StatusOK {
 		g.model.Observe(units, time.Since(start))
 	}
-	return resp.StatusCode, nil
+	return nil
 }
 
 // noteTransportFailure charges a connection-level error against the

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -269,56 +270,59 @@ func (s *Server) handleInstanceBatch(w http.ResponseWriter, r *http.Request, id 
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// Resolve the snapshot once so every job of the batch answers the
-	// same version even under concurrent deltas; fail the whole batch
-	// only when the instance itself is gone.
 	if _, ok := s.engine.Instance(id); !ok {
 		writeNoInstance(w, id)
 		return
 	}
-	var version uint64
-	s.serveBatch(w, r, req, func(jr SolveRequest) (engine.Job, *VerdictResponse, error) {
-		job, err := s.resolveInstanceJob(id, &jr)
+	if !checkBatchSize(w, len(req.Jobs)) {
+		return
+	}
+	// Bind every well-formed job to one snapshot, so the whole batch
+	// answers the version the header names even under concurrent
+	// deltas; fail the whole batch only when the instance itself is gone.
+	b := newParsedBatch(len(req.Jobs))
+	var skeletons []engine.Job
+	var at []int
+	for i := range req.Jobs {
+		job, err := s.instanceSkeleton(&req.Jobs[i])
 		if err != nil {
-			return engine.Job{}, nil, err
+			b.errs[i] = err
+			continue
 		}
-		if v := job.version; version == 0 {
-			version = v
-		}
-		return job.Job, predicted(job.Job), nil
-	})
+		skeletons = append(skeletons, job)
+		at = append(at, i)
+	}
+	bound, version, err := s.engine.InstanceJobs(id, skeletons)
+	if err != nil {
+		writeNoInstance(w, id)
+		return
+	}
+	for k, i := range at {
+		b.jobs[i], b.verdicts[i] = bound[k], predicted(bound[k])
+	}
+	w.Header().Set(InstanceVersionHeader, strconv.FormatUint(version, 10))
+	s.serveBatch(w, r, b)
 }
 
-// versionedJob carries the snapshot version alongside the resolved job.
-type versionedJob struct {
-	engine.Job
-	version uint64
-}
-
-// resolveInstanceJob parses the instance-less request skeleton and
-// binds it to the instance's current snapshot through the engine's
-// tracking registry.
-func (s *Server) resolveInstanceJob(id string, req *SolveRequest) (versionedJob, error) {
+// instanceSkeleton parses an instance-scoped request: a solve request
+// with no instance field, whose instance the live snapshot supplies.
+func (s *Server) instanceSkeleton(req *SolveRequest) (engine.Job, error) {
 	if req.Instance != nil || req.InstanceText != "" {
-		return versionedJob{}, fmt.Errorf("instance-scoped request must not carry an instance field")
+		return engine.Job{}, fmt.Errorf("instance-scoped request must not carry an instance field")
 	}
-	job, err := req.jobSkeleton(s.defPrec, s.defTol)
-	if err != nil {
-		return versionedJob{}, err
-	}
-	job, version, err := s.engine.InstanceJob(id, job)
-	if err != nil {
-		return versionedJob{}, err
-	}
-	return versionedJob{Job: job, version: version}, nil
+	return req.jobSkeleton(s.defPrec, s.defTol)
 }
 
-// instanceJob is resolveInstanceJob with the error handling of the
-// single-job endpoints: 404 for a missing instance, typed 400 for a
-// malformed request, and the snapshot version stamped on the response
-// headers.
+// instanceJob binds an instance-scoped request to the instance's
+// current snapshot with the error handling of the single-job
+// endpoints: 404 for a missing instance, typed 400 for a malformed
+// request, and the snapshot version stamped on the response headers.
 func (s *Server) instanceJob(w http.ResponseWriter, id string, req *SolveRequest) (engine.Job, bool) {
-	vj, err := s.resolveInstanceJob(id, req)
+	job, err := s.instanceSkeleton(req)
+	var version uint64
+	if err == nil {
+		job, version, err = s.engine.InstanceJob(id, job)
+	}
 	if err != nil {
 		if errors.Is(err, engine.ErrNoInstance) {
 			writeNoInstance(w, id)
@@ -327,8 +331,8 @@ func (s *Server) instanceJob(w http.ResponseWriter, id string, req *SolveRequest
 		WriteTypedError(w, phomerr.Wrap(phomerr.CodeBadInput, err))
 		return engine.Job{}, false
 	}
-	w.Header().Set(InstanceVersionHeader, fmt.Sprintf("%d", vj.version))
-	return vj.Job, true
+	w.Header().Set(InstanceVersionHeader, strconv.FormatUint(version, 10))
+	return job, true
 }
 
 func parseDeltas(ops []DeltaOp) ([]instance.Delta, error) {

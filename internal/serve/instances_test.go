@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/big"
 	"net/http"
+	"strconv"
 	"testing"
 )
 
@@ -368,5 +371,90 @@ func TestInstanceReweightAndBatch(t *testing.T) {
 	}
 	if len(br.Results) != 1 || br.Results[0].Error == "" {
 		t.Fatalf("inline-instance batch job should fail per-job: %s", body)
+	}
+}
+
+// TestInstanceBatchBindsOneSnapshot: an instance batch answers one
+// snapshot and names it. While deltas commit concurrently, every batch
+// response carries the version header, and every result equals what an
+// instance /solve returns at that version.
+func TestInstanceBatchBindsOneSnapshot(t *testing.T) {
+	ts := newTestServer(t)
+	createLiveInstance(t, ts.URL, "snap")
+	// Delta v sets p01 to 1/(v+2), so version v has p01 = 1/(v+1) (the
+	// created version 1 included) and, with p12 = 1/3, the /solve answer
+	// 1 − (1 − p01)·(2/3).
+	answer := func(v uint64) string {
+		miss := new(big.Rat).Sub(big.NewRat(1, 1), big.NewRat(1, int64(v)+1))
+		miss.Mul(miss, big.NewRat(2, 3))
+		return miss.Sub(big.NewRat(1, 1), miss).RatString()
+	}
+	const deltas = 40
+	committed := make(chan error, 1)
+	go func() {
+		for v := int64(1); v <= deltas; v++ {
+			b, _ := json.Marshal(DeltaRequest{
+				IfVersion: &v,
+				Deltas:    []DeltaOp{{Op: "set_prob", Edge: "0>1", Prob: fmt.Sprintf("1/%d", v+2)}},
+			})
+			resp, err := http.Post(ts.URL+"/instances/snap/delta", "application/json", bytes.NewReader(b))
+			if err != nil {
+				committed <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				committed <- fmt.Errorf("delta %d: status %d", v, resp.StatusCode)
+				return
+			}
+		}
+		committed <- nil
+	}()
+
+	jobs := make([]SolveRequest, 8)
+	for i := range jobs {
+		jobs[i] = SolveRequest{QueryText: oneEdgeQueryText}
+	}
+	batch := func() uint64 {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/instances/snap/batch", BatchRequest{Jobs: jobs})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
+		}
+		v, err := strconv.ParseUint(resp.Header.Get(InstanceVersionHeader), 10, 64)
+		if err != nil {
+			t.Fatalf("batch %s header %q: %v", InstanceVersionHeader, resp.Header.Get(InstanceVersionHeader), err)
+		}
+		var br BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range br.Results {
+			if r.Prob != answer(v) {
+				t.Fatalf("batch at version %d: job %d prob %q, want %q", v, i, r.Prob, answer(v))
+			}
+		}
+		return v
+	}
+	for done := false; !done; {
+		select {
+		case err := <-committed:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+			batch()
+		}
+	}
+	// Quiescent: the batch and an instance /solve name the same version
+	// and give the same answer.
+	v := batch()
+	resp, sr := solveLive(t, ts.URL, "snap")
+	if got := resp.Header.Get(InstanceVersionHeader); got != strconv.FormatUint(v, 10) || v != deltas+1 {
+		t.Fatalf("batch version %d, solve version %s, want %d", v, got, deltas+1)
+	}
+	if sr.Prob != answer(v) {
+		t.Fatalf("solve at version %d: prob %q, want %q", v, sr.Prob, answer(v))
 	}
 }

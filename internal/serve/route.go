@@ -215,7 +215,10 @@ func (c *RouteCache) Route(raw []byte) RouteInfo {
 	return info
 }
 
-// Batch is RouteBatch through the cache.
+// Batch splits a /batch body into its per-job raw messages and routes
+// each through the cache. The raw job bytes are preserved verbatim so
+// the gateway's per-shard sub-batches re-marshal each job untouched —
+// the backends parse exactly what the client sent.
 func (c *RouteCache) Batch(raw []byte) (jobs []json.RawMessage, infos []RouteInfo, err error) {
 	jobs, err = splitBatch(raw)
 	if err != nil {
@@ -250,22 +253,6 @@ func routeFingerprint(req *SolveRequest) string {
 	section("instance", req.Instance)
 	section("instance_text", []byte(req.InstanceText))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// RouteBatch splits a /batch body into its per-job raw messages and
-// their RouteInfos. The raw job bytes are preserved verbatim so the
-// gateway's per-shard sub-batches re-marshal each job untouched — the
-// backends parse exactly what the client sent.
-func RouteBatch(raw []byte) (jobs []json.RawMessage, infos []RouteInfo, err error) {
-	jobs, err = splitBatch(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	infos = make([]RouteInfo, len(jobs))
-	for i, j := range jobs {
-		infos[i] = RouteJob(j)
-	}
-	return jobs, infos, nil
 }
 
 func splitBatch(raw []byte) ([]json.RawMessage, error) {

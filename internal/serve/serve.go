@@ -170,7 +170,8 @@ type BatchResponse struct {
 	Results []SolveResponse `json:"results"`
 	Stats   engine.Stats    `json:"stats"`
 	// ElapsedUS is the wall-clock time of the whole batch; each
-	// result's elapsed_us is that job's own latency.
+	// result's elapsed_us is completion-order latency, the time from the
+	// start of the batch to that job's completion.
 	ElapsedUS int64 `json:"elapsed_us"`
 }
 
@@ -576,29 +577,17 @@ func (s *Server) reweightBatch(w http.ResponseWriter, r *http.Request, job engin
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("probs_batch has %d vectors, limit is %d", len(vecs), MaxBatchJobs))
 		return
 	}
-	jobs := make([]engine.Job, len(vecs))
+	b := newParsedBatch(len(vecs))
 	for k, pm := range vecs {
 		inst, err := applyProbs(job.Instance, pm)
 		if err != nil {
 			WriteError(w, http.StatusBadRequest, fmt.Sprintf("probs_batch[%d]: %v", k, err))
 			return
 		}
-		lane := job
-		lane.Instance = inst
-		jobs[k] = lane
+		b.jobs[k], b.verdicts[k] = job, verdict
+		b.jobs[k].Instance = inst
 	}
-	start := time.Now()
-	results := make([]SolveResponse, len(jobs))
-	for sr := range s.engine.Stream(r.Context(), jobs) {
-		// elapsed_us is completion-order latency (batch start to this
-		// lane's delivery), matching the streamed /batch convention.
-		results[sr.Index] = buildResponse(verdict, sr.JobResult, time.Since(start))
-	}
-	WriteJSON(w, http.StatusOK, BatchResponse{
-		Results:   results,
-		Stats:     s.engine.Stats(),
-		ElapsedUS: time.Since(start).Microseconds(),
-	})
+	s.bufferBatch(w, r, b)
 }
 
 // handlePlansExport streams a snapshot of the engine's compiled-plan
@@ -661,57 +650,87 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) || !checkBatchSize(w, len(req.Jobs)) {
 		return
 	}
-	s.serveBatch(w, r, req, func(jr SolveRequest) (engine.Job, *VerdictResponse, error) {
-		return s.parseJob(&jr)
-	})
+	b := newParsedBatch(len(req.Jobs))
+	for i := range req.Jobs {
+		b.jobs[i], b.verdicts[i], b.errs[i] = s.parseJob(&req.Jobs[i])
+	}
+	s.serveBatch(w, r, b)
 }
 
-// serveBatch runs a parsed batch request with toJob resolving each wire
-// job and its verdict. The indirection is what lets
-// /instances/{id}/batch reuse the whole batch machinery (validation,
-// streaming, per-job accounting) with jobs bound to a live instance
-// snapshot instead of an inline instance field.
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req BatchRequest, toJob func(SolveRequest) (engine.Job, *VerdictResponse, error)) {
-	if len(req.Jobs) == 0 {
+// checkBatchSize answers 400 for an empty batch or one over
+// MaxBatchJobs, and reports whether a batch of n jobs may proceed.
+func checkBatchSize(w http.ResponseWriter, n int) bool {
+	if n == 0 {
 		WriteError(w, http.StatusBadRequest, "batch has no jobs")
-		return
+		return false
 	}
-	if len(req.Jobs) > MaxBatchJobs {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch has %d jobs, limit is %d", len(req.Jobs), MaxBatchJobs))
-		return
+	if n > MaxBatchJobs {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch has %d jobs, limit is %d", n, MaxBatchJobs))
+		return false
 	}
+	return true
+}
+
+// parsedBatch is a batch resolved job by job: each wire job became
+// either an engine job with its verdict, or the error (errs[i]) that
+// keeps it from the engine. /batch resolves jobs against their inline
+// instances, /instances/{id}/batch against one instance snapshot.
+type parsedBatch struct {
+	jobs     []engine.Job
+	verdicts []*VerdictResponse
+	errs     []error
+}
+
+func newParsedBatch(n int) parsedBatch {
+	return parsedBatch{jobs: make([]engine.Job, n), verdicts: make([]*VerdictResponse, n), errs: make([]error, n)}
+}
+
+// serveBatch answers a resolved batch, buffered into one BatchResponse
+// or, on request, streamed as NDJSON.
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, b parsedBatch) {
 	if streamRequested(r) {
-		s.streamBatch(w, r, req, toJob)
+		s.streamBatch(w, r, b)
 		return
 	}
-	// Parse every job first; parse failures surface per job, and only
-	// well-formed jobs reach the engine. Each job is timed individually
-	// (runJob), so elapsed_us is that job's latency, not the batch's;
-	// the engine's worker pool bounds the actual compute concurrency.
-	results := make([]SolveResponse, len(req.Jobs))
+	s.bufferBatch(w, r, b)
+}
+
+// bufferBatch answers a resolved batch with one BatchResponse.
+func (s *Server) bufferBatch(w http.ResponseWriter, r *http.Request, b parsedBatch) {
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i, jr := range req.Jobs {
-		job, verdict, err := toJob(jr)
-		if err != nil {
-			results[i] = parseFailure(err)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, job engine.Job) {
-			defer wg.Done()
-			results[i], _ = s.runJob(r.Context(), job, verdict)
-		}(i, job)
-	}
-	wg.Wait()
+	results := make([]SolveResponse, len(b.jobs))
+	s.runBatch(r.Context(), b, start, func(i int, resp SolveResponse) { results[i] = resp })
 	WriteJSON(w, http.StatusOK, BatchResponse{
 		Results:   results,
 		Stats:     s.engine.Stats(),
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
+}
+
+// runBatch reports every job's response through emit: the parse
+// failures first, then the well-formed jobs in completion order. Those
+// run as one engine.Stream call, so jobs that share a structure (the
+// structure cache hands them one graph value) group into one batched
+// dispatch. A response's elapsed_us is completion-order latency from
+// start.
+func (s *Server) runBatch(ctx context.Context, b parsedBatch, start time.Time, emit func(i int, resp SolveResponse)) {
+	jobs := make([]engine.Job, 0, len(b.jobs))
+	idx := make([]int, 0, len(b.jobs)) // engine-stream position → job index
+	for i, err := range b.errs {
+		if err != nil {
+			emit(i, parseFailure(err))
+			continue
+		}
+		jobs = append(jobs, b.jobs[i])
+		idx = append(idx, i)
+	}
+	for sr := range s.engine.Stream(ctx, jobs) {
+		i := idx[sr.Index]
+		emit(i, buildResponse(b.verdicts[i], sr.JobResult, time.Since(start)))
+	}
 }
 
 // streamRequested reports whether a /batch request opted into NDJSON
@@ -753,26 +772,9 @@ type StreamTrailer struct {
 // and the server never buffers the full result slice; cancelling the
 // request (client disconnect) aborts the remaining jobs at their next
 // cooperative checkpoint.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, req BatchRequest, toJob func(SolveRequest) (engine.Job, *VerdictResponse, error)) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, b parsedBatch) {
 	start := time.Now()
 	reqID := r.Header.Get(RequestIDHeader) // set by instrument when absent
-	// Parse first: malformed jobs yield immediate error lines and never
-	// reach the engine; idx maps engine-stream positions back to the
-	// caller's job numbering.
-	jobs := make([]engine.Job, 0, len(req.Jobs))
-	verdicts := make([]*VerdictResponse, 0, len(req.Jobs))
-	idx := make([]int, 0, len(req.Jobs))
-	parseFailures := make([]StreamLine, 0)
-	for i, jr := range req.Jobs {
-		job, verdict, err := toJob(jr)
-		if err != nil {
-			parseFailures = append(parseFailures, StreamLine{Index: i, SolveResponse: parseFailure(err), RequestID: reqID})
-			continue
-		}
-		jobs = append(jobs, job)
-		verdicts = append(verdicts, verdict)
-		idx = append(idx, i)
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
@@ -783,16 +785,12 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, req BatchRe
 			flusher.Flush()
 		}
 	}
-	for _, line := range parseFailures {
-		emit(line)
-	}
-	for sr := range s.engine.Stream(r.Context(), jobs) {
-		resp := buildResponse(verdicts[sr.Index], sr.JobResult, time.Since(start))
-		emit(StreamLine{Index: idx[sr.Index], SolveResponse: resp, RequestID: reqID})
-	}
+	s.runBatch(r.Context(), b, start, func(i int, resp SolveResponse) {
+		emit(StreamLine{Index: i, SolveResponse: resp, RequestID: reqID})
+	})
 	emit(StreamTrailer{
 		Done:      true,
-		Jobs:      len(req.Jobs),
+		Jobs:      len(b.jobs),
 		Stats:     s.engine.Stats(),
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
