@@ -467,15 +467,11 @@ func ablationChain() (*betadnf.ChainSystem, []*big.Rat, *plan.Program, []*big.Ra
 	if err != nil {
 		panic(err)
 	}
-	p, err := plan.Path1WPOnDWT(q, h)
+	cp, err := core.Compile(q, h, nil)
 	if err != nil {
 		panic(err)
 	}
-	prog, err := plan.LowerContext(context.Background(), p, h.G.NumEdges())
-	if err != nil {
-		panic(err)
-	}
-	return lin.System, lin.Probs, prog, h.Probs()
+	return lin.System, lin.Probs, cp.Program(), h.Probs()
 }
 
 func BenchmarkAblation_RatDP(b *testing.B) {

@@ -56,6 +56,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"os"
@@ -195,8 +196,7 @@ func experiments() []experimentDef {
 func main() {
 	flag.Parse()
 	if *diffMode {
-		runDiff(flag.Args())
-		return
+		os.Exit(runDiff(flag.Args(), os.Stdout, os.Stderr))
 	}
 	var re *regexp.Regexp
 	if *runFilter != "" {
@@ -270,25 +270,40 @@ func runOne(fn func(*E), e *E) (err error) {
 	return nil
 }
 
-func runDiff(args []string) {
+// runDiff prints the comparison of two BENCH records and returns the
+// process exit code: 0 when the records agree on every stable field
+// (timing deltas are advisory), 1 when a value, counter or metric set
+// differs or a record cannot be read, 2 on a usage error.
+func runDiff(args []string, stdout, stderr io.Writer) int {
 	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: phombench -diff a.json b.json")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: phombench -diff a.json b.json")
+		return 2
 	}
 	a, err := benchrec.Load(args[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "phombench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "phombench:", err)
+		return 1
 	}
 	b, err := benchrec.Load(args[1])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "phombench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "phombench:", err)
+		return 1
 	}
-	if err := benchrec.FormatDiff(os.Stdout, a, b); err != nil {
-		fmt.Fprintln(os.Stderr, "phombench:", err)
-		os.Exit(1)
+	if err := benchrec.FormatDiff(stdout, a, b); err != nil {
+		fmt.Fprintln(stderr, "phombench:", err)
+		return 1
 	}
+	stable := 0
+	for _, d := range benchrec.Diff(a, b) {
+		if d.Stable() {
+			stable++
+		}
+	}
+	if stable > 0 {
+		fmt.Fprintf(stderr, "phombench: %d stable deltas\n", stable)
+		return 1
+	}
+	return 0
 }
 
 // sizes yields a doubling sweep up to maxN.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"phom/internal/benchrec"
@@ -115,6 +117,51 @@ func TestExperimentRegistry(t *testing.T) {
 	for i := 1; i <= 26; i++ {
 		if id := fmt.Sprintf("E%d", i); !seen[id] {
 			t.Errorf("experiment %s not registered", id)
+		}
+	}
+}
+
+// TestRunDiffExitCode: -diff exits non-zero exactly when two records
+// differ in their stable tier. A self-diff and a timing-only delta exit
+// 0; a pair differing in one counter exits 1.
+func TestRunDiffExitCode(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, plans, elapsed int64) string {
+		t.Helper()
+		rec := benchrec.NewRecorder(1, map[string]string{"maxn": "64"})
+		rec.Begin("E99", "diff fixture")
+		rec.Add("E99", benchrec.Metric{
+			Name:      "fixture",
+			Value:     "match=true",
+			Counters:  map[string]int64{"plan_hits": plans},
+			ElapsedUS: elapsed,
+		})
+		var buf bytes.Buffer
+		if err := benchrec.Encode(&buf, rec.Runs()[0]); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a := write("a.json", 16, 100)
+	slower := write("slower.json", 16, 250)
+	counter := write("counter.json", 12, 100)
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"self", []string{a, a}, 0},
+		{"timing only", []string{a, slower}, 0},
+		{"counter", []string{a, counter}, 1},
+		{"usage", []string{a}, 2},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := runDiff(tc.args, &stdout, &stderr); got != tc.want {
+			t.Errorf("%s: exit %d, want %d\nstdout:\n%sstderr:\n%s", tc.name, got, tc.want, stdout.String(), stderr.String())
 		}
 	}
 }

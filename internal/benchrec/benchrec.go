@@ -204,6 +204,10 @@ type Delta struct {
 	A, B string
 }
 
+// Stable reports whether the delta is in a record's stable tier: every
+// kind but timing, which is advisory (wall clock varies run to run).
+func (d Delta) Stable() bool { return d.Kind != "timing" }
+
 // Diff compares two records metric by metric (matched by Name):
 // stable-value and counter changes, relative timing deltas, and
 // metrics present on only one side. Diffing records of different

@@ -11,6 +11,19 @@ import (
 	"phom/internal/plan"
 )
 
+// routePlan compiles qs on h with the cell compiler of the guard-table
+// route for method m, bypassing the route's guard.
+func routePlan(t *testing.T, m Method, qs UCQ, h *graph.ProbGraph) (plan.Plan, error) {
+	t.Helper()
+	for i := range solveRoutes {
+		if solveRoutes[i].method == m {
+			return solveRoutes[i].compile(qs, h)
+		}
+	}
+	t.Fatalf("no route for %v", m)
+	return nil, nil
+}
+
 // cellProb evaluates one cell compiler's plan the way Compile's guard
 // table does — sealed (lowered to the Program IR) and evaluated exactly
 // — against h's own probabilities.
@@ -39,10 +52,11 @@ func TestTwoIndependentAlgorithmsAgreeOnDWT(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
 		h := gen.RandProb(r, gen.RandDWT(r, 2+r.Intn(20), nil), 0.3)
-		m := r.Intn(7)
-		chain, err := plan.DirectedPathOnDWTs(h, m)
+		m := 1 + r.Intn(6)
+		q := UCQ{graph.UnlabeledPath(m)}
+		chain, err := routePlan(t, MethodGradedDWT, q, h)
 		viaChain := cellProb(t, chain, err, h)
-		automaton, err := plan.DirectedPathOnPolytrees(h, m)
+		automaton, err := routePlan(t, MethodAutomatonPT, q, h)
 		viaAutomaton := cellProb(t, automaton, err, h)
 		if viaChain.Cmp(viaAutomaton) != 0 {
 			t.Fatalf("chain DP %s vs automaton %s (m=%d)\nh=%v",
@@ -89,10 +103,10 @@ func TestAlgorithmsRejectWrongClasses(t *testing.T) {
 	poly.MustAddEdge(2, 1, graph.Unlabeled)
 	hPoly := graph.NewProbGraph(poly)
 
-	if _, err := plan.Path1WPOnDWT(graph.UnlabeledPath(2), hPoly); err == nil {
+	if _, err := routePlan(t, MethodBetaAcyclicDWT, UCQ{graph.UnlabeledPath(2)}, hPoly); err == nil {
 		t.Fatal("Prop 4.10 accepted a non-DWT instance")
 	}
-	if _, err := plan.DirectedPathOnDWTs(hPoly, 2); err == nil {
+	if _, err := routePlan(t, MethodGradedDWT, UCQ{graph.UnlabeledPath(2)}, hPoly); err == nil {
 		t.Fatal("Prop 3.6 accepted a non-⊔DWT instance")
 	}
 	tri := graph.New(3)
@@ -100,14 +114,14 @@ func TestAlgorithmsRejectWrongClasses(t *testing.T) {
 	tri.MustAddEdge(1, 2, graph.Unlabeled)
 	tri.MustAddEdge(0, 2, graph.Unlabeled)
 	hTri := graph.NewProbGraph(tri)
-	if _, err := plan.DirectedPathOnPolytrees(hTri, 2); err == nil {
+	if _, err := routePlan(t, MethodAutomatonPT, UCQ{graph.UnlabeledPath(2)}, hTri); err == nil {
 		t.Fatal("Prop 5.4 accepted a non-polytree instance")
 	}
-	if _, err := plan.ConnectedOn2WP(graph.UnlabeledPath(1), hTri); err == nil {
+	if _, err := routePlan(t, MethodXProperty2WP, UCQ{graph.UnlabeledPath(1)}, hTri); err == nil {
 		t.Fatal("Prop 4.11 accepted a non-2WP instance")
 	}
 	for _, rt := range solveRoutes {
-		if rt.method == MethodAutomatonPT && rt.applies(tri, hPoly, true) {
+		if rt.method == MethodAutomatonPT && rt.applies(UCQ{tri}, hPoly, true) {
 			t.Fatal("Prop 5.5 accepted a non-⊔DWT query")
 		}
 	}
@@ -209,7 +223,7 @@ func TestLemma37Decomposition(t *testing.T) {
 		u, _ := graph.DisjointUnion(parts...)
 		h := gen.RandProb(r, u, 0.3)
 		m := 1 + r.Intn(4)
-		p, err := plan.DirectedPathOnPolytrees(h, m)
+		p, err := routePlan(t, MethodAutomatonPT, UCQ{graph.UnlabeledPath(m)}, h)
 		got := cellProb(t, p, err, h)
 		want := BruteForce(graph.UnlabeledPath(m), h)
 		if got.Cmp(want) != 0 {
@@ -225,7 +239,7 @@ func TestFloatDPDriftBounded(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		h := gen.RandProb(r, gen.RandDWT(r, 50, nil), 0.3)
 		m := 1 + r.Intn(4)
-		p, err := plan.DirectedPathOnDWTs(h, m)
+		p, err := routePlan(t, MethodGradedDWT, UCQ{graph.UnlabeledPath(m)}, h)
 		exact := cellProb(t, p, err, h)
 		// Rebuild the chain system for the float evaluation.
 		res, err := Solve(graph.UnlabeledPath(m), h, &Options{DisableFallback: true})

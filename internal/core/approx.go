@@ -89,42 +89,28 @@ func (cp *CompiledPlan) evaluateApprox(ctx context.Context, probs []*big.Rat, po
 	}, nil
 }
 
-// cqLineageExtract returns the lineage extraction of a single
-// conjunctive query: the MatchLineage DNF over the instance's edge
-// indices, capped at matchLimit enumerated matches.
-func cqLineageExtract(q *graph.Graph, g *graph.Graph, matchLimit int) func(context.Context) (*boolform.DNF, error) {
-	return func(ctx context.Context) (*boolform.DNF, error) {
-		return MatchLineageContext(ctx, q, g, matchLimit)
-	}
-}
-
-// ucqLineageExtract returns the lineage extraction of a union of
-// conjunctive queries: the clause union of the per-disjunct lineages
-// (a valuation satisfies the union lineage iff some disjunct matches),
-// absorbed to inclusion-minimal clauses. matchLimit caps the total
-// number of enumerated matches across all disjuncts.
-func ucqLineageExtract(qs UCQ, g *graph.Graph, matchLimit int) func(context.Context) (*boolform.DNF, error) {
-	// The disjunct list is captured by value at compile time; copy so a
-	// caller mutating its slice cannot change the plan's semantics.
-	qsCopy := append(UCQ(nil), qs...)
-	return func(ctx context.Context) (*boolform.DNF, error) {
-		union := boolform.NewDNF(g.NumEdges())
-		remaining := matchLimit
-		for _, q := range qsCopy {
-			if matchLimit > 0 && remaining <= 0 {
-				// Charging each disjunct's clauses against one shared budget
-				// keeps a k-way union from enumerating k× the single-query cap.
-				return nil, phomerr.New(phomerr.CodeLimit, "core: union lineage exceeds %d matches", matchLimit)
-			}
-			dnf, err := MatchLineageContext(ctx, q, g, remaining)
-			if err != nil {
-				return nil, err
-			}
-			remaining -= len(dnf.Clauses)
-			for _, c := range dnf.Clauses {
-				union.AddClause(c...)
-			}
+// unionLineage extracts the lineage of a union of conjunctive queries
+// on g: the clause union of the per-disjunct match lineages (a
+// valuation satisfies it iff some disjunct matches), absorbed to
+// inclusion-minimal clauses, over g's edge indices. matchLimit caps the
+// total number of enumerated matches across all disjuncts.
+func unionLineage(ctx context.Context, qs UCQ, g *graph.Graph, matchLimit int) (*boolform.DNF, error) {
+	union := boolform.NewDNF(g.NumEdges())
+	remaining := matchLimit
+	for _, q := range qs {
+		if matchLimit > 0 && remaining <= 0 {
+			// Charging each disjunct's clauses against one shared budget
+			// keeps a k-way union from enumerating k× the single-query cap.
+			return nil, phomerr.New(phomerr.CodeLimit, "core: union lineage exceeds %d matches", matchLimit)
 		}
-		return union.Absorb(), nil
+		dnf, err := MatchLineageContext(ctx, q, g, remaining)
+		if err != nil {
+			return nil, err
+		}
+		remaining -= len(dnf.Clauses)
+		for _, c := range dnf.Clauses {
+			union.AddClause(c...)
+		}
 	}
+	return union.Absorb(), nil
 }

@@ -33,12 +33,24 @@ func BruteForceLimit(q *graph.Graph, h *graph.ProbGraph, maxUncertain int) (*big
 }
 
 // BruteForceLimitContext is BruteForceLimit with cooperative
-// cancellation: the world enumeration polls ctx every
-// phomerr.CheckInterval branches, so a cancelled context aborts the
-// exponential recursion within one checkpoint interval (plus the cost
-// of the homomorphism check of a single world) and returns the typed
-// cancellation error.
+// cancellation: BruteForceUCQContext of the one-disjunct union.
 func BruteForceLimitContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, maxUncertain int) (*big.Rat, error) {
+	return BruteForceUCQContext(ctx, UCQ{q}, h, maxUncertain)
+}
+
+// BruteForceUCQ computes Pr(G₁ ∨ … ∨ G_k ⇝ H) by world enumeration; it
+// is the oracle for SolveUCQ. maxUncertain caps the enumerated coins
+// (0 = unbounded).
+func BruteForceUCQ(qs UCQ, h *graph.ProbGraph, maxUncertain int) (*big.Rat, error) {
+	return BruteForceUCQContext(context.Background(), qs, h, maxUncertain)
+}
+
+// BruteForceUCQContext is BruteForceUCQ with cooperative cancellation:
+// the world enumeration polls ctx every phomerr.CheckInterval branches,
+// so a cancelled context aborts the exponential recursion within one
+// checkpoint interval (plus the cost of the homomorphism checks of a
+// single world) and returns the typed cancellation error.
+func BruteForceUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, maxUncertain int) (*big.Rat, error) {
 	uncertain := h.UncertainEdges()
 	if maxUncertain > 0 && len(uncertain) > maxUncertain {
 		return nil, phomerr.New(phomerr.CodeLimit,
@@ -63,8 +75,11 @@ func BruteForceLimitContext(ctx context.Context, q *graph.Graph, h *graph.ProbGr
 		}
 		if i == len(uncertain) {
 			world := g.SubgraphKeeping(keep)
-			if graph.HasHomomorphism(q, world) {
-				total.Add(total, w)
+			for _, q := range qs {
+				if graph.HasHomomorphism(q, world) {
+					total.Add(total, w)
+					return
+				}
 			}
 			return
 		}

@@ -6,6 +6,11 @@
 // input pair to the best applicable algorithm, and the complexity
 // classifier encoding Tables 1–3.
 //
+// There is one compiler, CompileUCQContext: a single conjunctive query
+// is a one-disjunct union, and the guard table routes unions over the
+// lifted cells (see ucq.go). Compile, Solve and PatchCompile are
+// one-line wrappers over it.
+//
 // Solving is a two-stage pipeline (Compile and CompiledPlan.Evaluate;
 // Solve composes them) with dual-precision evaluation: plans execute on
 // exact rational arithmetic by default, or on the certified float64

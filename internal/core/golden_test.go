@@ -11,26 +11,45 @@ import (
 	"phom/internal/plan"
 )
 
-// loweredPlanDigest is the SHA-256 over the MarshalBinary records of the
-// seeded corpus below. It pins the exact bytes lowering produces: op
-// order, register allocation and constant-pool order. A change that
-// moves plan bytes on purpose (a new lowering, a different schedule)
-// must regenerate it: run
+// The lowered-plan digests are SHA-256s over the MarshalBinary records
+// of the seeded corpora below: single queries, then lifted UCQs drawn
+// from the same random stream. They pin the exact bytes compilation
+// and lowering produce: method, op order, register allocation and
+// constant-pool order. A change that moves plan bytes on purpose (a new
+// lowering, a different schedule, a different route) must regenerate
+// the digest it moves: run
 //
 //	go test ./internal/core -run TestLoweredPlanBytesGolden -v
 //
 // copy the "got" digest from the failure message here, and say in the
 // change's notes why plan bytes moved (cached snapshots re-lower).
-const loweredPlanDigest = "12a94d700ece832a78f6e177f5c271b9cf8e268a4fef66dd7f0f4b8b0f975a9c"
+const (
+	loweredPlanDigestCQ  = "21435b97e2aecd5d6e12a495ff3ab5ffbbaee9c6c7d3c8a67583711a78acf026"
+	loweredPlanDigestUCQ = "296e85216e9b1dd732ded6fa977b8a6a8078d9d33c2e1697921bb4069cc932cd"
+)
 
 // TestLoweredPlanBytesGolden lowers a seeded corpus covering the four
 // tractable rows (Props 3.6, 4.10, 4.11, 5.4/5.5), disconnected
 // instances (the Lemma 3.7 Components composite) and lifted UCQs, and
-// compares the digest of the serialized plans against loweredPlanDigest.
+// compares the digests of the serialized plans against
+// loweredPlanDigestCQ and loweredPlanDigestUCQ.
 func TestLoweredPlanBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(2017))
 	digest := sha256.New()
 	var records, multiPart int
+	check := func(corpus, want string) {
+		t.Helper()
+		got := hex.EncodeToString(digest.Sum(nil))
+		t.Logf("%s: %d plan records (%d multi-component), digest %s", corpus, records, multiPart, got)
+		if multiPart == 0 {
+			t.Errorf("%s corpus has no disconnected instance", corpus)
+		}
+		if got != want {
+			t.Errorf("%s lowered plan bytes moved: got digest %s, want %s", corpus, got, want)
+		}
+		digest.Reset()
+		records, multiPart = 0, 0
+	}
 	add := func(name string, cp *CompiledPlan) {
 		t.Helper()
 		data, err := cp.MarshalBinary()
@@ -56,6 +75,7 @@ func TestLoweredPlanBytesGolden(t *testing.T) {
 			add(job.name, cp)
 		}
 	}
+	check("single-query", loweredPlanDigestCQ)
 	for _, cell := range ucqCells {
 		labels := oneLabel
 		if cell.labeled {
@@ -77,12 +97,5 @@ func TestLoweredPlanBytesGolden(t *testing.T) {
 			add(cell.name, cp)
 		}
 	}
-	if multiPart == 0 {
-		t.Fatal("corpus has no disconnected instance")
-	}
-	got := hex.EncodeToString(digest.Sum(nil))
-	t.Logf("%d plan records (%d multi-component), digest %s", records, multiPart, got)
-	if got != loweredPlanDigest {
-		t.Fatalf("lowered plan bytes moved: got digest %s, want %s", got, loweredPlanDigest)
-	}
+	check("UCQ", loweredPlanDigestUCQ)
 }

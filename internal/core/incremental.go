@@ -8,16 +8,17 @@ package core
 // Lemma 3.7 Components composite is exactly the seam: PatchCompile
 // diffs the component partitions of the old and new structure, reuses
 // the untouched parts copy-on-write (plan.RemapEdges), recompiles only
-// the touched components through the exported Part* compilers of
-// internal/plan, and re-seals the spliced composite. Anything it cannot
-// prove local — a route change (the tightest class moved), an opaque or
-// constant plan, a UCQ plan, a vertex-count change — falls back to a
-// full CompileContext, so the result is always exactly what a
-// from-scratch compile would produce.
+// the touched components through the chosen route's part compiler, and
+// re-seals the spliced composite. Single queries and unions splice
+// alike (a query is a one-disjunct union). Anything it cannot prove
+// local — a route change (the tightest class moved), a change in which
+// disjuncts are live, an opaque or constant plan, a vertex-count change
+// — falls back to a full CompileUCQContext, so the result is always
+// exactly what a from-scratch compile would produce.
 
 import (
 	"context"
-	"sync"
+	"slices"
 
 	"phom/internal/graph"
 	"phom/internal/graphio"
@@ -25,38 +26,39 @@ import (
 	"phom/internal/plan"
 )
 
-// PatchCompile is PatchCompileContext under context.Background().
+// PatchCompile is PatchCompileUCQContext of the one-disjunct union
+// under context.Background().
 func PatchCompile(q *graph.Graph, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options) (*CompiledPlan, bool, error) {
-	return PatchCompileContext(context.Background(), q, old, oldG, newH, opts)
+	return PatchCompileUCQContext(context.Background(), UCQ{q}, old, oldG, newH, opts)
 }
 
-// PatchCompileContext compiles a plan for the single-query job
-// (q, newH, opts), reusing the untouched per-component parts of old — a
-// plan previously compiled for the same (q, opts) against oldG, the
-// structure newH's underlying graph was derived from by edge deltas,
-// or against any structurally equal graph (same structure key, edges
-// possibly listed in another order).
+// PatchCompileUCQContext compiles a plan for the job (qs, newH, opts),
+// reusing the untouched per-component parts of old — a plan previously
+// compiled for the same (qs, opts) against oldG, the structure newH's
+// underlying graph was derived from by edge deltas, or against any
+// structurally equal graph (same structure key, edges possibly listed
+// in another order).
 // The returned plan is semantically identical to
-// CompileContext(ctx, q, newH, opts): same method, same exact
+// CompileUCQContext(ctx, qs, newH, opts): same method, same exact
 // probabilities (RatString-byte-identical) under every probability
 // assignment. The boolean reports whether the incremental splice path
 // was taken (false: a full recompile ran instead — still a correct
 // plan, just none of the old work reused).
-func PatchCompileContext(ctx context.Context, q *graph.Graph, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options) (*CompiledPlan, bool, error) {
-	cp, err := patchCompile(ctx, q, old, oldG, newH, opts)
+func PatchCompileUCQContext(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options) (*CompiledPlan, bool, error) {
+	cp, err := patchCompile(ctx, qs, old, oldG, newH, opts)
 	if err != nil {
 		return nil, false, err
 	}
 	if cp != nil {
 		return cp, true, nil
 	}
-	cp, err = CompileContext(ctx, q, newH, opts)
+	cp, err = CompileUCQContext(ctx, qs, newH, opts)
 	return cp, false, err
 }
 
 // patchCompile attempts the splice; a nil, nil return means "not
 // provably local — run a full compile".
-func patchCompile(ctx context.Context, q *graph.Graph, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
+func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
 	if old == nil || old.opaque || old.tree == nil || oldG == nil {
 		return nil, nil
 	}
@@ -67,8 +69,10 @@ func patchCompile(ctx context.Context, q *graph.Graph, old *CompiledPlan, oldG *
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if q.NumVertices() == 0 || q.NumEdges() == 0 {
-		return nil, nil // trivial/invalid shapes: let CompileContext decide
+	for _, q := range qs {
+		if q.NumVertices() == 0 {
+			return nil, nil // invalid shape: let the full compile report it
+		}
 	}
 	newG := newH.G
 	if newG.NumVertices() != oldG.NumVertices() || newG.NumVertices() == 0 {
@@ -78,68 +82,28 @@ func patchCompile(ctx context.Context, q *graph.Graph, old *CompiledPlan, oldG *
 		return nil, nil // full compile produces the typed error
 	}
 
-	// Re-run the dispatch guards on the new structure: the splice is
-	// sound only if a from-scratch compile would pick the same route.
-	// The guards are linear class-membership scans — cheap next to the
-	// per-component dynamic programs the splice is saving. The new
-	// graph is a fresh value (structural deltas rebuild, never mutate),
-	// so its TightestClass memo starts clean and nothing stale is
-	// consulted here.
-	hLabels := map[graph.Label]bool{}
-	for _, l := range newG.Labels() {
-		hLabels[l] = true
-	}
-	for _, l := range q.Labels() {
-		if !hLabels[l] {
-			return nil, nil // route moves to MethodLabelMismatch
-		}
-	}
-	unlabeled := len(hLabels) <= 1
-	var route *solveRoute
-	for i := range solveRoutes {
-		if err := phomerr.FromContext(ctx); err != nil {
-			return nil, err
-		}
-		if solveRoutes[i].applies(q, newH, unlabeled) {
-			route = &solveRoutes[i]
-			break
-		}
-	}
-	if route == nil || route.method != old.method {
+	// Re-run the dispatch on the new structure: the splice is sound only
+	// if a from-scratch compile would pick the same route over the same
+	// live disjuncts (the route's part compiler depends on them). The
+	// prefix and guards are linear scans — cheap next to the
+	// per-component dynamic programs the splice is saving. The new graph
+	// is a fresh value (structural deltas rebuild, never mutate), so its
+	// TightestClass memo starts clean and nothing stale is consulted here.
+	live, edgeless, unlabeled := liveDisjuncts(qs, newG)
+	oldLive, _, _ := liveDisjuncts(qs, oldG)
+	if edgeless || len(live) == 0 || !slices.Equal(live, oldLive) {
 		return nil, nil
 	}
-
-	// The per-component compiler of the old plan's route. m>0 holds for
-	// the path-shaped routes whenever the old tree is a Components
-	// composite (m=0 compiles to a Const, which was rejected above).
-	var compilePart func(comp *graph.ProbGraph, edgeMap []int) (plan.Plan, error)
-	switch old.method {
-	case MethodXProperty2WP:
-		compilePart = func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-			return plan.PartConnectedOn2WP(q, comp, em)
-		}
-	case MethodBetaAcyclicDWT:
-		compilePart = func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-			return plan.Part1WPOnDWT(q, comp, em)
-		}
-	case MethodGradedDWT:
-		m, graded := q.DifferenceOfLevels()
-		if !graded || m == 0 {
-			return nil, nil
-		}
-		compilePart = func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-			return plan.PartDirectedPathOnDWT(comp, m, em)
-		}
-	case MethodAutomatonPT:
-		m := q.Height()
-		if m == 0 {
-			return nil, nil
-		}
-		compilePart = func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-			return plan.PartDirectedPathOnPolytree(comp, m, em)
-		}
-	default:
+	rt, err := route(ctx, live, newH, unlabeled)
+	if err != nil {
+		return nil, err
+	}
+	if rt == nil || rt.method != old.method {
 		return nil, nil
+	}
+	compilePart, _ := rt.part(live)
+	if compilePart == nil {
+		return nil, nil // a constant cell never compiles to a composite
 	}
 
 	// Diff the component partitions. Components are listed in the same
@@ -246,30 +210,13 @@ func patchCompile(ctx context.Context, q *graph.Graph, old *CompiledPlan, oldG *
 			parts[cj] = np
 			continue
 		}
-		// Touched component: rebuild its probabilistic subgraph the same
-		// way ComponentsWithEdges does and recompile just this part.
-		sub, vmap := newG.InducedSubgraph(newVS[cj])
-		comp := graph.NewProbGraph(sub)
-		em := make([]int, 0, sub.NumEdges())
-		for j := 0; j < newG.NumEdges(); j++ {
-			e := newG.Edge(j)
-			nf, okf := vmap[e.From]
-			nt, okt := vmap[e.To]
-			if okf && okt {
-				comp.MustSetEdgeProb(nf, nt, newH.Prob(j))
-				em = append(em, j)
-			}
-		}
-		part, err := compilePart(comp, em)
+		// Touched component: recompile just this part.
+		part, err := compilePart(newH.InducedWithEdges(newVS[cj]))
 		if err != nil {
 			return nil, err
 		}
 		parts[cj] = part
 	}
 
-	qCanon := graphio.CanonicalGraph(q)
-	key := sync.OnceValues(func() (string, []int) {
-		return graphio.StructKeyJob([]string{qCanon}, newG, opts.StructFingerprint())
-	})
-	return seal(ctx, old.method, plan.Components{Parts: parts}, newG.NumEdges(), key)
+	return seal(ctx, old.method, plan.Components{Parts: parts}, newG.NumEdges(), planKey(qs, newG, opts))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"phom/internal/gen"
@@ -17,7 +18,9 @@ import (
 // randDeltaBatch generates 1–3 valid deltas against g: probability
 // updates on existing edges, removals of existing edges, insertions of
 // absent pairs. Edges touched earlier in the batch are tracked so the
-// batch stays valid when instance.Apply replays it sequentially.
+// batch stays valid when instance.Apply replays it sequentially. The
+// batch is a function of r's state and g alone (live edges are listed
+// in sorted order, not map order), so a seed reproduces its stream.
 func randDeltaBatch(r *rand.Rand, g *graph.Graph, labels []graph.Label) []instance.Delta {
 	type pe struct{ from, to graph.Vertex }
 	present := map[pe]bool{}
@@ -25,17 +28,24 @@ func randDeltaBatch(r *rand.Rand, g *graph.Graph, labels []graph.Label) []instan
 		e := g.Edge(i)
 		present[pe{e.From, e.To}] = true
 	}
+	liveEdges := func() []pe {
+		var live []pe
+		for p, ok := range present {
+			if ok {
+				live = append(live, p)
+			}
+		}
+		sort.Slice(live, func(i, j int) bool {
+			return live[i].from < live[j].from || live[i].from == live[j].from && live[i].to < live[j].to
+		})
+		return live
+	}
 	n := g.NumVertices()
 	var out []instance.Delta
 	for k := 1 + r.Intn(3); k > 0; k-- {
 		switch r.Intn(3) {
 		case 0: // set_prob
-			var live []pe
-			for p, ok := range present {
-				if ok {
-					live = append(live, p)
-				}
-			}
+			live := liveEdges()
 			if len(live) == 0 {
 				continue
 			}
@@ -50,12 +60,7 @@ func randDeltaBatch(r *rand.Rand, g *graph.Graph, labels []graph.Label) []instan
 			out = append(out, instance.Delta{Op: instance.OpAddEdge, From: u, To: v,
 				Label: gen.RandLabel(r, labels), Prob: gen.RandRat(r)})
 		case 2: // remove_edge
-			var live []pe
-			for p, ok := range present {
-				if ok {
-					live = append(live, p)
-				}
-			}
+			live := liveEdges()
 			if len(live) < 2 {
 				continue // keep at least one edge around
 			}
@@ -159,6 +164,65 @@ func TestPatchCompileDifferentialCorpus(t *testing.T) {
 	if spliced == 0 {
 		t.Fatal("corpus never took the incremental splice path; the test is vacuous")
 	}
+}
+
+// TestPatchCompileUCQSplices: union plans splice like single-query
+// plans. Over delta streams on the tractable union families, a plan
+// for a 2–3 disjunct union carried forward by PatchCompileUCQContext
+// answers exactly like a from-scratch CompileUCQ, and the splice path
+// is taken.
+func TestPatchCompileUCQSplices(t *testing.T) {
+	// A small brute-force budget sends the opaque plans a delta lands on
+	// to the lineage baseline, which is cheap on these sizes.
+	opts := &Options{BruteForceLimit: 6}
+	spliced := 0
+	for seed := int64(0); seed < 8; seed++ {
+		for _, fam := range []gen.Family{gen.FamU2WP, gen.FamUDWT, gen.FamUPT} {
+			r := rand.New(rand.NewSource(seed*7 + int64(fam)))
+			g := gen.RandFamily(r, fam, 12, nil)
+			if g.NumEdges() == 0 {
+				continue
+			}
+			h := gen.RandProb(r, g, 0.3)
+			qs := make(UCQ, 2+r.Intn(2))
+			for i := range qs {
+				qs[i] = graph.UnlabeledPath(1 + r.Intn(3))
+			}
+			if fam == gen.FamU2WP {
+				qs[0] = graph.Path2WP(graph.Fwd(graph.Unlabeled), graph.Bwd(graph.Unlabeled))
+			}
+			cur, err := CompileUCQ(qs, h, opts)
+			if err != nil {
+				t.Fatalf("seed %d fam %v: compile: %v", seed, fam, err)
+			}
+			inst, err := instance.New("ucq", h)
+			if err != nil {
+				t.Fatalf("instance.New: %v", err)
+			}
+			curG := h.G
+			// An opaque plan never splices: the stream ends there.
+			for step := 0; step < 4 && cur != nil && !cur.Opaque(); step++ {
+				batch := randDeltaBatch(r, curG, nil)
+				if len(batch) == 0 {
+					continue
+				}
+				if _, err := inst.Apply(-1, batch); err != nil {
+					t.Fatalf("seed %d fam %v step %d: Apply: %v", seed, fam, step, err)
+				}
+				newH := inst.Snapshot().H
+				var incremental bool
+				cur, incremental = checkPatchMatchesCompile(t, r, qs, cur, curG, newH, opts, 2)
+				if incremental {
+					spliced++
+				}
+				curG = newH.G
+			}
+		}
+	}
+	if spliced == 0 {
+		t.Fatal("no union plan took the incremental splice path; the test is vacuous")
+	}
+	t.Logf("%d union splices", spliced)
 }
 
 // TestPatchCompileSplicesOnlyTouchedComponent pins the copy-on-write
@@ -361,10 +425,10 @@ func openProbs(r *rand.Rand, n int) []*big.Rat {
 // newH's probabilities plus reweights random probability vectors. It
 // returns the patched plan (nil when both sides failed alike) and
 // whether the splice path ran.
-func checkPatchMatchesCompile(t *testing.T, r *rand.Rand, q *graph.Graph, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options, reweights int) (*CompiledPlan, bool) {
+func checkPatchMatchesCompile(t *testing.T, r *rand.Rand, qs UCQ, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options, reweights int) (*CompiledPlan, bool) {
 	t.Helper()
-	patched, incremental, perr := PatchCompile(q, old, oldG, newH, opts)
-	scratch, serr := Compile(q, newH, opts)
+	patched, incremental, perr := PatchCompileUCQContext(context.Background(), qs, old, oldG, newH, opts)
+	scratch, serr := CompileUCQ(qs, newH, opts)
 	if (perr == nil) != (serr == nil) || phomerr.CodeOf(perr) != phomerr.CodeOf(serr) {
 		t.Fatalf("patch err %v vs scratch err %v", perr, serr)
 	}
@@ -431,7 +495,7 @@ func TestPatchCompileOldPlanOnPermutedGraph(t *testing.T) {
 		if _, err := inst.Apply(-1, []instance.Delta{d}); err != nil {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
 		}
-		if _, incremental := checkPatchMatchesCompile(t, r, q, old, g, inst.Snapshot().H, nil, 4); incremental {
+		if _, incremental := checkPatchMatchesCompile(t, r, UCQ{q}, old, g, inst.Snapshot().H, nil, 4); incremental {
 			spliced++
 		}
 	}
@@ -440,18 +504,19 @@ func TestPatchCompileOldPlanOnPermutedGraph(t *testing.T) {
 	}
 }
 
-// FuzzPatchCompileMatchesCompile drives PatchCompile with random delta
-// streams on the tractable union families and the fallback-exercising
-// random models, where before every step the graph handed in as oldG is
-// (at random) an edge-permuted copy of the graph the old plan was
-// compiled on. Every patched plan must agree with CompileContext.
+// FuzzPatchCompileMatchesCompile drives PatchCompileUCQContext with
+// random delta streams on the tractable union families and the
+// fallback-exercising random models, for unions of 1–3 walk queries,
+// where before every step the graph handed in as oldG is (at random) an
+// edge-permuted copy of the graph the old plan was compiled on. Every
+// patched plan must agree with CompileUCQ.
 func FuzzPatchCompileMatchesCompile(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
-		f.Add(seed, uint8(seed), uint8(3))
+		f.Add(seed, uint8(seed), uint8(3), uint8(seed))
 	}
 	fams := []gen.Family{gen.FamU2WP, gen.FamUDWT, gen.FamUPT, gen.FamER, gen.FamBA}
 	opts := &Options{BruteForceLimit: 12}
-	f.Fuzz(func(t *testing.T, seed int64, fam, steps uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, fam, steps, disjuncts uint8) {
 		r := rand.New(rand.NewSource(seed))
 		g := gen.RandFamily(r, fams[int(fam)%len(fams)], 5+r.Intn(7), nil)
 		if g.NumEdges() == 0 {
@@ -461,11 +526,14 @@ func FuzzPatchCompileMatchesCompile(f *testing.F) {
 		for i, p := range openProbs(r, g.NumEdges()) {
 			h.SetProb(i, p)
 		}
-		q := gen.RandWalkQuery(r, g, 2)
-		if q == nil || q.NumEdges() == 0 {
-			return
+		qs := make(UCQ, 1+int(disjuncts)%3)
+		for i := range qs {
+			qs[i] = gen.RandWalkQuery(r, g, 2)
+			if qs[i] == nil || qs[i].NumEdges() == 0 {
+				return
+			}
 		}
-		cur, err := Compile(q, h, opts)
+		cur, err := CompileUCQ(qs, h, opts)
 		if err != nil {
 			return // past the fallback budget: nothing to patch
 		}
@@ -487,7 +555,7 @@ func FuzzPatchCompileMatchesCompile(f *testing.F) {
 				oldG = permutedCopy(r, curH).G
 			}
 			newH := inst.Snapshot().H
-			cur, _ = checkPatchMatchesCompile(t, r, q, cur, oldG, newH, opts, 2)
+			cur, _ = checkPatchMatchesCompile(t, r, qs, cur, oldG, newH, opts, 2)
 			if cur == nil {
 				return
 			}

@@ -14,8 +14,9 @@ import (
 	"phom/internal/plan"
 )
 
-// This file implements the two-stage solver pipeline: Compile runs the
-// probability-independent phase of Solve (classification, dispatch,
+// This file implements the two-stage solver pipeline: CompileUCQContext
+// — the one compiler; a single query is a one-disjunct union — runs the
+// probability-independent phase of SolveUCQ (classification, dispatch,
 // lineage/circuit construction) and returns a CompiledPlan; Evaluate
 // replays only the linear probability computation. Solve and SolveUCQ
 // are thin compositions of the two, so a compiled plan evaluated
@@ -161,190 +162,190 @@ func (cp *CompiledPlan) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// solveRoute is one tractable cell the solver can dispatch a single
-// conjunctive query to: a guard over the input pair and the
-// probability-independent compiler realizing the cell's algorithm. The
-// guard table below replaces the previously mirrored connected /
-// disconnected dispatch arms of Solve; routes are tried in order and
-// the first applicable one wins, preserving the historical dispatch
-// priority exactly (2WP intervals, then graded normalization, then
-// labeled chains, then the polytree automaton).
+// solveRoute is one tractable cell the solver can dispatch a union of
+// conjunctive queries to (a single query is a one-disjunct union): a
+// lifted guard over all live disjuncts and the instance, and the
+// per-component part compiler realizing the cell's algorithm. The
+// lineage families of the cells are closed under union (see ucq.go), so
+// each guard admits a union exactly when its cell covers every
+// disjunct. Routes are tried in order and the first applicable one
+// wins: 2WP intervals, then graded normalization, then labeled chains,
+// then the polytree automaton.
 type solveRoute struct {
 	method  Method
-	applies func(q *graph.Graph, h *graph.ProbGraph, unlabeled bool) bool
-	compile func(q *graph.Graph, h *graph.ProbGraph) (plan.Plan, error)
+	applies func(qs UCQ, h *graph.ProbGraph, unlabeled bool) bool
+	// part returns the route's per-component compiler for the live
+	// disjuncts qs, or a nil compiler and the constant the cell collapses
+	// to on every instance (no graded disjunct on forest worlds).
+	part func(qs UCQ) (plan.PartFunc, *big.Rat)
 }
 
 var solveRoutes = []solveRoute{
 	{
-		// Proposition 4.11 + Lemma 3.7.
+		// Proposition 4.11 + Lemma 3.7: the union of the disjuncts'
+		// interval systems is an interval system.
 		method: MethodXProperty2WP,
-		applies: func(q *graph.Graph, h *graph.ProbGraph, _ bool) bool {
-			return q.IsConnected() && h.G.InClass(graph.ClassU2WP)
+		applies: func(qs UCQ, h *graph.ProbGraph, _ bool) bool {
+			return all(qs, (*graph.Graph).IsConnected) && h.G.InClass(graph.ClassU2WP)
 		},
-		compile: func(q *graph.Graph, h *graph.ProbGraph) (plan.Plan, error) {
-			return plan.ConnectedOn2WP(q, h)
+		part: func(qs UCQ) (plan.PartFunc, *big.Rat) {
+			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
+				return plan.PartConnectedOn2WP(qs, comp, em)
+			}, nil
 		},
 	},
 	{
-		// Proposition 3.6: any unlabeled query on ⊔DWT, graded or not
-		// (a non-graded query has probability 0 on forest worlds).
+		// Proposition 3.6: any unlabeled union on ⊔DWT. A non-graded
+		// disjunct has probability 0 on forest worlds; the graded ones are
+		// equivalent to →^m for their smallest difference of levels m.
 		method: MethodGradedDWT,
-		applies: func(_ *graph.Graph, h *graph.ProbGraph, unlabeled bool) bool {
+		applies: func(_ UCQ, h *graph.ProbGraph, unlabeled bool) bool {
 			return unlabeled && h.G.InClass(graph.ClassUDWT)
 		},
-		compile: func(q *graph.Graph, h *graph.ProbGraph) (plan.Plan, error) {
-			m, graded := q.DifferenceOfLevels()
-			if !graded {
-				return plan.NewConst(new(big.Rat)), nil
+		part: func(qs UCQ) (plan.PartFunc, *big.Rat) {
+			m := -1
+			for _, q := range qs {
+				if d, graded := q.DifferenceOfLevels(); graded && (m < 0 || d < m) {
+					m = d
+				}
 			}
-			return plan.DirectedPathOnDWTs(h, m)
+			if m < 0 {
+				return nil, new(big.Rat)
+			}
+			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
+				return plan.PartDirectedPathOnDWT(comp, m, em)
+			}, nil
 		},
 	},
 	{
 		// Proposition 4.10 + Lemma 3.7 (labeled: the unlabeled case was
-		// caught by the graded route above). A 1WP is connected, so this
-		// route subsumes the old connected-arm guard.
+		// caught by the graded route above): the union of chain systems is
+		// a chain system after absorption.
 		method: MethodBetaAcyclicDWT,
-		applies: func(q *graph.Graph, h *graph.ProbGraph, _ bool) bool {
-			return q.Is1WP() && h.G.InClass(graph.ClassUDWT)
+		applies: func(qs UCQ, h *graph.ProbGraph, _ bool) bool {
+			return all(qs, (*graph.Graph).Is1WP) && h.G.InClass(graph.ClassUDWT)
 		},
-		compile: func(q *graph.Graph, h *graph.ProbGraph) (plan.Plan, error) {
-			return plan.Path1WPOnDWT(q, h)
+		part: func(qs UCQ) (plan.PartFunc, *big.Rat) {
+			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
+				return plan.Part1WPOnDWT(qs, comp, em)
+			}, nil
 		},
 	},
 	{
-		// Propositions 5.4/5.5 + Lemma 3.7. For a connected query,
-		// membership in ⊔DWT coincides with membership in DWT, so one
-		// guard covers both historical dispatch arms.
+		// Propositions 5.4/5.5 + Lemma 3.7: an unlabeled union of ⊔DWT
+		// queries is equivalent to →^m for m the smallest disjunct height.
 		method: MethodAutomatonPT,
-		applies: func(q *graph.Graph, h *graph.ProbGraph, unlabeled bool) bool {
-			return unlabeled && q.InClass(graph.ClassUDWT) && h.G.InClass(graph.ClassUPT)
+		applies: func(qs UCQ, h *graph.ProbGraph, unlabeled bool) bool {
+			return unlabeled && all(qs, func(q *graph.Graph) bool { return q.InClass(graph.ClassUDWT) }) &&
+				h.G.InClass(graph.ClassUPT)
 		},
-		compile: func(q *graph.Graph, h *graph.ProbGraph) (plan.Plan, error) {
-			return plan.DirectedPathOnPolytrees(h, q.Height())
+		part: func(qs UCQ) (plan.PartFunc, *big.Rat) {
+			m := qs[0].Height()
+			for _, q := range qs[1:] {
+				m = min(m, q.Height())
+			}
+			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
+				return plan.PartDirectedPathOnPolytree(comp, m, em)
+			}, nil
 		},
 	},
 }
 
-// Compile runs the probability-independent phase of Solve on (q, h):
-// validation, classification, dispatch, construction of the cell's
-// evaluation artifact, and its lowering to the flat Program IR. The
-// probabilities of h are used only for validation — the returned plan
-// depends solely on the structure of q and h (and on opts, for the
-// baseline limits), so it can be evaluated against any probability
-// assignment over h's edge list.
-func Compile(q *graph.Graph, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
-	return CompileContext(context.Background(), q, h, opts)
-}
-
-// CompileContext is Compile under a context. The guard-table dispatch
-// polls ctx before each route, and the lowering of the chosen cell's
-// artifact to the Program IR polls it every phomerr.CheckInterval
-// emitted ops, so a cancelled context aborts even a large compile-time
-// dynamic program within one checkpoint interval. A compile that
-// completes is identical to Compile's.
-func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := phomerr.FromContext(ctx); err != nil {
-		return nil, err
-	}
-	if q.NumVertices() == 0 {
-		return nil, phomerr.New(phomerr.CodeBadInput, "core: empty query graph")
-	}
-	if h.G.NumVertices() == 0 {
-		return nil, phomerr.New(phomerr.CodeBadInput, "core: empty instance graph")
-	}
-	if err := phomerr.Wrap(phomerr.CodeBadInput, h.Validate()); err != nil {
-		return nil, err
-	}
-	n := h.G.NumEdges()
-	key := sync.OnceValues(func() (string, []int) {
-		return graphio.StructKeyJob([]string{graphio.CanonicalGraph(q)}, h.G, opts.StructFingerprint())
-	})
-	// An edgeless query maps every vertex to any instance vertex.
-	if q.NumEdges() == 0 {
-		return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key)
-	}
-	// A query label absent from the instance kills every match.
-	hLabels := map[graph.Label]bool{}
-	for _, l := range h.G.Labels() {
-		hLabels[l] = true
-	}
-	for _, l := range q.Labels() {
-		if !hLabels[l] {
-			return seal(ctx, MethodLabelMismatch, plan.NewConst(new(big.Rat)), n, key)
+// all reports whether every disjunct satisfies pred.
+func all(qs UCQ, pred func(*graph.Graph) bool) bool {
+	for _, q := range qs {
+		if !pred(q) {
+			return false
 		}
 	}
-	// After the check above, the unlabeled setting (|σ| = 1) holds iff
-	// the instance uses at most one label.
-	unlabeled := len(hLabels) <= 1
+	return true
+}
 
-	for _, rt := range solveRoutes {
-		// The guard-table checkpoint: route guards run class membership
-		// tests (linear in the instance), so poll between routes.
+// compile builds the route's whole-instance plan: the Lemma 3.7
+// composite of its parts over h's components, or its constant.
+func (rt *solveRoute) compile(qs UCQ, h *graph.ProbGraph) (plan.Plan, error) {
+	part, c := rt.part(qs)
+	if part == nil {
+		return plan.NewConst(c), nil
+	}
+	return plan.Compose(h, part)
+}
+
+// route returns the first route whose guard admits the live disjuncts
+// qs on h, or nil when the union falls in no tractable cell. It polls
+// ctx between routes: the guards run class-membership tests linear in
+// the instance.
+func route(ctx context.Context, qs UCQ, h *graph.ProbGraph, unlabeled bool) (*solveRoute, error) {
+	for i := range solveRoutes {
 		if err := phomerr.FromContext(ctx); err != nil {
 			return nil, err
 		}
-		if rt.applies(q, h, unlabeled) {
-			p, err := rt.compile(q, h)
-			if err != nil {
-				return nil, err
-			}
-			return seal(ctx, rt.method, p, n, key)
+		if solveRoutes[i].applies(qs, h, unlabeled) {
+			return &solveRoutes[i], nil
 		}
 	}
-
-	bruteLimit, matchLimit := opts.bruteLimit(), opts.matchLimit()
-	extract := cqLineageExtract(q, h.G, matchLimit)
-	if opts.disableFallback() {
-		err := phomerr.New(phomerr.CodeIntractable,
-			"core: no polynomial-time algorithm applies (the case is #P-hard per Tables 1–3) and fallback is disabled")
-		if opts.EffectivePrecision() != PrecisionApprox {
-			return nil, err
-		}
-		// Approx mode under DisableFallback: the caller refused the
-		// exponential baselines, not the sampler. Compile an opaque plan
-		// whose exact re-solve still fails with the pinned intractable
-		// error (an exact job hitting this cached plan behaves exactly as
-		// if it had compiled it) while approx evaluation samples.
-		resolve := func(context.Context, []*big.Rat) (*Result, error) { return nil, err }
-		return opaquePlan(resolve, extract, n, key), nil
-	}
-	resolve := func(ctx context.Context, probs []*big.Rat) (*Result, error) {
-		h2, err := reweighted(h, probs)
-		if err != nil {
-			return nil, err
-		}
-		if p, err := BruteForceLimitContext(ctx, q, h2, bruteLimit); err == nil {
-			return &Result{Prob: p, Method: MethodBruteForce}, nil
-		} else if phomerr.CodeOf(err) != phomerr.CodeLimit {
-			return nil, err // cancellation, not an over-limit instance
-		}
-		p, err := LineageShannonContext(ctx, q, h2, matchLimit)
-		if err != nil {
-			if phomerr.CodeOf(err) == phomerr.CodeLimit {
-				return nil, phomerr.New(phomerr.CodeLimit, "core: instance too large for exact baselines: %v", err)
-			}
-			return nil, err
-		}
-		return &Result{Prob: p, Method: MethodLineage}, nil
-	}
-	return opaquePlan(resolve, extract, n, key), nil
+	return nil, nil
 }
 
-// CompileUCQ runs the probability-independent phase of SolveUCQ,
-// dispatching to a lifted polynomial-time compiler when every disjunct
-// falls in a compatible tractable cell and to an opaque re-solve plan
-// otherwise (unless fallback is disabled).
+// liveDisjuncts is the dispatch prefix every compile shares. edgeless
+// reports a disjunct with no edges: it maps into any instance, so the
+// union holds on every world. Otherwise live keeps, in order, the
+// disjuncts whose labels all occur in g (a disjunct using an absent
+// label never matches), and unlabeled reports the unlabeled setting
+// (|σ| = 1), which after the label check holds iff g uses at most one
+// label.
+func liveDisjuncts(qs UCQ, g *graph.Graph) (live UCQ, edgeless, unlabeled bool) {
+	gLabels := map[graph.Label]bool{}
+	for _, l := range g.Labels() {
+		gLabels[l] = true
+	}
+next:
+	for _, q := range qs {
+		if q.NumEdges() == 0 {
+			return nil, true, false
+		}
+		for _, l := range q.Labels() {
+			if !gLabels[l] {
+				continue next
+			}
+		}
+		live = append(live, q)
+	}
+	return live, false, len(gLabels) <= 1
+}
+
+// Compile runs the probability-independent phase of Solve on (q, h):
+// CompileUCQ of the one-disjunct union.
+func Compile(q *graph.Graph, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
+	return CompileUCQContext(context.Background(), UCQ{q}, h, opts)
+}
+
+// CompileContext is Compile under a context.
+func CompileContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
+	return CompileUCQContext(ctx, UCQ{q}, h, opts)
+}
+
+// CompileUCQ is CompileUCQContext under context.Background().
 func CompileUCQ(qs UCQ, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
 	return CompileUCQContext(context.Background(), qs, h, opts)
 }
 
-// CompileUCQContext is CompileUCQ under a context, with the same
-// checkpoint contract as CompileContext.
+// CompileUCQContext runs the probability-independent phase of SolveUCQ
+// on (qs, h): validation, the shared dispatch prefix (edgeless and
+// label-mismatched disjuncts), the guard table over the live
+// disjuncts, construction of the chosen cell's evaluation artifact and
+// its lowering to the flat Program IR — or, when no cell applies, an
+// opaque plan over the exponential baselines (unless fallback is
+// disabled). The probabilities of h are used only for validation: the
+// returned plan depends solely on the structure of qs and h (and on
+// opts, for the baseline limits), so it can be evaluated against any
+// probability assignment over h's edge list.
+//
+// The guard table polls ctx before each route, and the lowering polls
+// it every phomerr.CheckInterval emitted ops, so a cancelled context
+// aborts even a large compile-time dynamic program within one
+// checkpoint interval. A compile that completes is identical to
+// CompileUCQ's.
 func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -352,11 +353,16 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 	if err := phomerr.FromContext(ctx); err != nil {
 		return nil, err
 	}
+	for _, q := range qs {
+		if q.NumVertices() == 0 {
+			return nil, phomerr.New(phomerr.CodeBadInput, "core: empty query graph")
+		}
+	}
+	n := h.G.NumEdges()
+	key := planKey(qs, h.G, opts)
 	if len(qs) == 0 {
-		key := sync.OnceValues(func() (string, []int) {
-			return graphio.StructKeyJob(nil, h.G, opts.StructFingerprint())
-		})
-		return seal(ctx, MethodTrivial, plan.NewConst(new(big.Rat)), h.G.NumEdges(), key)
+		// The empty union is false.
+		return seal(ctx, MethodTrivial, plan.NewConst(new(big.Rat)), n, key)
 	}
 	if h.G.NumVertices() == 0 {
 		return nil, phomerr.New(phomerr.CodeBadInput, "core: empty instance graph")
@@ -364,166 +370,43 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 	if err := phomerr.Wrap(phomerr.CodeBadInput, h.Validate()); err != nil {
 		return nil, err
 	}
-	n := h.G.NumEdges()
-	// The lazy key canonicalizes the original disjunct list (copied —
-	// the caller keeps its slice — and sorted: union order is
-	// irrelevant to the probability), matching the engine's keying, so
-	// the structure key stamped on the plan is the one the engine's
-	// plan cache derives for the same job.
-	qsCopy := append(UCQ(nil), qs...)
-	key := sync.OnceValues(func() (string, []int) {
-		queryCanon := make([]string, len(qsCopy))
-		for i, q := range qsCopy {
-			queryCanon[i] = graphio.CanonicalGraph(q)
-		}
-		sort.Strings(queryCanon)
-		return graphio.StructKeyJob(queryCanon, h.G, opts.StructFingerprint())
-	})
-	hLabels := map[graph.Label]bool{}
-	for _, l := range h.G.Labels() {
-		hLabels[l] = true
-	}
-	// Drop disjuncts that can never match; an edgeless disjunct matches
-	// always.
-	var live UCQ
-	for _, q := range qs {
-		if q.NumVertices() == 0 {
-			return nil, phomerr.New(phomerr.CodeBadInput, "core: empty query graph in union")
-		}
-		if q.NumEdges() == 0 {
-			return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key)
-		}
-		ok := true
-		for _, l := range q.Labels() {
-			if !hLabels[l] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			live = append(live, q)
-		}
+	live, edgeless, unlabeled := liveDisjuncts(qs, h.G)
+	if edgeless {
+		return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key)
 	}
 	if len(live) == 0 {
 		return seal(ctx, MethodLabelMismatch, plan.NewConst(new(big.Rat)), n, key)
 	}
-	unlabeled := len(hLabels) <= 1
-	// The UCQ guard-table checkpoint, mirroring CompileContext's: the
-	// lifted dispatch below runs class membership tests per disjunct.
-	if err := phomerr.FromContext(ctx); err != nil {
+	rt, err := route(ctx, live, h, unlabeled)
+	if err != nil {
 		return nil, err
 	}
-
-	allConnected := true
-	for _, q := range live {
-		if !q.IsConnected() {
-			allConnected = false
-			break
-		}
-	}
-
-	// Unlabeled ⊔DWT-equivalent unions collapse to the shortest path.
-	if unlabeled {
-		minM := -1
-		for _, q := range live {
-			m, ok := q.DifferenceOfLevels()
-			if !ok {
-				continue // non-graded disjunct: contributes only on ⊔DWT instances, where it is 0
-			}
-			if minM < 0 || m < minM {
-				minM = m
-			}
-		}
-		if h.G.InClass(graph.ClassUDWT) {
-			// Prop 3.6 lifted: non-graded disjuncts never match a forest
-			// world; the rest collapse to →^minM.
-			if minM < 0 {
-				return seal(ctx, MethodGradedDWT, plan.NewConst(new(big.Rat)), n, key)
-			}
-			p, err := plan.DirectedPathOnDWTs(h, minM)
-			if err != nil {
-				return nil, err
-			}
-			return seal(ctx, MethodGradedDWT, p, n, key)
-		}
-		if h.G.InClass(graph.ClassUPT) {
-			// Prop 5.5 lifted, when every disjunct is a ⊔DWT query (the
-			// equivalence with →^m then holds on all instances).
-			allUDWT := true
-			for _, q := range live {
-				if !q.InClass(graph.ClassUDWT) {
-					allUDWT = false
-					break
-				}
-			}
-			if allUDWT {
-				m := 0
-				for i, q := range live {
-					hq := q.Height()
-					if i == 0 || hq < m {
-						m = hq
-					}
-				}
-				p, err := plan.DirectedPathOnPolytrees(h, m)
-				if err != nil {
-					return nil, err
-				}
-				return seal(ctx, MethodAutomatonPT, p, n, key)
-			}
-		}
-	}
-
-	// Connected disjuncts on ⊔2WP instances: merged interval lineage.
-	if allConnected && h.G.InClass(graph.ClassU2WP) {
-		p, err := plan.UnionConnectedOn2WP(live, h)
+	if rt != nil {
+		p, err := rt.compile(live, h)
 		if err != nil {
 			return nil, err
 		}
-		return seal(ctx, MethodXProperty2WP, p, n, key)
+		return seal(ctx, rt.method, p, n, key)
 	}
+	return opaquePlan(live, h, opts, key)
+}
 
-	// Labeled 1WP disjuncts on ⊔DWT instances: merged chain lineage
-	// (keep the shortest clause per node).
-	all1WP := true
-	for _, q := range live {
-		if !q.Is1WP() {
-			all1WP = false
-			break
+// planKey returns the job's structure identity, computed on first use:
+// graphio.StructKeyJob over the sorted canonical disjuncts (union order
+// is irrelevant to the probability), matching the engine's keying, so
+// the structure key stamped on a plan is the one the engine's plan
+// cache derives for the same job. The disjunct list is copied — the
+// caller keeps its slice.
+func planKey(qs UCQ, g *graph.Graph, opts *Options) func() (string, []int) {
+	qs = append(UCQ(nil), qs...)
+	return sync.OnceValues(func() (string, []int) {
+		canon := make([]string, len(qs))
+		for i, q := range qs {
+			canon[i] = graphio.CanonicalGraph(q)
 		}
-	}
-	if all1WP && h.G.InClass(graph.ClassUDWT) {
-		p, err := plan.Union1WPOnDWT(live, h)
-		if err != nil {
-			return nil, err
-		}
-		return seal(ctx, MethodBetaAcyclicDWT, p, n, key)
-	}
-
-	extract := ucqLineageExtract(live, h.G, opts.matchLimit())
-	if opts.disableFallback() {
-		err := phomerr.New(phomerr.CodeIntractable,
-			"core: no lifted polynomial-time algorithm applies to this UCQ and fallback is disabled")
-		if opts.EffectivePrecision() != PrecisionApprox {
-			return nil, err
-		}
-		// Same contract as CompileContext: exact re-solves keep the pinned
-		// intractable error, approx evaluation samples the union lineage.
-		resolve := func(context.Context, []*big.Rat) (*Result, error) { return nil, err }
-		return opaquePlan(resolve, extract, n, key), nil
-	}
-	bruteLimit := opts.bruteLimit()
-	resolve := func(ctx context.Context, probs []*big.Rat) (*Result, error) {
-		h2, err := reweighted(h, probs)
-		if err != nil {
-			return nil, err
-		}
-		p, err := BruteForceUCQContext(ctx, live, h2, bruteLimit)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Prob: p, Method: MethodBruteForce}, nil
-	}
-	return opaquePlan(resolve, extract, n, key), nil
+		sort.Strings(canon)
+		return graphio.StructKeyJob(canon, g, opts.StructFingerprint())
+	})
 }
 
 // seal lowers a plan tree to its flattened program and stamps the
@@ -547,19 +430,63 @@ func seal(ctx context.Context, m Method, p plan.Plan, numEdges int, key func() (
 	}, nil
 }
 
-// opaquePlan builds the plan of an exponential-baseline cell: resolve
-// is the exact re-solve, extract the lineage extraction the approx mode
-// samples over. Every opaque plan carries both — which path an
-// evaluation takes is decided by the options it is evaluated under, and
-// a cached plan serves jobs of every precision mode.
-func opaquePlan(resolve func(context.Context, []*big.Rat) (*Result, error), extract func(context.Context) (*boolform.DNF, error), numEdges int, key func() (string, []int)) *CompiledPlan {
+// opaquePlan builds the plan of an exponential-baseline cell over the
+// live disjuncts qs. Its exact re-solve enumerates worlds up to the
+// brute-force limit and past it runs Shannon expansion of the union
+// lineage, extracted afresh per evaluation; the approx mode samples the
+// same lineage, memoized per plan (approxState). Every opaque plan
+// carries both — which path an evaluation takes is decided by the
+// options it is evaluated under, and a cached plan serves jobs of every
+// precision mode.
+func opaquePlan(qs UCQ, h *graph.ProbGraph, opts *Options, key func() (string, []int)) (*CompiledPlan, error) {
+	matchLimit, bruteLimit := opts.matchLimit(), opts.bruteLimit()
+	extract := func(ctx context.Context) (*boolform.DNF, error) {
+		return unionLineage(ctx, qs, h.G, matchLimit)
+	}
+	resolve := func(ctx context.Context, probs []*big.Rat) (*Result, error) {
+		h2, err := reweighted(h, probs)
+		if err != nil {
+			return nil, err
+		}
+		if p, err := BruteForceUCQContext(ctx, qs, h2, bruteLimit); err == nil {
+			return &Result{Prob: p, Method: MethodBruteForce}, nil
+		} else if phomerr.CodeOf(err) != phomerr.CodeLimit {
+			return nil, err // cancellation, not an over-limit instance
+		}
+		// Not through the approx memo: each exact evaluation enumerates
+		// the matches under its own context.
+		dnf, err := extract(ctx)
+		if err == nil {
+			var p *big.Rat
+			if p, err = dnf.ShannonProbContext(ctx, h2.Probs()); err == nil {
+				return &Result{Prob: p, Method: MethodLineage}, nil
+			}
+		}
+		if phomerr.CodeOf(err) == phomerr.CodeLimit {
+			return nil, phomerr.New(phomerr.CodeLimit, "core: instance too large for exact baselines: %v", err)
+		}
+		return nil, err
+	}
+	if opts.disableFallback() {
+		err := phomerr.New(phomerr.CodeIntractable,
+			"core: no polynomial-time algorithm applies (the case is #P-hard per Tables 1–3) and fallback is disabled")
+		if opts.EffectivePrecision() != PrecisionApprox {
+			return nil, err
+		}
+		// Approx mode under DisableFallback: the caller refused the
+		// exponential baselines, not the sampler. The exact re-solve of
+		// this plan fails with the pinned intractable error (an exact job
+		// hitting the cached plan behaves exactly as if it had compiled
+		// it) while approx evaluation samples.
+		resolve = func(context.Context, []*big.Rat) (*Result, error) { return nil, err }
+	}
 	return &CompiledPlan{
 		opaque:   true,
 		resolve:  resolve,
 		approx:   &approxState{extract: extract},
-		numEdges: numEdges,
+		numEdges: h.G.NumEdges(),
 		key:      key,
-	}
+	}, nil
 }
 
 // reweighted returns h's structure carrying the given probability

@@ -230,16 +230,12 @@ type Result struct {
 // Solve computes Pr(G ⇝ H), dispatching to the polynomial-time algorithm
 // covering the input pair when one exists (following the tractability
 // frontier of Tables 1–3) and otherwise, unless disabled, to an
-// exponential exact baseline.
+// exponential exact baseline. It is SolveUCQ of the one-disjunct union.
 //
-// Solve is the composition of the two pipeline stages: Compile builds
-// the probability-independent plan (the guard table over the tractable
-// cells lives there), and Evaluate runs the linear probability phase
-// against h's own edge probabilities. Callers that re-solve the same
-// structure under changing probabilities should call Compile once and
-// Evaluate per assignment.
+// Callers that re-solve the same structure under changing
+// probabilities should call Compile once and Evaluate per assignment.
 func Solve(q *graph.Graph, h *graph.ProbGraph, opts *Options) (*Result, error) {
-	return SolveContext(context.Background(), q, h, opts)
+	return SolveUCQContext(context.Background(), UCQ{q}, h, opts)
 }
 
 // SolveContext is Solve under a context: compilation (the guard-table
@@ -250,9 +246,5 @@ func Solve(q *graph.Graph, h *graph.ProbGraph, opts *Options) (*Result, error) {
 // errors.Is(err, phomerr.ErrCanceled) (or ErrDeadline). A run that
 // completes is byte-identical to Solve.
 func SolveContext(ctx context.Context, q *graph.Graph, h *graph.ProbGraph, opts *Options) (*Result, error) {
-	cp, err := CompileContext(ctx, q, h, opts)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Evaluate(ctx, h.Probs(), opts)
+	return SolveUCQContext(ctx, UCQ{q}, h, opts)
 }

@@ -86,6 +86,38 @@ func TestSolveUCQFallback(t *testing.T) {
 	}
 }
 
+// TestSolveUCQLineageFallback: past the brute-force limit a union on a
+// hard cell falls back to Shannon expansion of the union lineage, like
+// a single query does, and still matches world enumeration.
+func TestSolveUCQLineageFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(98))
+	lineage := 0
+	for trial := 0; trial < 25; trial++ {
+		qs := UCQ{
+			gen.RandInClass(r, graph.Class2WP, 2+r.Intn(3), twoLabels),
+			gen.RandInClass(r, graph.ClassDWT, 2+r.Intn(3), twoLabels),
+		}
+		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassAll, 4+r.Intn(4), twoLabels), 0.3)
+		if len(h.UncertainEdges()) <= 2 {
+			continue
+		}
+		res, err := SolveUCQ(qs, h, &Options{BruteForceLimit: 2})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, _ := BruteForceUCQ(qs, h, 0)
+		if res.Prob.Cmp(want) != 0 {
+			t.Fatalf("trial %d: %s (via %v) vs brute %s", trial, res.Prob.RatString(), res.Method, want.RatString())
+		}
+		if res.Method == MethodLineage {
+			lineage++
+		}
+	}
+	if lineage == 0 {
+		t.Fatal("no trial reached the lineage fallback")
+	}
+}
+
 func TestSolveUCQTrivia(t *testing.T) {
 	h := graph.NewProbGraph(graph.Path1WP("R"))
 	// Empty union is false.

@@ -114,11 +114,9 @@ func (j Job) disjuncts() []*graph.Graph {
 
 // Disjuncts validates the request and resolves its query set with the
 // engine's canonical precedence: Queries wins when non-empty, and a
-// one-element Queries is equivalent to Query (the engine has always
-// collapsed one-disjunct unions onto the single-query compiler; the
-// library's SolveContext instead preserves SolveUCQ's lifted routing
-// for any non-nil Queries — see phom.resolveRequest). Failures are
-// typed phomerr.CodeBadInput.
+// one-element Queries is equivalent to Query (a single query is a
+// one-disjunct union to the compiler). Failures are typed
+// phomerr.CodeBadInput.
 func (j Job) Disjuncts() ([]*graph.Graph, error) {
 	qs := j.disjuncts()
 	if len(qs) == 0 {
@@ -235,8 +233,8 @@ type Stats struct {
 	IncrementalRecompiles uint64 `json:"incremental_recompiles"`
 	// FullRecompiles counts tracked plans a structural delta forced
 	// through a from-scratch compile — the splice was not provably
-	// local (route change, component merge touching everything, UCQ
-	// plan).
+	// local (route change, a change in which disjuncts are live, an
+	// opaque or constant plan).
 	FullRecompiles uint64 `json:"full_recompiles"`
 	// Instances is the current number of live registered instances.
 	Instances int `json:"instances"`
@@ -749,11 +747,7 @@ func (e *Engine) acquirePlan(ctx context.Context, structKey string, canonOrder [
 			return cp, true, nil
 		}
 	}
-	if len(qs) > 1 {
-		cp, err = core.CompileUCQContext(ctx, qs, inst, opts)
-	} else {
-		cp, err = core.CompileContext(ctx, qs[0], inst, opts)
-	}
+	cp, err = core.CompileUCQContext(ctx, qs, inst, opts)
 	e.mu.Lock()
 	if err == nil {
 		e.stats.PlanCompiles++

@@ -14,10 +14,11 @@ package engine
 //   - a probability-only batch leaves every compiled plan valid (the
 //     structure key did not move): the next solve is a pure reweight,
 //     zero recompilation;
-//   - a structural batch eagerly migrates each tracked single-query
-//     plan to the new structure through core.PatchCompile — untouched
-//     components are spliced copy-on-write, only components incident
-//     to the delta recompile (Stats.IncrementalRecompiles) — falling
+//   - a structural batch eagerly migrates each tracked plan (single
+//     query or union) to the new structure through
+//     core.PatchCompileUCQContext — untouched components are spliced
+//     copy-on-write, only components incident to the delta recompile
+//     (Stats.IncrementalRecompiles) — falling
 //     back to a from-scratch compile when the splice is not provably
 //     local (Stats.FullRecompiles); superseded plans are dropped from
 //     the plan cache.
@@ -225,8 +226,9 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 // instance.Apply for atomicity and the ifVersion optimistic check) and
 // keeps the engine caches coherent: the instance's memoized results are
 // evicted, and — when the batch changed the structure — every tracked
-// single-query plan is migrated to the new structure through
-// core.PatchCompile, reusing the untouched components' compiled parts.
+// plan is migrated to the new structure through
+// core.PatchCompileUCQContext, reusing the untouched components'
+// compiled parts.
 // Failed batches (conflict, malformed delta) change nothing.
 func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta) (*instance.ApplyResult, error) {
 	e.mu.Lock()
@@ -267,26 +269,15 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 	// cost); applyMu keeps concurrent deltas to this instance from
 	// migrating over each other.
 	for oldSK, tp := range work {
-		var (
-			cp          *core.CompiledPlan
-			incremental bool
-			cerr        error
-		)
 		e.mu.Lock()
 		old, _ := e.plans.Get(oldSK)
 		e.mu.Unlock()
-		switch {
-		case old == nil:
+		if old == nil {
 			// Evicted since it was tracked: nothing to migrate; the next
 			// solve compiles fresh through the ordinary path.
 			continue
-		case len(tp.qs) == 1:
-			cp, incremental, cerr = core.PatchCompileContext(e.baseCtx, tp.qs[0], old, tp.g, res.New.H, tp.opts)
-		default:
-			// UCQ plans have no single-query splice; recompile eagerly so
-			// the instance keeps serving reweights without a cold stop.
-			cp, cerr = core.CompileUCQContext(e.baseCtx, tp.qs, res.New.H, tp.opts)
 		}
+		cp, incremental, cerr := core.PatchCompileUCQContext(e.baseCtx, tp.qs, old, tp.g, res.New.H, tp.opts)
 		e.mu.Lock()
 		e.plans.Remove(oldSK) // superseded structure
 		if cerr == nil && cp != nil {

@@ -139,11 +139,23 @@ func TestDeltaInvalidatesOnlyTouchedInstance(t *testing.T) {
 // TestStructuralDeltaMigratesPlan pins the eager plan migration: after
 // an edge delta on a tracked instance the new structure's plan is
 // already in the cache (the next solve is a plan hit, not a compile),
-// produced by the incremental splice.
+// produced by the incremental splice — for a single query and for a
+// union alike.
 func TestStructuralDeltaMigratesPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		job  Job
+	}{
+		{"query", Job{Query: graph.UnlabeledPath(1)}},
+		{"union", Job{Queries: []*graph.Graph{graph.UnlabeledPath(2), graph.Path2WP(graph.Fwd(graph.Unlabeled), graph.Bwd(graph.Unlabeled))}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testStructuralDeltaMigratesPlan(t, tc.job) })
+	}
+}
+
+func testStructuralDeltaMigratesPlan(t *testing.T, base Job) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
-	q := graph.UnlabeledPath(1)
 	// Two disjoint paths: removing one edge touches one component only.
 	g, _ := graph.DisjointUnion(graph.UnlabeledPath(2), graph.UnlabeledPath(2))
 	h := graph.NewProbGraph(g)
@@ -151,7 +163,7 @@ func TestStructuralDeltaMigratesPlan(t *testing.T) {
 	if _, err := e.CreateInstance("m", h); err != nil {
 		t.Fatal(err)
 	}
-	job, ver, err := e.InstanceJob("m", Job{Query: q})
+	job, ver, err := e.InstanceJob("m", base)
 	if err != nil || ver != 1 {
 		t.Fatalf("InstanceJob: %v (version %d)", err, ver)
 	}
@@ -178,7 +190,7 @@ func TestStructuralDeltaMigratesPlan(t *testing.T) {
 		t.Fatalf("FullRecompiles moved: %d", after.FullRecompiles)
 	}
 
-	job2, ver2, err := e.InstanceJob("m", Job{Query: q})
+	job2, ver2, err := e.InstanceJob("m", base)
 	if err != nil || ver2 != 2 {
 		t.Fatalf("InstanceJob v2: %v (version %d)", err, ver2)
 	}
@@ -194,7 +206,11 @@ func TestStructuralDeltaMigratesPlan(t *testing.T) {
 		t.Fatalf("post-delta solve ran a compile: %d", final.PlanCompiles)
 	}
 	snap, _ := e.Instance("m")
-	want, err := core.Solve(q, snap.Snapshot().H, nil)
+	qs, err := job2.Disjuncts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.SolveUCQ(qs, snap.Snapshot().H, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,8 @@ type Config struct {
 	// snapshot as plans-<index>.bin so warm-start survives gate
 	// restarts; existing files are loaded by New.
 	SnapshotDir string
-	// MaxBody caps ingress request bodies (0 = serve.DefaultMaxBodyBytes).
+	// MaxBody caps ingress request bodies and pulled plan snapshots
+	// (0 = serve.DefaultMaxBodyBytes).
 	MaxBody int64
 	// Client, when set, is used for all backend hops instead of the
 	// gate's pooled keep-alive client (tests inject httptest clients).
@@ -430,8 +431,10 @@ func (g *Gateway) probe(b *backend) {
 }
 
 // PullSnapshots pulls /plans/export from every alive backend into the
-// gate's snapshot store (and SnapshotDir when configured). It returns
-// how many backends were snapshotted.
+// gate's snapshot store (and SnapshotDir when configured). A failed or
+// over-cap pull (larger than MaxBody, which the replica's /plans/import
+// would refuse) keeps the backend's previous snapshot. It returns how
+// many backends were snapshotted.
 func (g *Gateway) PullSnapshots() int {
 	n := 0
 	for _, b := range g.backends {
@@ -449,7 +452,7 @@ func (g *Gateway) PullSnapshots() int {
 		b.snapshot = snap
 		b.mu.Unlock()
 		if g.cfg.SnapshotDir != "" {
-			_ = os.WriteFile(g.snapshotPath(b.node), snap, 0o644)
+			_ = writeFileAtomic(g.snapshotPath(b.node), snap)
 		}
 		n++
 	}
@@ -471,7 +474,35 @@ func (g *Gateway) fetchSnapshot(b *backend) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("plans/export status %d", resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBody))
+	// Read one byte past the cap: a snapshot the replica's /plans/import
+	// would refuse is rejected whole, never stored truncated.
+	snap, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBody+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(snap)) > g.cfg.MaxBody {
+		return nil, fmt.Errorf("plans/export exceeds the %d-byte body cap", g.cfg.MaxBody)
+	}
+	return snap, nil
+}
+
+// writeFileAtomic writes data to path through a temp file in the same
+// directory and a rename, so a crash mid-write never leaves a truncated
+// snapshot behind.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".phom-gate-plans-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 func (g *Gateway) pushSnapshot(b *backend, snap []byte) {

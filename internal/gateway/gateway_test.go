@@ -9,10 +9,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -533,5 +536,68 @@ func TestHealthShardMap(t *testing.T) {
 	sort.Ints(nodes)
 	if !reflect.DeepEqual(nodes, []int{0, 1, 2}) {
 		t.Fatalf("shard map nodes %v", nodes)
+	}
+}
+
+// TestOversizedSnapshotPullKeepsPrevious: a /plans/export larger than
+// the gate's MaxBody is refused whole. The gate keeps the previous
+// snapshot in memory (has_snapshot stays true) and in SnapshotDir,
+// instead of storing a truncated one the replica's /plans/import would
+// reject on restart. A snapshot of exactly MaxBody bytes is accepted.
+func TestOversizedSnapshotPullKeepsPrevious(t *testing.T) {
+	const maxBody = 64
+	var export atomic.Value
+	export.Store(bytes.Repeat([]byte{'a'}, 40))
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			serve.WriteJSON(w, http.StatusOK, serve.HealthResponse{Status: "ok", BootID: "stub"})
+		case "/plans/export":
+			w.Write(export.Load().([]byte))
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(stub.Close)
+	dir := t.TempDir()
+	g, srv := newGate(t, Config{Backends: []string{stub.URL}, SnapshotDir: dir, MaxBody: maxBody})
+	file := filepath.Join(dir, "plans-0.bin")
+	check := func(step string, wantPulled int, want []byte) {
+		t.Helper()
+		if n := g.PullSnapshots(); n != wantPulled {
+			t.Fatalf("%s: PullSnapshots = %d, want %d", step, n, wantPulled)
+		}
+		var h Health
+		getHealth(t, srv.URL, &h)
+		if !h.Backends[0].HasSnapshot {
+			t.Fatalf("%s: has_snapshot is false", step)
+		}
+		got, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: snapshot file holds %d bytes, want %d", step, len(got), len(want))
+		}
+		g.backends[0].mu.Lock()
+		held := g.backends[0].snapshot
+		g.backends[0].mu.Unlock()
+		if !bytes.Equal(held, want) {
+			t.Fatalf("%s: gate holds %d snapshot bytes, want %d", step, len(held), len(want))
+		}
+	}
+	first := export.Load().([]byte)
+	check("first pull", 1, first)
+	export.Store(bytes.Repeat([]byte{'b'}, maxBody+1))
+	check("over-cap pull", 0, first)
+	atCap := bytes.Repeat([]byte{'c'}, maxBody)
+	export.Store(atCap)
+	check("at-cap pull", 1, atCap)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("snapshot dir holds %d entries, want only plans-0.bin", len(entries))
 	}
 }

@@ -168,23 +168,31 @@ func (p *ProbGraph) ComponentsWithEdges() ([]*ProbGraph, [][]int) {
 	var out []*ProbGraph
 	var edgeMaps [][]int
 	for _, comp := range p.G.ConnectedComponents() {
-		sub, remap := p.G.InducedSubgraph(comp)
-		q := NewProbGraph(sub)
-		// InducedSubgraph scans p's edge list in order, so the component's
-		// j-th edge is the j-th edge of p with both endpoints in comp.
-		em := make([]int, 0, sub.NumEdges())
-		for i, e := range p.G.edges {
-			nf, okf := remap[e.From]
-			nt, okt := remap[e.To]
-			if okf && okt {
-				q.MustSetEdgeProb(nf, nt, p.probs[i])
-				em = append(em, i)
-			}
-		}
+		q, em := p.InducedWithEdges(comp)
 		out = append(out, q)
 		edgeMaps = append(edgeMaps, em)
 	}
 	return out, edgeMaps
+}
+
+// InducedWithEdges returns the probabilistic subgraph of p induced by
+// vs (renumbered in the given order, as InducedSubgraph does), together
+// with the map from its edge indices back to the edge indices of p.
+func (p *ProbGraph) InducedWithEdges(vs []Vertex) (*ProbGraph, []int) {
+	sub, remap := p.G.InducedSubgraph(vs)
+	q := NewProbGraph(sub)
+	// InducedSubgraph scans p's edge list in order, so the subgraph's
+	// j-th edge is the j-th edge of p with both endpoints in vs.
+	em := make([]int, 0, sub.NumEdges())
+	for i, e := range p.G.edges {
+		nf, okf := remap[e.From]
+		nt, okt := remap[e.To]
+		if okf && okt {
+			q.MustSetEdgeProb(nf, nt, p.probs[i])
+			em = append(em, i)
+		}
+	}
+	return q, em
 }
 
 // Probs returns the probability vector π in edge-list order, as a fresh

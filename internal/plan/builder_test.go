@@ -134,10 +134,10 @@ func TestOptimizeReducesOpsOnCorpora(t *testing.T) {
 		var err error
 		if trial%2 == 0 {
 			h = gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 3+r.Intn(6), un), 0.8)
-			p, err = DirectedPathOnDWTs(h, m)
+			p, err = dwtPaths(h, m)
 		} else {
 			h = gen.RandProb(r, gen.RandInClass(r, graph.ClassUPT, 3+r.Intn(6), un), 0.8)
-			p, err = DirectedPathOnPolytrees(h, m)
+			p, err = polytreePaths(h, m)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -11,83 +11,108 @@ import (
 
 // This file hosts the per-cell compilers: for every tractable cell of
 // Tables 1–3 they run the structural phase of the cell's algorithm on
-// (q, h) and return a Plan over h's full edge list. Probabilities of h
-// are never read — h serves purely as the structural template — so a
-// compiled plan can be evaluated against any probability assignment on
-// the same structure. The dispatching between cells stays in package
-// core (the guard table of core.Compile), which owns the classification
-// logic.
+// one connected component of the instance and return that component's
+// Plan over the full instance edge list. Probabilities are never read —
+// the instance serves purely as the structural template — so a compiled
+// plan can be evaluated against any probability assignment on the same
+// structure. The dispatching between cells stays in package core (the
+// guard table of core.CompileUCQ), which owns the classification logic.
 //
-// Every compiler is factored as Lemma 3.7 composition over an exported
-// per-component Part* function: the full compiler is "ComponentsWithEdges,
-// then one Part* call per component". The Part* functions are the seam
-// of incremental maintenance (core.PatchCompile): an edge delta confined
-// to one component recompiles only that component's part and splices it
-// into the existing Components composite.
+// A whole-instance plan is Lemma 3.7 composition: Compose calls one
+// PartFunc per connected component and wraps the parts in a Components
+// composite. The Part* compilers are also the seam of incremental
+// maintenance (core.PatchCompile): an edge delta confined to one
+// component recompiles only that component's part and splices it into
+// the existing composite.
 
-// Part1WPOnDWT compiles one DWT component's chain part of
-// Proposition 4.10: the β-acyclic chain lineage of the labeled 1WP
-// query q on comp, with node→edge references mapped through edgeMap
-// into the full instance edge list.
-func Part1WPOnDWT(q *graph.Graph, comp *graph.ProbGraph, edgeMap []int) (Plan, error) {
-	lin, err := lineage.Path1WPOnDWT(q, comp)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := lin.System.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return Chain{System: cc, NodeEdge: mapEdges(lin.ParentEdge, edgeMap)}, nil
-}
+// PartFunc compiles one connected component's part of a cell's plan:
+// comp is the component as a probabilistic graph, edgeMap maps its edge
+// indices into the full instance edge list.
+type PartFunc func(comp *graph.ProbGraph, edgeMap []int) (Plan, error)
 
-// Path1WPOnDWT compiles Proposition 4.10 extended to forests by
-// Lemma 3.7: the β-acyclic chain lineage of a labeled 1WP query with at
-// least one edge on a ⊔DWT instance.
-func Path1WPOnDWT(q *graph.Graph, h *graph.ProbGraph) (Plan, error) {
+// Compose compiles the Lemma 3.7 composite of h: one part per connected
+// component (in ComponentsWithEdges order), combined by Components.
+func Compose(h *graph.ProbGraph, part PartFunc) (Plan, error) {
 	comps, edgeMaps := h.ComponentsWithEdges()
 	parts := make([]Plan, len(comps))
 	for ci, comp := range comps {
-		part, err := Part1WPOnDWT(q, comp, edgeMaps[ci])
+		p, err := part(comp, edgeMaps[ci])
 		if err != nil {
 			return nil, err
 		}
-		parts[ci] = part
+		parts[ci] = p
 	}
 	return Components{Parts: parts}, nil
+}
+
+// Part1WPOnDWT compiles one DWT component's chain part of
+// Proposition 4.10, lifted to the union of the labeled 1WP queries qs
+// (at least one): each disjunct's β-acyclic chain lineage on comp, merged by keeping
+// the shortest clause per node (absorption), with node→edge references
+// mapped through edgeMap into the full instance edge list.
+func Part1WPOnDWT(qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int) (Plan, error) {
+	var merged *betadnf.ChainSystem
+	var nodeEdge []int
+	for _, q := range qs {
+		lin, err := lineage.Path1WPOnDWT(q, comp)
+		if err != nil {
+			return nil, err
+		}
+		if merged == nil {
+			// Parent and ParentEdge are instance-side, identical across
+			// disjuncts: take them from the first.
+			merged = &betadnf.ChainSystem{
+				Parent:   lin.System.Parent,
+				ChainLen: append([]int(nil), lin.System.ChainLen...),
+			}
+			nodeEdge = mapEdges(lin.ParentEdge, edgeMap)
+			continue
+		}
+		for v, l := range lin.System.ChainLen {
+			if l != 0 && (merged.ChainLen[v] == 0 || l < merged.ChainLen[v]) {
+				merged.ChainLen[v] = l
+			}
+		}
+	}
+	cc, err := merged.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return Chain{System: cc, NodeEdge: nodeEdge}, nil
 }
 
 // PartConnectedOn2WP compiles one 2WP component's interval part of
-// Proposition 4.11 for the connected query q.
-func PartConnectedOn2WP(q *graph.Graph, comp *graph.ProbGraph, edgeMap []int) (Plan, error) {
-	lin, err := lineage.ConnectedOn2WP(q, comp)
-	if err != nil {
-		return nil, err
-	}
-	return Interval{System: lin.System, VarEdge: mapEdges(lin.EdgeAt, edgeMap)}, nil
-}
-
-// ConnectedOn2WP compiles Proposition 4.11 extended to forests of paths
-// by Lemma 3.7: the interval lineage of a connected query with at least
-// one edge on a ⊔2WP instance.
-func ConnectedOn2WP(q *graph.Graph, h *graph.ProbGraph) (Plan, error) {
-	comps, edgeMaps := h.ComponentsWithEdges()
-	parts := make([]Plan, len(comps))
-	for ci, comp := range comps {
-		part, err := PartConnectedOn2WP(q, comp, edgeMaps[ci])
+// Proposition 4.11, lifted to the union of the connected queries qs
+// (at least one): the union of the disjuncts' interval lineages is itself an interval
+// system over the component's path order.
+func PartConnectedOn2WP(qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int) (Plan, error) {
+	merged := &betadnf.IntervalSystem{NumVars: comp.G.NumVertices() - 1}
+	var varEdge []int
+	for _, q := range qs {
+		lin, err := lineage.ConnectedOn2WP(q, comp)
 		if err != nil {
 			return nil, err
 		}
-		parts[ci] = part
+		merged.Clauses = append(merged.Clauses, lin.System.Clauses...)
+		if varEdge == nil {
+			// EdgeAt is instance-side (the component's path order),
+			// identical across disjuncts: map it once.
+			varEdge = mapEdges(lin.EdgeAt, edgeMap)
+		}
 	}
-	return Components{Parts: parts}, nil
+	return Interval{System: merged, VarEdge: varEdge}, nil
 }
 
 // PartDirectedPathOnDWT compiles one DWT component's chain part of
 // Proposition 3.6's workhorse: the chain system deciding whether a
-// world of comp contains a directed path of m (> 0) edges.
+// world of comp contains a directed path of m (> 0) edges. The
+// probability inputs are lifted out of the per-component structure
+// (parents, depths, chain clauses) into the plan's NodeEdge mapping.
 func PartDirectedPathOnDWT(comp *graph.ProbGraph, m int, edgeMap []int) (Plan, error) {
 	g := comp.G
+	if !g.IsDWT() {
+		return nil, fmt.Errorf("plan: PartDirectedPathOnDWT needs a DWT component")
+	}
 	n := g.NumVertices()
 	parent := make([]int, n)
 	chain := make([]int, n)
@@ -116,30 +141,6 @@ func PartDirectedPathOnDWT(comp *graph.ProbGraph, m int, edgeMap []int) (Plan, e
 	return Chain{System: cc, NodeEdge: mapEdges(nodeEdge, edgeMap)}, nil
 }
 
-// DirectedPathOnDWTs compiles the workhorse of Proposition 3.6: the
-// chain system deciding whether a world of the ⊔DWT instance h contains
-// a directed path of m edges. The probability inputs are lifted out of
-// the per-component structure (parents, depths, chain clauses) into the
-// plan's NodeEdge mapping.
-func DirectedPathOnDWTs(h *graph.ProbGraph, m int) (Plan, error) {
-	if m == 0 {
-		return NewConst(graph.RatOne), nil
-	}
-	if !h.G.InClass(graph.ClassUDWT) {
-		return nil, fmt.Errorf("plan: DirectedPathOnDWTs needs a ⊔DWT instance")
-	}
-	comps, edgeMaps := h.ComponentsWithEdges()
-	parts := make([]Plan, len(comps))
-	for ci, comp := range comps {
-		part, err := PartDirectedPathOnDWT(comp, m, edgeMaps[ci])
-		if err != nil {
-			return nil, err
-		}
-		parts[ci] = part
-	}
-	return Components{Parts: parts}, nil
-}
-
 // PartDirectedPathOnPolytree compiles one polytree component's d-DNNF
 // circuit part of Proposition 5.4 for the unlabeled path query →^m
 // (m > 0).
@@ -151,94 +152,6 @@ func PartDirectedPathOnPolytree(comp *graph.ProbGraph, m int, edgeMap []int) (Pl
 	a := &treeauto.Automaton{M: m}
 	c, out := a.CompileLineage(root, comp.G.NumEdges())
 	return Circuit{C: c, Out: out, VarEdge: edgeMap}, nil
-}
-
-// DirectedPathOnPolytrees compiles Proposition 5.4 (with Lemma 3.7): the
-// d-DNNF lineage circuits of the automaton for the unlabeled path query
-// →^m on every polytree component of the ⊔PT instance h.
-func DirectedPathOnPolytrees(h *graph.ProbGraph, m int) (Plan, error) {
-	if m == 0 {
-		return NewConst(graph.RatOne), nil
-	}
-	if !h.G.InClass(graph.ClassUPT) {
-		return nil, fmt.Errorf("plan: DirectedPathOnPolytrees needs a ⊔PT instance")
-	}
-	comps, edgeMaps := h.ComponentsWithEdges()
-	parts := make([]Plan, len(comps))
-	for ci, comp := range comps {
-		part, err := PartDirectedPathOnPolytree(comp, m, edgeMaps[ci])
-		if err != nil {
-			return nil, err
-		}
-		parts[ci] = part
-	}
-	return Components{Parts: parts}, nil
-}
-
-// UnionConnectedOn2WP compiles the UCQ lift of Proposition 4.11: the
-// union of the disjuncts' interval lineages is itself an interval
-// system, merged per component.
-func UnionConnectedOn2WP(qs []*graph.Graph, h *graph.ProbGraph) (Plan, error) {
-	comps, edgeMaps := h.ComponentsWithEdges()
-	parts := make([]Plan, len(comps))
-	for ci, comp := range comps {
-		merged := &betadnf.IntervalSystem{NumVars: comp.G.NumVertices() - 1}
-		var varEdge []int
-		for _, q := range qs {
-			lin, err := lineage.ConnectedOn2WP(q, comp)
-			if err != nil {
-				return nil, err
-			}
-			merged.Clauses = append(merged.Clauses, lin.System.Clauses...)
-			if varEdge == nil {
-				// EdgeAt is instance-side (the component's path order),
-				// identical across disjuncts: map it once.
-				varEdge = mapEdges(lin.EdgeAt, edgeMaps[ci])
-			}
-		}
-		if varEdge == nil {
-			varEdge = []int{}
-		}
-		parts[ci] = Interval{System: merged, VarEdge: varEdge}
-	}
-	return Components{Parts: parts}, nil
-}
-
-// Union1WPOnDWT compiles the UCQ lift of Proposition 4.10: the union of
-// the disjuncts' chain lineages is a chain system after keeping, per
-// node, the shortest clause (absorption), merged per component.
-func Union1WPOnDWT(qs []*graph.Graph, h *graph.ProbGraph) (Plan, error) {
-	comps, edgeMaps := h.ComponentsWithEdges()
-	parts := make([]Plan, len(comps))
-	for ci, comp := range comps {
-		var merged *betadnf.ChainSystem
-		var nodeEdge []int
-		for _, q := range qs {
-			lin, err := lineage.Path1WPOnDWT(q, comp)
-			if err != nil {
-				return nil, err
-			}
-			if merged == nil {
-				merged = &betadnf.ChainSystem{
-					Parent:   lin.System.Parent,
-					ChainLen: append([]int(nil), lin.System.ChainLen...),
-				}
-				nodeEdge = mapEdges(lin.ParentEdge, edgeMaps[ci])
-				continue
-			}
-			for v, l := range lin.System.ChainLen {
-				if l != 0 && (merged.ChainLen[v] == 0 || l < merged.ChainLen[v]) {
-					merged.ChainLen[v] = l
-				}
-			}
-		}
-		cc, err := merged.Compile()
-		if err != nil {
-			return nil, err
-		}
-		parts[ci] = Chain{System: cc, NodeEdge: nodeEdge}
-	}
-	return Components{Parts: parts}, nil
 }
 
 // mapEdges rewrites component-local edge indices to indices into the

@@ -117,7 +117,7 @@ func TestCompiledPlansMatchOracle(t *testing.T) {
 		m := 1 + r.Intn(3)
 		hg := gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(6), un)
 		h := gen.RandProb(r, hg, 0.8)
-		p, err := DirectedPathOnDWTs(h, m)
+		p, err := dwtPaths(h, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestCompiledPlansMatchOracle(t *testing.T) {
 		m := 1 + r.Intn(3)
 		hg := gen.RandInClass(r, graph.ClassUPT, 2+r.Intn(6), un)
 		h := gen.RandProb(r, hg, 0.8)
-		p, err := DirectedPathOnPolytrees(h, m)
+		p, err := polytreePaths(h, m)
 		if err != nil {
 			t.Fatal(err)
 		}

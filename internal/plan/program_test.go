@@ -132,55 +132,55 @@ func TestLoweredProgramsMatchTreeEvaluate(t *testing.T) {
 
 	for trial := 0; trial < 20; trial++ {
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(10), un), 0.7)
-		p, err := DirectedPathOnDWTs(h, 1+r.Intn(4))
+		p, err := dwtPaths(h, 1+r.Intn(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lowerAndCompare(t, r, p, h, "DirectedPathOnDWTs")
+		lowerAndCompare(t, r, p, h, "PartDirectedPathOnDWT")
 	}
 	for trial := 0; trial < 20; trial++ {
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUPT, 2+r.Intn(10), un), 0.7)
-		p, err := DirectedPathOnPolytrees(h, 1+r.Intn(4))
+		p, err := polytreePaths(h, 1+r.Intn(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lowerAndCompare(t, r, p, h, "DirectedPathOnPolytrees")
+		lowerAndCompare(t, r, p, h, "PartDirectedPathOnPolytree")
 	}
 	for trial := 0; trial < 20; trial++ {
 		q := gen.Rand1WP(r, 2+r.Intn(3), rs)
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(10), rs), 0.7)
-		p, err := Path1WPOnDWT(q, h)
+		p, err := chains([]*graph.Graph{q}, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lowerAndCompare(t, r, p, h, "Path1WPOnDWT")
+		lowerAndCompare(t, r, p, h, "Part1WPOnDWT")
 	}
 	for trial := 0; trial < 20; trial++ {
 		q := gen.RandConnected(r, 2+r.Intn(3), 1, rs)
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassU2WP, 2+r.Intn(10), rs), 0.7)
-		p, err := ConnectedOn2WP(q, h)
+		p, err := intervals([]*graph.Graph{q}, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lowerAndCompare(t, r, p, h, "ConnectedOn2WP")
+		lowerAndCompare(t, r, p, h, "PartConnectedOn2WP")
 	}
 	for trial := 0; trial < 10; trial++ {
 		qs := []*graph.Graph{gen.Rand1WP(r, 2+r.Intn(2), rs), gen.Rand1WP(r, 2+r.Intn(2), rs)}
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(8), rs), 0.7)
-		p, err := Union1WPOnDWT(qs, h)
+		p, err := chains(qs, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lowerAndCompare(t, r, p, h, "Union1WPOnDWT")
+		lowerAndCompare(t, r, p, h, "Part1WPOnDWT union")
 	}
 	for trial := 0; trial < 10; trial++ {
 		qs := []*graph.Graph{gen.RandConnected(r, 2+r.Intn(2), 1, rs), gen.RandConnected(r, 2+r.Intn(2), 1, rs)}
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassU2WP, 2+r.Intn(8), rs), 0.7)
-		p, err := UnionConnectedOn2WP(qs, h)
+		p, err := intervals(qs, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lowerAndCompare(t, r, p, h, "UnionConnectedOn2WP")
+		lowerAndCompare(t, r, p, h, "PartConnectedOn2WP union")
 	}
 }
 

@@ -41,6 +41,10 @@
 //     (DoContext, SolveBatchContext) and completion-order streaming
 //     (Stream), which also backs the cmd/phomserve HTTP service.
 //
+// A single query and a union of conjunctive queries compile through
+// the same guard table (a query is the one-disjunct union), so a
+// one-element union routes, and answers, exactly like its query.
+//
 // The context-free Solve / SolveUCQ / Compile / CompileUCQ remain as
 // thin v1 compatibility shims over the v2 path with byte-identical
 // results; new code should construct a Request and call the *Context

@@ -132,33 +132,27 @@ func WithTimeout(d time.Duration) RequestOption {
 	return func(r *Request) { r.Timeout = d }
 }
 
-// resolveRequest validates the request and decides its solver family.
-// A non-nil Queries slice — even empty or single-element — is a UCQ
-// request and keeps SolveUCQ's lifted routing, exactly as v1 did: an
-// empty union solves to probability 0, and a one-disjunct union may
-// dispatch through a different lifted cell (hence report a different
-// Result.Method) than the single-query guard table would. Only a nil
-// Queries with Query set is a single-CQ request. This is deliberately
-// NOT Request.Disjuncts: the engine has always collapsed one-element
-// unions onto the single-query compiler, while the library's SolveUCQ
-// has always used the lifted table — each path stays faithful to its
-// own v1 behavior.
-func resolveRequest(req Request) (qs UCQ, ucq bool, err error) {
+// resolveRequest validates the request and returns its disjunct list.
+// A non-nil Queries slice is the union, even when empty (an empty
+// union solves to probability 0, as SolveUCQ always has); otherwise
+// the single Query is the one-disjunct union. Both compile through the
+// same guard table, so a one-element Queries routes exactly like Query.
+func resolveRequest(req Request) (UCQ, error) {
 	if req.Queries == nil && req.Query == nil {
-		return nil, false, phomerr.New(phomerr.CodeBadInput, "phom: request has no query graph")
+		return nil, phomerr.New(phomerr.CodeBadInput, "phom: request has no query graph")
 	}
 	if req.Instance == nil {
-		return nil, false, phomerr.New(phomerr.CodeBadInput, "phom: request has no instance graph")
+		return nil, phomerr.New(phomerr.CodeBadInput, "phom: request has no instance graph")
 	}
-	if req.Queries != nil {
-		for _, q := range req.Queries {
-			if q == nil {
-				return nil, false, phomerr.New(phomerr.CodeBadInput, "phom: nil query graph in request")
-			}
+	if req.Queries == nil {
+		return UCQ{req.Query}, nil
+	}
+	for _, q := range req.Queries {
+		if q == nil {
+			return nil, phomerr.New(phomerr.CodeBadInput, "phom: nil query graph in request")
 		}
-		return UCQ(req.Queries), true, nil
 	}
-	return UCQ{req.Query}, false, nil
+	return UCQ(req.Queries), nil
 }
 
 // SolveContext computes Pr(G ⇝ H) (or its UCQ lift) for the request
@@ -173,32 +167,26 @@ func resolveRequest(req Request) (qs UCQ, ucq bool, err error) {
 // ErrCanceled) or errors.Is(err, ErrDeadline). A run that completes is
 // byte-identical to the context-free v1 call.
 func SolveContext(ctx context.Context, req Request) (*Result, error) {
-	qs, ucq, err := resolveRequest(req)
+	qs, err := resolveRequest(req)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := requestContext(ctx, req)
 	defer cancel()
-	if ucq {
-		return core.SolveUCQContext(ctx, qs, req.Instance, req.Opts)
-	}
-	return core.SolveContext(ctx, qs[0], req.Instance, req.Opts)
+	return core.SolveUCQContext(ctx, qs, req.Instance, req.Opts)
 }
 
 // CompileContext runs the probability-independent phase of
 // SolveContext and returns the reusable Plan — the v2 form of Compile
 // and CompileUCQ, with the same cancellation contract as SolveContext.
 func CompileContext(ctx context.Context, req Request) (*Plan, error) {
-	qs, ucq, err := resolveRequest(req)
+	qs, err := resolveRequest(req)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := requestContext(ctx, req)
 	defer cancel()
-	if ucq {
-		return core.CompileUCQContext(ctx, qs, req.Instance, req.Opts)
-	}
-	return core.CompileContext(ctx, qs[0], req.Instance, req.Opts)
+	return core.CompileUCQContext(ctx, qs, req.Instance, req.Opts)
 }
 
 // requestContext applies the request's Timeout on top of ctx, with the

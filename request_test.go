@@ -71,10 +71,8 @@ func TestV1ShimsByteIdenticalToV2(t *testing.T) {
 		}
 	})
 	t.Run("solve-ucq", func(t *testing.T) {
-		// Multi-disjunct, single-disjunct (whose lifted routing may pick
-		// a different cell than the single-query table — the shim must
-		// preserve it, Method included), empty, and nil unions: each
-		// must answer exactly as core.SolveUCQ always has.
+		// Multi-disjunct, single-disjunct, empty, and nil unions: each
+		// must answer exactly as core.SolveUCQ, Method included.
 		for _, qs := range []UCQ{
 			{Path1WP("R", "S"), Path1WP("S", "R")},
 			{UnlabeledPath(2)},
@@ -93,6 +91,29 @@ func TestV1ShimsByteIdenticalToV2(t *testing.T) {
 						name, v.Prob.RatString(), v.Method, ref.Prob.RatString(), ref.Method)
 				}
 			}
+		}
+	})
+	t.Run("one-disjunct", func(t *testing.T) {
+		// An unlabeled path instance is both ⊔2WP and ⊔DWT, where the
+		// lifted cells overlap: a one-disjunct union routes exactly like
+		// its query.
+		hp := NewProbGraph(UnlabeledPath(4))
+		for i := 0; i < 4; i++ {
+			if err := hp.SetProb(i, Rat("2/3")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		single, err1 := SolveContext(ctx, NewRequest(UnlabeledPath(2), hp))
+		union, err2 := SolveContext(ctx, NewUCQRequest(UCQ{UnlabeledPath(2)}, hp))
+		if err1 != nil || err2 != nil {
+			t.Fatalf("errs %v, %v", err1, err2)
+		}
+		if single.Prob.RatString() != union.Prob.RatString() || single.Method != union.Method {
+			t.Fatalf("query (%s, %v) != one-disjunct union (%s, %v)",
+				single.Prob.RatString(), single.Method, union.Prob.RatString(), union.Method)
+		}
+		if single.Method != MethodXProperty2WP {
+			t.Fatalf("routed to %v, want %v", single.Method, MethodXProperty2WP)
 		}
 	})
 	t.Run("compile", func(t *testing.T) {
