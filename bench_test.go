@@ -105,18 +105,6 @@ func BenchmarkE21_ProgramExec(b *testing.B) {
 	}
 }
 
-func BenchmarkE21_PlanTreeEvaluate(b *testing.B) {
-	cp, probs := planPair(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := cp.EvaluateTree(probs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = res.Prob
-	}
-}
-
 // ---- E1: Table 1 (unlabeled, disconnected queries) ----
 
 func BenchmarkTable1_U1WP_on_PT_ptime(b *testing.B) {

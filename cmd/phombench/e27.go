@@ -10,8 +10,8 @@ package main
 // the next solve is a pure reweight) interleaved with sparse edge
 // removals and re-inserts (structural: the engine migrates the tracked
 // plan through core.PatchCompile, recompiling only the components
-// incident to the delta and splicing the untouched parts
-// copy-on-write). The from-scratch baseline replays the identical
+// incident to the delta and replaying the untouched parts out of the
+// old program). The from-scratch baseline replays the identical
 // stream through a bare instance and pays a full core.Solve — dispatch,
 // compile, evaluate — at every version.
 //
@@ -94,7 +94,7 @@ func runDeltaStream(e *E) {
 	}
 	// A cyclic connected query (never 1WP) on a ⊔2WP instance: the one
 	// applicable route is Prop 4.11, and the compiled plan is the
-	// Lemma 3.7 Components composite PatchCompile splices into.
+	// Lemma 3.7 composite PatchCompile splices into.
 	q := gen.RandConnected(r, 5, 1, rs)
 	g := gen.RandInClass(r, graph.ClassU2WP, n, rs)
 	if len(g.ConnectedComponents()) < 2 {

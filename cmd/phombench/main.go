@@ -8,7 +8,7 @@
 // engine of internal/engine over a mixed batch workload and measures
 // the speedup over sequential solving; E20 measures the
 // compile/evaluate split of the solver plans (internal/plan); E21
-// measures the flattened evaluation IR and warm-start snapshot serving;
+// measures warm-start snapshot serving of the flattened evaluation IR;
 // E22 measures the dual-precision substrates (certified float64
 // interval kernel vs exact big.Rat); E23 runs the phomgen workload
 // families (Erdős–Rényi, Barabási–Albert, power-law) across the
@@ -182,7 +182,7 @@ func experiments() []experimentDef {
 		experimentDef{"E18", "Ablations (d-DNNF vs direct DP; baselines)", runAblations},
 		experimentDef{"E19", "Engine batch throughput (workers, dedup, memoization)", runEngineBatch},
 		experimentDef{"E20", "Plan compile/evaluate amortization (structure-keyed reweighting)", runPlanReweight},
-		experimentDef{"E21", "Evaluation IR (interpreter throughput, warm-start snapshots)", runPlanSnapshot},
+		experimentDef{"E21", "Evaluation IR (warm-start snapshots)", runPlanSnapshot},
 		experimentDef{"E22", "Dual-precision: float64 interval kernel vs exact interpreter", runFloatPath},
 		experimentDef{"E23", "phomgen workload families on the dispatch lattice", runWorkloadFamilies},
 		experimentDef{"E24", "Vectorized reweight throughput vs batch width", runBatchedReweight},
@@ -769,13 +769,11 @@ func runPlanReweight(e *E) {
 	}
 }
 
-// runPlanSnapshot covers E21: the flattened evaluation IR. Part one
-// compares the throughput of the Program interpreter (what the solver
-// serves with) against the PR 2 plan-tree evaluators over the same
-// reweight stream, checking byte-identical results. Part two measures
-// warm-start serving: a cold engine pays one compilation per structure,
+// runPlanSnapshot covers E21: warm-start serving of the flattened
+// evaluation IR. A cold engine pays one compilation per structure,
 // while a fresh engine restored from the first engine's plan snapshot
-// serves the entire stream as plan hits with zero compilations.
+// serves the entire reweight stream as plan hits with zero
+// compilations.
 func runPlanSnapshot(e *E) {
 	r := e.r
 	rs := []graph.Label{"R", "S"}
@@ -804,37 +802,7 @@ func runPlanSnapshot(e *E) {
 		}
 		k := len(variants)
 
-		// Part one: interpreter vs tree evaluation on one compiled plan.
-		cp, err := core.Compile(wl.q, wl.h, opts)
-		e.check(err)
-		prog := cp.Program()
-		start := time.Now()
-		treeRes := make([]*big.Rat, k)
-		for i, h2 := range variants {
-			res, err := cp.EvaluateTree(h2.Probs())
-			e.check(err)
-			treeRes[i] = res.Prob
-		}
-		dTree := time.Since(start)
-		// Raw interpreter against raw tree: probe ExecCtx directly so
-		// both sides skip the serving path's probability validation.
-		ctx := context.Background()
-		start = time.Now()
-		for i, h2 := range variants {
-			pr, err := prog.ExecCtx(ctx, h2.Probs())
-			e.check(err)
-			if pr.Cmp(treeRes[i]) != 0 {
-				e.fatalf("%s: interpreter diverged from tree evaluation", wl.name)
-			}
-		}
-		dExec := time.Since(start)
-		e.emit(metric(fmt.Sprintf("%s n=%d tree x%d", wl.name, n, k),
-			fmt.Sprintf("%d ops baseline", prog.NumOps()), dTree))
-		mExec := metric(fmt.Sprintf("%s n=%d exec x%d", wl.name, n, k), "match=true", dExec)
-		mExec.Speedup = float64(dTree) / float64(dExec)
-		e.emit(mExec)
-
-		// Part two: cold serving vs warm-start from a snapshot.
+		// Cold serving vs warm-start from a snapshot.
 		serve := func(eng *engine.Engine) (time.Duration, int) {
 			hits := 0
 			start := time.Now()

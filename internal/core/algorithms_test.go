@@ -12,27 +12,28 @@ import (
 )
 
 // routePlan compiles qs on h with the cell compiler of the guard-table
-// route for method m, bypassing the route's guard.
-func routePlan(t *testing.T, m Method, qs UCQ, h *graph.ProbGraph) (plan.Plan, error) {
+// route for method m, bypassing the route's guard, and seals the
+// program the way Compile's guard table does.
+func routePlan(t *testing.T, m Method, qs UCQ, h *graph.ProbGraph) (*CompiledPlan, error) {
 	t.Helper()
 	for i := range solveRoutes {
 		if solveRoutes[i].method == m {
-			return solveRoutes[i].compile(qs, h)
+			b := plan.NewBuilder(context.Background(), h.G.NumEdges())
+			out, factors, err := solveRoutes[i].emit(b, qs, h)
+			if err != nil {
+				return nil, err
+			}
+			return seal(m, b, out, factors, nil)
 		}
 	}
 	t.Fatalf("no route for %v", m)
 	return nil, nil
 }
 
-// cellProb evaluates one cell compiler's plan the way Compile's guard
-// table does — sealed (lowered to the Program IR) and evaluated exactly
-// — against h's own probabilities.
-func cellProb(t *testing.T, p plan.Plan, err error, h *graph.ProbGraph) *big.Rat {
+// cellProb evaluates one cell compiler's plan exactly against h's own
+// probabilities.
+func cellProb(t *testing.T, cp *CompiledPlan, err error, h *graph.ProbGraph) *big.Rat {
 	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := seal(context.Background(), MethodTrivial, p, h.G.NumEdges(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -377,17 +378,23 @@ func TestMethodStrings(t *testing.T) {
 }
 
 func TestCombineComponents(t *testing.T) {
-	// Lemma 3.7 combination, now hosted by plan.Components:
+	// Lemma 3.7 combination, as plan.Compose emits it:
 	// 1 − (1 − 1/2)(1 − 1/3) = 1 − 1/3 = 2/3.
-	c := plan.Components{Parts: []plan.Plan{
-		plan.NewConst(big.NewRat(1, 2)),
-		plan.NewConst(big.NewRat(1, 3)),
-	}}
-	got, err := c.Evaluate(nil)
+	parts := []*big.Rat{big.NewRat(1, 2), big.NewRat(1, 3)}
+	b := plan.NewBuilder(context.Background(), 0)
+	out, _, err := plan.Compose(b, len(parts), func(i int) (uint32, error) { return b.Const(parts[i]), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := b.Finish(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prog.ExecCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cmp(big.NewRat(2, 3)) != 0 {
-		t.Fatalf("Components.Evaluate = %s, want 2/3", got.RatString())
+		t.Fatalf("Compose = %s, want 2/3", got.RatString())
 	}
 }

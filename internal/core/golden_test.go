@@ -8,16 +8,18 @@ import (
 	"testing"
 
 	"phom/internal/gen"
-	"phom/internal/plan"
 )
 
 // The lowered-plan digests are SHA-256s over the MarshalBinary records
 // of the seeded corpora below: single queries, then lifted UCQs drawn
 // from the same random stream. They pin the exact bytes compilation
 // and lowering produce: method, op order, register allocation and
-// constant-pool order. A change that moves plan bytes on purpose (a new
-// lowering, a different schedule, a different route) must regenerate
-// the digest it moves: run
+// constant-pool order. Each record is hashed with its part table
+// cleared, that is as the version-1 record of the same program;
+// loweredPartsDigest pins the part tables of both corpora on their own.
+// A change that moves plan bytes on purpose (a new lowering, a
+// different schedule, a different route) must regenerate the digest it
+// moves: run
 //
 //	go test ./internal/core -run TestLoweredPlanBytesGolden -v
 //
@@ -26,16 +28,18 @@ import (
 const (
 	loweredPlanDigestCQ  = "21435b97e2aecd5d6e12a495ff3ab5ffbbaee9c6c7d3c8a67583711a78acf026"
 	loweredPlanDigestUCQ = "296e85216e9b1dd732ded6fa977b8a6a8078d9d33c2e1697921bb4069cc932cd"
+	loweredPartsDigest   = "1dbe2881809f642622f81a111bd7641cd6e441884062449d7367db0fc3f89ced"
 )
 
 // TestLoweredPlanBytesGolden lowers a seeded corpus covering the four
 // tractable rows (Props 3.6, 4.10, 4.11, 5.4/5.5), disconnected
-// instances (the Lemma 3.7 Components composite) and lifted UCQs, and
-// compares the digests of the serialized plans against
-// loweredPlanDigestCQ and loweredPlanDigestUCQ.
+// instances (the Lemma 3.7 composite) and lifted UCQs, and compares
+// the digests of the serialized plans against loweredPlanDigestCQ and
+// loweredPlanDigestUCQ, and of their part tables against
+// loweredPartsDigest.
 func TestLoweredPlanBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(2017))
-	digest := sha256.New()
+	digest, parts := sha256.New(), sha256.New()
 	var records, multiPart int
 	check := func(corpus, want string) {
 		t.Helper()
@@ -52,11 +56,17 @@ func TestLoweredPlanBytesGolden(t *testing.T) {
 	}
 	add := func(name string, cp *CompiledPlan) {
 		t.Helper()
-		data, err := cp.MarshalBinary()
+		v1 := *cp
+		v1.parts = nil
+		data, err := v1.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: MarshalBinary: %v", name, err)
 		}
-		if c, ok := cp.tree.(plan.Components); ok && len(c.Parts) > 1 {
+		parts.Write(binary.AppendUvarint(nil, uint64(len(cp.parts))))
+		for _, k := range cp.parts {
+			parts.Write(binary.AppendVarint(nil, int64(k)))
+		}
+		if cp.parts != nil {
 			multiPart++
 		}
 		digest.Write(binary.AppendUvarint(nil, uint64(len(data))))
@@ -98,4 +108,7 @@ func TestLoweredPlanBytesGolden(t *testing.T) {
 		}
 	}
 	check("UCQ", loweredPlanDigestUCQ)
+	if got := hex.EncodeToString(parts.Sum(nil)); got != loweredPartsDigest {
+		t.Errorf("part tables moved: got digest %s, want %s", got, loweredPartsDigest)
+	}
 }

@@ -3,21 +3,26 @@ package core
 // incremental.go: component-localized recompilation. A structural edge
 // delta on a live instance (internal/instance) renumbers the edge list
 // and changes at most the components incident to the delta; every other
-// component's compiled part — the per-component dynamic programs that
-// dominate compile cost — is still valid up to edge renumbering. The
-// Lemma 3.7 Components composite is exactly the seam: PatchCompile
-// diffs the component partitions of the old and new structure, reuses
-// the untouched parts copy-on-write (plan.RemapEdges), recompiles only
-// the touched components through the chosen route's part compiler, and
-// re-seals the spliced composite. Single queries and unions splice
-// alike (a query is a one-disjunct union). Anything it cannot prove
-// local — a route change (the tightest class moved), a change in which
-// disjuncts are live, an opaque or constant plan, a vertex-count change
-// — falls back to a full CompileUCQContext, so the result is always
-// exactly what a from-scratch compile would produce.
+// component's part of the compiled program — the per-component dynamic
+// programs that dominate compile cost — is still valid up to edge
+// renumbering. The Lemma 3.7 composite is exactly the seam: the plan's
+// part table records where each component's factor sits inside its
+// program, so PatchCompile diffs the component partitions of the old
+// and new structure, replays the factors of the untouched components
+// out of the old program with their loads renumbered
+// (plan.Replayer), recompiles only the touched components through the
+// chosen route's part compiler, and seals the new composite. Fresh and
+// decoded plans splice alike (the part table travels with the bytes),
+// and so do single queries and unions (a query is a one-disjunct
+// union). Anything it cannot prove local — a route change (the tightest
+// class moved), a change in which disjuncts are live, an opaque or
+// constant plan, a plan without a part table, a vertex-count change —
+// falls back to a full CompileUCQContext, so the result always computes
+// exactly what a from-scratch compile would.
 
 import (
 	"context"
+	"errors"
 	"slices"
 
 	"phom/internal/graph"
@@ -56,14 +61,14 @@ func PatchCompileUCQContext(ctx context.Context, qs UCQ, old *CompiledPlan, oldG
 	return cp, false, err
 }
 
+// errNotLocal aborts a splice whose old program does not line up with
+// the component diff; patchCompile turns it into a full compile.
+var errNotLocal = errors.New("core: splice not local")
+
 // patchCompile attempts the splice; a nil, nil return means "not
 // provably local — run a full compile".
 func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options) (*CompiledPlan, error) {
-	if old == nil || old.opaque || old.tree == nil || oldG == nil {
-		return nil, nil
-	}
-	oldComposite, ok := old.tree.(plan.Components)
-	if !ok {
+	if old == nil || old.opaque || old.parts == nil || oldG == nil {
 		return nil, nil
 	}
 	if err := opts.Validate(); err != nil {
@@ -109,76 +114,31 @@ func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Gr
 	// Diff the component partitions. Components are listed in the same
 	// deterministic order (sorted vertices, ordered by smallest vertex)
 	// the compilers consumed, so old part ci belongs to old component ci.
-	oldVS := oldG.ConnectedComponents()
-	if len(oldComposite.Parts) != len(oldVS) {
+	oldP, newP := oldG.Partition(), newG.Partition()
+	if len(old.parts) != len(oldP.Comps) {
 		return nil, nil
 	}
-	newVS := newG.ConnectedComponents()
-	oldCompOf := make([]int, oldG.NumVertices())
-	for ci, vs := range oldVS {
-		for _, v := range vs {
-			oldCompOf[v] = ci
-		}
-	}
-
 	// Global edge renumbering old → new: an old edge survives iff the
-	// new graph carries the same (from, to, label) triple. Per-component
-	// edge counts on both sides detect additions and removals.
+	// new graph carries the same (from, to, label) triple.
 	remap := make([]int, oldG.NumEdges())
-	oldCnt := make([]int, len(oldVS))
-	for i := 0; i < oldG.NumEdges(); i++ {
+	for i := range remap {
 		e := oldG.Edge(i)
-		oldCnt[oldCompOf[e.From]]++
 		remap[i] = -1
 		if j, ok := newG.EdgeIndex(e.From, e.To); ok && newG.Edge(j).Label == e.Label {
 			remap[i] = j
 		}
 	}
-	newCompOf := make([]int, newG.NumVertices())
-	for cj, vs := range newVS {
-		for _, v := range vs {
-			newCompOf[v] = cj
-		}
-	}
-	newCnt := make([]int, len(newVS))
-	for j := 0; j < newG.NumEdges(); j++ {
-		newCnt[newCompOf[newG.Edge(j).From]]++
-	}
 	// An old component is intact iff it reappears verbatim: same vertex
-	// set (both sides sorted), every edge surviving, equal edge count on
-	// the new side (no additions hiding behind equal vertex sets).
-	intactOld := make([]int, len(newVS)) // new comp -> old comp, or -1
-	for cj, vs := range newVS {
+	// set (both sides sorted), equal edge count (no additions hiding
+	// behind equal vertex sets), and every one of its edges surviving
+	// (none removed and re-added under another label).
+	intactOld := make([]int, len(newP.Comps)) // new comp -> old comp, or -1
+	for cj, vs := range newP.Comps {
 		intactOld[cj] = -1
-		ci := oldCompOf[vs[0]]
-		ovs := oldVS[ci]
-		if len(ovs) != len(vs) || oldCnt[ci] != newCnt[cj] {
-			continue
-		}
-		same := true
-		for k := range vs {
-			if ovs[k] != vs[k] {
-				same = false
-				break
-			}
-		}
-		if same {
+		ci := oldP.Of[vs[0]]
+		if slices.Equal(oldP.Comps[ci], vs) && len(oldP.Edges[ci]) == len(newP.Edges[cj]) &&
+			!slices.ContainsFunc(oldP.Edges[ci], func(i int) bool { return remap[i] < 0 }) {
 			intactOld[cj] = ci
-		}
-	}
-	// Edge survival is per old component: one lost edge taints its
-	// component only, but the vertex-set match above could pair a new
-	// component with an old one whose edges changed in place (removed
-	// and re-added under another label), so re-check survival.
-	for cj, ci := range intactOld {
-		if ci < 0 {
-			continue
-		}
-		for i := 0; i < oldG.NumEdges(); i++ {
-			if oldCompOf[oldG.Edge(i).From] == ci && remap[i] < 0 {
-				intactOld[cj] = -1
-				break
-			}
 		}
 	}
 
@@ -187,36 +147,51 @@ func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Gr
 	// necessarily in oldG's edge order — another instance's compile, a
 	// stateless job inserting edges differently, or a plan restored from
 	// a snapshot. Plan edge p is the oldG edge of equal canonical rank,
-	// so the splice renumbers plan edges through both canonical orders.
+	// so the splice renumbers plan edges through both canonical orders,
+	// and locates each plan edge's old component the same way.
 	planOrder, gOrder := old.CanonOrder(), graphio.CanonicalEdgeOrder(oldG)
 	if len(planOrder) != len(gOrder) || old.NumEdges() != len(gOrder) {
 		return nil, nil
 	}
 	planRemap := make([]int, len(planOrder))
+	planComp := make([]int, len(planOrder))
 	for k, p := range planOrder {
 		planRemap[p] = remap[gOrder[k]]
+		planComp[p] = oldP.Of[oldG.Edge(gOrder[k]).From]
 	}
 
-	parts := make([]plan.Plan, len(newVS))
-	for cj := range newVS {
+	b := plan.NewBuilder(ctx, newG.NumEdges())
+	rp := plan.NewReplayer(old.prog, b)
+	out, factors, err := plan.Compose(b, len(newP.Comps), func(cj int) (uint32, error) {
 		if err := phomerr.FromContext(ctx); err != nil {
-			return nil, err
+			return 0, err
 		}
-		if ci := intactOld[cj]; ci >= 0 {
-			np, err := plan.RemapEdges(oldComposite.Parts[ci], planRemap)
-			if err != nil {
-				return nil, nil // defensive: fall back rather than fail
-			}
-			parts[cj] = np
-			continue
+		ci := intactOld[cj]
+		if ci < 0 {
+			// Touched component: recompile just this part.
+			return compilePart(b, newH.Component(newP, cj), newP.Edges[cj])
 		}
-		// Touched component: recompile just this part.
-		part, err := compilePart(newH.InducedWithEdges(newVS[cj]))
-		if err != nil {
-			return nil, err
+		f := old.parts[ci]
+		if f == plan.FoldedPart {
+			return b.Zero(), nil // p_i = 0: the factor folds away again
 		}
-		parts[cj] = part
+		// Intact component: replay its factor f_i out of the old program
+		// and emit p_i = 1 − f_i, which Compose complements straight back
+		// to f_i (1 − (1 − x) = x). Every load must be an edge of old
+		// component ci with an image in the new structure.
+		fi, ok := rp.Replay(f, func(e int) (int, bool) {
+			return planRemap[e], planRemap[e] >= 0 && planComp[e] == ci
+		})
+		if !ok {
+			return 0, errNotLocal
+		}
+		return b.OneMinus(fi), nil
+	})
+	if err == errNotLocal {
+		return nil, nil
 	}
-
-	return seal(ctx, old.method, plan.Components{Parts: parts}, newG.NumEdges(), planKey(qs, newG, opts))
+	if err != nil {
+		return nil, err
+	}
+	return seal(old.method, b, out, factors, planKey(qs, newG, opts))
 }

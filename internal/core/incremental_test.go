@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -211,7 +214,7 @@ func TestPatchCompileUCQSplices(t *testing.T) {
 				}
 				newH := inst.Snapshot().H
 				var incremental bool
-				cur, incremental = checkPatchMatchesCompile(t, r, qs, cur, curG, newH, opts, 2)
+				cur, incremental = checkPatchMatchesCompile(t, r, qs, cur, curG, newH, opts, 2, true)
 				if incremental {
 					spliced++
 				}
@@ -225,11 +228,55 @@ func TestPatchCompileUCQSplices(t *testing.T) {
 	t.Logf("%d union splices", spliced)
 }
 
-// TestPatchCompileSplicesOnlyTouchedComponent pins the copy-on-write
-// seam directly: deleting one edge of a three-path ⊔2WP instance
-// recompiles the split component only — every untouched part of the new
-// composite shares its compiled interval system pointer with the old
-// plan.
+// partSlices renders each entry of cp's part table as the expression
+// its factor's dependency slice computes, over edges named by their
+// endpoints in g (the graph cp was compiled against) and with
+// commutative operands sorted, so parts compare across edge
+// renumberings and schedules; a folded part renders as "1".
+func partSlices(t *testing.T, cp *CompiledPlan, g *graph.Graph) []string {
+	t.Helper()
+	prog := cp.Program()
+	expr := make([]string, len(prog.Ops))
+	def := make([]int, prog.NumRegs) // register -> op that last wrote it
+	for k, op := range prog.Ops {
+		var a, b string
+		switch op.Code {
+		case plan.OpMul, plan.OpAdd:
+			a, b = expr[def[op.A]], expr[def[op.B]]
+			a, b = min(a, b), max(a, b)
+		case plan.OpOneMinus:
+			a = expr[def[op.A]]
+		}
+		switch op.Code {
+		case plan.OpConst:
+			expr[k] = prog.Consts[op.A].RatString()
+		case plan.OpLoad:
+			e := g.Edge(int(op.A))
+			expr[k] = fmt.Sprintf("π(%d>%d)", e.From, e.To)
+		case plan.OpMul:
+			expr[k] = "(" + a + "·" + b + ")"
+		case plan.OpAdd:
+			expr[k] = "(" + a + "+" + b + ")"
+		case plan.OpOneMinus:
+			expr[k] = "(1−" + a + ")"
+		}
+		def[op.Dst] = k
+	}
+	out := make([]string, len(cp.parts))
+	for i, k := range cp.parts {
+		out[i] = "1"
+		if k != plan.FoldedPart {
+			out[i] = expr[k]
+		}
+	}
+	return out
+}
+
+// TestPatchCompileSplicesOnlyTouchedComponent pins the splice seam
+// directly: deleting one edge of a three-path ⊔2WP instance splits one
+// component; the new composite carries the untouched components' parts
+// over unchanged (same factor expression, renumbered) and builds new
+// parts for the two halves of the split one.
 func TestPatchCompileSplicesOnlyTouchedComponent(t *testing.T) {
 	part := func() *graph.Graph { return graph.UnlabeledPath(2) } // 3 vertices, 2 edges
 	g, _ := graph.DisjointUnion(part(), part(), part())
@@ -260,23 +307,22 @@ func TestPatchCompileSplicesOnlyTouchedComponent(t *testing.T) {
 	if !incremental {
 		t.Fatal("single-component edge delta did not take the splice path")
 	}
-	oldParts := old.tree.(plan.Components).Parts
-	newParts := cp.tree.(plan.Components).Parts
+	oldParts := partSlices(t, old, g)
+	newParts := partSlices(t, cp, newH.G)
 	if len(oldParts) != 3 || len(newParts) != 4 {
 		t.Fatalf("parts = %d -> %d, want 3 -> 4", len(oldParts), len(newParts))
 	}
 	// New components in order: {0,1,2} (intact), {3} (split), {4,5}
-	// (split), {6,7,8} (intact). Intact parts must share their compiled
-	// systems with the old plan's parts 0 and 2.
-	if newParts[0].(plan.Interval).System != oldParts[0].(plan.Interval).System {
-		t.Error("untouched component 0 was recompiled")
+	// (split), {6,7,8} (intact). Intact parts carry the old plan's parts
+	// 0 and 2 over; the split ones are new.
+	if newParts[0] != oldParts[0] {
+		t.Errorf("untouched component 0: part %s, was %s", newParts[0], oldParts[0])
 	}
-	if newParts[3].(plan.Interval).System != oldParts[2].(plan.Interval).System {
-		t.Error("untouched component 2 was recompiled")
+	if newParts[3] != oldParts[2] {
+		t.Errorf("untouched component 2: part %s, was %s", newParts[3], oldParts[2])
 	}
-	if newParts[1].(plan.Interval).System == oldParts[1].(plan.Interval).System ||
-		newParts[2].(plan.Interval).System == oldParts[1].(plan.Interval).System {
-		t.Error("split component still shares the stale compiled system")
+	if newParts[1] != "1" || newParts[2] == oldParts[1] {
+		t.Errorf("split component: parts %s and %s, was %s", newParts[1], newParts[2], oldParts[1])
 	}
 	// And the spliced plan answers exactly like a fresh compile.
 	scratch, err := Compile(q, newH, nil)
@@ -298,8 +344,7 @@ func TestPatchCompileSplicesOnlyTouchedComponent(t *testing.T) {
 
 // TestPatchCompileProbabilityOnly pins the zero-recompile property of a
 // probability-only delta: the structure did not move, so every
-// component is intact and the whole composite is carried over
-// copy-on-write.
+// component is intact and every part is carried over unchanged.
 func TestPatchCompileProbabilityOnly(t *testing.T) {
 	g, _ := graph.DisjointUnion(graph.UnlabeledPath(3), graph.UnlabeledPath(2))
 	h := graph.NewProbGraph(g)
@@ -322,12 +367,8 @@ func TestPatchCompileProbabilityOnly(t *testing.T) {
 	if !incremental {
 		t.Fatal("probability-only delta did not splice")
 	}
-	oldParts := old.tree.(plan.Components).Parts
-	newParts := cp.tree.(plan.Components).Parts
-	for i := range oldParts {
-		if newParts[i].(plan.Interval).System != oldParts[i].(plan.Interval).System {
-			t.Errorf("part %d recompiled on a probability-only delta", i)
-		}
+	if oldParts, newParts := partSlices(t, old, g), partSlices(t, cp, g); !slices.Equal(oldParts, newParts) || len(oldParts) != 2 {
+		t.Errorf("parts %v moved to %v on a probability-only delta", oldParts, newParts)
 	}
 	if cp.StructKey() != old.StructKey() {
 		t.Error("structure key moved on a probability-only delta")
@@ -422,10 +463,13 @@ func openProbs(r *rand.Rand, n int) []*big.Rat {
 // compiled for q against a graph structurally equal to oldG, newH is
 // oldG after deltas — and requires it to agree with a from-scratch
 // compile on errors, method, structure key and the exact answer under
-// newH's probabilities plus reweights random probability vectors. It
+// newH's probabilities plus reweights random probability vectors. With
+// sameDAG set (old was compiled on oldG's own edge order, so a replayed
+// part is the very value DAG a fresh compile emits), the float
+// enclosures of the two programs must also agree bit for bit. It
 // returns the patched plan (nil when both sides failed alike) and
 // whether the splice path ran.
-func checkPatchMatchesCompile(t *testing.T, r *rand.Rand, qs UCQ, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options, reweights int) (*CompiledPlan, bool) {
+func checkPatchMatchesCompile(t *testing.T, r *rand.Rand, qs UCQ, old *CompiledPlan, oldG *graph.Graph, newH *graph.ProbGraph, opts *Options, reweights int, sameDAG bool) (*CompiledPlan, bool) {
 	t.Helper()
 	patched, incremental, perr := PatchCompileUCQContext(context.Background(), qs, old, oldG, newH, opts)
 	scratch, serr := CompileUCQ(qs, newH, opts)
@@ -453,7 +497,91 @@ func checkPatchMatchesCompile(t *testing.T, r *rand.Rand, qs UCQ, old *CompiledP
 				pr.Prob.RatString(), pr.Method, sr.Prob.RatString(), sr.Method)
 		}
 	}
+	if sameDAG && !patched.Opaque() {
+		folded := func(parts []int) []bool {
+			out := make([]bool, len(parts))
+			for i, k := range parts {
+				out[i] = k == plan.FoldedPart
+			}
+			return out
+		}
+		if (patched.parts == nil) != (scratch.parts == nil) || !slices.Equal(folded(patched.parts), folded(scratch.parts)) {
+			t.Fatalf("incremental=%v: part table %v, scratch %v", incremental, patched.parts, scratch.parts)
+		}
+		pe, err1 := patched.Program().ExecFloatBatchCtx(context.Background(), vecs)
+		se, err2 := scratch.Program().ExecFloatBatchCtx(context.Background(), vecs)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("float evaluate: %v / %v", err1, err2)
+		}
+		for k := range vecs {
+			if math.Float64bits(pe[k].Lo) != math.Float64bits(se[k].Lo) || math.Float64bits(pe[k].Hi) != math.Float64bits(se[k].Hi) {
+				t.Fatalf("vector %d: incremental=%v enclosure %v != scratch %v", k, incremental, pe[k], se[k])
+			}
+		}
+	}
 	return patched, incremental
+}
+
+// roundTrip returns cp as a plan restored from its MarshalBinary bytes.
+func roundTrip(t *testing.T, cp *CompiledPlan) *CompiledPlan {
+	t.Helper()
+	data, err := cp.MarshalBinary()
+	if err != nil {
+		t.Fatalf("MarshalBinary: %v", err)
+	}
+	restored := new(CompiledPlan)
+	if err := restored.UnmarshalBinary(data); err != nil {
+		t.Fatalf("UnmarshalBinary: %v", err)
+	}
+	return restored
+}
+
+// TestPatchCompileRestoredPlanSplices: a plan restored from bytes
+// splices like the plan that was encoded. A four-component ⊔2WP plan
+// goes through MarshalBinary/UnmarshalBinary; a delta confined to one
+// component then takes the splice path and lands on the program a
+// fresh compile would build (exact answers and float enclosures).
+func TestPatchCompileRestoredPlanSplices(t *testing.T) {
+	q := graph.Path2WP(graph.Fwd(graph.Unlabeled), graph.Bwd(graph.Unlabeled))
+	r := rand.New(rand.NewSource(5))
+	for _, op := range []instance.Op{instance.OpRemoveEdge, instance.OpAddEdge} {
+		parts := make([]*graph.Graph, 4)
+		for i := range parts {
+			parts[i] = gen.Rand2WP(r, 6, nil)
+		}
+		g, offs := graph.DisjointUnion(parts...)
+		h := graph.NewProbGraph(g)
+		for i, p := range openProbs(r, g.NumEdges()) {
+			h.SetProb(i, p)
+		}
+		fresh, err := Compile(q, h, nil)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		if len(fresh.parts) != 4 {
+			t.Fatalf("part table %v, want 4 entries", fresh.parts)
+		}
+		inst, err := instance.New("restored", h)
+		if err != nil {
+			t.Fatalf("instance.New: %v", err)
+		}
+		// Drop the first edge of component 1, or join components 1 and 2
+		// end to start; components 0 and 3 are untouched either way.
+		e := g.Edge(g.Partition().Edges[1][0])
+		d := instance.Delta{Op: instance.OpRemoveEdge, From: e.From, To: e.To}
+		if op == instance.OpAddEdge {
+			d = instance.Delta{Op: instance.OpAddEdge, From: offs[2] - 1, To: offs[2],
+				Label: graph.Unlabeled, Prob: big.NewRat(1, 3)}
+		}
+		if _, err := inst.Apply(-1, []instance.Delta{d}); err != nil {
+			t.Fatalf("Apply %v: %v", d, err)
+		}
+		newH := inst.Snapshot().H
+		restored := roundTrip(t, fresh)
+		if _, incremental := checkPatchMatchesCompile(t, r, UCQ{q}, restored, g, newH, nil, 4, true); !incremental {
+			t.Fatalf("%v: the restored plan did not splice", op)
+		}
+	}
 }
 
 // TestPatchCompileOldPlanOnPermutedGraph pins plan migration across
@@ -495,7 +623,7 @@ func TestPatchCompileOldPlanOnPermutedGraph(t *testing.T) {
 		if _, err := inst.Apply(-1, []instance.Delta{d}); err != nil {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
 		}
-		if _, incremental := checkPatchMatchesCompile(t, r, UCQ{q}, old, g, inst.Snapshot().H, nil, 4); incremental {
+		if _, incremental := checkPatchMatchesCompile(t, r, UCQ{q}, old, g, inst.Snapshot().H, nil, 4, false); incremental {
 			spliced++
 		}
 	}
@@ -504,12 +632,45 @@ func TestPatchCompileOldPlanOnPermutedGraph(t *testing.T) {
 	}
 }
 
+// TestPatchCompileSplicesMatchlessComposite: a composite in which no
+// component has a match compiles to the constant 0 but keeps a part
+// table of FoldedPart entries, so a delta that gives one component a
+// match still splices — fresh or restored from bytes.
+func TestPatchCompileSplicesMatchlessComposite(t *testing.T) {
+	g, offs := graph.DisjointUnion(graph.UnlabeledPath(2), graph.UnlabeledPath(2), graph.UnlabeledPath(2))
+	h := graph.NewProbGraph(g)
+	q := graph.UnlabeledPath(3) // longer than every component
+	old, err := Compile(q, h, nil)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if want := []int{plan.FoldedPart, plan.FoldedPart, plan.FoldedPart}; !slices.Equal(old.parts, want) {
+		t.Fatalf("part table %v, want %v", old.parts, want)
+	}
+	inst, err := instance.New("matchless", h)
+	if err != nil {
+		t.Fatalf("instance.New: %v", err)
+	}
+	// Join components 0 and 1 end to start: a 5-edge path matches.
+	if _, err := inst.Apply(-1, []instance.Delta{{Op: instance.OpAddEdge, From: offs[1] - 1, To: offs[1],
+		Label: graph.Unlabeled, Prob: big.NewRat(1, 2)}}); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, cur := range []*CompiledPlan{old, roundTrip(t, old)} {
+		if _, incremental := checkPatchMatchesCompile(t, r, UCQ{q}, cur, g, inst.Snapshot().H, nil, 2, true); !incremental {
+			t.Fatal("a matchless composite did not splice")
+		}
+	}
+}
+
 // FuzzPatchCompileMatchesCompile drives PatchCompileUCQContext with
 // random delta streams on the tractable union families and the
 // fallback-exercising random models, for unions of 1–3 walk queries,
 // where before every step the graph handed in as oldG is (at random) an
-// edge-permuted copy of the graph the old plan was compiled on. Every
-// patched plan must agree with CompileUCQ.
+// edge-permuted copy of the graph the old plan was compiled on, and the
+// old plan is (at random) one restored from its bytes. Every patched
+// plan must agree with CompileUCQ, float enclosures bit for bit.
 func FuzzPatchCompileMatchesCompile(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, uint8(seed), uint8(3), uint8(seed))
@@ -555,7 +716,10 @@ func FuzzPatchCompileMatchesCompile(f *testing.F) {
 				oldG = permutedCopy(r, curH).G
 			}
 			newH := inst.Snapshot().H
-			cur, _ = checkPatchMatchesCompile(t, r, qs, cur, oldG, newH, opts, 2)
+			if !cur.Opaque() && r.Intn(2) == 0 {
+				cur = roundTrip(t, cur)
+			}
+			cur, _ = checkPatchMatchesCompile(t, r, qs, cur, oldG, newH, opts, 2, true)
 			if cur == nil {
 				return
 			}

@@ -3,11 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"phom/internal/betadnf"
 	"phom/internal/gen"
 	"phom/internal/graph"
+	"phom/internal/lineage"
+	"phom/internal/treeauto"
 )
 
 // constJobs builds jobs decided by structure alone — the Const
@@ -38,12 +44,87 @@ func constJobs(r *rand.Rand, n int) []struct {
 	}
 }
 
+// substrateProb is the independent reference for a structural plan of
+// method m on h: the cell's substrate dynamic program (betadnf interval
+// and chain systems, the treeauto d-DNNF circuit) run on each connected
+// component under its own probabilities, combined by Lemma 3.7 here.
+// Neither the Builder nor the Program IR nor the part compilers are
+// involved.
+func substrateProb(t *testing.T, m Method, qs UCQ, h *graph.ProbGraph) *big.Rat {
+	t.Helper()
+	switch m {
+	case MethodTrivial:
+		return big.NewRat(1, 1)
+	case MethodLabelMismatch:
+		return new(big.Rat)
+	}
+	miss := big.NewRat(1, 1)
+	for _, comp := range h.Components() {
+		p, err := componentProb(m, qs, comp)
+		if err != nil {
+			t.Fatalf("%v reference: %v", m, err)
+		}
+		miss.Mul(miss, p.Sub(graph.RatOne, p))
+	}
+	return miss.Sub(graph.RatOne, miss)
+}
+
+// componentProb is substrateProb on one connected component.
+func componentProb(m Method, qs UCQ, comp *graph.ProbGraph) (*big.Rat, error) {
+	switch m {
+	case MethodXProperty2WP:
+		// The union of the disjuncts' interval systems (Proposition 4.11).
+		var sys betadnf.IntervalSystem
+		var probs []*big.Rat
+		for _, q := range qs {
+			lin, err := lineage.ConnectedOn2WP(q, comp)
+			if err != nil {
+				return nil, err
+			}
+			sys.NumVars, probs = lin.System.NumVars, lin.Probs
+			sys.Clauses = append(sys.Clauses, lin.System.Clauses...)
+		}
+		return sys.Prob(probs)
+	case MethodGradedDWT, MethodBetaAcyclicDWT:
+		// One chain system (Propositions 3.6 and 4.10): a graded union is
+		// →^m for its smallest difference of levels m.
+		q := qs[0]
+		if m == MethodGradedDWT {
+			d := -1
+			for _, q := range qs {
+				if l, graded := q.DifferenceOfLevels(); graded && (d < 0 || l < d) {
+					d = l
+				}
+			}
+			if d < 0 {
+				return new(big.Rat), nil
+			}
+			q = graph.UnlabeledPath(d)
+		} else if len(qs) != 1 {
+			return nil, fmt.Errorf("reference takes one 1WP query, got %d", len(qs))
+		}
+		lin, err := lineage.Path1WPOnDWT(q, comp)
+		if err != nil {
+			return nil, err
+		}
+		return lin.System.Prob(lin.Probs)
+	case MethodAutomatonPT:
+		// The d-DNNF lineage of →^m, m the smallest height (Prop. 5.4/5.5).
+		h := qs[0].Height()
+		for _, q := range qs[1:] {
+			h = min(h, q.Height())
+		}
+		return treeauto.PathProbPolytree(comp, h)
+	}
+	return nil, fmt.Errorf("no substrate reference for %v", m)
+}
+
 // TestProgramExecMatchesTreeAndSolve is the IR acceptance differential:
 // for every guard-table row (the four tractable cells) and every Const
 // short-circuit, the flattened Program executed by CompiledPlan.Evaluate
-// must be RatString-byte-identical to the PR 2 plan-tree evaluation
-// (EvaluateTree) and to a fresh Solve of the reweighted instance, across
-// seeded reweightings.
+// must be RatString-byte-identical to the cell's substrate dynamic
+// programs combined by Lemma 3.7 (substrateProb) and to a fresh Solve
+// of the reweighted instance, across seeded reweightings.
 func TestProgramExecMatchesTreeAndSolve(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	var jobs []struct {
@@ -75,17 +156,15 @@ func TestProgramExecMatchesTreeAndSolve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Evaluate (program): %v", job.name, err)
 			}
-			tree, err := cp.EvaluateTree(probs)
-			if err != nil {
-				t.Fatalf("%s: EvaluateTree: %v", job.name, err)
-			}
+			m, _ := cp.Method()
+			ref := substrateProb(t, m, UCQ{job.q}, job.h)
 			solve, err := Solve(job.q, job.h, nil)
 			if err != nil {
 				t.Fatalf("%s: Solve: %v", job.name, err)
 			}
-			if exec.Prob.RatString() != tree.Prob.RatString() {
-				t.Fatalf("%s reweight %d: program %s, tree %s",
-					job.name, reweight, exec.Prob.RatString(), tree.Prob.RatString())
+			if exec.Prob.RatString() != ref.RatString() {
+				t.Fatalf("%s reweight %d: program %s, substrate reference %s",
+					job.name, reweight, exec.Prob.RatString(), ref.RatString())
 			}
 			if exec.Prob.RatString() != solve.Prob.RatString() {
 				t.Fatalf("%s reweight %d: program %s, solve %s",
@@ -101,8 +180,8 @@ func TestProgramExecMatchesTreeAndSolve(t *testing.T) {
 
 // TestPlanMarshalRoundTrip pins the serialized form: a plan restored
 // from MarshalBinary evaluates byte-identically, keeps its identity
-// (structure key, canonical order, method, edge count), and re-encodes
-// to the same bytes.
+// (structure key, canonical order, method, edge count) and its part
+// table, and re-encodes to the same bytes.
 func TestPlanMarshalRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for _, job := range tractableJobs(r, 16) {
@@ -131,6 +210,9 @@ func TestPlanMarshalRoundTrip(t *testing.T) {
 			if m2, ok := restored.Method(); !ok || m2 != m1 {
 				t.Fatalf("%s: method %v → %v (ok=%v)", job.name, m1, m2, ok)
 			}
+		}
+		if !slices.Equal(restored.parts, cp.parts) {
+			t.Fatalf("%s: part table %v → %v", job.name, cp.parts, restored.parts)
 		}
 		for i, ei := range cp.CanonOrder() {
 			if restored.CanonOrder()[i] != ei {
@@ -161,10 +243,6 @@ func TestPlanMarshalRoundTrip(t *testing.T) {
 		if !bytes.Equal(data, again) {
 			t.Fatalf("%s: encoding not canonical (round-trip changed bytes)", job.name)
 		}
-		// A restored plan has no tree to evaluate.
-		if _, err := restored.EvaluateTree(job.h.Probs()); err == nil {
-			t.Fatalf("%s: EvaluateTree on a restored plan should fail", job.name)
-		}
 	}
 }
 
@@ -186,9 +264,6 @@ func TestOpaquePlanHasNoProgram(t *testing.T) {
 	}
 	if _, err := cp.MarshalBinary(); err == nil {
 		t.Fatal("opaque plan serialized")
-	}
-	if _, err := cp.EvaluateTree(h.Probs()); err == nil {
-		t.Fatal("opaque plan evaluated through a tree")
 	}
 	if cp.StructKey() == "" {
 		t.Fatal("opaque plan has no structure key")

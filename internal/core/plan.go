@@ -27,19 +27,20 @@ import (
 // instance structure, options) job. Plans are immutable and safe for
 // concurrent Evaluate calls.
 //
-// A non-opaque plan holds the same artifact twice: the plan tree built
-// by the cell compilers of internal/plan (the original evaluation
-// path, kept as the differential reference and for benchmarks) and its
-// lowering to the flat Program IR, which is what Evaluate executes and
-// what MarshalBinary serializes. Plans restored from a serialized form
-// carry only the program (Tree evaluation is then unavailable); their
-// Evaluate results are identical, because lowering preserves the exact
-// rational arithmetic op for op.
+// A non-opaque plan is its flattened Program, which is what Evaluate
+// executes and what MarshalBinary serializes, plus the part table of a
+// Lemma 3.7 composite: where each component's factor sits inside the
+// program, which is all incremental maintenance needs to carry the
+// untouched components across a structural delta. A plan restored from
+// bytes carries both, so it evaluates and splices like the plan that
+// was encoded.
 type CompiledPlan struct {
 	method Method
 	opaque bool
-	tree   plan.Plan     // plan tree; nil when opaque or restored from bytes
 	prog   *plan.Program // flattened IR; nil when opaque
+	// parts is the program's part table (plan.FinishParts); nil unless
+	// the plan is a composite of at least two components.
+	parts []int
 	// resolve is the opaque re-solve; it picks the baseline per
 	// evaluation and honors the caller's context (the baselines are the
 	// exponential work cancellation exists for).
@@ -105,23 +106,6 @@ func (cp *CompiledPlan) Method() (m Method, ok bool) {
 	return cp.method, true
 }
 
-// EvaluateTree evaluates through the plan tree instead of the
-// flattened program — the original evaluation path, kept as the
-// differential reference (the tests pin the interpreter and tree
-// evaluation byte-identical) and for the interpreter-vs-tree benchmark. It fails
-// for opaque plans and for plans restored from bytes, which carry no
-// tree.
-func (cp *CompiledPlan) EvaluateTree(probs []*big.Rat) (*Result, error) {
-	if cp.tree == nil {
-		return nil, fmt.Errorf("core: plan has no tree evaluator (opaque or restored from bytes)")
-	}
-	pr, err := cp.tree.Evaluate(probs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Prob: pr, Method: cp.method}, nil
-}
-
 // MarshalBinary encodes the plan in the canonical binary form of
 // graphio (versioned header, flattened program, embedded structure key
 // and canonical edge order). Opaque plans are not serializable: their
@@ -136,6 +120,7 @@ func (cp *CompiledPlan) MarshalBinary() ([]byte, error) {
 		Method:     uint8(cp.method),
 		CanonOrder: canonOrder,
 		Program:    cp.prog,
+		Parts:      cp.parts,
 	})
 }
 
@@ -156,6 +141,7 @@ func (cp *CompiledPlan) UnmarshalBinary(data []byte) error {
 	*cp = CompiledPlan{
 		method:   m,
 		prog:     rec.Program,
+		parts:    rec.Parts,
 		numEdges: rec.Program.NumEdges,
 		key:      func() (string, []int) { return structKey, canonOrder },
 	}
@@ -189,8 +175,8 @@ var solveRoutes = []solveRoute{
 			return all(qs, (*graph.Graph).IsConnected) && h.G.InClass(graph.ClassU2WP)
 		},
 		part: func(qs UCQ) (plan.PartFunc, *big.Rat) {
-			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-				return plan.PartConnectedOn2WP(qs, comp, em)
+			return func(b *plan.Builder, comp *graph.ProbGraph, em []int) (uint32, error) {
+				return plan.PartConnectedOn2WP(b, qs, comp, em)
 			}, nil
 		},
 	},
@@ -212,8 +198,8 @@ var solveRoutes = []solveRoute{
 			if m < 0 {
 				return nil, new(big.Rat)
 			}
-			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-				return plan.PartDirectedPathOnDWT(comp, m, em)
+			return func(b *plan.Builder, comp *graph.ProbGraph, em []int) (uint32, error) {
+				return plan.PartDirectedPathOnDWT(b, comp, m, em)
 			}, nil
 		},
 	},
@@ -226,8 +212,8 @@ var solveRoutes = []solveRoute{
 			return all(qs, (*graph.Graph).Is1WP) && h.G.InClass(graph.ClassUDWT)
 		},
 		part: func(qs UCQ) (plan.PartFunc, *big.Rat) {
-			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-				return plan.Part1WPOnDWT(qs, comp, em)
+			return func(b *plan.Builder, comp *graph.ProbGraph, em []int) (uint32, error) {
+				return plan.Part1WPOnDWT(b, qs, comp, em)
 			}, nil
 		},
 	},
@@ -244,8 +230,8 @@ var solveRoutes = []solveRoute{
 			for _, q := range qs[1:] {
 				m = min(m, q.Height())
 			}
-			return func(comp *graph.ProbGraph, em []int) (plan.Plan, error) {
-				return plan.PartDirectedPathOnPolytree(comp, m, em)
+			return func(b *plan.Builder, comp *graph.ProbGraph, em []int) (uint32, error) {
+				return plan.PartDirectedPathOnPolytree(b, comp, m, em)
 			}, nil
 		},
 	},
@@ -261,14 +247,18 @@ func all(qs UCQ, pred func(*graph.Graph) bool) bool {
 	return true
 }
 
-// compile builds the route's whole-instance plan: the Lemma 3.7
-// composite of its parts over h's components, or its constant.
-func (rt *solveRoute) compile(qs UCQ, h *graph.ProbGraph) (plan.Plan, error) {
+// emit emits the route's whole-instance program into b: the Lemma 3.7
+// composite of its parts over h's components, or its constant. It
+// returns the output handle and the composite's factor handles.
+func (rt *solveRoute) emit(b *plan.Builder, qs UCQ, h *graph.ProbGraph) (out uint32, factors []uint32, err error) {
 	part, c := rt.part(qs)
 	if part == nil {
-		return plan.NewConst(c), nil
+		return b.Const(c), nil, nil
 	}
-	return plan.Compose(h, part)
+	comps, edgeMaps := h.ComponentsWithEdges()
+	return plan.Compose(b, len(comps), func(i int) (uint32, error) {
+		return part(b, comps[i], edgeMaps[i])
+	})
 }
 
 // route returns the first route whose guard admits the live disjuncts
@@ -362,7 +352,7 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 	key := planKey(qs, h.G, opts)
 	if len(qs) == 0 {
 		// The empty union is false.
-		return seal(ctx, MethodTrivial, plan.NewConst(new(big.Rat)), n, key)
+		return sealConst(ctx, MethodTrivial, new(big.Rat), n, key)
 	}
 	if h.G.NumVertices() == 0 {
 		return nil, phomerr.New(phomerr.CodeBadInput, "core: empty instance graph")
@@ -372,21 +362,22 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 	}
 	live, edgeless, unlabeled := liveDisjuncts(qs, h.G)
 	if edgeless {
-		return seal(ctx, MethodTrivial, plan.NewConst(graph.RatOne), n, key)
+		return sealConst(ctx, MethodTrivial, graph.RatOne, n, key)
 	}
 	if len(live) == 0 {
-		return seal(ctx, MethodLabelMismatch, plan.NewConst(new(big.Rat)), n, key)
+		return sealConst(ctx, MethodLabelMismatch, new(big.Rat), n, key)
 	}
 	rt, err := route(ctx, live, h, unlabeled)
 	if err != nil {
 		return nil, err
 	}
 	if rt != nil {
-		p, err := rt.compile(live, h)
+		b := plan.NewBuilder(ctx, n)
+		out, factors, err := rt.emit(b, live, h)
 		if err != nil {
 			return nil, err
 		}
-		return seal(ctx, rt.method, p, n, key)
+		return seal(rt.method, b, out, factors, key)
 	}
 	return opaquePlan(live, h, opts, key)
 }
@@ -409,25 +400,31 @@ func planKey(qs UCQ, g *graph.Graph, opts *Options) func() (string, []int) {
 	})
 }
 
-// seal lowers a plan tree to its flattened program and stamps the
-// job's structure identity on the resulting CompiledPlan. Every
-// structural compile path funnels through here, so non-opaque plans
-// always carry both evaluation forms and are always serializable — and
-// every lowering polls ctx (the compile-time dynamic programs unroll
-// inside LowerContext, so this is where the bulk of compile-side
-// cancellation happens).
-func seal(ctx context.Context, m Method, p plan.Plan, numEdges int, key func() (string, []int)) (*CompiledPlan, error) {
-	prog, err := plan.LowerContext(ctx, p, numEdges)
+// seal finishes the program emitted into b, with the part table of
+// the composite's factors, and stamps the job's structure identity on
+// the resulting CompiledPlan. Every structural compile path funnels
+// through here, so non-opaque plans are always serializable. The
+// builder polls its context as the compile-time dynamic programs
+// unroll, so a cancelled compile surfaces here.
+func seal(m Method, b *plan.Builder, out uint32, factors []uint32, key func() (string, []int)) (*CompiledPlan, error) {
+	prog, parts, err := b.FinishParts(out, factors)
 	if err != nil {
 		return nil, err
 	}
 	return &CompiledPlan{
 		method:   m,
-		tree:     p,
 		prog:     prog,
-		numEdges: numEdges,
+		parts:    parts,
+		numEdges: prog.NumEdges,
 		key:      key,
 	}, nil
+}
+
+// sealConst seals the one-constant plan of a job decided by structure
+// alone.
+func sealConst(ctx context.Context, m Method, v *big.Rat, numEdges int, key func() (string, []int)) (*CompiledPlan, error) {
+	b := plan.NewBuilder(ctx, numEdges)
+	return seal(m, b, b.Const(v), nil, key)
 }
 
 // opaquePlan builds the plan of an exponential-baseline cell over the

@@ -16,8 +16,8 @@ package engine
 //     zero recompilation;
 //   - a structural batch eagerly migrates each tracked plan (single
 //     query or union) to the new structure through
-//     core.PatchCompileUCQContext — untouched components are spliced
-//     copy-on-write, only components incident to the delta recompile
+//     core.PatchCompileUCQContext — untouched components are replayed
+//     out of the old program, only components incident to the delta recompile
 //     (Stats.IncrementalRecompiles) — falling
 //     back to a from-scratch compile when the splice is not provably
 //     local (Stats.FullRecompiles); superseded plans are dropped from

@@ -11,6 +11,7 @@ import (
 
 	"phom/internal/gen"
 	"phom/internal/graph"
+	"phom/internal/instance"
 )
 
 // reweightedCopy returns a structurally identical instance with fresh
@@ -107,6 +108,70 @@ func TestSaveLoadPlansWarmStart(t *testing.T) {
 	}
 	if st.PlansLoaded != uint64(loaded) {
 		t.Fatalf("PlansLoaded = %d, want %d", st.PlansLoaded, loaded)
+	}
+}
+
+// TestLoadedPlanSplicesOnStructuralDelta: a plan restored from a
+// snapshot carries its part table, so the first structural delta on a
+// live instance over that structure splices it (an incremental
+// recompile, no full one), and the migrated plan answers the next solve
+// as a plan hit, exactly like a cold solve of the new structure.
+func TestLoadedPlanSplicesOnStructuralDelta(t *testing.T) {
+	g, _ := graph.DisjointUnion(graph.UnlabeledPath(2), graph.UnlabeledPath(2), graph.UnlabeledPath(2))
+	h := graph.NewProbGraph(g)
+	for i := 0; i < g.NumEdges(); i++ {
+		h.SetProb(i, big.NewRat(int64(i+1), 9))
+	}
+	job := Job{Query: graph.UnlabeledPath(1), Instance: h}
+
+	warmer := New(Options{Workers: 1})
+	if res := warmer.Do(job); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	var snap bytes.Buffer
+	if saved, err := warmer.SavePlans(&snap); err != nil || saved != 1 {
+		t.Fatalf("SavePlans: %d plans, %v", saved, err)
+	}
+	warmer.Close()
+
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	if loaded, err := e.LoadPlans(bytes.NewReader(snap.Bytes())); err != nil || loaded != 1 {
+		t.Fatalf("LoadPlans: %d plans, %v", loaded, err)
+	}
+	if _, err := e.CreateInstance("w", h); err != nil {
+		t.Fatal(err)
+	}
+	bound, _, err := e.InstanceJob("w", Job{Query: job.Query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := e.Do(bound); res.Err != nil || !res.PlanHit {
+		t.Fatalf("solve on the restored plan: hit=%v err=%v", res.PlanHit, res.Err)
+	}
+	before := e.Stats()
+	if _, err := e.ApplyDelta("w", 1, []instance.Delta{{Op: instance.OpRemoveEdge, From: 3, To: 4}}); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	after := e.Stats()
+	if after.IncrementalRecompiles != before.IncrementalRecompiles+1 || after.FullRecompiles != before.FullRecompiles {
+		t.Fatalf("restored plan migrated with incremental %d → %d, full %d → %d; want one incremental, no full",
+			before.IncrementalRecompiles, after.IncrementalRecompiles, before.FullRecompiles, after.FullRecompiles)
+	}
+	bound, _, err = e.InstanceJob("w", Job{Query: job.Query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.Do(bound)
+	if res.Err != nil || !res.PlanHit {
+		t.Fatalf("post-delta solve: hit=%v err=%v", res.PlanHit, res.Err)
+	}
+	want := solveSequential(t, []Job{bound})[0]
+	if res.Result.Prob.RatString() != want.Prob.RatString() {
+		t.Fatalf("migrated plan answered %s, cold solve %s", res.Result.Prob.RatString(), want.Prob.RatString())
+	}
+	if st := e.Stats(); st.PlanCompiles != 0 {
+		t.Fatalf("warm-started engine compiled %d plans, want 0", st.PlanCompiles)
 	}
 }
 

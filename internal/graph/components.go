@@ -95,13 +95,62 @@ func (g *Graph) InducedSubgraph(vs []Vertex) (*Graph, map[Vertex]Vertex) {
 	return h, remap
 }
 
+// Partition is the split of a graph into the connected components of
+// its underlying undirected graph, built from one pass over the edges:
+// every per-component view (standalone component graphs, edge maps,
+// per-component edge counts) reads it instead of rescanning the whole
+// edge list per component.
+type Partition struct {
+	// Comps lists each component's vertices, in ConnectedComponents
+	// order (vertices sorted, components ordered by smallest vertex).
+	Comps [][]Vertex
+	// Of maps each vertex to the index of its component.
+	Of []int
+	// Edges lists each component's edge indices, in edge-list order.
+	Edges [][]int
+	// pos maps each vertex to its index inside its component.
+	pos []int
+}
+
+// Partition returns the connected-component partition of g.
+func (g *Graph) Partition() *Partition {
+	p := &Partition{
+		Comps: g.ConnectedComponents(),
+		Of:    make([]int, g.n),
+		pos:   make([]int, g.n),
+	}
+	for ci, vs := range p.Comps {
+		for k, v := range vs {
+			p.Of[v], p.pos[v] = ci, k
+		}
+	}
+	p.Edges = make([][]int, len(p.Comps))
+	for i, e := range g.edges {
+		ci := p.Of[e.From]
+		p.Edges[ci] = append(p.Edges[ci], i)
+	}
+	return p
+}
+
+// Component returns component ci of part (a partition of g) as a
+// standalone graph: the graph InducedSubgraph(part.Comps[ci]) returns,
+// built from the component's own edges only.
+func (g *Graph) Component(part *Partition, ci int) *Graph {
+	h := New(len(part.Comps[ci]))
+	for _, i := range part.Edges[ci] {
+		e := g.edges[i]
+		h.MustAddEdge(Vertex(part.pos[e.From]), Vertex(part.pos[e.To]), e.Label)
+	}
+	return h
+}
+
 // Components returns each connected component of g as a standalone graph
 // (vertices renumbered), in deterministic order.
 func (g *Graph) Components() []*Graph {
-	var out []*Graph
-	for _, comp := range g.ConnectedComponents() {
-		h, _ := g.InducedSubgraph(comp)
-		out = append(out, h)
+	part := g.Partition()
+	out := make([]*Graph, len(part.Comps))
+	for ci := range part.Comps {
+		out[ci] = g.Component(part, ci)
 	}
 	return out
 }

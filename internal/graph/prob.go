@@ -163,21 +163,33 @@ func (p *ProbGraph) Components() []*ProbGraph {
 // from the component's edge indices back to the edge indices of p. The
 // maps let probability-independent artifacts compiled per component (the
 // plans of internal/plan) be re-evaluated against fresh probability
-// vectors indexed by p's full edge list.
+// vectors indexed by p's full edge list. Both come from one Partition
+// pass, so splitting costs time linear in the instance.
 func (p *ProbGraph) ComponentsWithEdges() ([]*ProbGraph, [][]int) {
-	var out []*ProbGraph
-	var edgeMaps [][]int
-	for _, comp := range p.G.ConnectedComponents() {
-		q, em := p.InducedWithEdges(comp)
-		out = append(out, q)
-		edgeMaps = append(edgeMaps, em)
+	part := p.G.Partition()
+	out := make([]*ProbGraph, len(part.Comps))
+	for ci := range part.Comps {
+		out[ci] = p.Component(part, ci)
 	}
-	return out, edgeMaps
+	return out, part.Edges
+}
+
+// Component returns component ci of part (a partition of p's graph) as
+// a probabilistic graph whose j-th edge is edge part.Edges[ci][j] of p,
+// carrying that edge's probability.
+func (p *ProbGraph) Component(part *Partition, ci int) *ProbGraph {
+	q := &ProbGraph{G: p.G.Component(part, ci), probs: make([]*big.Rat, len(part.Edges[ci]))}
+	for j, i := range part.Edges[ci] {
+		q.probs[j] = p.probs[i] // shared: probabilities are replaced, never mutated
+	}
+	return q
 }
 
 // InducedWithEdges returns the probabilistic subgraph of p induced by
 // vs (renumbered in the given order, as InducedSubgraph does), together
-// with the map from its edge indices back to the edge indices of p.
+// with the map from its edge indices back to the edge indices of p. It
+// scans the whole edge list; Component is the linear per-component
+// form, and the tests compare the two.
 func (p *ProbGraph) InducedWithEdges(vs []Vertex) (*ProbGraph, []int) {
 	sub, remap := p.G.InducedSubgraph(vs)
 	q := NewProbGraph(sub)

@@ -133,3 +133,52 @@ func TestCloneProbGraph(t *testing.T) {
 		t.Fatal("clone mutation leaked")
 	}
 }
+
+// TestComponentsWithEdgesMatchInduced pins the one-pass Lemma 3.7 split
+// against the per-component reference: on random multi-component
+// graphs, every component ComponentsWithEdges returns is exactly
+// InducedWithEdges of that component's vertices — same vertex
+// renumbering, same edges in the same order, same probabilities, same
+// edge map — in ConnectedComponents order, and Components agrees on
+// the bare graphs.
+func TestComponentsWithEdgesMatchInduced(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	labels := []Label{"R", "S"}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(24)
+		g := New(n)
+		for k := r.Intn(2 * n); k > 0; k-- {
+			u, v := Vertex(r.Intn(n)), Vertex(r.Intn(n))
+			if u != v {
+				_ = g.AddEdge(u, v, labels[r.Intn(len(labels))]) // duplicates are skipped
+			}
+		}
+		h := NewProbGraph(g)
+		for i := 0; i < g.NumEdges(); i++ {
+			h.SetProb(i, big.NewRat(int64(r.Intn(9)), 8))
+		}
+		vss := g.ConnectedComponents()
+		comps, ems := h.ComponentsWithEdges()
+		bare := g.Components()
+		if len(comps) != len(vss) || len(ems) != len(vss) || len(bare) != len(vss) {
+			t.Fatalf("trial %d: %d/%d/%d components, want %d", trial, len(comps), len(ems), len(bare), len(vss))
+		}
+		for ci, vs := range vss {
+			want, wantEM := h.InducedWithEdges(vs)
+			if comps[ci].String() != want.String() {
+				t.Fatalf("trial %d component %d: %v, want %v", trial, ci, comps[ci], want)
+			}
+			if bare[ci].String() != want.G.String() {
+				t.Fatalf("trial %d component %d: Components %v, want %v", trial, ci, bare[ci], want.G)
+			}
+			if len(ems[ci]) != len(wantEM) {
+				t.Fatalf("trial %d component %d: edge map %v, want %v", trial, ci, ems[ci], wantEM)
+			}
+			for j := range wantEM {
+				if ems[ci][j] != wantEM[j] {
+					t.Fatalf("trial %d component %d: edge map %v, want %v", trial, ci, ems[ci], wantEM)
+				}
+			}
+		}
+	}
+}

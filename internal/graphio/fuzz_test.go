@@ -59,9 +59,11 @@ func FuzzParseProbGraph(f *testing.F) {
 // FuzzDecodePlanRecord: the plan decoder must never panic or demand
 // unbounded memory on corrupt snapshots — malformed records error
 // cleanly — and accepted records must re-encode canonically (decode ∘
-// encode ∘ decode is the identity) and execute without panicking.
+// encode ∘ decode is the identity), execute without panicking, and
+// replay every part of their part table without panicking.
 func FuzzDecodePlanRecord(f *testing.F) {
-	// Seed with a well-formed record and some near-misses.
+	// Seed with well-formed version-1 and version-2 records and some
+	// near-misses.
 	b := plan.NewBuilder(context.Background(), 2)
 	p0 := b.Load(0)
 	om := b.OneMinus(p0)
@@ -82,8 +84,32 @@ func FuzzDecodePlanRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A three-component composite: π0, an isolated vertex (its factor
+	// folds to 1), π1 — so the part table is [op, FoldedPart, op].
+	b = plan.NewBuilder(context.Background(), 2)
+	parts := []func() uint32{func() uint32 { return b.Load(0) }, b.Zero, func() uint32 { return b.Load(1) }}
+	out, factors, err := plan.Compose(b, len(parts), func(i int) (uint32, error) { return parts[i](), nil })
+	if err != nil {
+		f.Fatal(err)
+	}
+	prog, table, err := b.FinishParts(out, factors)
+	if err != nil || len(table) != 3 || table[1] != plan.FoldedPart {
+		f.Fatalf("composite seed: part table %v, err %v", table, err)
+	}
+	seed2, err := AppendPlanRecord(nil, &PlanRecord{
+		StructKey:  strings.Repeat("e1", 32),
+		Method:     1,
+		CanonOrder: []int{0, 1},
+		Program:    prog,
+		Parts:      table,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(seed)
+	f.Add(seed2)
 	f.Add(seed[:len(seed)/2])
+	f.Add(seed2[:len(seed2)-1])
 	f.Add([]byte("phomplan"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
@@ -115,6 +141,19 @@ func FuzzDecodePlanRecord(f *testing.F) {
 		}
 		if _, err := rec.Program.ExecCtx(context.Background(), probs); err != nil {
 			t.Fatalf("validated program failed to execute: %v", err)
+		}
+		for _, k := range rec.Parts {
+			if k == plan.FoldedPart {
+				continue
+			}
+			b := plan.NewBuilder(context.Background(), rec.Program.NumEdges)
+			f, ok := plan.NewReplayer(rec.Program, b).Replay(k, func(e int) (int, bool) { return e, true })
+			if !ok {
+				t.Fatalf("part at op %d refused an identity replay", k)
+			}
+			if _, err := b.Finish(f); err != nil {
+				t.Fatalf("part at op %d replays to an invalid program: %v", k, err)
+			}
 		}
 	})
 }

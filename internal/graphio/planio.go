@@ -37,12 +37,26 @@ import (
 //	ops         varint count, then per op: opcode byte + dst + a + b
 //	            varints
 //
+// Version 2 is version 1 followed by the part table of a Lemma 3.7
+// composite (see plan.Builder.FinishParts), which lets a decoded plan
+// splice under incremental maintenance:
+//
+//	parts       varint count (at least 2), then per component a varint:
+//	            0 when its factor folded to the constant 1, else 1 + the
+//	            op index of its factor (present indices strictly
+//	            increase)
+//
+// A record without a part table is written as version 1, so such plans
+// encode byte-identically across the two versions; the decoder accepts
+// both.
+//
 // A plan snapshot (Engine.SavePlans) is the 9-byte magic "phomsnap1"
 // followed by length-prefixed records.
 
 const (
 	planMagic    = "phomplan"
-	planVersion  = 1
+	planVersion  = 1 // a plan without a part table
+	partsVersion = 2 // version 1 followed by the part table
 	snapMagic    = "phomsnap1"
 	maxStructKey = 128     // sha256 hex is 64 bytes
 	maxPlanEdges = 1 << 24 // edges per instance
@@ -55,13 +69,15 @@ const (
 // PlanRecord is the serializable identity of one compiled plan: the
 // flattened program plus everything a plan cache needs to serve it
 // (structure key, canonical edge order of the compile-time instance,
-// and the solver method the results report). Package core converts
-// between PlanRecord and its CompiledPlan.
+// and the solver method the results report), with the program's part
+// table when it has one. Package core converts between PlanRecord and
+// its CompiledPlan.
 type PlanRecord struct {
 	StructKey  string
 	Method     uint8
 	CanonOrder []int
 	Program    *plan.Program
+	Parts      []int // nil, or a table plan.ValidatePartTable accepts
 }
 
 // AppendPlanRecord appends the canonical encoding of rec to b. The
@@ -82,8 +98,15 @@ func AppendPlanRecord(b []byte, rec *PlanRecord) ([]byte, error) {
 	if len(rec.CanonOrder) != p.NumEdges {
 		return nil, fmt.Errorf("graphio: canonical order of %d entries for %d edges", len(rec.CanonOrder), p.NumEdges)
 	}
+	version := uint64(planVersion)
+	if rec.Parts != nil {
+		if err := plan.ValidatePartTable(rec.Parts, len(p.Ops)); err != nil {
+			return nil, fmt.Errorf("graphio: refusing to encode an invalid part table: %v", err)
+		}
+		version = partsVersion
+	}
 	b = append(b, planMagic...)
-	b = binary.AppendUvarint(b, planVersion)
+	b = binary.AppendUvarint(b, version)
 	b = binary.AppendUvarint(b, uint64(len(rec.StructKey)))
 	b = append(b, rec.StructKey...)
 	b = binary.AppendUvarint(b, uint64(rec.Method))
@@ -108,6 +131,16 @@ func AppendPlanRecord(b []byte, rec *PlanRecord) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(op.Dst))
 		b = binary.AppendUvarint(b, uint64(op.A))
 		b = binary.AppendUvarint(b, uint64(op.B))
+	}
+	if rec.Parts != nil {
+		b = binary.AppendUvarint(b, uint64(len(rec.Parts)))
+		for _, k := range rec.Parts {
+			entry := uint64(0) // plan.FoldedPart
+			if k != plan.FoldedPart {
+				entry = uint64(k) + 1
+			}
+			b = binary.AppendUvarint(b, entry)
+		}
 	}
 	return b, nil
 }
@@ -173,8 +206,8 @@ func DecodePlanRecord(data []byte) (*PlanRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != planVersion {
-		return nil, fmt.Errorf("graphio: unsupported plan version %d (want %d)", version, planVersion)
+	if version != planVersion && version != partsVersion {
+		return nil, fmt.Errorf("graphio: unsupported plan version %d (want %d or %d)", version, planVersion, partsVersion)
 	}
 	keyLen, err := c.count("structure key length", maxStructKey)
 	if err != nil {
@@ -280,6 +313,31 @@ func DecodePlanRecord(data []byte) (*PlanRecord, error) {
 		}
 		prog.Ops = append(prog.Ops, plan.Op{Code: plan.OpCode(code), Dst: uint32(dst), A: uint32(a), B: uint32(bv)})
 	}
+	var parts []int
+	if version == partsVersion {
+		numParts, err := c.count("part count", maxPlanOps)
+		if err != nil {
+			return nil, err
+		}
+		// Each entry takes at least one byte.
+		if numParts > len(c.data)-c.off {
+			return nil, fmt.Errorf("graphio: part count %d exceeds remaining input", numParts)
+		}
+		parts = make([]int, numParts)
+		for i := range parts {
+			k, err := c.count("part entry", numOps)
+			if err != nil {
+				return nil, err
+			}
+			parts[i] = plan.FoldedPart
+			if k > 0 {
+				parts[i] = k - 1
+			}
+		}
+		if err := plan.ValidatePartTable(parts, numOps); err != nil {
+			return nil, fmt.Errorf("graphio: %v", err)
+		}
+	}
 	if c.off != len(data) {
 		return nil, fmt.Errorf("graphio: %d trailing bytes after plan record", len(data)-c.off)
 	}
@@ -291,6 +349,7 @@ func DecodePlanRecord(data []byte) (*PlanRecord, error) {
 		Method:     uint8(method),
 		CanonOrder: canonOrder,
 		Program:    prog,
+		Parts:      parts,
 	}, nil
 }
 

@@ -226,3 +226,58 @@ func TestStructKeyJobMatchesJobKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanRecordPartTable pins the two record versions: a record
+// without a part table is version 1, and the same record with a table
+// is the version-1 bytes with version 2 in the header and the table
+// appended; the table survives a round trip, and the decoder rejects
+// tables that are out of range, out of order, too short or truncated.
+func TestPlanRecordPartTable(t *testing.T) {
+	rec := testRecord(t)
+	v1, err := AppendPlanRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[len(planMagic)] != planVersion {
+		t.Fatalf("record without a part table has version %d", v1[len(planMagic)])
+	}
+	numOps := len(rec.Program.Ops)
+	rec.Parts = []int{1, plan.FoldedPart, numOps - 1}
+	v2, err := AppendPlanRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), v1...)
+	want[len(planMagic)] = partsVersion
+	want = append(want, 3, 2, 0, byte(numOps))
+	if !bytes.Equal(v2, want) {
+		t.Fatalf("version-2 record\n%x, want\n%x", v2, want)
+	}
+	got, err := DecodePlanRecord(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Parts) != 3 || got.Parts[0] != 1 || got.Parts[1] != plan.FoldedPart || got.Parts[2] != numOps-1 {
+		t.Fatalf("decoded part table %v, want %v", got.Parts, rec.Parts)
+	}
+	if got, err := DecodePlanRecord(v1); err != nil || got.Parts != nil {
+		t.Fatalf("version-1 record decoded to parts %v (err %v)", got.Parts, err)
+	}
+	for _, bad := range [][]byte{
+		{2, 2, byte(numOps + 1)},       // op index past the program
+		{2, 3, 2},                      // not strictly increasing
+		{1, 2},                         // one entry
+		{3, 1, 2},                      // truncated
+		{2, 1, 2, 0},                   // trailing byte
+		{0x80, 0x80, 0x80, 0x80, 0x40}, // huge count
+	} {
+		data := append(append([]byte(nil), want[:len(v1)]...), bad...)
+		if _, err := DecodePlanRecord(data); err == nil {
+			t.Errorf("decoder accepted part table bytes %x", bad)
+		}
+	}
+	rec.Parts = []int{2, 1}
+	if _, err := AppendPlanRecord(nil, rec); err == nil {
+		t.Error("encoder accepted a part table out of order")
+	}
+}

@@ -132,8 +132,7 @@ func TestExecFloatBatchNaNLaneIsolated(t *testing.T) {
 // TestExecFloatBatchCanceled: the batched kernel honors cooperative
 // cancellation at its per-op checkpoint.
 func TestExecFloatBatchCanceled(t *testing.T) {
-	p := bigIntervalPlan(256, 16)
-	prog, err := LowerContext(context.Background(), p, 256)
+	prog, err := lowerInterval(context.Background(), bigInterval(256, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestExecFloatBatchCanceled(t *testing.T) {
 // evaluation benchmarks.
 func benchProgram(b *testing.B, nVars int) (*Program, []*big.Rat) {
 	b.Helper()
-	prog, err := LowerContext(context.Background(), bigIntervalPlan(nVars, 8), nVars)
+	prog, err := lowerInterval(context.Background(), bigInterval(nVars, 8))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"phom/internal/phomerr"
 )
@@ -235,11 +236,30 @@ func (b *Builder) OneMinus(x uint32) uint32 {
 // order. Validate is run once as an internal consistency check on the
 // lowering itself.
 func (b *Builder) Finish(out uint32) (*Program, error) {
+	p, _, err := b.FinishParts(out, nil)
+	return p, err
+}
+
+// FoldedPart is the part-table entry of a Lemma 3.7 component whose
+// factor 1 − p_i folded to the constant 1 (the component has no match,
+// and x·1 = x dropped the factor from the product).
+const FoldedPart = -1
+
+// FinishParts is Finish for a Lemma 3.7 composite whose factor handles
+// (Compose's) are factors. Besides the program it returns the part
+// table: per component, in order, the op index of its factor or
+// FoldedPart. The table is nil when a splice could not use it: fewer
+// than two factors, or a factor that is a constant other than 1 (a
+// factor 0 collapses the whole miss product) or not among the
+// scheduled ops. A composite none of whose components has a match
+// keeps a table of FoldedPart entries: its output is the constant 0,
+// but a delta can still give one component a match.
+func (b *Builder) FinishParts(out uint32, factors []uint32) (*Program, []int, error) {
 	if b.err != nil {
-		return nil, b.err
+		return nil, nil, b.err
 	}
 	if int(out) >= len(b.vals) {
-		return nil, fmt.Errorf("plan: output value %d of %d", out, len(b.vals))
+		return nil, nil, fmt.Errorf("plan: output value %d of %d", out, len(b.vals))
 	}
 	// lastUse[id] is the id of the last user of a live value and 0 for a
 	// dead one (a user's id is never 0: its operands precede it); out is
@@ -269,7 +289,13 @@ func (b *Builder) Finish(out uint32) (*Program, error) {
 	}
 
 	p := &Program{NumEdges: b.numEdges, Ops: make([]Op, 0, live)}
+	// regOf[id] is the register of a live value; opOf[id], kept only
+	// for a composite, its op index.
 	regOf := make([]uint32, n)
+	var opOf []int
+	if len(factors) > 1 {
+		opOf = make([]int, n)
+	}
 	var free []uint32
 	release := func(id uint32, user int) {
 		if lastUse[id] == user {
@@ -288,6 +314,9 @@ func (b *Builder) Finish(out uint32) (*Program, error) {
 			p.NumRegs++
 		}
 		regOf[id] = dst
+		if opOf != nil {
+			opOf[id] = len(p.Ops)
+		}
 		v := &b.vals[id]
 		op := Op{Code: v.code, Dst: dst}
 		switch v.code {
@@ -310,9 +339,59 @@ func (b *Builder) Finish(out uint32) (*Program, error) {
 	}
 	p.Out = regOf[out]
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: lowering produced an invalid program: %v", err)
+		return nil, nil, fmt.Errorf("plan: lowering produced an invalid program: %v", err)
 	}
-	return p, nil
+	return p, b.partTable(factors, lastUse, opOf, len(p.Ops)), nil
+}
+
+// partTable maps the factor handles of a composite to its part table
+// (see FinishParts), given Finish's liveness and op numbering.
+func (b *Builder) partTable(factors []uint32, lastUse, opOf []int, numOps int) []int {
+	if len(factors) < 2 {
+		return nil
+	}
+	parts := make([]int, len(factors))
+	for i, f := range factors {
+		if c, ok := b.constant(f); ok {
+			if c.Cmp(ratOne) != 0 {
+				return nil
+			}
+			parts[i] = FoldedPart
+			continue
+		}
+		if int(f) >= len(lastUse) || lastUse[f] == 0 {
+			return nil
+		}
+		parts[i] = opOf[f]
+	}
+	if ValidatePartTable(parts, numOps) != nil {
+		return nil
+	}
+	return parts
+}
+
+// ValidatePartTable checks a part table against a program of numOps
+// ops: at least two entries, each FoldedPart or an op index in range,
+// the indices strictly increasing (each component's factor is computed
+// after the previous one's).
+func ValidatePartTable(parts []int, numOps int) error {
+	if len(parts) < 2 {
+		return fmt.Errorf("plan: part table of %d entries", len(parts))
+	}
+	prev := -1
+	for i, k := range parts {
+		if k == FoldedPart {
+			continue
+		}
+		if k < 0 || k >= numOps {
+			return fmt.Errorf("plan: part %d at op %d of %d", i, k, numOps)
+		}
+		if k <= prev {
+			return fmt.Errorf("plan: part %d at op %d does not follow op %d", i, k, prev)
+		}
+		prev = k
+	}
+	return nil
 }
 
 var (
@@ -320,18 +399,96 @@ var (
 	ratZero = new(big.Rat)
 )
 
-// LowerContext flattens a plan tree into a Program over numEdges
-// instance edges; the Builder folds, shares and drops dead arithmetic
-// as the plan emits it. The builder polls ctx every
-// phomerr.CheckInterval emit calls, so cancelling the context aborts
-// the compile-time dynamic programs (the chain/interval trellis
-// unrolling of betadnf, the per-gate emission of ddnnf) within one
-// checkpoint interval and surfaces the typed cancellation error.
-func LowerContext(ctx context.Context, p Plan, numEdges int) (*Program, error) {
-	b := NewBuilder(ctx, numEdges)
-	out, err := p.EmitOps(b)
-	if err != nil {
-		return nil, err
+// Replayer re-emits dependency slices of one program into one Builder:
+// the splice of incremental maintenance copies each intact component's
+// factor out of the old program this way. Each op is emitted at most
+// once per Replayer (an op two slices share, such as a constant, keeps
+// its first handle), so replaying any set of slices costs one pass over
+// the program.
+type Replayer struct {
+	p *Program
+	b *Builder
+	// def[2k], def[2k+1] are the ops defining op k's register operands
+	// (−1: no such operand).
+	def []int32
+	// val[k] is op k's handle in b once seen[k] is set.
+	val    []uint32
+	seen   []bool
+	failed bool
+}
+
+// NewReplayer prepares replays out of the valid program p into b.
+func NewReplayer(p *Program, b *Builder) *Replayer {
+	rp := &Replayer{
+		p:    p,
+		b:    b,
+		def:  make([]int32, 2*len(p.Ops)),
+		val:  make([]uint32, len(p.Ops)),
+		seen: make([]bool, len(p.Ops)),
 	}
-	return b.Finish(out)
+	last := make([]int32, p.NumRegs) // register -> op that last wrote it
+	for k, op := range p.Ops {
+		rp.def[2*k], rp.def[2*k+1] = -1, -1
+		switch op.Code {
+		case OpMul, OpAdd:
+			rp.def[2*k+1] = last[op.B]
+			fallthrough
+		case OpOneMinus:
+			rp.def[2*k] = last[op.A]
+		}
+		last[op.Dst] = int32(k)
+	}
+	return rp
+}
+
+// Replay emits the dependency slice of op root — root and every op its
+// value is computed from — in program order, with each load of edge e
+// re-emitted as a load of edge load(e), and returns root's handle. It
+// returns false when load refuses an edge of the slice; the Replayer
+// then refuses every later Replay too. Replaying a Builder-made program
+// reproduces its values exactly: they are already in the Builder's
+// normal form.
+func (rp *Replayer) Replay(root int, load func(e int) (int, bool)) (uint32, bool) {
+	if rp.failed {
+		return 0, false
+	}
+	var slice []int32
+	if !rp.seen[root] {
+		slice = append(slice, int32(root))
+		rp.seen[root] = true
+	}
+	for i := 0; i < len(slice); i++ {
+		k := slice[i]
+		for _, d := range rp.def[2*k : 2*k+2] {
+			if d >= 0 && !rp.seen[d] {
+				rp.seen[d] = true
+				slice = append(slice, d)
+			}
+		}
+	}
+	slices.Sort(slice)
+	b := rp.b
+	for _, k := range slice {
+		op := rp.p.Ops[k]
+		var v uint32
+		switch op.Code {
+		case OpConst:
+			v = b.Const(rp.p.Consts[op.A])
+		case OpLoad:
+			e, ok := load(int(op.A))
+			if !ok {
+				rp.failed = true
+				return 0, false
+			}
+			v = b.Load(e)
+		case OpMul:
+			v = b.Mul(rp.val[rp.def[2*k]], rp.val[rp.def[2*k+1]])
+		case OpAdd:
+			v = b.Add(rp.val[rp.def[2*k]], rp.val[rp.def[2*k+1]])
+		case OpOneMinus:
+			v = b.OneMinus(rp.val[rp.def[2*k]])
+		}
+		rp.val[k] = v
+	}
+	return rp.val[root], true
 }

@@ -11,29 +11,17 @@ import (
 	"phom/internal/graph"
 )
 
-// replay emits the ops of a valid program through a fresh Builder,
-// register by register, and returns the program the Builder makes of
-// them.
+// replay emits the ops of a valid program that its output depends on
+// through a fresh Builder (a Replayer slice rooted at the op defining
+// Out) and returns the program the Builder makes of them.
 func replay(p *Program) (*Program, error) {
-	b := NewBuilder(context.Background(), p.NumEdges)
-	val := make([]uint32, p.NumRegs)
-	for _, op := range p.Ops {
-		var v uint32
-		switch op.Code {
-		case OpConst:
-			v = b.Const(p.Consts[op.A])
-		case OpLoad:
-			v = b.Load(int(op.A))
-		case OpMul:
-			v = b.Mul(val[op.A], val[op.B])
-		case OpAdd:
-			v = b.Add(val[op.A], val[op.B])
-		case OpOneMinus:
-			v = b.OneMinus(val[op.A])
-		}
-		val[op.Dst] = v
+	root := len(p.Ops) - 1
+	for p.Ops[root].Dst != p.Out {
+		root--
 	}
-	return b.Finish(val[p.Out])
+	b := NewBuilder(context.Background(), p.NumEdges)
+	out, _ := NewReplayer(p, b).Replay(root, func(e int) (int, bool) { return e, true })
+	return b.Finish(out)
 }
 
 // sameProgram reports whether two programs are identical: shape, op
@@ -120,43 +108,32 @@ func TestOptimizeIdentities(t *testing.T) {
 // repeated complements. The Builder must leave values behind that the
 // output does not reach (the seeds' constant 1 once every use folded
 // away, partial products of unused trellis states), so Finish emits
-// fewer ops than the value table holds; the lowered program must be
-// RatString-byte-identical to the plan tree's evaluation on every
-// random reweight, with a float enclosure that contains the exact
-// value, and already be in normal form (a replay changes nothing).
+// fewer ops than the value table holds; building is deterministic, the
+// program must be RatString-byte-identical to possible-world
+// enumeration on every random reweight, with a float enclosure that
+// contains the exact value, and already be in normal form (a replay
+// changes nothing).
 func TestOptimizeReducesOpsOnCorpora(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	un := []graph.Label{graph.Unlabeled}
 	for trial := 0; trial < 20; trial++ {
 		m := 1 + r.Intn(3)
-		var p Plan
-		var h *graph.ProbGraph
-		var err error
-		if trial%2 == 0 {
-			h = gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 3+r.Intn(6), un), 0.8)
-			p, err = dwtPaths(h, m)
-		} else {
-			h = gen.RandProb(r, gen.RandInClass(r, graph.ClassUPT, 3+r.Intn(6), un), 0.8)
-			p, err = polytreePaths(h, m)
+		class, compile := graph.ClassUDWT, dwtPaths
+		if trial%2 == 1 {
+			class, compile = graph.ClassUPT, polytreePaths
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := gen.RandProb(r, gen.RandInClass(r, class, 3+r.Intn(6), un), 0.8)
 		n := h.G.NumEdges()
 		b := NewBuilder(context.Background(), n)
-		out, err := p.EmitOps(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := b.Finish(out)
+		prog, _, err := compile(b, h, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(b.vals) <= prog.NumOps() {
 			t.Errorf("trial %d: Finish kept all %d values, dropped none", trial, len(b.vals))
 		}
-		if low, err := LowerContext(context.Background(), p, n); err != nil || !sameProgram(low, prog) {
-			t.Fatalf("trial %d: LowerContext differs from Builder+EmitOps (err %v)", trial, err)
+		if again, _, err := compile(nil, h, m); err != nil || !sameProgram(again, prog) {
+			t.Fatalf("trial %d: a second build differs (err %v)", trial, err)
 		}
 		again, err := replay(prog)
 		if err != nil {
@@ -167,16 +144,13 @@ func TestOptimizeReducesOpsOnCorpora(t *testing.T) {
 		}
 		for reweight := 0; reweight < 3; reweight++ {
 			probs := randomProbs(r, n)
-			want, err := p.Evaluate(probs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := worldsProb(h.G, probs, graph.UnlabeledPath(m))
 			exact, err := prog.ExecCtx(context.Background(), probs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if exact.RatString() != want.RatString() {
-				t.Fatalf("trial %d: ExecCtx %s != tree Evaluate %s", trial, exact.RatString(), want.RatString())
+				t.Fatalf("trial %d: ExecCtx %s != worlds %s", trial, exact.RatString(), want.RatString())
 			}
 			iv, err := execFloat(prog, probs)
 			if err != nil {

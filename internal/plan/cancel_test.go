@@ -10,30 +10,38 @@ import (
 	"phom/internal/phomerr"
 )
 
-// bigIntervalPlan builds an interval-system plan whose lowering emits
-// far more than phomerr.CheckInterval ops, so the Builder's context
-// checkpoint is guaranteed to fire during the compile-time dynamic
-// program.
-func bigIntervalPlan(nVars, clauseLen int) Interval {
+// bigInterval builds an interval system over nVars variables, variable
+// i on edge i, whose lowering emits far more than phomerr.CheckInterval
+// ops, so the Builder's context checkpoint is guaranteed to fire during
+// the compile-time dynamic program.
+func bigInterval(nVars, clauseLen int) *betadnf.IntervalSystem {
 	sys := &betadnf.IntervalSystem{NumVars: nVars}
 	for lo := 0; lo+clauseLen-1 < nVars; lo += 2 {
 		sys.Clauses = append(sys.Clauses, betadnf.Interval{Lo: lo, Hi: lo + clauseLen - 1})
 	}
-	varEdge := make([]int, nVars)
+	return sys
+}
+
+// lowerInterval builds the program of sys over its first NumVars
+// instance edges under ctx.
+func lowerInterval(ctx context.Context, sys *betadnf.IntervalSystem) (*Program, error) {
+	varEdge := make([]int, sys.NumVars)
 	for i := range varEdge {
 		varEdge[i] = i
 	}
-	return Interval{System: sys, VarEdge: varEdge}
+	return lowerSystem(ctx, sys.NumVars, varEdge, func(em *edgeMapEmitter) (uint32, error) {
+		return sys.EmitOps(em)
+	})
 }
 
-// TestLowerContextCanceledDeterministic: LowerContext under an
+// TestLowerContextCanceledDeterministic: lowering under an
 // already-cancelled context fails with the typed cancellation error —
 // deterministically, because the trellis unrolls more than one
 // checkpoint interval of ops — while the same lowering under a live
 // context succeeds and executes.
 func TestLowerContextCanceledDeterministic(t *testing.T) {
-	p := bigIntervalPlan(256, 16)
-	prog, err := LowerContext(context.Background(), p, 256)
+	sys := bigInterval(256, 16)
+	prog, err := lowerInterval(context.Background(), sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,21 +52,21 @@ func TestLowerContextCanceledDeterministic(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = LowerContext(ctx, p, 256)
+	_, err = lowerInterval(ctx, sys)
 	if !errors.Is(err, phomerr.ErrCanceled) {
-		t.Fatalf("LowerContext err = %v, want ErrCanceled", err)
+		t.Fatalf("lowering err = %v, want ErrCanceled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("LowerContext err = %v must unwrap to context.Canceled", err)
+		t.Fatalf("lowering err = %v must unwrap to context.Canceled", err)
 	}
 }
 
 // TestExecCtxCanceledDeterministic: the exact interpreter aborts a
 // cancelled execution at an op checkpoint, and a live-context run is
-// byte-identical to the plan tree's evaluation.
+// byte-identical to the interval dynamic program itself.
 func TestExecCtxCanceledDeterministic(t *testing.T) {
-	p := bigIntervalPlan(256, 16)
-	prog, err := LowerContext(context.Background(), p, 256)
+	sys := bigInterval(256, 16)
+	prog, err := lowerInterval(context.Background(), sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +74,7 @@ func TestExecCtxCanceledDeterministic(t *testing.T) {
 	for i := range probs {
 		probs[i] = big.NewRat(int64(i%7+1), 9)
 	}
-	want, err := p.Evaluate(probs)
+	want, err := sys.Prob(probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +83,7 @@ func TestExecCtxCanceledDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want.RatString() != got.RatString() {
-		t.Fatalf("ExecCtx %s != tree Evaluate %s", got.RatString(), want.RatString())
+		t.Fatalf("ExecCtx %s != IntervalSystem.Prob %s", got.RatString(), want.RatString())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -105,8 +113,12 @@ func TestChainEmitCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Chain{System: cc, NodeEdge: nodeEdge}
-	prog, err := LowerContext(context.Background(), p, n-1)
+	lower := func(ctx context.Context) (*Program, error) {
+		return lowerSystem(ctx, n-1, nodeEdge, func(em *edgeMapEmitter) (uint32, error) {
+			return cc.EmitOps(em)
+		})
+	}
+	prog, err := lower(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +127,7 @@ func TestChainEmitCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LowerContext(ctx, p, n-1); !errors.Is(err, phomerr.ErrCanceled) {
-		t.Fatalf("chain LowerContext err = %v, want ErrCanceled", err)
+	if _, err := lower(ctx); !errors.Is(err, phomerr.ErrCanceled) {
+		t.Fatalf("chain lowering err = %v, want ErrCanceled", err)
 	}
 }

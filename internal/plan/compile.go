@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math/big"
 
 	"phom/internal/betadnf"
 	"phom/internal/graph"
@@ -11,52 +12,57 @@ import (
 
 // This file hosts the per-cell compilers: for every tractable cell of
 // Tables 1–3 they run the structural phase of the cell's algorithm on
-// one connected component of the instance and return that component's
-// Plan over the full instance edge list. Probabilities are never read —
-// the instance serves purely as the structural template — so a compiled
-// plan can be evaluated against any probability assignment on the same
-// structure. The dispatching between cells stays in package core (the
-// guard table of core.CompileUCQ), which owns the classification logic.
+// one connected component of the instance and emit that component's
+// probability into a Builder, loading from the full instance edge list.
+// Probabilities are never read — the instance serves purely as the
+// structural template — so the program they build can be evaluated
+// against any probability assignment on the same structure. The
+// dispatching between cells stays in package core (the guard table of
+// core.CompileUCQ), which owns the classification logic.
 //
-// A whole-instance plan is Lemma 3.7 composition: Compose calls one
-// PartFunc per connected component and wraps the parts in a Components
-// composite. The Part* compilers are also the seam of incremental
-// maintenance (core.PatchCompile): an edge delta confined to one
-// component recompiles only that component's part and splices it into
-// the existing composite.
+// A whole-instance program is Lemma 3.7 composition: Compose emits one
+// part per connected component and combines them. The parts are also
+// the seam of incremental maintenance (core.PatchCompile): an edge
+// delta confined to one component recompiles only that component's
+// part and replays every other part out of the old program.
 
-// PartFunc compiles one connected component's part of a cell's plan:
-// comp is the component as a probabilistic graph, edgeMap maps its edge
-// indices into the full instance edge list.
-type PartFunc func(comp *graph.ProbGraph, edgeMap []int) (Plan, error)
+// PartFunc emits one connected component's probability p_i into b and
+// returns its handle: comp is the component as a probabilistic graph,
+// edgeMap maps its edge indices into the full instance edge list (the
+// edges b loads).
+type PartFunc func(b *Builder, comp *graph.ProbGraph, edgeMap []int) (uint32, error)
 
-// Compose compiles the Lemma 3.7 composite of h: one part per connected
-// component (in ComponentsWithEdges order), combined by Components.
-func Compose(h *graph.ProbGraph, part PartFunc) (Plan, error) {
-	comps, edgeMaps := h.ComponentsWithEdges()
-	parts := make([]Plan, len(comps))
-	for ci, comp := range comps {
-		p, err := part(comp, edgeMaps[ci])
+// Compose emits the Lemma 3.7 composite of n components into b:
+// 1 − Π_i (1 − p_i), where part(i) emits p_i. It returns the output
+// handle and the factor handles f_i = 1 − p_i, in component order, from
+// which Builder.FinishParts derives the plan's part table.
+func Compose(b *Builder, n int, part func(i int) (uint32, error)) (out uint32, factors []uint32, err error) {
+	miss := b.One()
+	factors = make([]uint32, n)
+	for i := range factors {
+		p, err := part(i)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		parts[ci] = p
+		factors[i] = b.OneMinus(p)
+		miss = b.Mul(miss, factors[i])
 	}
-	return Components{Parts: parts}, nil
+	return b.OneMinus(miss), factors, nil
 }
 
-// Part1WPOnDWT compiles one DWT component's chain part of
+// Part1WPOnDWT emits one DWT component's chain part of
 // Proposition 4.10, lifted to the union of the labeled 1WP queries qs
-// (at least one): each disjunct's β-acyclic chain lineage on comp, merged by keeping
-// the shortest clause per node (absorption), with node→edge references
-// mapped through edgeMap into the full instance edge list.
-func Part1WPOnDWT(qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int) (Plan, error) {
+// (at least one): each disjunct's β-acyclic chain lineage on comp,
+// merged by keeping the shortest clause per node (absorption), with
+// node→edge references mapped through edgeMap into the full instance
+// edge list.
+func Part1WPOnDWT(b *Builder, qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int) (uint32, error) {
 	var merged *betadnf.ChainSystem
 	var nodeEdge []int
 	for _, q := range qs {
 		lin, err := lineage.Path1WPOnDWT(q, comp)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if merged == nil {
 			// Parent and ParentEdge are instance-side, identical across
@@ -76,22 +82,22 @@ func Part1WPOnDWT(qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int) (Plan
 	}
 	cc, err := merged.Compile()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return Chain{System: cc, NodeEdge: nodeEdge}, nil
+	return cc.EmitOps(&edgeMapEmitter{b: b, varEdge: nodeEdge, rootIsOne: true})
 }
 
-// PartConnectedOn2WP compiles one 2WP component's interval part of
+// PartConnectedOn2WP emits one 2WP component's interval part of
 // Proposition 4.11, lifted to the union of the connected queries qs
-// (at least one): the union of the disjuncts' interval lineages is itself an interval
-// system over the component's path order.
-func PartConnectedOn2WP(qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int) (Plan, error) {
+// (at least one): the union of the disjuncts' interval lineages is
+// itself an interval system over the component's path order.
+func PartConnectedOn2WP(b *Builder, qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int) (uint32, error) {
 	merged := &betadnf.IntervalSystem{NumVars: comp.G.NumVertices() - 1}
 	var varEdge []int
 	for _, q := range qs {
 		lin, err := lineage.ConnectedOn2WP(q, comp)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		merged.Clauses = append(merged.Clauses, lin.System.Clauses...)
 		if varEdge == nil {
@@ -100,18 +106,18 @@ func PartConnectedOn2WP(qs []*graph.Graph, comp *graph.ProbGraph, edgeMap []int)
 			varEdge = mapEdges(lin.EdgeAt, edgeMap)
 		}
 	}
-	return Interval{System: merged, VarEdge: varEdge}, nil
+	return merged.EmitOps(&edgeMapEmitter{b: b, varEdge: varEdge})
 }
 
-// PartDirectedPathOnDWT compiles one DWT component's chain part of
+// PartDirectedPathOnDWT emits one DWT component's chain part of
 // Proposition 3.6's workhorse: the chain system deciding whether a
 // world of comp contains a directed path of m (> 0) edges. The
 // probability inputs are lifted out of the per-component structure
-// (parents, depths, chain clauses) into the plan's NodeEdge mapping.
-func PartDirectedPathOnDWT(comp *graph.ProbGraph, m int, edgeMap []int) (Plan, error) {
+// (parents, depths, chain clauses) into the node→edge loads.
+func PartDirectedPathOnDWT(b *Builder, comp *graph.ProbGraph, m int, edgeMap []int) (uint32, error) {
 	g := comp.G
 	if !g.IsDWT() {
-		return nil, fmt.Errorf("plan: PartDirectedPathOnDWT needs a DWT component")
+		return 0, fmt.Errorf("plan: PartDirectedPathOnDWT needs a DWT component")
 	}
 	n := g.NumVertices()
 	parent := make([]int, n)
@@ -136,22 +142,22 @@ func PartDirectedPathOnDWT(comp *graph.ProbGraph, m int, edgeMap []int) (Plan, e
 	}
 	cc, err := (&betadnf.ChainSystem{Parent: parent, ChainLen: chain}).Compile()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return Chain{System: cc, NodeEdge: mapEdges(nodeEdge, edgeMap)}, nil
+	return cc.EmitOps(&edgeMapEmitter{b: b, varEdge: mapEdges(nodeEdge, edgeMap), rootIsOne: true})
 }
 
-// PartDirectedPathOnPolytree compiles one polytree component's d-DNNF
+// PartDirectedPathOnPolytree emits one polytree component's d-DNNF
 // circuit part of Proposition 5.4 for the unlabeled path query →^m
 // (m > 0).
-func PartDirectedPathOnPolytree(comp *graph.ProbGraph, m int, edgeMap []int) (Plan, error) {
+func PartDirectedPathOnPolytree(b *Builder, comp *graph.ProbGraph, m int, edgeMap []int) (uint32, error) {
 	root, err := treeauto.Encode(comp)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	a := &treeauto.Automaton{M: m}
 	c, out := a.CompileLineage(root, comp.G.NumEdges())
-	return Circuit{C: c, Out: out, VarEdge: edgeMap}, nil
+	return c.EmitOps(out, &edgeMapEmitter{b: b, varEdge: edgeMap})
 }
 
 // mapEdges rewrites component-local edge indices to indices into the
@@ -168,61 +174,41 @@ func mapEdges(local, toGlobal []int) []int {
 	return out
 }
 
-// RemapEdges returns p with every global edge reference i rewritten to
-// remap[i], sharing the compiled systems/circuits of p (the returned
-// plan is a fresh value over the same immutable structural artifacts —
-// copy-on-write). It is how incremental maintenance carries the parts
-// of untouched components across a structural delta that renumbers the
-// instance's edge list. A reference to an edge with no new index
-// (remap[i] < 0) is an error: such a part belongs to a touched
-// component and must be recompiled, not remapped. The −1 "no edge"
-// sentinel inside a part is preserved.
-func RemapEdges(p Plan, remap []int) (Plan, error) {
-	apply := func(refs []int) ([]int, error) {
-		out := make([]int, len(refs))
-		for i, ei := range refs {
-			if ei < 0 {
-				out[i] = -1
-				continue
-			}
-			if ei >= len(remap) || remap[ei] < 0 {
-				return nil, fmt.Errorf("plan: RemapEdges: edge %d has no image", ei)
-			}
-			out[i] = remap[ei]
-		}
-		return out, nil
-	}
-	switch t := p.(type) {
-	case Const:
-		return t, nil
-	case Chain:
-		ne, err := apply(t.NodeEdge)
-		if err != nil {
-			return nil, err
-		}
-		return Chain{System: t.System, NodeEdge: ne}, nil
-	case Interval:
-		ve, err := apply(t.VarEdge)
-		if err != nil {
-			return nil, err
-		}
-		return Interval{System: t.System, VarEdge: ve}, nil
-	case Circuit:
-		ve, err := apply(t.VarEdge)
-		if err != nil {
-			return nil, err
-		}
-		return Circuit{C: t.C, Out: t.Out, VarEdge: ve}, nil
-	case Components:
-		parts := make([]Plan, len(t.Parts))
-		for i, part := range t.Parts {
-			np, err := RemapEdges(part, remap)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = np
-		}
-		return Components{Parts: parts}, nil
-	}
-	return nil, fmt.Errorf("plan: RemapEdges: unsupported plan %T", p)
+// The substrate dynamic programs own their arithmetic (betadnf and
+// ddnnf EmitOps); the adapter here contributes only the
+// variable-to-edge indirection, so the emitted ops load straight from
+// the instance probability vector.
+
+// edgeMapEmitter adapts a Builder to the OpEmitter interfaces of
+// betadnf and ddnnf (structurally identical), translating substrate
+// variable indices to instance edge indices through varEdge. When
+// rootIsOne is set, a negative mapping loads the constant 1 (chain
+// roots have no edge above them); otherwise it is an error, recorded
+// sticky on the builder.
+type edgeMapEmitter struct {
+	b         *Builder
+	varEdge   []int
+	rootIsOne bool
 }
+
+func (m *edgeMapEmitter) Load(v int) uint32 {
+	if v < 0 || v >= len(m.varEdge) {
+		m.b.fail(fmt.Errorf("plan: lowering references variable %d of %d", v, len(m.varEdge)))
+		return 0
+	}
+	ei := m.varEdge[v]
+	if ei < 0 {
+		if m.rootIsOne {
+			return m.b.One()
+		}
+		m.b.fail(fmt.Errorf("plan: lowering references unmapped variable %d", v))
+		return 0
+	}
+	return m.b.Load(ei)
+}
+
+func (m *edgeMapEmitter) Const(v *big.Rat) uint32  { return m.b.Const(v) }
+func (m *edgeMapEmitter) Failed() bool             { return m.b.Failed() }
+func (m *edgeMapEmitter) Mul(a, b uint32) uint32   { return m.b.Mul(a, b) }
+func (m *edgeMapEmitter) Add(a, b uint32) uint32   { return m.b.Add(a, b) }
+func (m *edgeMapEmitter) OneMinus(a uint32) uint32 { return m.b.OneMinus(a) }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -12,28 +13,45 @@ import (
 
 func rat(s string) *big.Rat { return graph.Rat(s) }
 
+// TestConstEvaluateCopies: the program of a constant hands out a fresh
+// result per execution, so mutating one must not poison the constant
+// pool.
 func TestConstEvaluateCopies(t *testing.T) {
-	c := NewConst(rat("2/3"))
-	a, err := c.Evaluate(nil)
+	b := NewBuilder(context.Background(), 0)
+	prog, err := b.Finish(b.Const(rat("2/3")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetInt64(7) // mutating the result must not poison the plan
-	b, _ := c.Evaluate(nil)
-	if b.Cmp(rat("2/3")) != 0 {
-		t.Fatalf("Const mutated through a returned result: %s", b.RatString())
+	a, err := prog.ExecCtx(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetInt64(7)
+	again := execString(t, prog, nil)
+	if again != "2/3" {
+		t.Fatalf("constant mutated through a returned result: %s", again)
 	}
 }
 
+// TestComponentsCombination: Compose emits the Lemma 3.7 combination
+// and reports one factor per part.
 func TestComponentsCombination(t *testing.T) {
-	c := Components{Parts: []Plan{NewConst(rat("1/2")), NewConst(rat("1/3"))}}
-	p, err := c.Evaluate(nil)
+	parts := []*big.Rat{rat("1/2"), rat("1/3")}
+	b := NewBuilder(context.Background(), 0)
+	out, factors, err := Compose(b, len(parts), func(i int) (uint32, error) { return b.Const(parts[i]), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(factors) != 2 {
+		t.Fatalf("%d factors for 2 parts", len(factors))
+	}
+	prog, err := b.Finish(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 1 − (1 − 1/2)(1 − 1/3) = 2/3.
-	if p.Cmp(rat("2/3")) != 0 {
-		t.Fatalf("Components = %s, want 2/3", p.RatString())
+	if got := execString(t, prog, nil); got != "2/3" {
+		t.Fatalf("Compose = %s, want 2/3", got)
 	}
 }
 
@@ -44,111 +62,77 @@ func TestChainEvaluateMapsEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Chain{
-		System:   cc,
-		NodeEdge: []int{-1, 3},
-	}
-	probs := []*big.Rat{rat("1"), rat("1"), rat("1"), rat("1/4")}
-	p, err := c.Evaluate(probs)
+	prog, err := lowerSystem(context.Background(), 4, []int{-1, 3}, func(em *edgeMapEmitter) (uint32, error) {
+		return cc.EmitOps(em)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cmp(rat("1/4")) != 0 {
-		t.Fatalf("Chain = %s, want 1/4", p.RatString())
+	probs := []*big.Rat{rat("1"), rat("1"), rat("1"), rat("1/4")}
+	if got := execString(t, prog, probs); got != "1/4" {
+		t.Fatalf("chain = %s, want 1/4", got)
 	}
-	if _, err := c.Evaluate(probs[:2]); err == nil {
-		t.Fatal("expected an out-of-range error for a short probability vector")
+	if _, err := prog.ExecCtx(context.Background(), probs[:2]); err == nil {
+		t.Fatal("expected a length-mismatch error for a short probability vector")
+	}
+	if _, err := lowerSystem(context.Background(), 3, []int{-1, 3}, func(em *edgeMapEmitter) (uint32, error) {
+		return cc.EmitOps(em)
+	}); err == nil {
+		t.Fatal("expected an out-of-range error for an edge past the instance")
 	}
 }
 
 func TestIntervalEvaluateMapsEdges(t *testing.T) {
 	// One variable mapped to instance edge 2; one unit clause.
-	iv := Interval{
-		System:  &betadnf.IntervalSystem{NumVars: 1, Clauses: []betadnf.Interval{{Lo: 0, Hi: 0}}},
-		VarEdge: []int{2},
-	}
-	probs := []*big.Rat{rat("1"), rat("1"), rat("3/5")}
-	p, err := iv.Evaluate(probs)
+	sys := &betadnf.IntervalSystem{NumVars: 1, Clauses: []betadnf.Interval{{Lo: 0, Hi: 0}}}
+	prog, err := lowerSystem(context.Background(), 3, []int{2}, func(em *edgeMapEmitter) (uint32, error) {
+		return sys.EmitOps(em)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cmp(rat("3/5")) != 0 {
-		t.Fatalf("Interval = %s, want 3/5", p.RatString())
+	probs := []*big.Rat{rat("1"), rat("1"), rat("3/5")}
+	if got := execString(t, prog, probs); got != "3/5" {
+		t.Fatalf("interval = %s, want 3/5", got)
 	}
-	if _, err := iv.Evaluate(probs[:1]); err == nil {
-		t.Fatal("expected an out-of-range error for a short probability vector")
+	if _, err := prog.ExecCtx(context.Background(), probs[:1]); err == nil {
+		t.Fatal("expected a length-mismatch error for a short probability vector")
+	}
+	if _, err := lowerSystem(context.Background(), 3, nil, func(em *edgeMapEmitter) (uint32, error) {
+		return sys.EmitOps(em)
+	}); err == nil {
+		t.Fatal("expected an error for an unmapped variable")
 	}
 }
 
-// oracleWorlds computes Pr(world contains →^m) on h by world enumeration.
-func oracleWorlds(t *testing.T, h *graph.ProbGraph, m int) *big.Rat {
-	t.Helper()
-	q := graph.UnlabeledPath(m)
-	n := h.G.NumEdges()
-	keep := make([]bool, n)
-	total := new(big.Rat)
-	var rec func(i int, w *big.Rat)
-	rec = func(i int, w *big.Rat) {
-		if w.Sign() == 0 {
-			return
-		}
-		if i == n {
-			if graph.HasHomomorphism(q, h.G.SubgraphKeeping(keep)) {
-				total.Add(total, w)
-			}
-			return
-		}
-		keep[i] = true
-		rec(i+1, new(big.Rat).Mul(w, h.Prob(i)))
-		keep[i] = false
-		rec(i+1, new(big.Rat).Mul(w, new(big.Rat).Sub(graph.RatOne, h.Prob(i))))
-	}
-	rec(0, big.NewRat(1, 1))
-	return total
-}
-
-// TestCompiledPlansMatchOracle cross-checks every structural compiler on
-// small random instances against possible-world enumeration, evaluating
-// the same plan under several distinct probability assignments.
+// TestCompiledPlansMatchOracle cross-checks the path compilers on small
+// random instances against possible-world enumeration, evaluating the
+// same program under several distinct probability assignments.
 func TestCompiledPlansMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	un := []graph.Label{graph.Unlabeled}
-	for trial := 0; trial < 25; trial++ {
-		m := 1 + r.Intn(3)
-		hg := gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(6), un)
-		h := gen.RandProb(r, hg, 0.8)
-		p, err := dwtPaths(h, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for reweight := 0; reweight < 3; reweight++ {
-			got, err := p.Evaluate(h.Probs())
+	for _, cell := range []struct {
+		name    string
+		class   graph.Class
+		compile func(*Builder, *graph.ProbGraph, int) (*Program, []int, error)
+	}{
+		{"DWT", graph.ClassUDWT, dwtPaths},
+		{"PT", graph.ClassUPT, polytreePaths},
+	} {
+		for trial := 0; trial < 25; trial++ {
+			m := 1 + r.Intn(3)
+			h := gen.RandProb(r, gen.RandInClass(r, cell.class, 2+r.Intn(6), un), 0.8)
+			prog, _, err := cell.compile(nil, h, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := oracleWorlds(t, h, m); got.Cmp(want) != 0 {
-				t.Fatalf("DWT trial %d: plan %s, oracle %s", trial, got.RatString(), want.RatString())
+			for reweight := 0; reweight < 3; reweight++ {
+				got := execString(t, prog, h.Probs())
+				if want := worldsProb(h.G, h.Probs(), graph.UnlabeledPath(m)); got != want.RatString() {
+					t.Fatalf("%s trial %d: plan %s, oracle %s", cell.name, trial, got, want.RatString())
+				}
+				randomize(r, h)
 			}
-			randomize(r, h)
-		}
-	}
-	for trial := 0; trial < 25; trial++ {
-		m := 1 + r.Intn(3)
-		hg := gen.RandInClass(r, graph.ClassUPT, 2+r.Intn(6), un)
-		h := gen.RandProb(r, hg, 0.8)
-		p, err := polytreePaths(h, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for reweight := 0; reweight < 3; reweight++ {
-			got, err := p.Evaluate(h.Probs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := oracleWorlds(t, h, m); got.Cmp(want) != 0 {
-				t.Fatalf("PT trial %d: plan %s, oracle %s", trial, got.RatString(), want.RatString())
-			}
-			randomize(r, h)
 		}
 	}
 }

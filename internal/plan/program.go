@@ -11,13 +11,13 @@ import (
 
 // This file defines the flattened evaluation IR: a Program is a linear
 // instruction stream over a register file of rationals, the common
-// compilation target of every non-opaque plan. Where the plan tree
-// evaluates through a heterogeneous set of Go closures (chain DP,
+// compilation target of every non-opaque plan. Where the substrates
+// evaluate through a heterogeneous set of dynamic programs (chain DP,
 // interval DP, d-DNNF traversal), a Program is pure data — one op
 // array, one constant pool — executed by the single ExecCtx entry
-// below, and serializable by internal/graphio. The per-substrate tree
-// evaluators remain as the differential reference (Plan.Evaluate);
-// LowerContext turns a tree into its Program.
+// below, and serializable by internal/graphio. The cell compilers emit
+// it through a Builder; the substrates' own Prob methods remain as the
+// differential reference of the tests.
 
 // OpCode enumerates the instruction set. The set is deliberately tiny:
 // every tractable cell of the paper evaluates by a straight-line
@@ -56,7 +56,7 @@ type Op struct {
 // the ops in order against a register file of NumRegs rationals, then
 // read the result from register Out. Programs are immutable after
 // construction and safe for concurrent ExecCtx calls (each call owns
-// its register file). Programs built by LowerContext are valid by
+// its register file). Programs built by a Builder are valid by
 // construction; decoded ones must pass Validate before ExecCtx (the
 // decoder of internal/graphio enforces this).
 type Program struct {
@@ -140,8 +140,8 @@ func (p *Program) Validate() error {
 // ExecCtx interprets the program against the probability vector probs
 // (indexed by the edge list of the instance the plan was compiled
 // from) and returns a freshly allocated result. All arithmetic is
-// exact; the result is the same rational the plan tree's Evaluate
-// computes, hence RatString-byte-identical.
+// exact; the result is the same rational the substrate dynamic
+// programs compute, hence RatString-byte-identical.
 //
 // Registers normally run as big.Int numerators over powers of one
 // common denominator D (execInt), normalized by a single GCD at the

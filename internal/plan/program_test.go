@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"phom/internal/betadnf"
@@ -39,7 +40,8 @@ func TestProgramBuilderExec(t *testing.T) {
 }
 
 func TestProgramExecRejectsBadInput(t *testing.T) {
-	prog, err := LowerContext(context.Background(), NewConst(rat("1/2")), 3)
+	b0 := NewBuilder(context.Background(), 3)
+	prog, err := b0.Finish(b0.Const(rat("1/2")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,39 +94,32 @@ func TestProgramValidate(t *testing.T) {
 	}
 }
 
-// lowerAndCompare checks that the flattened program of p computes
-// RatString-byte-identical results to the tree evaluator across several
-// reweightings of h.
-func lowerAndCompare(t *testing.T, r *rand.Rand, p Plan, h *graph.ProbGraph, what string) {
+// compareWorlds checks that prog computes RatString-byte-identical
+// results to the world-enumeration oracle for the union qs across
+// several reweightings of h.
+func compareWorlds(t *testing.T, r *rand.Rand, prog *Program, err error, h *graph.ProbGraph, qs []*graph.Graph, what string) {
 	t.Helper()
-	prog, err := LowerContext(context.Background(), p, h.G.NumEdges())
 	if err != nil {
-		t.Fatalf("%s: LowerContext: %v", what, err)
+		t.Fatalf("%s: compile: %v", what, err)
 	}
 	if err := prog.Validate(); err != nil {
 		t.Fatalf("%s: lowered program invalid: %v", what, err)
 	}
 	for reweight := 0; reweight < 4; reweight++ {
 		probs := h.Probs()
-		tree, err := p.Evaluate(probs)
-		if err != nil {
-			t.Fatalf("%s: tree Evaluate: %v", what, err)
-		}
-		flat, err := prog.ExecCtx(context.Background(), probs)
-		if err != nil {
-			t.Fatalf("%s: ExecCtx: %v", what, err)
-		}
-		if tree.RatString() != flat.RatString() {
-			t.Fatalf("%s: tree %s vs program %s", what, tree.RatString(), flat.RatString())
+		want := worldsProb(h.G, probs, qs...)
+		if got := execString(t, prog, probs); got != want.RatString() {
+			t.Fatalf("%s: program %s vs worlds %s", what, got, want.RatString())
 		}
 		randomize(r, h)
 	}
 }
 
 // TestLoweredProgramsMatchTreeEvaluate is the plan-layer differential:
-// for every structural compiler, the flattened Program agrees
-// byte-identically with the tree evaluation under many probability
-// assignments, including degenerate 0/1 weights.
+// for every structural compiler, the built Program agrees
+// byte-identically with possible-world enumeration (instances of at
+// most 11 vertices) under many probability assignments, including
+// degenerate 0/1 weights.
 func TestLoweredProgramsMatchTreeEvaluate(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	un := []graph.Label{graph.Unlabeled}
@@ -132,65 +127,131 @@ func TestLoweredProgramsMatchTreeEvaluate(t *testing.T) {
 
 	for trial := 0; trial < 20; trial++ {
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(10), un), 0.7)
-		p, err := dwtPaths(h, 1+r.Intn(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lowerAndCompare(t, r, p, h, "PartDirectedPathOnDWT")
+		m := 1 + r.Intn(4)
+		prog, _, err := dwtPaths(nil, h, m)
+		compareWorlds(t, r, prog, err, h, []*graph.Graph{graph.UnlabeledPath(m)}, "PartDirectedPathOnDWT")
 	}
 	for trial := 0; trial < 20; trial++ {
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUPT, 2+r.Intn(10), un), 0.7)
-		p, err := polytreePaths(h, 1+r.Intn(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lowerAndCompare(t, r, p, h, "PartDirectedPathOnPolytree")
+		m := 1 + r.Intn(4)
+		prog, _, err := polytreePaths(nil, h, m)
+		compareWorlds(t, r, prog, err, h, []*graph.Graph{graph.UnlabeledPath(m)}, "PartDirectedPathOnPolytree")
 	}
 	for trial := 0; trial < 20; trial++ {
-		q := gen.Rand1WP(r, 2+r.Intn(3), rs)
+		qs := []*graph.Graph{gen.Rand1WP(r, 2+r.Intn(3), rs)}
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(10), rs), 0.7)
-		p, err := chains([]*graph.Graph{q}, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lowerAndCompare(t, r, p, h, "Part1WPOnDWT")
+		prog, _, err := chains(qs, h)
+		compareWorlds(t, r, prog, err, h, qs, "Part1WPOnDWT")
 	}
 	for trial := 0; trial < 20; trial++ {
-		q := gen.RandConnected(r, 2+r.Intn(3), 1, rs)
+		qs := []*graph.Graph{gen.RandConnected(r, 2+r.Intn(3), 1, rs)}
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassU2WP, 2+r.Intn(10), rs), 0.7)
-		p, err := intervals([]*graph.Graph{q}, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lowerAndCompare(t, r, p, h, "PartConnectedOn2WP")
+		prog, _, err := intervals(qs, h)
+		compareWorlds(t, r, prog, err, h, qs, "PartConnectedOn2WP")
 	}
 	for trial := 0; trial < 10; trial++ {
 		qs := []*graph.Graph{gen.Rand1WP(r, 2+r.Intn(2), rs), gen.Rand1WP(r, 2+r.Intn(2), rs)}
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 2+r.Intn(8), rs), 0.7)
-		p, err := chains(qs, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lowerAndCompare(t, r, p, h, "Part1WPOnDWT union")
+		prog, _, err := chains(qs, h)
+		compareWorlds(t, r, prog, err, h, qs, "Part1WPOnDWT union")
 	}
 	for trial := 0; trial < 10; trial++ {
 		qs := []*graph.Graph{gen.RandConnected(r, 2+r.Intn(2), 1, rs), gen.RandConnected(r, 2+r.Intn(2), 1, rs)}
 		h := gen.RandProb(r, gen.RandInClass(r, graph.ClassU2WP, 2+r.Intn(8), rs), 0.7)
-		p, err := intervals(qs, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lowerAndCompare(t, r, p, h, "PartConnectedOn2WP union")
+		prog, _, err := intervals(qs, h)
+		compareWorlds(t, r, prog, err, h, qs, "PartConnectedOn2WP union")
 	}
 }
 
+// TestLowerConstAndComponents: composites of constant parts and bare
+// constants build to programs of the expected values; a composite gets
+// a part table only when every constant factor is 1 (no component has
+// a match), all of them FoldedPart.
 func TestLowerConstAndComponents(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	h := gen.RandProb(r, gen.RandInClass(r, graph.ClassUDWT, 4, []graph.Label{graph.Unlabeled}), 0.5)
-	comp := Components{Parts: []Plan{NewConst(rat("1/3")), NewConst(rat("1/5"))}}
-	lowerAndCompare(t, r, comp, h, "Components of Consts")
-	lowerAndCompare(t, r, NewConst(rat("0")), h, "Const 0")
-	lowerAndCompare(t, r, NewConst(rat("1")), h, "Const 1")
+	consts := func(vs ...string) (*Program, []int, error) {
+		b := NewBuilder(context.Background(), 0)
+		out, factors, err := Compose(b, len(vs), func(i int) (uint32, error) { return b.Const(rat(vs[i])), nil })
+		if err != nil {
+			return nil, nil, err
+		}
+		return b.FinishParts(out, factors)
+	}
+	for _, tc := range []struct {
+		parts     []string
+		want      string
+		wantTable []int
+	}{
+		{[]string{"1/3", "1/5"}, "7/15", nil},
+		{[]string{"0"}, "0", nil},
+		{[]string{"1"}, "1", nil},
+		{[]string{"0", "1"}, "1", nil},
+		{[]string{"0", "0", "0"}, "0", []int{FoldedPart, FoldedPart, FoldedPart}},
+	} {
+		prog, parts, err := consts(tc.parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := execString(t, prog, nil); got != tc.want {
+			t.Errorf("Compose%v = %s, want %s", tc.parts, got, tc.want)
+		}
+		if !slices.Equal(parts, tc.wantTable) {
+			t.Errorf("Compose%v: part table %v, want %v", tc.parts, parts, tc.wantTable)
+		}
+	}
+}
+
+// TestPartTable pins the part table of a composite: one entry per
+// component in order, the op index of each factor 1 − p_i, FoldedPart
+// for a component without a match (an isolated vertex), and replaying
+// each entry's dependency slice reproduces that factor.
+func TestPartTable(t *testing.T) {
+	// Components: path 0→1→2, isolated vertex 3, edge 4→5.
+	g := graph.New(6)
+	g.MustAddEdge(0, 1, graph.Unlabeled)
+	g.MustAddEdge(1, 2, graph.Unlabeled)
+	g.MustAddEdge(4, 5, graph.Unlabeled)
+	h := graph.NewProbGraph(g)
+	prog, parts, err := dwtPaths(nil, h, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 3 || parts[1] != FoldedPart || parts[0] == FoldedPart || parts[2] == FoldedPart {
+		t.Fatalf("part table %v, want [op, FoldedPart, op]", parts)
+	}
+	if err := ValidatePartTable(parts, prog.NumOps()); err != nil {
+		t.Fatal(err)
+	}
+	probs := []*big.Rat{rat("1/2"), rat("1/3"), rat("1/5")}
+	b := NewBuilder(context.Background(), 3)
+	rp := NewReplayer(prog, b)
+	for ci, want := range []string{"1/3", "", "4/5"} { // (1−1/2)(1−1/3), —, 1−1/5
+		if parts[ci] == FoldedPart {
+			continue
+		}
+		f, ok := rp.Replay(parts[ci], func(e int) (int, bool) { return e, true })
+		if !ok {
+			t.Fatalf("part %d: replay refused", ci)
+		}
+		part, err := b.Finish(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := execString(t, part, probs); got != want {
+			t.Errorf("part %d factor = %s, want %s", ci, got, want)
+		}
+	}
+	rp = NewReplayer(prog, NewBuilder(context.Background(), 3))
+	if _, ok := rp.Replay(parts[2], func(e int) (int, bool) { return e, e != 2 }); ok {
+		t.Error("replay accepted a refused load")
+	}
+	if _, ok := rp.Replay(parts[0], func(e int) (int, bool) { return e, true }); ok {
+		t.Error("replay went on after a refusal")
+	}
+	for _, bad := range [][]int{nil, {0}, {2, 1}, {0, 0}, {0, prog.NumOps()}, {-2, 0}} {
+		if ValidatePartTable(bad, prog.NumOps()) == nil {
+			t.Errorf("ValidatePartTable accepted %v", bad)
+		}
+	}
 }
 
 // TestChainEmitMatchesProbDirect drives the betadnf chain lowering on a
@@ -214,8 +275,9 @@ func TestChainEmitMatchesProbDirect(t *testing.T) {
 	for i := range nodeEdge {
 		nodeEdge[i] = i - 1 // node v reads edge v−1; root reads nothing
 	}
-	c := Chain{System: cc, NodeEdge: nodeEdge}
-	prog, err := LowerContext(context.Background(), c, n-1)
+	prog, err := lowerSystem(context.Background(), n-1, nodeEdge, func(em *edgeMapEmitter) (uint32, error) {
+		return cc.EmitOps(em)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,16 +286,14 @@ func TestChainEmitMatchesProbDirect(t *testing.T) {
 		for i := range probs {
 			probs[i] = big.NewRat(int64(r.Intn(17)), 16)
 		}
-		tree, err := c.Evaluate(probs)
+		// The dynamic program itself, node v reading edge v−1.
+		nodeProbs := append([]*big.Rat{graph.RatOne}, probs...)
+		want, err := cc.Prob(nodeProbs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := prog.ExecCtx(context.Background(), probs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree.RatString() != flat.RatString() {
-			t.Fatalf("trial %d: tree %s vs program %s", trial, tree.RatString(), flat.RatString())
+		if got := execString(t, prog, probs); got != want.RatString() {
+			t.Fatalf("trial %d: Prob %s vs program %s", trial, want.RatString(), got)
 		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"phom/internal/core"
 	"phom/internal/gen"
 	"phom/internal/graph"
+	"phom/internal/lineage"
 	"phom/internal/plan"
+	"phom/internal/treeauto"
 )
 
 // union is the disjoint union of k random parts of n vertices each.
@@ -16,11 +18,57 @@ func union(r *rand.Rand, k, n int, labels []graph.Label, part func(*rand.Rand, i
 	return gen.RandUnion(r, k, func(r *rand.Rand) *graph.Graph { return part(r, n, labels) })
 }
 
+// substrateProb is a row's independent reference: the cell's substrate
+// dynamic program (betadnf interval and chain systems, the treeauto
+// d-DNNF circuit) run on each connected component of h under probs,
+// combined by Lemma 3.7 here.
+func substrateProb(t *testing.T, m core.Method, q, h *graph.Graph, probs []*big.Rat) *big.Rat {
+	t.Helper()
+	hp := graph.NewProbGraph(h)
+	for i, p := range probs {
+		if err := hp.SetProb(i, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss := big.NewRat(1, 1)
+	for _, comp := range hp.Components() {
+		var p *big.Rat
+		var err error
+		switch m {
+		case core.MethodXProperty2WP:
+			var lin *lineage.IntervalLineage
+			if lin, err = lineage.ConnectedOn2WP(q, comp); err == nil {
+				p, err = lin.System.Prob(lin.Probs)
+			}
+		case core.MethodGradedDWT, core.MethodBetaAcyclicDWT:
+			path := q
+			if m == core.MethodGradedDWT {
+				d, _ := q.DifferenceOfLevels()
+				path = graph.UnlabeledPath(d)
+			}
+			var lin *lineage.ChainLineage
+			if lin, err = lineage.Path1WPOnDWT(path, comp); err == nil {
+				p, err = lin.System.Prob(lin.Probs)
+			}
+		case core.MethodAutomatonPT:
+			p, err = treeauto.PathProbPolytree(comp, q.Height())
+		default:
+			t.Fatalf("no substrate reference for %v", m)
+		}
+		if err != nil {
+			t.Fatalf("%v reference: %v", m, err)
+		}
+		miss.Mul(miss, p.Sub(graph.RatOne, p))
+	}
+	return miss.Sub(graph.RatOne, miss)
+}
+
 // TestTractableRowsTakeIntegerPath: programs compiled from each
 // tractable guard-table row run on the integer interpreter — the degree
 // guard never trips on honest lowering and the common denominator of
 // decimal and dyadic vectors stays within bounds — and answer
-// RatString-identically to the plan tree (EvaluateTree).
+// RatString-identically to the row's substrate dynamic programs
+// combined by Lemma 3.7 (substrateProb).
 func TestTractableRowsTakeIntegerPath(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	rs := []graph.Label{"R", "S"}
@@ -68,13 +116,10 @@ func TestTractableRowsTakeIntegerPath(t *testing.T) {
 				if err != nil || !ok {
 					t.Fatalf("%v, %s vector: integer path declined (ok=%v, err=%v)", row.method, v.name, ok, err)
 				}
-				want, err := cp.EvaluateTree(probs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.RatString() != want.Prob.RatString() {
-					t.Fatalf("%v, %s vector: integer path %s, tree %s",
-						row.method, v.name, got.RatString(), want.Prob.RatString())
+				want := substrateProb(t, row.method, row.q, row.h, probs)
+				if got.RatString() != want.RatString() {
+					t.Fatalf("%v, %s vector: integer path %s, substrate reference %s",
+						row.method, v.name, got.RatString(), want.RatString())
 				}
 			}
 		}
