@@ -517,15 +517,19 @@ type scalingSpec struct {
 	qc, ic   graph.Class
 	labeled  bool
 	qSize    int
+	// doubling asserts linear compile time: one query for every size
+	// (a random qSize-vertex window of the first instance, so it
+	// matches), and compile at 8× the size under 16× the time, best of 3.
+	doubling bool
 }
 
 var scalingSpecs = []scalingSpec{
-	{"E12", "Prop 3.6 (arbitrary queries on ⊔DWT)", graph.ClassAll, graph.ClassUDWT, false, 8},
-	{"E13", "Prop 4.10 (labeled 1WP on DWT)", graph.Class1WP, graph.ClassDWT, true, 5},
-	{"E14", "Prop 4.11 (connected on 2WP)", graph.ClassConnected, graph.Class2WP, true, 5},
-	{"E15", "Prop 5.4 (unlabeled 1WP on PT)", graph.Class1WP, graph.ClassPT, false, 6},
-	{"E16", "Prop 5.5 (DWT queries on PT)", graph.ClassDWT, graph.ClassPT, false, 8},
-	{"E17", "Lemma 3.7 (disconnected instances)", graph.Class1WP, graph.ClassUPT, false, 4},
+	{"E12", "Prop 3.6 (arbitrary queries on ⊔DWT)", graph.ClassAll, graph.ClassUDWT, false, 8, false},
+	{"E13", "Prop 4.10 (labeled 1WP on DWT)", graph.Class1WP, graph.ClassDWT, true, 5, false},
+	{"E14", "Prop 4.11 (connected on 2WP)", graph.ClassConnected, graph.Class2WP, true, 5, true},
+	{"E15", "Prop 5.4 (unlabeled 1WP on PT)", graph.Class1WP, graph.ClassPT, false, 6, false},
+	{"E16", "Prop 5.5 (DWT queries on PT)", graph.ClassDWT, graph.ClassPT, false, 8, false},
+	{"E17", "Lemma 3.7 (disconnected instances)", graph.Class1WP, graph.ClassUPT, false, 4, false},
 }
 
 func scalingExp(s scalingSpec) func(*E) {
@@ -535,9 +539,23 @@ func scalingExp(s scalingSpec) func(*E) {
 			labels = []graph.Label{"R", "S"}
 		}
 		var prev time.Duration
+		var q *graph.Graph
+		compile := map[int]time.Duration{}
 		for _, n := range sizes() {
-			q := gen.RandInClass(e.r, s.qc, s.qSize, labels)
+			if !s.doubling {
+				q = gen.RandInClass(e.r, s.qc, s.qSize, labels)
+			}
 			h := gen.RandProb(e.r, gen.RandInClass(e.r, s.ic, n, labels), 0.5)
+			if q == nil {
+				// Random instances of the doubling rows are path-ordered
+				// 2WPs: a window of vertex ids is a subpath.
+				lo := e.r.Intn(n - s.qSize + 1)
+				vs := make([]graph.Vertex, s.qSize)
+				for i := range vs {
+					vs[i] = graph.Vertex(lo + i)
+				}
+				q, _ = h.G.InducedSubgraph(vs)
+			}
 			d, res := e.timeSolve(q, h)
 			m := metric(fmt.Sprintf("n=%d", n), fmt.Sprintf("%v", res.Method), d)
 			if prev > 0 {
@@ -545,8 +563,36 @@ func scalingExp(s scalingSpec) func(*E) {
 			}
 			prev = d
 			e.emit(m)
+			if s.doubling {
+				var ops int
+				compile[n], ops = e.timeCompile(q, h)
+				e.emit(metric(fmt.Sprintf("compile n=%d", n), fmt.Sprintf("ops=%d", ops), compile[n]))
+			}
+		}
+		for n, d := range compile {
+			if d8, ok := compile[8*n]; ok && d8 >= 16*d {
+				e.fatalf("compile at n=%d took %v, n=%d took %v: ×%.1f ≥ ×16 for 8× the size",
+					8*n, d8, n, d, float64(d8)/float64(d))
+			}
 		}
 	}
+}
+
+// timeCompile returns the best of three compile times of a tractable
+// job and the size of its program.
+func (e *E) timeCompile(q *graph.Graph, h *graph.ProbGraph) (time.Duration, int) {
+	best, ops := time.Duration(0), 0
+	for k := 0; k < 3; k++ {
+		start := time.Now()
+		cp, err := core.Compile(q, h, &core.Options{DisableFallback: true})
+		d := time.Since(start)
+		e.check(err)
+		if k == 0 || d < best {
+			best = d
+		}
+		ops = cp.Program().NumOps()
+	}
+	return best, ops
 }
 
 func runAblations(e *E) {

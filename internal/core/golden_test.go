@@ -26,9 +26,9 @@ import (
 // copy the "got" digest from the failure message here, and say in the
 // change's notes why plan bytes moved (cached snapshots re-lower).
 const (
-	loweredPlanDigestCQ  = "21435b97e2aecd5d6e12a495ff3ab5ffbbaee9c6c7d3c8a67583711a78acf026"
-	loweredPlanDigestUCQ = "296e85216e9b1dd732ded6fa977b8a6a8078d9d33c2e1697921bb4069cc932cd"
-	loweredPartsDigest   = "1dbe2881809f642622f81a111bd7641cd6e441884062449d7367db0fc3f89ced"
+	loweredPlanDigestCQ  = "96e33f465c427fa21ec862cc6b1e2a00f07cc2fee8381b935c31675018f1ecd2"
+	loweredPlanDigestUCQ = "76d88e726b478463826e126d3b7ac08ddf2f3eefcc5b41db4ceb92828e536931"
+	loweredPartsDigest   = "741e47d4d9e55a385a581107ce7f1f19ffd21b7d8e56b164e44f0629799949e3"
 )
 
 // TestLoweredPlanBytesGolden lowers a seeded corpus covering the four

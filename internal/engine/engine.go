@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -100,6 +101,24 @@ type Job struct {
 	// in any cache key — two jobs differing only in Timeout share cache
 	// entries and in-flight executions.
 	Timeout time.Duration
+
+	// keys are the canonical identities InstanceJobs derived when it
+	// bound the job to a snapshot; jobKeys reuses them while the job
+	// still names that snapshot, query and options.
+	keys *boundKeys
+}
+
+// boundKeys are jobKeys' results for one bound job, with the inputs
+// they were derived from.
+type boundKeys struct {
+	inst       *graph.ProbGraph
+	query      *graph.Graph
+	queries    []*graph.Graph
+	opts       *core.Options
+	qs         []*graph.Graph
+	key        string
+	structKey  string
+	canonOrder []int
 }
 
 func (j Job) disjuncts() []*graph.Graph {
@@ -673,8 +692,14 @@ func (e *Engine) LoadPlans(r io.Reader) (int, error) {
 // disjuncts, the full memo key (probabilities included), the structure
 // key (probabilities stripped) and the instance's canonical edge order.
 // It is the key derivation of a group of one and of the instance
-// registry.
+// registry. A job bound by InstanceJobs carries its keys, which are
+// reused as long as the job's instance, query and options are the ones
+// they were derived from; any other job is keyed afresh.
 func jobKeys(job Job) (qs []*graph.Graph, key, structKey string, canonOrder []int, err error) {
+	if k := job.keys; k != nil && k.inst == job.Instance && k.query == job.Query &&
+		k.opts == job.Opts && slices.Equal(k.queries, job.Queries) {
+		return k.qs, k.key, k.structKey, k.canonOrder, nil
+	}
 	qs, err = job.Disjuncts()
 	if err != nil {
 		return nil, "", "", nil, err

@@ -31,6 +31,7 @@ import (
 
 	"phom/internal/core"
 	"phom/internal/graph"
+	"phom/internal/graphio"
 	"phom/internal/instance"
 	"phom/internal/phomerr"
 )
@@ -62,6 +63,10 @@ type instEntry struct {
 	applyMu chan struct{} // 1-buffered semaphore: per-instance write lock
 	plans   map[string]*trackedPlan
 	results map[string]struct{}
+	// keyer is the structure half of the keys of the last job bound to
+	// this instance; it keys the next one with the same shape on the
+	// same snapshot graph (probability deltas keep the graph value).
+	keyer *graphio.Keyer
 }
 
 func (ent *instEntry) lock()   { ent.applyMu <- struct{}{} }
@@ -185,6 +190,10 @@ func (e *Engine) InstanceJob(id string, job Job) (Job, uint64, error) {
 func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	e.mu.Lock()
 	ent, ok := e.instances[id]
+	var keyer *graphio.Keyer
+	if ok {
+		keyer = ent.keyer
+	}
 	e.mu.Unlock()
 	if !ok {
 		return nil, 0, ErrNoInstance
@@ -196,10 +205,19 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	for i, job := range jobs {
 		job.Instance = snap.H
 		bound[i] = job
-		qs, key, structKey, _, err := jobKeys(job)
+		qs, err := job.Disjuncts()
 		if err != nil {
 			continue
 		}
+		canon, fp, sfp := canonicalQueries(qs), job.Opts.Fingerprint(), job.Opts.StructFingerprint()
+		if !keyer.For(canon, snap.H.G, fp, sfp) {
+			keyer = graphio.NewKeyer(canon, snap.H.G, fp, sfp)
+		}
+		key, structKey, canonOrder := keyer.Keys(snap.H)
+		// Carry the keys, so running the bound job does not key the
+		// snapshot a second time.
+		bound[i].keys = &boundKeys{inst: job.Instance, query: job.Query, queries: job.Queries, opts: job.Opts,
+			qs: qs, key: key, structKey: structKey, canonOrder: canonOrder}
 		keys = append(keys, key)
 		if _, dup := plans[structKey]; !dup {
 			plans[structKey] = &trackedPlan{qs: qs, opts: job.Opts, g: snap.H.G}
@@ -209,6 +227,9 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	// Re-check liveness under the lock: a concurrent DeleteInstance
 	// must not see its eviction silently undone by this tracking write.
 	if cur, still := e.instances[id]; still && cur == ent {
+		if keyer != nil {
+			ent.keyer = keyer
+		}
 		for _, key := range keys {
 			ent.results[key] = struct{}{}
 		}
@@ -278,17 +299,24 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 			continue
 		}
 		cp, incremental, cerr := core.PatchCompileUCQContext(e.baseCtx, tp.qs, old, tp.g, res.New.H, tp.opts)
+		var keyer *graphio.Keyer
+		if cerr == nil && cp != nil {
+			// Key the new structure once: the keys name the migrated
+			// plan here and key the next job bound to this instance.
+			keyer = graphio.NewKeyer(canonicalQueries(tp.qs), res.New.H.G, tp.opts.Fingerprint(), tp.opts.StructFingerprint())
+		}
 		e.mu.Lock()
 		e.plans.Remove(oldSK) // superseded structure
-		if cerr == nil && cp != nil {
+		if keyer != nil {
 			if incremental {
 				e.stats.IncrementalRecompiles++
 			} else {
 				e.stats.FullRecompiles++
 			}
-			e.plans.Add(cp.StructKey(), cp)
+			e.plans.Add(keyer.StructKey(), cp)
 			if cur, still := e.instances[id]; still && cur == ent {
-				ent.plans[cp.StructKey()] = &trackedPlan{qs: tp.qs, opts: tp.opts, g: res.New.H.G}
+				ent.plans[keyer.StructKey()] = &trackedPlan{qs: tp.qs, opts: tp.opts, g: res.New.H.G}
+				ent.keyer = keyer
 			}
 		}
 		// A migration error (the new structure fell off the tractable

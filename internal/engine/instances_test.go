@@ -403,3 +403,46 @@ func TestApplyRacesSolves(t *testing.T) {
 		t.Fatalf("final solve %s != scratch %s", r.Result.Prob.RatString(), want.Prob.RatString())
 	}
 }
+
+// TestBoundJobKeys: a job bound to a snapshot carries the keys
+// InstanceJob derived and reuses them, but one whose Instance (or
+// query) is replaced afterwards is keyed afresh, so it answers its new
+// instance, not the snapshot's memoized result.
+func TestBoundJobKeys(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	if _, err := e.CreateInstance("k", instPath(big.NewRat(1, 2), big.NewRat(1, 3))); err != nil {
+		t.Fatal(err)
+	}
+	q := graph.UnlabeledPath(1)
+	job, _, err := e.InstanceJob("k", Job{Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.keys == nil {
+		t.Fatal("bound job carries no keys")
+	}
+	_, key, _, _, _ := jobKeys(job)
+	fresh := job
+	fresh.keys = nil
+	if _, want, _, _, _ := jobKeys(fresh); key != want {
+		t.Fatalf("carried key %s, fresh key %s", key, want)
+	}
+	if r := e.Do(job); r.Err != nil || r.Result.Prob.RatString() != "2/3" {
+		t.Fatalf("bound job answered %v, %v; want 2/3", r.Result, r.Err)
+	}
+
+	moved := job
+	moved.Instance = instPath(big.NewRat(1, 5), big.NewRat(1, 7))
+	if _, k2, _, _, _ := jobKeys(moved); k2 == key {
+		t.Fatal("replaced instance reused the snapshot's key")
+	}
+	if r := e.Do(moved); r.Err != nil || r.Result.Prob.RatString() != "11/35" {
+		t.Fatalf("job with a replaced instance answered %v, %v; want 11/35", r.Result, r.Err)
+	}
+	requeried := job
+	requeried.Query = graph.UnlabeledPath(2)
+	if r := e.Do(requeried); r.Err != nil || r.Result.Prob.RatString() != "1/6" {
+		t.Fatalf("job with a replaced query answered %v, %v; want 1/6", r.Result, r.Err)
+	}
+}

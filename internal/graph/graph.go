@@ -164,8 +164,19 @@ func (g *Graph) Neighbors(v Vertex) []Vertex {
 
 // UndirectedDegree returns the degree of v in the underlying undirected
 // graph: the number of distinct neighbors (antiparallel edge pairs count
-// once).
-func (g *Graph) UndirectedDegree(v Vertex) int { return len(g.Neighbors(v)) }
+// once). It allocates nothing: with no multi-edges, a neighbor is
+// counted twice exactly when both v → u and u → v are edges (a
+// self-loop is its own reverse), so the count is the incident edges
+// minus the out-edges whose reverse exists.
+func (g *Graph) UndirectedDegree(v Vertex) int {
+	d := len(g.out[v]) + len(g.in[v])
+	for _, i := range g.out[v] {
+		if _, ok := g.index[pair{g.edges[i].To, v}]; ok {
+			d--
+		}
+	}
+	return d
+}
 
 // Labels returns the sorted set of labels used by edges of g.
 func (g *Graph) Labels() []Label {

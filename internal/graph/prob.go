@@ -40,12 +40,38 @@ func NewProbGraph(g *Graph) *ProbGraph {
 	return &ProbGraph{G: g, probs: probs}
 }
 
+// WithProbs returns g under the probability assignment probs (parallel
+// to g's edge list), validated like Validate. It adopts probs and its
+// values without copying them, so the caller hands over a slice it no
+// longer uses, holding values nobody mutates: fresh copies, or values
+// read from another ProbGraph (which never mutates them).
+func WithProbs(g *Graph, probs []*big.Rat) (*ProbGraph, error) {
+	p := &ProbGraph{G: g, probs: probs}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// inUnit reports 0 ≤ r ≤ 1 without allocating (r.Cmp(RatOne) would
+// multiply both sides out): a non-integral normalized Rat has a positive
+// denominator, so r ≤ 1 iff its numerator is at most it.
+func inUnit(r *big.Rat) bool {
+	if r.Sign() < 0 {
+		return false
+	}
+	if r.IsInt() {
+		return r.Num().IsInt64() && r.Num().Int64() <= 1
+	}
+	return r.Num().Cmp(r.Denom()) <= 0
+}
+
 // SetProb sets π of the i-th edge (edge-list order).
 func (p *ProbGraph) SetProb(i int, r *big.Rat) error {
 	if i < 0 || i >= len(p.probs) {
 		return fmt.Errorf("probgraph: edge index %d out of range", i)
 	}
-	if r.Sign() < 0 || r.Cmp(RatOne) > 0 {
+	if !inUnit(r) {
 		return fmt.Errorf("probgraph: probability %s outside [0,1]", r.RatString())
 	}
 	p.probs[i] = new(big.Rat).Set(r)
@@ -143,7 +169,7 @@ func (p *ProbGraph) Validate() error {
 		if r == nil {
 			return fmt.Errorf("probgraph: edge %d has nil probability", i)
 		}
-		if r.Sign() < 0 || r.Cmp(RatOne) > 0 {
+		if !inUnit(r) {
 			return fmt.Errorf("probgraph: edge %d probability %s outside [0,1]", i, r.RatString())
 		}
 	}

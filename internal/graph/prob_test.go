@@ -182,3 +182,38 @@ func TestComponentsWithEdgesMatchInduced(t *testing.T) {
 		}
 	}
 }
+
+// TestInUnitMatchesCmp: the allocation-free range check agrees with
+// comparing against 0 and 1, on integers, fractions and big values.
+func TestInUnitMatchesCmp(t *testing.T) {
+	big1 := new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 100), new(big.Int).Lsh(big.NewInt(1), 101))
+	cases := []*big.Rat{
+		new(big.Rat), big.NewRat(1, 1), big.NewRat(2, 1), big.NewRat(-1, 1), big.NewRat(1, 2),
+		big.NewRat(-1, 2), big.NewRat(3, 2), big.NewRat(99, 100), big.NewRat(101, 100), big1,
+		new(big.Rat).Add(big1, big1), new(big.Rat).Add(new(big.Rat).Add(big1, big1), big.NewRat(1, 1<<40)),
+		new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 80)),
+	}
+	for _, r := range cases {
+		want := r.Sign() >= 0 && r.Cmp(RatOne) <= 0
+		if got := inUnit(r); got != want {
+			t.Errorf("inUnit(%s) = %v, want %v", r.RatString(), got, want)
+		}
+	}
+}
+
+// TestWithProbs: the adopting constructor validates like Validate and
+// shares the given values.
+func TestWithProbs(t *testing.T) {
+	g := Path1WP("R", "S")
+	half := big.NewRat(1, 2)
+	p, err := WithProbs(g, []*big.Rat{half, RatOne})
+	if err != nil || p.Prob(0) != half || p.Prob(1).Cmp(RatOne) != 0 {
+		t.Fatalf("WithProbs = %v, %v", p, err)
+	}
+	if _, err := WithProbs(g, []*big.Rat{half, big.NewRat(3, 2)}); err == nil {
+		t.Fatal("probability 3/2 accepted")
+	}
+	if _, err := WithProbs(g, []*big.Rat{half}); err == nil {
+		t.Fatal("short probability vector accepted")
+	}
+}

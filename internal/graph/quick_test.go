@@ -178,3 +178,24 @@ func TestQuickLevelMappingShiftInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickUndirectedDegree: the allocation-free degree count agrees
+// with the distinct neighbor set, antiparallel pairs and self-loops
+// included.
+func TestQuickUndirectedDegree(t *testing.T) {
+	prop := func(seed int64) bool {
+		g := quickGraph(seed)
+		if seed%3 == 0 {
+			g.MustAddEdge(0, 0, "R") // randomGraphForClasses draws no self-loops
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			if g.UndirectedDegree(Vertex(v)) != len(g.Neighbors(Vertex(v))) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,8 +3,13 @@ package graphio
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"phom/internal/graph"
@@ -180,5 +185,87 @@ func TestOptimizedProgramRoundTrips(t *testing.T) {
 	}
 	if have.RatString() != "1/2" {
 		t.Fatalf("optimized round-trip = %s, want 1/2", have.RatString())
+	}
+}
+
+// sortedEdgeOrder is the reference canonical edge order: every edge
+// index, sorted by (from, to).
+func sortedEdgeOrder(g *graph.Graph) []int {
+	order := make([]int, g.NumEdges())
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ea, eb := g.Edge(order[a]), g.Edge(order[b])
+		return ea.From < eb.From || ea.From == eb.From && ea.To < eb.To
+	})
+	return order
+}
+
+// streamKeys is the reference definition of JobKeys: SHA-256 over the
+// job and structure byte streams written out in full.
+func streamKeys(queryCanon []string, p *graph.ProbGraph, fp, sfp string) (jobKey, structKey string) {
+	var job, str bytes.Buffer
+	str.WriteString("struct\n")
+	for _, q := range queryCanon {
+		fmt.Fprintf(&job, "q %d\n%s\n", len(q), q)
+		fmt.Fprintf(&str, "q %d\n%s\n", len(q), q)
+	}
+	fmt.Fprintf(&job, "i n=%d\n", p.G.NumVertices())
+	fmt.Fprintf(&str, "i n=%d\n", p.G.NumVertices())
+	for _, ei := range sortedEdgeOrder(p.G) {
+		e := p.G.Edge(ei)
+		fmt.Fprintf(&job, "%d>%d:%q=%s/%s\n", e.From, e.To, e.Label, p.Prob(ei).Num(), p.Prob(ei).Denom())
+		fmt.Fprintf(&str, "%d>%d:%q\n", e.From, e.To, e.Label)
+	}
+	fmt.Fprintf(&job, "o %d\n%s\n", len(fp), fp)
+	fmt.Fprintf(&str, "o %d\n%s\n", len(sfp), sfp)
+	hj, hs := sha256.Sum256(job.Bytes()), sha256.Sum256(str.Bytes())
+	return hex.EncodeToString(hj[:]), hex.EncodeToString(hs[:])
+}
+
+// TestKeyerMatchesStream: a Keyer reused across reweighted lanes of one
+// structure, and JobKeys, hash exactly the documented byte streams; For
+// recognizes only the shape the Keyer was built for.
+func TestKeyerMatchesStream(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	queryCanon := []string{"g;n=2;0>1:\"R\"", "g;n=3;0>1:\"R\";2>1:\"S\""}
+	fp, sfp := "brute=20;prec=exact", "brute=20"
+	for trial := 0; trial < 20; trial++ {
+		base := randProbInstance(r, 2+r.Intn(6))
+		k := NewKeyer(queryCanon, base.G, fp, sfp)
+		for lane := 0; lane < 4; lane++ {
+			p := base.CloneProbs()
+			for i := 0; i < p.G.NumEdges(); i++ {
+				num := new(big.Int).Lsh(big.NewInt(int64(r.Intn(5))), uint(r.Intn(80)))
+				if err := p.SetProb(i, new(big.Rat).SetFrac(num, new(big.Int).Lsh(big.NewInt(5), 80))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantJob, wantStruct := streamKeys(queryCanon, p, fp, sfp)
+			gotJob, gotStruct, order := k.Keys(p)
+			if !slices.Equal(order, sortedEdgeOrder(p.G)) {
+				t.Fatalf("trial %d: canonical order %v, want %v", trial, order, sortedEdgeOrder(p.G))
+			}
+			oneJob, oneStruct, _ := JobKeys(queryCanon, p, fp, sfp)
+			if gotJob != wantJob || gotStruct != wantStruct || oneJob != wantJob || oneStruct != wantStruct {
+				t.Fatalf("trial %d lane %d: keys (%s, %s) / JobKeys (%s, %s), stream (%s, %s)",
+					trial, lane, gotJob, gotStruct, oneJob, oneStruct, wantJob, wantStruct)
+			}
+		}
+		if sk, _ := StructKeyJob(queryCanon, base.G, sfp); k.StructKey() != sk {
+			t.Fatalf("trial %d: Keyer struct key %s, StructKeyJob %s", trial, k.StructKey(), sk)
+		}
+		if !k.For(queryCanon, base.G, fp, sfp) {
+			t.Fatal("Keyer does not recognize its own shape")
+		}
+		if k.For(queryCanon[:1], base.G, fp, sfp) || k.For(queryCanon, base.Clone().G, fp, sfp) ||
+			k.For(queryCanon, base.G, fp+"x", sfp) || k.For(queryCanon, base.G, fp, sfp+"x") {
+			t.Fatal("Keyer claims a shape it was not built for")
+		}
+	}
+	var none *Keyer
+	if none.For(queryCanon, graph.New(1), fp, sfp) {
+		t.Fatal("nil Keyer claims a shape")
 	}
 }

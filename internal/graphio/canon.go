@@ -2,12 +2,14 @@ package graphio
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,12 +103,12 @@ func StructKey(queryCanon []string, instanceStructCanon, optsFingerprint string)
 
 // The structure byte stream — "struct\n", the query sections, the
 // instance header, one canonical edge line per edge, the options
-// section — is written by exactly one set of helpers below, shared by
-// JobKeys and StructKeyJob. Plan-cache correctness depends on the two
-// producing identical structure keys (compiled plans are stamped with
-// StructKeyJob, the engine keys lookups with JobKeys), so the stream
-// must have a single definition; TestStructKeyJobMatchesJobKeys pins
-// the equality end to end.
+// section — is written in one place, NewKeyer, behind JobKeys,
+// BatchJobKeys and StructKeyJob. Plan-cache correctness depends on
+// them producing identical structure keys (compiled plans are stamped
+// with StructKeyJob, the engine keys lookups with JobKeys), so the
+// stream must have a single definition; TestStructKeyJobMatchesJobKeys
+// pins the equality end to end.
 
 // writeJobSections writes the query sections and the instance header
 // shared by the job and structure streams.
@@ -141,65 +143,126 @@ func writeOptsSection(w io.Writer, optsFingerprint string) {
 // compile-affecting subset (core.Options.StructFingerprint) — which is
 // how jobs differing only in evaluation policy (precision, tolerance)
 // share one cached plan while keeping distinct result-cache entries.
+//
+// JobKeys is NewKeyer followed by one Keys call; callers keying the
+// same structure repeatedly keep the Keyer instead.
 func JobKeys(queryCanon []string, p *graph.ProbGraph, optsFingerprint, structOptsFingerprint string) (jobKey, structKey string, order []int) {
-	hj, hs := sha256.New(), sha256.New()
-	fmt.Fprintf(hs, "struct\n")
-	both := io.MultiWriter(hj, hs)
-	writeJobSections(both, queryCanon, p.G.NumVertices())
-	order = CanonicalEdgeOrder(p.G)
-	var buf []byte
-	for _, ei := range order {
+	return NewKeyer(queryCanon, p.G, optsFingerprint, structOptsFingerprint).Keys(p)
+}
+
+// Keyer is the probability-independent half of JobKeys for one job
+// shape (query disjuncts, instance graph, options fingerprints): the
+// structure key, the canonical edge order, every canonical edge line
+// and the job hash's state after the query and instance header. Keys
+// then renders and hashes only the probabilities. A Keyer is immutable
+// and safe for concurrent use.
+type Keyer struct {
+	g                   *graph.Graph
+	queryCanon          []string
+	optsFP, structOptFP string
+	structKey           string
+	order               []int
+	// lines holds the canonical edge lines in canonical order, each
+	// ending in the '=' the probability continues; ends[i] is the end
+	// of line i.
+	lines []byte
+	ends  []int
+	// state is the marshaled job hash after the header; prefix is the
+	// header itself, re-hashed when the state does not round-trip.
+	state, prefix []byte
+}
+
+// NewKeyer derives the structure half of the keys of jobs with the
+// given disjuncts, instance graph and options fingerprints.
+func NewKeyer(queryCanon []string, g *graph.Graph, optsFingerprint, structOptsFingerprint string) *Keyer {
+	k := &Keyer{g: g, queryCanon: queryCanon, optsFP: optsFingerprint, structOptFP: structOptsFingerprint}
+	var header bytes.Buffer
+	writeJobSections(&header, queryCanon, g.NumVertices())
+	k.prefix = header.Bytes()
+	hp := sha256.New()
+	hp.Write(k.prefix)
+	k.state, _ = hp.(encoding.BinaryMarshaler).MarshalBinary()
+
+	k.order = CanonicalEdgeOrder(g)
+	k.ends = make([]int, len(k.order))
+	structLines := make([]byte, 0, 16*len(k.order))
+	for i, ei := range k.order {
+		start := len(k.lines)
+		k.lines = canonEdgeLine(k.lines, g.Edge(ei))
 		// Lines self-delimit: labels are quoted, so '\n' cannot occur
 		// unescaped inside one.
-		buf = canonEdgeLine(buf[:0], p.G.Edge(ei))
-		buf = append(buf, '\n')
-		hs.Write(buf)
-		buf = buf[:len(buf)-1]
-		buf = append(buf, '=')
-		buf = p.Prob(ei).Num().Append(buf, 10)
-		buf = append(buf, '/')
-		buf = p.Prob(ei).Denom().Append(buf, 10)
-		buf = append(buf, '\n')
-		hj.Write(buf)
+		structLines = append(append(structLines, k.lines[start:]...), '\n')
+		k.lines = append(k.lines, '=')
+		k.ends[i] = len(k.lines)
 	}
-	writeOptsSection(hj, optsFingerprint)
+	hs := sha256.New()
+	fmt.Fprintf(hs, "struct\n")
+	hs.Write(k.prefix)
+	hs.Write(structLines)
 	writeOptsSection(hs, structOptsFingerprint)
-	return hex.EncodeToString(hj.Sum(nil)), hex.EncodeToString(hs.Sum(nil)), order
+	k.structKey = hex.EncodeToString(hs.Sum(nil))
+	return k
+}
+
+// For reports whether k keys jobs of exactly this shape: the same graph
+// value (pointer identity), disjuncts and options fingerprints.
+func (k *Keyer) For(queryCanon []string, g *graph.Graph, optsFingerprint, structOptsFingerprint string) bool {
+	return k != nil && k.g == g && k.optsFP == optsFingerprint && k.structOptFP == structOptsFingerprint &&
+		slices.Equal(k.queryCanon, queryCanon)
+}
+
+// StructKey returns the structure key of k's jobs, equal to the
+// StructKeyJob of the same disjuncts, graph and structure fingerprint.
+func (k *Keyer) StructKey() string { return k.structKey }
+
+// Keys returns the job key of p, whose underlying graph must be k's,
+// with the shared structure key and canonical edge order (the order
+// slice is shared and must not be mutated).
+func (k *Keyer) Keys(p *graph.ProbGraph) (jobKey, structKey string, order []int) {
+	if p.G != k.g {
+		panic("graphio: Keyer.Keys on another graph")
+	}
+	hj := sha256.New()
+	if k.state == nil || hj.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state) != nil {
+		hj = sha256.New()
+		hj.Write(k.prefix)
+	}
+	// The whole edge section is rendered into one buffer and hashed with
+	// a single Write: per-edge hash writes and big.Int decimal rendering
+	// would dominate keying.
+	buf := make([]byte, 0, len(k.lines)+8*len(k.order))
+	start := 0
+	for i, ei := range k.order {
+		buf = append(buf, k.lines[start:k.ends[i]]...)
+		buf = appendRat(buf, p.Prob(ei))
+		buf = append(buf, '\n')
+		start = k.ends[i]
+	}
+	hj.Write(buf)
+	writeOptsSection(hj, k.optsFP)
+	return hex.EncodeToString(hj.Sum(nil)), k.structKey, k.order
 }
 
 // StructKeyJob computes the structure key and canonical edge order of
-// a job directly from the instance's underlying graph, writing the
-// exact byte stream that JobKeys feeds its structure hash — the two
-// functions return identical structKey values for the same job. It
-// exists for callers that have no probability assignment at hand:
-// package core stamps every compiled plan with its structure key so
-// plans serialize self-describing (the engine's snapshot restore keys
-// them without re-deriving anything).
+// a job directly from the instance's underlying graph: the structure
+// half of JobKeys (a Keyer), so the two return identical structKey
+// values for the same job. It exists for callers that have no
+// probability assignment at hand: package core stamps every compiled
+// plan with its structure key so plans serialize self-describing (the
+// engine's snapshot restore keys them without re-deriving anything).
 func StructKeyJob(queryCanon []string, g *graph.Graph, optsFingerprint string) (structKey string, order []int) {
-	hs := sha256.New()
-	fmt.Fprintf(hs, "struct\n")
-	writeJobSections(hs, queryCanon, g.NumVertices())
-	order = CanonicalEdgeOrder(g)
-	var buf []byte
-	for _, ei := range order {
-		buf = canonEdgeLine(buf[:0], g.Edge(ei))
-		buf = append(buf, '\n')
-		hs.Write(buf)
-	}
-	writeOptsSection(hs, optsFingerprint)
-	return hex.EncodeToString(hs.Sum(nil)), order
+	k := NewKeyer(queryCanon, g, "", optsFingerprint)
+	return k.structKey, k.order
 }
 
 // BatchJobKeys computes JobKeys for a batch of same-structure lanes in
 // one pass: K instances sharing one underlying graph get K job keys,
 // one structure key and one canonical edge order, byte-identical to K
-// independent JobKeys calls. The shared work — canonical edge ordering,
-// edge-line rendering, the query/instance header hash — is done once;
-// per lane only the probability suffixes and the options section are
-// hashed, with the header's sha256 state cloned via its binary
-// marshaling instead of re-hashed. This is the keying half of the
-// engine's batched reweight path: deriving K memo-cache keys must not
-// cost K full canonicalizations, or batching's win dies in the hasher.
+// independent JobKeys calls. The shared work is one Keyer; per lane
+// only the probability suffixes and the options section are hashed.
+// This is the keying half of the engine's batched reweight path:
+// deriving K memo-cache keys must not cost K full canonicalizations, or
+// batching's win dies in the hasher.
 //
 // Lanes whose instance does not share instances[0]'s underlying graph
 // value are keyed with a full per-lane JobKeys pass — correct, just not
@@ -209,53 +272,16 @@ func BatchJobKeys(queryCanon []string, instances []*graph.ProbGraph, optsFingerp
 	if len(instances) == 0 {
 		return nil, "", nil
 	}
-	g := instances[0].G
-	hs, hp := sha256.New(), sha256.New()
-	fmt.Fprintf(hs, "struct\n")
-	var prefix bytes.Buffer
-	writeJobSections(io.MultiWriter(hp, hs, &prefix), queryCanon, g.NumVertices())
-	order = CanonicalEdgeOrder(g)
-	// Render every canonical edge line once, ending in the '=' that the
-	// per-lane probability suffix continues.
-	lines := make([][]byte, len(order))
-	for i, ei := range order {
-		b := canonEdgeLine(nil, g.Edge(ei))
-		hs.Write(append(b, '\n'))
-		lines[i] = append(b[:len(b):len(b)], '=')
-	}
-	writeOptsSection(hs, structOptsFingerprint)
-	structKey = hex.EncodeToString(hs.Sum(nil))
-
-	snap, snapErr := hp.(encoding.BinaryMarshaler).MarshalBinary()
+	k := NewKeyer(queryCanon, instances[0].G, optsFingerprint, structOptsFingerprint)
 	jobKeys = make([]string, len(instances))
-	var buf []byte
-	for k, inst := range instances {
-		if inst.G != g {
-			jobKeys[k], _, _ = JobKeys(queryCanon, inst, optsFingerprint, structOptsFingerprint)
+	for i, inst := range instances {
+		if inst.G != k.g {
+			jobKeys[i], _, _ = JobKeys(queryCanon, inst, optsFingerprint, structOptsFingerprint)
 			continue
 		}
-		hj := sha256.New()
-		if snapErr == nil && hj.(encoding.BinaryUnmarshaler).UnmarshalBinary(snap) == nil {
-			// header state restored without re-hashing
-		} else {
-			hj = sha256.New()
-			hj.Write(prefix.Bytes())
-		}
-		// The whole probability suffix is rendered into one reused buffer
-		// and hashed with a single Write: per-edge hash writes and
-		// big.Int decimal rendering are exactly the per-lane costs that
-		// must stay negligible for batched keying to beat K full passes.
-		buf = buf[:0]
-		for i, ei := range order {
-			buf = append(buf, lines[i]...)
-			buf = appendRat(buf, inst.Prob(ei))
-			buf = append(buf, '\n')
-		}
-		hj.Write(buf)
-		writeOptsSection(hj, optsFingerprint)
-		jobKeys[k] = hex.EncodeToString(hj.Sum(nil))
+		jobKeys[i], _, _ = k.Keys(inst)
 	}
-	return jobKeys, structKey, order
+	return jobKeys, k.structKey, k.order
 }
 
 // appendRat appends r in the canonical "num/denom" form, with a fast
@@ -281,19 +307,18 @@ func appendRat(buf []byte, r *big.Rat) []byte {
 // canonical edge orders. This lets a probability vector indexed by one
 // edge numbering be transported onto the other, which is how the engine
 // evaluates a cached plan against an instance whose edges were inserted
-// in a different order. Sorting integers rather than canonical strings
-// keeps the transport cheap: it runs on every plan-cache hit.
+// in a different order. The edges leaving one vertex are exactly its
+// out-list, so the order is the out-lists in vertex order, each sorted
+// by target: linear in the edges plus one short sort per vertex. It
+// runs on every keying and every plan-cache hit.
 func CanonicalEdgeOrder(g *graph.Graph) []int {
-	order := make([]int, g.NumEdges())
-	for i := range order {
-		order[i] = i
+	order := make([]int, 0, g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		start := len(order)
+		order = append(order, g.OutEdges(graph.Vertex(v))...)
+		slices.SortFunc(order[start:], func(a, b int) int {
+			return cmp.Compare(g.Edge(a).To, g.Edge(b).To)
+		})
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := g.Edge(order[a]), g.Edge(order[b])
-		if ea.From != eb.From {
-			return ea.From < eb.From
-		}
-		return ea.To < eb.To
-	})
 	return order
 }

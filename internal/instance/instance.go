@@ -207,11 +207,11 @@ func (in *Instance) Apply(ifVersion int64, deltas []Delta) (*ApplyResult, error)
 		}
 	}
 
-	h2 := graph.NewProbGraph(g)
-	for i, r := range probs {
-		if err := h2.SetProb(i, r); err != nil {
-			return nil, phomerr.Wrap(phomerr.CodeBadInput, err)
-		}
+	// probs holds the old snapshot's values and fresh copies of the
+	// delta's: the new snapshot can share them all.
+	h2, err := graph.WithProbs(g, probs)
+	if err != nil {
+		return nil, phomerr.Wrap(phomerr.CodeBadInput, err)
 	}
 	next := &Snapshot{H: h2, Version: old.Version + 1}
 	in.cur.Store(next)

@@ -3,6 +3,8 @@ package lineage
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"sort"
 
 	"phom/internal/betadnf"
 	"phom/internal/boolform"
@@ -119,7 +121,8 @@ type IntervalLineage struct {
 // PathOrder returns the vertices of a 2WP instance in path order
 // (starting from the endpoint with the smaller vertex id, for
 // determinism) and, per position i, the instance edge index linking
-// position i to i+1.
+// position i to i+1. The walk reads the incident edge lists directly:
+// a 2WP has no antiparallel pairs, so each neighbor is one edge.
 func PathOrder(g *graph.Graph) ([]graph.Vertex, []int, error) {
 	if !g.Is2WP() {
 		return nil, nil, fmt.Errorf("lineage: instance is not a 2WP: %v", g)
@@ -137,26 +140,31 @@ func PathOrder(g *graph.Graph) ([]graph.Vertex, []int, error) {
 	}
 	order := make([]graph.Vertex, 0, n)
 	edges := make([]int, 0, n-1)
-	prev := graph.Vertex(-1)
+	prevEdge := -1
 	cur := start
 	for {
 		order = append(order, cur)
-		next := graph.Vertex(-1)
-		for _, u := range g.Neighbors(cur) {
-			if u != prev {
-				next = u
-				break
+		next := -1
+		for _, ei := range g.OutEdges(cur) {
+			if ei != prevEdge {
+				next = ei
+			}
+		}
+		for _, ei := range g.InEdges(cur) {
+			if ei != prevEdge {
+				next = ei
 			}
 		}
 		if next < 0 {
 			break
 		}
-		if ei, ok := g.EdgeIndex(cur, next); ok {
-			edges = append(edges, ei)
-		} else if ei, ok := g.EdgeIndex(next, cur); ok {
-			edges = append(edges, ei)
+		edges = append(edges, next)
+		if e := g.Edge(next); e.From == cur {
+			cur = e.To
+		} else {
+			cur = e.From
 		}
-		prev, cur = cur, next
+		prevEdge = next
 	}
 	if len(order) != n {
 		return nil, nil, fmt.Errorf("lineage: 2WP walk covered %d of %d vertices", len(order), n)
@@ -166,6 +174,15 @@ func PathOrder(g *graph.Graph) ([]graph.Vertex, []int, error) {
 
 // ConnectedOn2WP builds the lineage of the connected query q on the 2WP
 // instance h (Proposition 4.11). The query must have at least one edge.
+//
+// The clauses are the inclusion-minimal subpaths [a, b] (path positions)
+// with q ⇝ subpath, found in time linear in |H| for a fixed query. The
+// image of a connected query on a path is a subpath of at most m = |E(q)|
+// edges, so no minimal window is longer than that. One right-to-left
+// pass keeps short, the least right endpoint of a match starting at or
+// after a: the least match [a, b] is minimal exactly when b < short, so
+// only windows [a, b] with b ≤ min(a+m, short−1) are tested. Every
+// other match starting at a contains [a+1, short] and is absorbed by it.
 func ConnectedOn2WP(q *graph.Graph, h *graph.ProbGraph) (*IntervalLineage, error) {
 	if !q.IsConnected() {
 		return nil, fmt.Errorf("lineage: query is not connected: %v", q)
@@ -178,44 +195,46 @@ func ConnectedOn2WP(q *graph.Graph, h *graph.ProbGraph) (*IntervalLineage, error
 		return nil, err
 	}
 	n := len(order)
-	dnf := boolform.NewDNF(h.G.NumEdges())
-	sys := &betadnf.IntervalSystem{NumVars: n - 1}
 	probs := make([]*big.Rat, n-1)
 	for i := range probs {
 		probs[i] = h.Prob(edgeAt[i])
 	}
-	// Minimal matches are the inclusion-minimal subpaths [i, j] with
-	// q ⇝ subpath. Homomorphism into a longer subpath is implied by
-	// homomorphism into a shorter one it contains, so for each left
-	// endpoint i the admissible right endpoints are upward closed and the
-	// minimal one is nondecreasing in i: a two-pointer sweep suffices.
-	j := 0
-	for i := 0; i < n; i++ {
-		if j < i {
-			j = i
+	// The path-ordered graph: vertex id = path position, so a window of
+	// the path is a vertex range, and subpaths trivially have the
+	// X-property w.r.t. that order (§4.2).
+	path := graph.New(n)
+	for i, ei := range edgeAt {
+		if e := h.G.Edge(ei); e.From == order[i] {
+			path.MustAddEdge(graph.Vertex(i), graph.Vertex(i+1), e.Label)
+		} else {
+			path.MustAddEdge(graph.Vertex(i+1), graph.Vertex(i), e.Label)
 		}
-		for j < n && !queryMapsToSubpath(q, h.G, order, i, j) {
-			j++
+	}
+	pos := xprop.IdentityOrder(n)
+	m := q.NumEdges()
+	var clauses []betadnf.Interval // edge positions, found right to left
+	short := n                     // no match to the right yet
+	for a := n - 2; a >= 0; a-- {
+		top := min(a+m, short-1, n-1)
+		if top <= a || !xprop.HasHomomorphismWithin(q, path, pos, a, top) {
+			continue // every match starting at a is absorbed (or none exists)
 		}
-		if j == n {
-			break
-		}
-		// Clause: edge positions i … j−1 (nonempty since q has an edge).
-		sys.Clauses = append(sys.Clauses, betadnf.Interval{Lo: i, Hi: j - 1})
-		clause := make([]boolform.Var, 0, j-i)
-		for p := i; p < j; p++ {
+		// Admissible right endpoints are upward closed: search (a, top]
+		// for the least, knowing top maps.
+		short = a + 1 + sort.Search(top-a-1, func(k int) bool {
+			return xprop.HasHomomorphismWithin(q, path, pos, a, a+1+k)
+		})
+		clauses = append(clauses, betadnf.Interval{Lo: a, Hi: short - 1})
+	}
+	slices.Reverse(clauses)
+	dnf := boolform.NewDNF(h.G.NumEdges())
+	for _, c := range clauses {
+		clause := make([]boolform.Var, 0, c.Hi-c.Lo+1)
+		for p := c.Lo; p <= c.Hi; p++ {
 			clause = append(clause, boolform.Var(edgeAt[p]))
 		}
 		dnf.AddClause(clause...)
 	}
+	sys := &betadnf.IntervalSystem{NumVars: n - 1, Clauses: clauses}
 	return &IntervalLineage{DNF: dnf, System: sys, Probs: probs, EdgeAt: edgeAt}, nil
-}
-
-// queryMapsToSubpath decides q ⇝ H[order[i..j]] using the X-property
-// algorithm: the subpath trivially has the X-property w.r.t. the order
-// a_i < … < a_j (§4.2).
-func queryMapsToSubpath(q, g *graph.Graph, order []graph.Vertex, i, j int) bool {
-	vs := order[i : j+1]
-	sub, _ := g.InducedSubgraph(vs)
-	return xprop.HasHomomorphism(q, sub, xprop.IdentityOrder(len(vs)))
 }

@@ -3,8 +3,10 @@ package lineage
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"phom/internal/betadnf"
 	"phom/internal/boolform"
 	"phom/internal/gen"
 	"phom/internal/graph"
@@ -168,10 +170,136 @@ func TestConnectedOn2WPRejects(t *testing.T) {
 	}
 }
 
-// TestMinimalClausesOnly: the two-pointer sweep should not emit a clause
-// strictly containing another clause with the same right endpoint going
-// unnoticed — absorption keeps the formula small. We only check the count
-// stays ≤ number of positions.
+// minimalWindows is the reference for ConnectedOn2WP's clause set: it
+// tests every window [i, j] of the path order with the generic
+// homomorphism search on the induced subpath and keeps the
+// inclusion-minimal ones, as edge-position intervals in order of i.
+func minimalWindows(q *graph.Graph, g *graph.Graph) []betadnf.Interval {
+	order, _, err := PathOrder(g)
+	if err != nil {
+		panic(err)
+	}
+	n := len(order)
+	maps := make([][]bool, n)
+	for i := range maps {
+		maps[i] = make([]bool, n)
+		for j := i; j < n; j++ {
+			sub, _ := g.InducedSubgraph(order[i : j+1])
+			maps[i][j] = graph.HasHomomorphism(q, sub)
+		}
+	}
+	var out []betadnf.Interval
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			// Windows are nested, so [i, j] is minimal iff neither
+			// one-shorter window maps.
+			if maps[i][j] && (j == i || !maps[i][j-1]) && (i == j || !maps[i+1][j]) {
+				out = append(out, betadnf.Interval{Lo: i, Hi: j - 1})
+			}
+		}
+	}
+	return out
+}
+
+// twoPointerDNF rebuilds the clause set of the quadratic two-pointer
+// sweep ConnectedOn2WP replaced: for each left end i the least right
+// end j with q ⇝ [i, j], absorbed windows included.
+func twoPointerDNF(q *graph.Graph, g *graph.Graph) *boolform.DNF {
+	order, edgeAt, err := PathOrder(g)
+	if err != nil {
+		panic(err)
+	}
+	n := len(order)
+	dnf := boolform.NewDNF(g.NumEdges())
+	j := 0
+	for i := 0; i < n; i++ {
+		j = max(j, i)
+		for j < n {
+			sub, _ := g.InducedSubgraph(order[i : j+1])
+			if graph.HasHomomorphism(q, sub) {
+				break
+			}
+			j++
+		}
+		if j == n {
+			break
+		}
+		clause := make([]boolform.Var, 0, j-i)
+		for p := i; p < j; p++ {
+			clause = append(clause, boolform.Var(edgeAt[p]))
+		}
+		dnf.AddClause(clause...)
+	}
+	return dnf
+}
+
+// checkMinimalClauses compares ConnectedOn2WP with the brute-force
+// references on one job.
+func checkMinimalClauses(t *testing.T, q *graph.Graph, h *graph.ProbGraph, shannon bool) {
+	t.Helper()
+	lin, err := ConnectedOn2WP(q, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := minimalWindows(q, h.G); !slices.Equal(lin.System.Clauses, want) {
+		t.Fatalf("clauses %v, want the minimal windows %v\nq=%v\nh=%v", lin.System.Clauses, want, q, h.G)
+	}
+	m := q.NumEdges()
+	for _, c := range lin.System.Clauses {
+		if c.Hi-c.Lo+1 > m {
+			t.Fatalf("clause %v has more than |E(q)| = %d edges", c, m)
+		}
+	}
+	if len(lin.DNF.Clauses) != len(lin.System.Clauses) {
+		t.Fatalf("DNF has %d clauses, interval system %d", len(lin.DNF.Clauses), len(lin.System.Clauses))
+	}
+	if !shannon {
+		return
+	}
+	probs := h.Probs()
+	got, want := lin.DNF.ShannonProb(probs), twoPointerDNF(q, h.G).ShannonProb(probs)
+	if got.Cmp(want) != 0 {
+		t.Fatalf("minimal DNF %s, two-pointer DNF %s\nq=%v\nh=%v", got.RatString(), want.RatString(), q, h.G)
+	}
+}
+
+// randMinimalJob draws a random connected query with at least one edge
+// and a random 2WP instance of n vertices, labeled or not.
+func randMinimalJob(r *rand.Rand, n, qSize int, labeled bool) (*graph.Graph, *graph.ProbGraph) {
+	labels := []graph.Label{graph.Unlabeled}
+	if labeled {
+		labels = twoLabels
+	}
+	q := gen.RandConnected(r, max(qSize, 2), r.Intn(2), labels)
+	return q, gen.RandProb(r, gen.Rand2WP(r, n, labels), 0.3)
+}
+
+// TestConnectedOn2WPMinimalClauses: the one-pass sweep emits exactly the
+// inclusion-minimal windows, each of at most |E(q)| edges, and its DNF
+// has the probability of the two-pointer clause set it replaced.
+func TestConnectedOn2WPMinimalClauses(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		q, h := randMinimalJob(r, 1+r.Intn(40), 2+r.Intn(4), trial%2 == 0)
+		checkMinimalClauses(t, q, h, true)
+	}
+}
+
+// FuzzConnectedOn2WPMinimal checks the sweep against the brute-force
+// minimal windows on fuzzed queries and 2WPs of up to 40 vertices.
+func FuzzConnectedOn2WPMinimal(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(8+4*seed), uint8(2+seed%4), seed%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, qSize uint8, labeled bool) {
+		r := rand.New(rand.NewSource(seed))
+		q, h := randMinimalJob(r, 1+int(n)%40, 2+int(qSize)%5, labeled)
+		checkMinimalClauses(t, q, h, false)
+	})
+}
+
+// TestClauseCountLinear: every clause is minimal, so at most one starts
+// at each path position.
 func TestClauseCountLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {

@@ -32,47 +32,62 @@ func HasXProperty(h *graph.Graph, pos []int) bool {
 // consistency followed by the minimum assignment. The result is sound and
 // complete only when the X-property holds; callers should validate with
 // HasXProperty (tests do) or rely on structural guarantees (subpaths of a
-// 2WP trivially have the X-property, §4.2).
+// 2WP trivially have the X-property, §4.2). It is HasHomomorphismWithin
+// over the full window.
 func HasHomomorphism(g, h *graph.Graph, pos []int) bool {
-	if g.NumVertices() == 0 {
+	return HasHomomorphismWithin(g, h, pos, 0, h.NumVertices()-1)
+}
+
+// HasHomomorphismWithin decides G ⇝ H[lo…hi], the subgraph of H induced
+// by the vertices lo, lo+1, …, hi, without building it: candidate images
+// are restricted to that vertex range and edges leaving it are ignored.
+// The X-property passes to induced subgraphs, so the decision is sound
+// and complete whenever H has it w.r.t. pos. On a path-ordered 2WP
+// (vertex id = path position) the window is the subpath a_lo … a_hi.
+// An empty window (hi < lo) admits only the empty query.
+func HasHomomorphismWithin(g, h *graph.Graph, pos []int, lo, hi int) bool {
+	n, m := g.NumVertices(), hi-lo+1
+	if n == 0 {
 		return true
 	}
-	if h.NumVertices() == 0 {
+	if m <= 0 {
 		return false
 	}
-	// dom[v][w] = instance vertex w is still a candidate image for query
-	// vertex v.
-	n, m := g.NumVertices(), h.NumVertices()
-	dom := make([][]bool, n)
+	// dom[v*m+(w−lo)] = instance vertex w is still a candidate image for
+	// query vertex v; one flat slice for all query vertices.
+	dom := make([]bool, n*m)
+	for i := range dom {
+		dom[i] = true
+	}
 	size := make([]int, n)
-	for v := range dom {
-		dom[v] = make([]bool, m)
-		for w := range dom[v] {
-			dom[v][w] = true
-		}
+	for v := range size {
 		size[v] = m
+	}
+	in := func(v, w graph.Vertex) bool {
+		return int(w) >= lo && int(w) <= hi && dom[int(v)*m+int(w)-lo]
 	}
 	// Arc consistency: repeat until fixpoint. For every query edge
 	// (u, v, R): u's domain keeps w iff some w' in v's domain has
 	// w −R→ w'; symmetrically for v.
 	for changed := true; changed; {
 		changed = false
-		for _, e := range g.Edges() {
+		for i := 0; i < g.NumEdges(); i++ {
+			e := g.Edge(i)
 			// Revise dom[e.From] against dom[e.To].
-			for w := 0; w < m; w++ {
-				if !dom[e.From][w] {
+			for w := lo; w <= hi; w++ {
+				if !dom[int(e.From)*m+w-lo] {
 					continue
 				}
 				ok := false
 				for _, ei := range h.OutEdges(graph.Vertex(w)) {
 					he := h.Edge(ei)
-					if he.Label == e.Label && dom[e.To][he.To] {
+					if he.Label == e.Label && in(e.To, he.To) {
 						ok = true
 						break
 					}
 				}
 				if !ok {
-					dom[e.From][w] = false
+					dom[int(e.From)*m+w-lo] = false
 					size[e.From]--
 					changed = true
 				}
@@ -81,20 +96,20 @@ func HasHomomorphism(g, h *graph.Graph, pos []int) bool {
 				return false
 			}
 			// Revise dom[e.To] against dom[e.From].
-			for w := 0; w < m; w++ {
-				if !dom[e.To][w] {
+			for w := lo; w <= hi; w++ {
+				if !dom[int(e.To)*m+w-lo] {
 					continue
 				}
 				ok := false
 				for _, ei := range h.InEdges(graph.Vertex(w)) {
 					he := h.Edge(ei)
-					if he.Label == e.Label && dom[e.From][he.From] {
+					if he.Label == e.Label && in(e.From, he.From) {
 						ok = true
 						break
 					}
 				}
 				if !ok {
-					dom[e.To][w] = false
+					dom[int(e.To)*m+w-lo] = false
 					size[e.To]--
 					changed = true
 				}
@@ -110,8 +125,8 @@ func HasHomomorphism(g, h *graph.Graph, pos []int) bool {
 	hmap := make(graph.Homomorphism, n)
 	for v := 0; v < n; v++ {
 		best := -1
-		for w := 0; w < m; w++ {
-			if dom[v][w] && (best < 0 || pos[w] < pos[best]) {
+		for w := lo; w <= hi; w++ {
+			if dom[v*m+w-lo] && (best < 0 || pos[w] < pos[best]) {
 				best = w
 			}
 		}

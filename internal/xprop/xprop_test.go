@@ -85,3 +85,35 @@ func TestHomomorphismTrivialCases(t *testing.T) {
 		t.Fatal("RR path must not map into a single R edge")
 	}
 }
+
+// TestWindowMatchesInducedSubgraph: deciding a window of a path-ordered
+// 2WP in place agrees with deciding the induced subpath as a graph of
+// its own, and with backtracking search on it.
+func TestWindowMatchesInducedSubgraph(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 1000; trial++ {
+		labels := []graph.Label{"R", "S"}
+		if trial%2 == 1 {
+			labels = nil
+		}
+		q := gen.RandInClass(r, graph.ClassConnected, 1+r.Intn(5), labels)
+		h := gen.Rand2WP(r, 1+r.Intn(16), labels)
+		lo := r.Intn(h.NumVertices())
+		hi := lo + r.Intn(h.NumVertices()-lo)
+		vs := make([]graph.Vertex, 0, hi-lo+1)
+		for v := lo; v <= hi; v++ {
+			vs = append(vs, graph.Vertex(v))
+		}
+		sub, _ := h.InducedSubgraph(vs)
+		got := HasHomomorphismWithin(q, h, IdentityOrder(h.NumVertices()), lo, hi)
+		if want := HasHomomorphism(q, sub, IdentityOrder(len(vs))); got != want {
+			t.Fatalf("window [%d, %d]: got %v, induced subgraph %v\nq=%v\nh=%v", lo, hi, got, want, q, h)
+		}
+		if want := graph.HasHomomorphism(q, sub); got != want {
+			t.Fatalf("window [%d, %d]: got %v, backtracking %v\nq=%v\nh=%v", lo, hi, got, want, q, h)
+		}
+	}
+	if HasHomomorphismWithin(graph.Path1WP("R"), graph.Path1WP("R"), IdentityOrder(2), 1, 0) {
+		t.Fatal("an empty window admits no query edge")
+	}
+}
