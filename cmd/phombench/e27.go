@@ -21,10 +21,11 @@ package main
 // batches are served by the incremental splice with full recompiles
 // below a pinned 1-in-8 fraction (this workload never legitimately
 // needs one — the class census and the route are delta-invariant); and
-// the incremental path beats the from-scratch path by at least the 3×
-// floor. The recorded counters (steps, structural batches, incremental
-// vs full recompiles, deltas applied) are pure functions of the seed,
-// so the BENCH_E27.json record self-diffs clean.
+// the incremental path, each side timed as the best of three
+// alternating passes over the stream, beats the from-scratch path by
+// at least the 3× floor. The recorded counters (steps, structural
+// batches, incremental vs full recompiles, deltas applied) are pure
+// functions of the seed, so the BENCH_E27.json record self-diffs clean.
 
 import (
 	"fmt"
@@ -119,68 +120,107 @@ func runDeltaStream(e *E) {
 	}
 	e.emit(mBuild)
 
+	// Each side replays the stream from the same start in each of three
+	// passes and is timed as its best pass: one pass is a few
+	// milliseconds, so a single GC cycle or a neighbour's load would
+	// otherwise move the ratio across the floor. The sides alternate, so
+	// a slow phase of the machine lands on both. Answers and counters
+	// are checked on every pass.
+	const passes = 3
+
 	// From-scratch baseline: replay the stream on a bare instance and
 	// solve every version cold — full dispatch + compile + evaluate.
-	base, err := instance.New("baseline", h)
-	e.check(err)
-	full := make([]string, steps)
-	start := time.Now()
-	for i, batch := range stream {
-		if _, err := base.Apply(-1, batch); err != nil {
-			e.fatalf("baseline apply %d: %v", i, err)
-		}
-		res, err := core.Solve(q, base.Snapshot().H, opts)
+	var full []string
+	basePass := func(pass int) time.Duration {
+		base, err := instance.New("baseline", h)
 		e.check(err)
-		full[i] = res.Prob.RatString()
+		answers := make([]string, steps)
+		start := time.Now()
+		for i, batch := range stream {
+			if _, err := base.Apply(-1, batch); err != nil {
+				e.fatalf("baseline apply %d: %v", i, err)
+			}
+			res, err := core.Solve(q, base.Snapshot().H, opts)
+			e.check(err)
+			answers[i] = res.Prob.RatString()
+		}
+		d := time.Since(start)
+		for i := range full {
+			if answers[i] != full[i] {
+				e.fatalf("baseline pass %d step %d: answer %s differs from pass 0's %s", pass, i, answers[i], full[i])
+			}
+		}
+		full = answers
+		return d
 	}
-	dFull := time.Since(start)
+
+	// Incremental: the same stream through a fresh engine's instance
+	// registry. Drift batches leave the cached plan valid (zero
+	// recompilation — the next solve reweights); structural batches
+	// migrate it through PatchCompile inside ApplyDelta.
+	incrPass := func(pass int) (time.Duration, engine.Stats) {
+		eng := engine.New(engine.Options{Workers: 1})
+		defer eng.Close()
+		_, err := eng.CreateInstance("e27", h)
+		e.check(err)
+		solve := func() string {
+			job, _, err := eng.InstanceJob("e27", engine.Job{Query: q, Opts: opts})
+			e.check(err)
+			res := eng.Do(job)
+			e.check(res.Err)
+			return res.Result.Prob.RatString()
+		}
+		solve() // warm: the one shared cold compile stays out of the loop
+		incr := make([]string, steps)
+		start := time.Now()
+		for i, batch := range stream {
+			if _, err := eng.ApplyDelta("e27", -1, batch); err != nil {
+				e.fatalf("incremental apply %d: %v", i, err)
+			}
+			incr[i] = solve()
+		}
+		d := time.Since(start)
+		st := eng.Stats()
+
+		for i := range stream {
+			if incr[i] != full[i] {
+				e.fatalf("pass %d step %d: incremental answer %s differs from from-scratch %s",
+					pass, i, incr[i], full[i])
+			}
+		}
+		if in, ok := eng.Instance("e27"); !ok || in.Version() != uint64(1+steps) {
+			e.fatalf("instance ended at the wrong version (want %d)", 1+steps)
+		}
+		if st.IncrementalRecompiles == 0 {
+			e.fatalf("no structural batch took the incremental splice")
+		}
+		if 8*st.FullRecompiles > uint64(structural) {
+			e.fatalf("full recompiles %d above the pinned 1/8 of %d structural batches",
+				st.FullRecompiles, structural)
+		}
+		return d, st
+	}
+
+	var dFull, dIncr time.Duration
+	var st engine.Stats
+	for pass := 0; pass < passes; pass++ {
+		if d := basePass(pass); pass == 0 || d < dFull {
+			dFull = d
+		}
+		d, s := incrPass(pass)
+		if pass > 0 && (s.IncrementalRecompiles != st.IncrementalRecompiles ||
+			s.FullRecompiles != st.FullRecompiles || s.DeltasApplied != st.DeltasApplied) {
+			e.fatalf("pass %d: recompile counters differ from the previous pass's", pass)
+		}
+		if pass == 0 || d < dIncr {
+			dIncr = d
+		}
+		st = s
+	}
 	mFull := metric(fmt.Sprintf("from-scratch x%d", steps), "baseline", dFull)
 	mFull.OpsPerSec = float64(steps) / dFull.Seconds()
 	e.emit(mFull)
 
-	// Incremental: the same stream through the engine's instance
-	// registry. Drift batches leave the cached plan valid (zero
-	// recompilation — the next solve reweights); structural batches
-	// migrate it through PatchCompile inside ApplyDelta.
-	eng := engine.New(engine.Options{Workers: 1})
-	defer eng.Close()
-	_, err = eng.CreateInstance("e27", h)
-	e.check(err)
-	solve := func() string {
-		job, _, err := eng.InstanceJob("e27", engine.Job{Query: q, Opts: opts})
-		e.check(err)
-		res := eng.Do(job)
-		e.check(res.Err)
-		return res.Result.Prob.RatString()
-	}
-	solve() // warm: the one shared cold compile stays out of the loop
-	incr := make([]string, steps)
-	start = time.Now()
-	for i, batch := range stream {
-		if _, err := eng.ApplyDelta("e27", -1, batch); err != nil {
-			e.fatalf("incremental apply %d: %v", i, err)
-		}
-		incr[i] = solve()
-	}
-	dIncr := time.Since(start)
-	st := eng.Stats()
-
-	for i := range stream {
-		if incr[i] != full[i] {
-			e.fatalf("step %d: incremental answer %s differs from from-scratch %s",
-				i, incr[i], full[i])
-		}
-	}
-	if in, ok := eng.Instance("e27"); !ok || in.Version() != uint64(1+steps) {
-		e.fatalf("instance ended at the wrong version (want %d)", 1+steps)
-	}
-	if st.IncrementalRecompiles == 0 {
-		e.fatalf("no structural batch took the incremental splice")
-	}
-	if 8*st.FullRecompiles > uint64(structural) {
-		e.fatalf("full recompiles %d above the pinned 1/8 of %d structural batches",
-			st.FullRecompiles, structural)
-	}
 	mIncr := metric(fmt.Sprintf("incremental x%d", steps), "match=true", dIncr)
 	mIncr.Counters = map[string]int64{
 		"incremental_recompiles": int64(st.IncrementalRecompiles),

@@ -181,23 +181,38 @@ func KarpLuby(ctx context.Context, f *boolform.DNF, probs []*big.Rat, p Params) 
 			"approx: (eps=%v, delta=%v) over %d clauses needs %d samples, cap is %d", p.Epsilon, p.Delta, m, T, maxSamples)
 	}
 
-	// Support: the variables the live clauses mention, in ascending
-	// order — the per-sample work is linear in the support and the live
-	// clause literals, independent of NumVars (the instance size).
-	inSupport := map[boolform.Var]bool{}
+	// Support positions: the variables the live clauses mention,
+	// renumbered 0 … S−1 in ascending variable order, so the per-sample
+	// work is linear in the support and the live clause table,
+	// independent of NumVars (the instance size).
+	pos := make([]int32, f.NumVars)
+	width := 0
 	for _, c := range live {
 		for _, v := range c {
-			inSupport[v] = true
+			pos[v] = 1
+		}
+		width = max(width, len(c))
+	}
+	var pv []float64 // probability by position
+	for v, in := range pos {
+		if in != 0 {
+			pos[v] = int32(len(pv))
+			pf, _ := probs[v].Float64()
+			pv = append(pv, pf)
 		}
 	}
-	support := make([]boolform.Var, 0, len(inSupport))
-	for v := range inSupport {
-		support = append(support, v)
-	}
-	sort.Slice(support, func(i, j int) bool { return support[i] < support[j] })
-	pv := make(map[boolform.Var]float64, len(support))
-	for _, v := range support {
-		pv[v], _ = probs[v].Float64()
+	S := int32(len(pv))
+	// Clause rows: one row of width positions per live clause, padded
+	// with the sentinel position S, whose valuation byte is always 1.
+	rows := make([]int32, m*width)
+	for j, c := range live {
+		row := rows[j*width : (j+1)*width]
+		for i, v := range c {
+			row[i] = pos[v]
+		}
+		for i := len(c); i < width; i++ {
+			row[i] = S
+		}
 	}
 
 	// Cumulative clause weights for O(log m) weighted clause selection.
@@ -210,7 +225,8 @@ func KarpLuby(ctx context.Context, f *boolform.DNF, probs []*big.Rat, p Params) 
 
 	rng := rand.New(rand.NewPCG(p.Seed, pcgStream))
 	cp := phomerr.NewCheckpoint(ctx)
-	nu := make([]bool, f.NumVars)
+	nu := make([]uint8, S+1) // the valuation by position, 1 = true
+	nu[S] = 1
 	sum := 0.0
 	for i := int64(0); i < T; i++ {
 		if err := cp.Check(); err != nil {
@@ -221,35 +237,37 @@ func KarpLuby(ctx context.Context, f *boolform.DNF, probs []*big.Rat, p Params) 
 		if j >= m {
 			j = m - 1
 		}
-		c := live[j]
+		row := rows[j*width : (j+1)*width]
 		// Draw the support valuation conditioned on clause j: its own
 		// variables are true, every other support variable is an
-		// independent Bernoulli draw. Both lists are sorted, so one merge
-		// walk assigns everything in deterministic order (determinism of
-		// the rng consumption is what makes equal seeds byte-identical).
+		// independent Bernoulli draw. Row and support are both in
+		// ascending order, so one merge walk assigns everything in
+		// deterministic order (the order of the rng draws is what makes
+		// equal seeds byte-identical).
 		ci := 0
-		for _, v := range support {
-			if ci < len(c) && c[ci] == v {
-				nu[v] = true
+		for k := int32(0); k < S; k++ {
+			if ci < width && row[ci] == k {
+				nu[k] = 1
 				ci++
 				continue
 			}
-			nu[v] = rng.Float64() < pv[v]
+			var b uint8
+			if rng.Float64() < pv[k] {
+				b = 1
+			}
+			nu[k] = b
 		}
 		// N(ν): how many live clauses the valuation satisfies — at least
-		// one (clause j), so the score 1/N is in (0, 1].
+		// one (clause j), so the score 1/N is in (0, 1]. The literals'
+		// truth values are random, so each row ANDs its bytes instead of
+		// branching on them.
 		n := 0
-		for _, lc := range live {
-			sat := true
-			for _, v := range lc {
-				if !nu[v] {
-					sat = false
-					break
-				}
+		for r := 0; r < len(rows); r += width {
+			sat := uint8(1)
+			for _, k := range rows[r : r+width] {
+				sat &= nu[k]
 			}
-			if sat {
-				n++
-			}
+			n += int(sat)
 		}
 		sum += 1 / float64(n)
 	}

@@ -109,3 +109,17 @@ func TestKarpLubyGolden(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkKarpLubyNeedle times one estimation on the needle shape at
+// n = 128: the lineage and its probabilities are built once, outside
+// the timer.
+func BenchmarkKarpLubyNeedle(b *testing.B) {
+	f, probs := needleDNF(1, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := KarpLuby(context.Background(), f, probs, needleParams); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

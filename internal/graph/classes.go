@@ -80,84 +80,78 @@ func (c Class) Union() Class {
 	return c
 }
 
+// Every class test reads one shape of g. A connected graph has at
+// least |V| − 1 edges (directed edges, so an antiparallel pair or a
+// self-loop counts beyond its undirected edge), with equality exactly
+// when its underlying graph is a tree. Summed over the components,
+// every component is a tree iff |E| = |V| − #components. A forest has
+// no antiparallel pair and no self-loop, so there the undirected degree
+// of a vertex is its in-degree plus its out-degree, and a tree is
+//   - a polytree,
+//   - a downward tree iff every in-degree is at most 1,
+//   - a two-way path iff every undirected degree is at most 2,
+//   - a one-way path iff every in- and out-degree is at most 1.
+//
+// A ⊔ class holds iff every component is in its base class, which the
+// same maxima decide for all components at once: no component graph is
+// built.
+type shape struct {
+	n, comps              int
+	forest                bool // every component is a tree
+	maxIn, maxOut, maxDeg int  // maxDeg: the largest in- plus out-degree
+}
+
+func (g *Graph) shape() shape {
+	s := shape{n: g.n, comps: g.numComponents()}
+	s.forest = len(g.edges) == g.n-s.comps
+	for v := 0; v < g.n; v++ {
+		in, out := len(g.in[v]), len(g.out[v])
+		s.maxIn, s.maxOut, s.maxDeg = max(s.maxIn, in), max(s.maxOut, out), max(s.maxDeg, in+out)
+	}
+	return s
+}
+
+func (s shape) in(c Class) bool {
+	if s.n == 0 {
+		return false
+	}
+	switch c {
+	case ClassAll:
+		return true
+	case ClassConnected:
+		return s.comps == 1
+	case Class1WP, Class2WP, ClassDWT, ClassPT:
+		if s.comps != 1 {
+			return false
+		}
+	}
+	if !s.forest {
+		return false
+	}
+	switch c.Base() {
+	case Class1WP:
+		return s.maxIn <= 1 && s.maxOut <= 1
+	case Class2WP:
+		return s.maxDeg <= 2
+	case ClassDWT:
+		return s.maxIn <= 1
+	case ClassPT:
+		return true
+	}
+	return false
+}
+
 // Is1WP reports whether g is a one-way path a₁ → a₂ → … → aₘ covering all
 // vertices (Figure 3, top). The single-vertex graph is the 1WP of length 0.
-func (g *Graph) Is1WP() bool {
-	if g.n == 0 {
-		return false
-	}
-	if g.n == 1 {
-		return len(g.edges) == 0
-	}
-	if len(g.edges) != g.n-1 {
-		return false
-	}
-	start := Vertex(-1)
-	for v := 0; v < g.n; v++ {
-		if g.OutDegree(Vertex(v)) > 1 || g.InDegree(Vertex(v)) > 1 {
-			return false
-		}
-		if g.InDegree(Vertex(v)) == 0 {
-			if start >= 0 {
-				return false
-			}
-			start = Vertex(v)
-		}
-	}
-	if start < 0 {
-		return false
-	}
-	// Walk the path; with the degree bounds above it covers all vertices
-	// iff we can take n−1 steps.
-	v, steps := start, 0
-	for len(g.out[v]) == 1 {
-		v = g.edges[g.out[v][0]].To
-		steps++
-		if steps > g.n {
-			return false
-		}
-	}
-	return steps == g.n-1
-}
+func (g *Graph) Is1WP() bool { return g.InClass(Class1WP) }
 
 // Is2WP reports whether g is a two-way path a₁ − a₂ − … − aₘ, each edge
 // oriented arbitrarily (Figure 3, bottom).
-func (g *Graph) Is2WP() bool {
-	if g.n == 0 {
-		return false
-	}
-	if g.n == 1 {
-		return len(g.edges) == 0
-	}
-	// n−1 directed edges + connected underlying graph ⇒ underlying tree
-	// with no antiparallel pairs; degree ≤ 2 then makes it a path.
-	if len(g.edges) != g.n-1 || !g.IsConnected() {
-		return false
-	}
-	for v := 0; v < g.n; v++ {
-		if g.UndirectedDegree(Vertex(v)) > 2 {
-			return false
-		}
-	}
-	return true
-}
+func (g *Graph) Is2WP() bool { return g.InClass(Class2WP) }
 
 // IsDWT reports whether g is a downward tree: a rooted unranked tree with
 // every edge oriented from parent to child (Figure 4, left).
-func (g *Graph) IsDWT() bool {
-	if g.n == 0 {
-		return false
-	}
-	if len(g.edges) != g.n-1 || !g.IsConnected() {
-		return false
-	}
-	for v := 0; v < g.n; v++ {
-		if g.InDegree(Vertex(v)) > 1 {
-			return false
-		}
-	}
-	return true
-}
+func (g *Graph) IsDWT() bool { return g.InClass(ClassDWT) }
 
 // DWTRoot returns the root of a downward tree. It panics if g is not a DWT.
 func (g *Graph) DWTRoot() Vertex {
@@ -174,45 +168,17 @@ func (g *Graph) DWTRoot() Vertex {
 
 // IsPolytree reports whether the underlying undirected graph of g is a
 // tree (Figure 4, right).
-func (g *Graph) IsPolytree() bool {
-	if g.n == 0 {
-		return false
-	}
-	return len(g.edges) == g.n-1 && g.IsConnected()
-}
+func (g *Graph) IsPolytree() bool { return g.InClass(ClassPT) }
 
 // InClass reports whether g belongs to the given class.
-func (g *Graph) InClass(c Class) bool {
-	switch c {
-	case Class1WP:
-		return g.Is1WP()
-	case Class2WP:
-		return g.Is2WP()
-	case ClassDWT:
-		return g.IsDWT()
-	case ClassPT:
-		return g.IsPolytree()
-	case ClassConnected:
-		return g.IsConnected()
-	case ClassAll:
-		return g.n > 0
-	case ClassU1WP, ClassU2WP, ClassUDWT, ClassUPT:
-		base := c.Base()
-		for _, comp := range g.Components() {
-			if !comp.InClass(base) {
-				return false
-			}
-		}
-		return g.n > 0
-	}
-	return false
-}
+func (g *Graph) InClass(c Class) bool { return g.shape().in(c) }
 
 // Classify returns every class g belongs to, in AllClasses order.
 func (g *Graph) Classify() []Class {
+	s := g.shape()
 	var out []Class
 	for _, c := range AllClasses {
-		if g.InClass(c) {
+		if s.in(c) {
 			out = append(out, c)
 		}
 	}
@@ -229,32 +195,10 @@ func (g *Graph) TightestClass() Class {
 	if v := g.tightest.Load(); v != 0 {
 		return Class(v - 1)
 	}
-	// Component structure is shared across the whole scan: the four
-	// union-closure membership tests and the connectivity test all
-	// reduce to it, and recomputing the partition per class would make
-	// one TightestClass cost five traversals of the graph.
-	comps := g.Components()
-	inClass := func(c Class) bool {
-		switch c {
-		case ClassConnected:
-			return len(comps) == 1
-		case ClassU1WP, ClassU2WP, ClassUDWT, ClassUPT:
-			if g.n == 0 {
-				return false
-			}
-			base := c.Base()
-			for _, comp := range comps {
-				if !comp.InClass(base) {
-					return false
-				}
-			}
-			return true
-		}
-		return g.InClass(c)
-	}
+	s := g.shape()
 	best := ClassAll
 	for _, c := range AllClasses {
-		if inClass(c) && ClassIncluded(c, best) {
+		if s.in(c) && ClassIncluded(c, best) {
 			best = c
 		}
 	}

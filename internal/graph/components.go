@@ -48,32 +48,39 @@ func (g *Graph) ConnectedComponents() [][]Vertex {
 // IsConnected reports whether the underlying undirected graph of g is
 // connected. Following the paper, the single-vertex graph is connected and
 // the empty graph is not a valid graph (we report it as not connected).
-func (g *Graph) IsConnected() bool {
-	if g.n == 0 {
-		return false
-	}
+func (g *Graph) IsConnected() bool { return g.n > 0 && g.numComponents() == 1 }
+
+// numComponents counts the connected components of the underlying
+// undirected graph of g without listing them.
+func (g *Graph) numComponents() int {
 	seen := make([]bool, g.n)
-	stack := []Vertex{0}
-	seen[0] = true
-	count := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for _, i := range g.out[v] {
-			if u := g.edges[i].To; !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
+	var stack []Vertex
+	comps := 0
+	for s := 0; s < g.n; s++ {
+		if seen[s] {
+			continue
 		}
-		for _, i := range g.in[v] {
-			if u := g.edges[i].From; !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
+		comps++
+		seen[s] = true
+		stack = append(stack[:0], Vertex(s))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, i := range g.out[v] {
+				if u := g.edges[i].To; !seen[u] {
+					seen[u] = true
+					stack = append(stack, u)
+				}
+			}
+			for _, i := range g.in[v] {
+				if u := g.edges[i].From; !seen[u] {
+					seen[u] = true
+					stack = append(stack, u)
+				}
 			}
 		}
 	}
-	return count == g.n
+	return comps
 }
 
 // InducedSubgraph returns the subgraph of g induced by the given vertices
