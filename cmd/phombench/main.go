@@ -1068,62 +1068,68 @@ func runBatchedReweight(e *E) {
 		}
 		warmup := engine.Job{Query: wl.q, Instance: makeLane(), Opts: opts}
 
-		var baseline []string
-		var d1 time.Duration
-		for _, w := range []int{1, 8, 64, 256} {
-			if w > vectors {
-				continue
+		// runWidth solves every vector at width w on a fresh engine with
+		// memoization off — every vector is genuinely evaluated — after
+		// a warmup job pre-compiles the structure, so it measures
+		// evaluation rather than the one-off compile.
+		runWidth := func(w int) (time.Duration, engine.Stats, []string) {
+			eng := engine.New(engine.Options{CacheSize: -1})
+			if res := eng.Do(warmup); res.Err != nil {
+				e.check(res.Err)
 			}
-			// Each width runs three times on a fresh engine with
-			// memoization off — every vector is genuinely evaluated, the
-			// warmup job pre-compiles the structure so each rep measures
-			// evaluation rather than the one-off compile, and the best of
-			// the three reps is recorded (per-width elapsed is a few
-			// milliseconds, where scheduler noise would otherwise dominate
-			// the width-to-width ratios).
-			var d time.Duration
-			var st engine.Stats
-			var got []string
-			for rep := 0; rep < 3; rep++ {
-				eng := engine.New(engine.Options{CacheSize: -1})
-				if res := eng.Do(warmup); res.Err != nil {
-					e.check(res.Err)
-				}
-				got = make([]string, vectors)
-				start := time.Now()
-				if w == 1 {
-					for i, j := range jobs {
-						res := eng.Do(j)
-						e.check(res.Err)
-						got[i] = res.Result.Prob.RatString()
-					}
-				} else {
-					for lo := 0; lo < vectors; lo += w {
-						hi := lo + w
-						if hi > vectors {
-							hi = vectors
-						}
-						for i, res := range eng.SolveBatch(jobs[lo:hi]) {
-							e.check(res.Err)
-							got[lo+i] = res.Result.Prob.RatString()
-						}
-					}
-				}
-				dr := time.Since(start)
-				st = eng.Stats()
-				e.check(eng.Close())
-				if rep == 0 || dr < d {
-					d = dr
-				}
-			}
-
+			got := make([]string, vectors)
+			start := time.Now()
 			if w == 1 {
-				baseline, d1 = got, d
+				for i, j := range jobs {
+					res := eng.Do(j)
+					e.check(res.Err)
+					got[i] = res.Result.Prob.RatString()
+				}
 			} else {
+				for lo := 0; lo < vectors; lo += w {
+					hi := min(lo+w, vectors)
+					for i, res := range eng.SolveBatch(jobs[lo:hi]) {
+						e.check(res.Err)
+						got[lo+i] = res.Result.Prob.RatString()
+					}
+				}
+			}
+			d := time.Since(start)
+			st := eng.Stats()
+			e.check(eng.Close())
+			return d, st, got
+		}
+		// Three reps, each running every width in turn, and each width
+		// keeps its best rep: per-width elapsed is a few milliseconds,
+		// so scheduler noise or a neighbour's load would otherwise move
+		// the width-to-width ratios, and interleaving makes drift hit
+		// every width alike.
+		var widths []int
+		for _, w := range []int{1, 8, 64, 256} {
+			if w <= vectors {
+				widths = append(widths, w)
+			}
+		}
+		best := make([]time.Duration, len(widths))
+		stats := make([]engine.Stats, len(widths))
+		results := make([][]string, len(widths))
+		for rep := 0; rep < 3; rep++ {
+			for wi, w := range widths {
+				d, st, got := runWidth(w)
+				if rep == 0 || d < best[wi] {
+					best[wi] = d
+				}
+				stats[wi], results[wi] = st, got
+			}
+		}
+
+		for wi, w := range widths {
+			d, st, got := best[wi], stats[wi], results[wi]
+			if w > 1 {
 				for i := range got {
-					if got[i] != baseline[i] {
+					if got[i] != results[0][i] {
 						e.fatalf("%s width=%d: lane %d diverged from width-1 (%s vs %s)",
-							wl.name, w, i, got[i], baseline[i])
+							wl.name, w, i, got[i], results[0][i])
 					}
 				}
 				wantRuns := uint64((vectors + w - 1) / w)
@@ -1141,7 +1147,7 @@ func runBatchedReweight(e *E) {
 			}
 			m.OpsPerSec = float64(vectors) / d.Seconds()
 			if w > 1 {
-				m.Speedup = float64(d1) / float64(d)
+				m.Speedup = float64(best[0]) / float64(d)
 				// The conservative in-code floor; the recorded artifact
 				// carries the actual ratio (well above this on an idle
 				// machine — see EXPERIMENTS.md E24).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sort"
 	"sync"
 
 	"phom/internal/boolform"
@@ -53,10 +52,10 @@ type CompiledPlan struct {
 	// plan, not just approx-compiled ones, because the plan cache shares
 	// one plan across precision modes.
 	approx *approxState
-	// key yields the job's structure identity — graphio.StructKeyJob
-	// plus the compile-time canonical edge order — memoized and
-	// computed on first use (sync.OnceValues), so plain Solve callers
-	// never pay for hashing a key they don't consume. Plans restored
+	// key yields the job's structure identity — a graphio.Keyer's
+	// structure key and the compile-time canonical edge order —
+	// memoized and computed on first use (sync.OnceValues), so plain
+	// Solve callers never pay for hashing a key they don't consume. Plans restored
 	// from bytes carry the decoded identity directly.
 	key func() (structKey string, canonOrder []int)
 }
@@ -383,20 +382,15 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 }
 
 // planKey returns the job's structure identity, computed on first use:
-// graphio.StructKeyJob over the sorted canonical disjuncts (union order
-// is irrelevant to the probability), matching the engine's keying, so
-// the structure key stamped on a plan is the one the engine's plan
+// a graphio.NewKeyer over the canonical disjuncts, the engine's keying,
+// so the structure key stamped on a plan is the one the engine's plan
 // cache derives for the same job. The disjunct list is copied — the
 // caller keeps its slice.
 func planKey(qs UCQ, g *graph.Graph, opts *Options) func() (string, []int) {
 	qs = append(UCQ(nil), qs...)
 	return sync.OnceValues(func() (string, []int) {
-		canon := make([]string, len(qs))
-		for i, q := range qs {
-			canon[i] = graphio.CanonicalGraph(q)
-		}
-		sort.Strings(canon)
-		return graphio.StructKeyJob(canon, g, opts.StructFingerprint())
+		k := graphio.NewKeyer(graphio.CanonicalQueries(qs), g, opts.StructFingerprint())
+		return k.StructKey(), k.Order()
 	})
 }
 

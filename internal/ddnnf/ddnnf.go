@@ -39,9 +39,6 @@ func New(n int) *Circuit { return &Circuit{numVars: n} }
 // NumVars returns the number of variables.
 func (c *Circuit) NumVars() int { return c.numVars }
 
-// NumGates returns the number of gates created so far.
-func (c *Circuit) NumGates() int { return len(c.gates) }
-
 func (c *Circuit) add(g gateData) Gate {
 	c.gates = append(c.gates, g)
 	return Gate(len(c.gates) - 1)

@@ -17,13 +17,12 @@ import (
 // structure, many probability vectors — arrives at Stream/SolveBatch as
 // K jobs differing only in probabilities. Run individually, each pays
 // canonicalization and key hashing, a plan-cache fetch and a full
-// interpreter walk. Grouped, the K lanes share one key-derivation pass
-// (graphio.BatchJobKeys amortizes the canonical prefix), one plan fetch
-// and one vectorized kernel dispatch (core.CompiledPlan.EvaluateBatch):
-// per-lane cost drops to the probability-suffix hash and the lane's
-// arithmetic. Grouping is invisible in results — every lane's outcome
-// matches what DoContext would have returned — and visible in
-// Stats.BatchRuns and Stats.BatchLanes.
+// interpreter walk. Grouped, the K lanes share one structure key (one
+// graphio.Keyer), one plan fetch and one vectorized kernel dispatch
+// (core.CompiledPlan.EvaluateBatch): per-lane cost drops to hashing the
+// lane's probabilities and the lane's arithmetic. Grouping is invisible
+// in results — every lane's outcome matches what DoContext would have
+// returned — and visible in Stats.BatchRuns and Stats.BatchLanes.
 
 // batchMaxLanes caps the width of one batched kernel dispatch; wider
 // groups are chunked. The cap bounds the kernel's register matrix
@@ -48,13 +47,21 @@ func batchGroups(jobs []Job) [][]int {
 		timeout time.Duration
 	}
 	open := make(map[groupKey]int) // key → its group still taking lanes
+	// Fingerprint renders with fmt; a batch's jobs usually share one
+	// options value, so each distinct value renders once.
+	fps := make(map[*core.Options]string)
 	var groups [][]int
 	for i, job := range jobs {
 		if job.Query == nil || len(job.Queries) != 0 || job.Instance == nil {
 			groups = append(groups, []int{i})
 			continue
 		}
-		k := groupKey{q: job.Query, g: job.Instance.G, fp: job.Opts.Fingerprint(), timeout: job.Timeout}
+		fp, ok := fps[job.Opts]
+		if !ok {
+			fp = job.Opts.Fingerprint()
+			fps[job.Opts] = fp
+		}
+		k := groupKey{q: job.Query, g: job.Instance.G, fp: fp, timeout: job.Timeout}
 		if gi, ok := open[k]; ok && len(groups[gi]) < batchMaxLanes {
 			groups[gi] = append(groups[gi], i)
 			continue
@@ -65,30 +72,27 @@ func batchGroups(jobs []Job) [][]int {
 	return groups
 }
 
-// groupKeys validates a group and derives its canonical identities: the
-// resolved disjuncts, every lane's job key, and the structure key and
-// canonical edge order the lanes share. A group of one keys through
-// jobKeys (graphio.JobKeys); a wider group keys in one pass through
-// graphio.BatchJobKeys, which derives the canonical prefix (query
-// sections, instance header, edge lines) once and hashes only each
-// lane's probability suffix.
-func groupKeys(jobs []Job, lanes []int) (qs []*graph.Graph, keys []string, structKey string, canonOrder []int, err error) {
+// groupKeys validates a group and keys it: the resolved disjuncts,
+// every lane's job key, and the Keyer of the structure the lanes share
+// (batchGroups groups on the instance graph value). It is the one place
+// a job is keyed. The structure is keyed once — by the lead's bound
+// Keyer (InstanceJobs) when it fits the job, else afresh — and each lane
+// hashes only its probabilities on top of the structure key.
+func groupKeys(jobs []Job, lanes []int) (qs []*graph.Graph, keys []string, keyer *graphio.Keyer, err error) {
 	lead := jobs[lanes[0]]
-	if len(lanes) == 1 {
-		var key string
-		qs, key, structKey, canonOrder, err = jobKeys(lead)
-		return qs, []string{key}, structKey, canonOrder, err
-	}
 	if qs, err = lead.Disjuncts(); err != nil {
-		return nil, nil, "", nil, err
+		return nil, nil, nil, err
 	}
-	instances := make([]*graph.ProbGraph, len(lanes))
+	canon, sfp := graphio.CanonicalQueries(qs), lead.Opts.StructFingerprint()
+	if keyer = lead.keyer; !keyer.For(canon, lead.Instance.G, sfp) {
+		keyer = graphio.NewKeyer(canon, lead.Instance.G, sfp)
+	}
+	fp := lead.Opts.Fingerprint()
+	keys = make([]string, len(lanes))
 	for k, i := range lanes {
-		instances[k] = jobs[i].Instance
+		keys[k] = keyer.Key(jobs[i].Instance, fp)
 	}
-	keys, structKey, canonOrder = graphio.BatchJobKeys(canonicalQueries(qs), instances,
-		lead.Opts.Fingerprint(), lead.Opts.StructFingerprint())
-	return qs, keys, structKey, canonOrder, nil
+	return qs, keys, keyer, nil
 }
 
 // runGroup takes the jobs at lanes — one group of batchGroups — from key
@@ -126,7 +130,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 		ctx, cancel = context.WithTimeout(ctx, lead.Timeout)
 		defer cancel()
 	}
-	qs, keys, structKey, canonOrder, err := groupKeys(jobs, lanes)
+	qs, keys, keyer, err := groupKeys(jobs, lanes)
 	if err != nil {
 		e.mu.Lock()
 		e.stats.Rejected += uint64(len(lanes))
@@ -147,6 +151,12 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 	var ledInst []*graph.ProbGraph
 	e.mu.Lock()
 	for k, key := range keys {
+		// An instance job's key joins its instance's tracking record
+		// here, when it is computed, so the next delta evicts whatever
+		// this run memoizes (nil results: the instance is deleted).
+		if ent := jobs[lanes[k]].inst; ent != nil && ent.results != nil {
+			ent.results[key] = struct{}{}
+		}
 		if res, ok := e.cache.Get(key); ok {
 			e.stats.CacheHits++
 			hits = append(hits, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
@@ -194,7 +204,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 	if ex != nil {
 		task = func() {
 			defer ex.cancel()
-			e.execute(execCtx, led, ledInst, qs, lead.Opts, structKey, canonOrder)
+			e.execute(execCtx, led, ledInst, qs, lead.Opts, keyer.StructKey(), keyer.Order())
 		}
 		drop = func() { e.complete(led, failed(len(led), phomerr.FromContext(execCtx)), nil) }
 		enqueue, withdraw = e.jobs, execCtx.Done()

@@ -13,10 +13,18 @@
 // call (of any caller), or registers a call the group leads; the led
 // calls run as one worker task.
 //
+// Every job is keyed in one place, groupKeys: a graphio.Keyer keys the
+// structure of the group's shared instance graph once (structure key,
+// canonical edge order) — the Keyer an instance job was bound with
+// (InstanceJobs) when it still fits, else a fresh one — and each lane's
+// memo key hashes the structure key, the lane's probabilities and its
+// options. Instance jobs' memo keys join their instance's tracking
+// record in runGroup's memo pass, where they are computed.
+//
 // Below the result cache sits a second, structure-keyed cache of
 // compiled solver plans (core.Compile / internal/plan), keyed by the
-// structure key of graphio.JobKeys — the job hash with probabilities
-// stripped. Jobs that differ from a previously executed job only in
+// Keyer's structure key — the job's identity with probabilities and
+// evaluation policy stripped. Jobs that differ from a previously executed job only in
 // edge probabilities skip the structural phase (classification, lineage
 // and circuit construction) and pay only the linear evaluation, which
 // is the dominant serving pattern: what-if analysis, probability sweeps

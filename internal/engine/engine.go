@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -102,23 +100,12 @@ type Job struct {
 	// entries and in-flight executions.
 	Timeout time.Duration
 
-	// keys are the canonical identities InstanceJobs derived when it
-	// bound the job to a snapshot; jobKeys reuses them while the job
-	// still names that snapshot, query and options.
-	keys *boundKeys
-}
-
-// boundKeys are jobKeys' results for one bound job, with the inputs
-// they were derived from.
-type boundKeys struct {
-	inst       *graph.ProbGraph
-	query      *graph.Graph
-	queries    []*graph.Graph
-	opts       *core.Options
-	qs         []*graph.Graph
-	key        string
-	structKey  string
-	canonOrder []int
+	// keyer and inst are InstanceJobs' binding. keyer keys the bound
+	// snapshot's structure; groupKeys uses it while the job's instance
+	// graph, query and options still fit it. inst is the live instance
+	// whose tracking record the job's memo key joins when it runs.
+	keyer *graphio.Keyer
+	inst  *instEntry
 }
 
 func (j Job) disjuncts() []*graph.Graph {
@@ -685,39 +672,6 @@ func (e *Engine) LoadPlans(r io.Reader) (int, error) {
 		return nil
 	})
 	return loaded, err
-}
-
-// jobKeys validates the job (through Job.Disjuncts, the shared
-// validation point) and derives its canonical identities: the resolved
-// disjuncts, the full memo key (probabilities included), the structure
-// key (probabilities stripped) and the instance's canonical edge order.
-// It is the key derivation of a group of one and of the instance
-// registry. A job bound by InstanceJobs carries its keys, which are
-// reused as long as the job's instance, query and options are the ones
-// they were derived from; any other job is keyed afresh.
-func jobKeys(job Job) (qs []*graph.Graph, key, structKey string, canonOrder []int, err error) {
-	if k := job.keys; k != nil && k.inst == job.Instance && k.query == job.Query &&
-		k.opts == job.Opts && slices.Equal(k.queries, job.Queries) {
-		return k.qs, k.key, k.structKey, k.canonOrder, nil
-	}
-	qs, err = job.Disjuncts()
-	if err != nil {
-		return nil, "", "", nil, err
-	}
-	key, structKey, canonOrder = graphio.JobKeys(canonicalQueries(qs), job.Instance,
-		job.Opts.Fingerprint(), job.Opts.StructFingerprint())
-	return qs, key, structKey, canonOrder, nil
-}
-
-// canonicalQueries returns the sorted canonical encodings of the
-// disjuncts: disjunct order is irrelevant to the probability of a union.
-func canonicalQueries(qs []*graph.Graph) []string {
-	canon := make([]string, len(qs))
-	for i, q := range qs {
-		canon[i] = graphio.CanonicalGraph(q)
-	}
-	sort.Strings(canon)
-	return canon
 }
 
 // acquirePlan returns the compiled plan for a group's structure: a

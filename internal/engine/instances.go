@@ -6,11 +6,18 @@ package engine
 // instance's current snapshot — same memo cache, same plan cache, same
 // singleflight — plus a tracking record: the entry remembers which memo
 // keys and which structural plans the instance's snapshots produced.
+// InstanceJobs binds a job to the snapshot, to the Keyer of its
+// structure (kept on the entry, so reweights of one graph key the
+// structure once) and to the entry, and records the structure's plan.
+// The job's memo key is computed where every job's is, in groupKeys,
+// and runGroup's memo pass records it on the entry then — so a job
+// bound before a delta and run after it is still evicted by the next.
 // ApplyDelta then keeps the caches honest with surgical precision:
 //
 //   - every delta (probability or structural) evicts exactly the
 //     instance's own memoized results — other instances' and plain
-//     stateless jobs' entries are untouched;
+//     stateless jobs' entries are untouched; a key still in flight
+//     stays tracked, since its result is memoized after the eviction;
 //   - a probability-only batch leaves every compiled plan valid (the
 //     structure key did not move): the next solve is a pure reweight,
 //     zero recompilation;
@@ -148,28 +155,33 @@ func (e *Engine) DeleteInstance(id string) bool {
 		return false // lost a delete race; the other call did the work
 	}
 	delete(e.instances, id)
-	e.evictLocked(ent)
+	e.evictResultsLocked(ent)
+	ent.results = nil // stop tracking: later runs of bound jobs record nothing
+	for sk := range ent.plans {
+		e.plans.Remove(sk)
+	}
 	return true
 }
 
-// evictLocked drops the entry's memoized results and tracked plans from
-// the caches. Caller holds e.mu.
-func (e *Engine) evictLocked(ent *instEntry) {
+// evictResultsLocked drops the entry's memoized results from the memo
+// cache. A key still in flight stays tracked: its call memoizes the
+// result after this eviction, so the next one must find it. Caller
+// holds e.mu.
+func (e *Engine) evictResultsLocked(ent *instEntry) {
 	for k := range ent.results {
 		e.cache.Remove(k)
-	}
-	ent.results = make(map[string]struct{})
-	for sk := range ent.plans {
-		e.plans.Remove(sk)
+		if _, running := e.inflight[k]; !running {
+			delete(ent.results, k)
+		}
 	}
 }
 
 // InstanceJob resolves an instance-scoped job: it loads the instance's
-// current snapshot into job.Instance and registers the job's memo key
-// and structural plan with the instance's tracking record, so a later
-// delta can invalidate and migrate exactly this work. The returned job
-// is an ordinary engine job — run it through DoContext, Stream or
-// SolveBatch as usual. The snapshot's version is returned so callers
+// current snapshot into job.Instance and registers the job's structural
+// plan with the instance's tracking record; running the job registers
+// its memo key there. A later delta can so invalidate and migrate
+// exactly this work. The returned job is an ordinary engine job — run
+// it through DoContext, Stream or SolveBatch as usual. The snapshot's version is returned so callers
 // can report which version answered.
 func (e *Engine) InstanceJob(id string, job Job) (Job, uint64, error) {
 	jobs, version, err := e.InstanceJobs(id, []Job{job})
@@ -184,9 +196,13 @@ func (e *Engine) InstanceJob(id string, job Job) (Job, uint64, error) {
 
 // InstanceJobs is InstanceJob for a batch: it binds every job to one
 // snapshot, so all of them answer the same version even while deltas
-// commit concurrently, and returns that version. A job that fails
-// validation (no query) is bound but not tracked; running it fails
-// with the typed error InstanceJob reports for it.
+// commit concurrently, and returns that version. Binding sets the
+// snapshot as the job's instance and, unexported, the snapshot
+// structure's Keyer and the instance's tracking record, and tracks the
+// structure's plan; the job's memo key is computed and tracked when it
+// runs (runGroup). A job that fails validation (no query) is bound but
+// not tracked; running it fails with the typed error InstanceJob
+// reports for it.
 func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	e.mu.Lock()
 	ent, ok := e.instances[id]
@@ -200,28 +216,20 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	}
 	snap := ent.inst.Snapshot()
 	bound := make([]Job, len(jobs))
-	keys := make([]string, 0, len(jobs))
 	plans := make(map[string]*trackedPlan)
 	for i, job := range jobs {
-		job.Instance = snap.H
+		job.Instance, job.inst = snap.H, ent
+		if qs, err := job.Disjuncts(); err == nil {
+			canon, sfp := graphio.CanonicalQueries(qs), job.Opts.StructFingerprint()
+			if !keyer.For(canon, snap.H.G, sfp) {
+				keyer = graphio.NewKeyer(canon, snap.H.G, sfp)
+			}
+			job.keyer = keyer
+			if _, dup := plans[keyer.StructKey()]; !dup {
+				plans[keyer.StructKey()] = &trackedPlan{qs: qs, opts: job.Opts, g: snap.H.G}
+			}
+		}
 		bound[i] = job
-		qs, err := job.Disjuncts()
-		if err != nil {
-			continue
-		}
-		canon, fp, sfp := canonicalQueries(qs), job.Opts.Fingerprint(), job.Opts.StructFingerprint()
-		if !keyer.For(canon, snap.H.G, fp, sfp) {
-			keyer = graphio.NewKeyer(canon, snap.H.G, fp, sfp)
-		}
-		key, structKey, canonOrder := keyer.Keys(snap.H)
-		// Carry the keys, so running the bound job does not key the
-		// snapshot a second time.
-		bound[i].keys = &boundKeys{inst: job.Instance, query: job.Query, queries: job.Queries, opts: job.Opts,
-			qs: qs, key: key, structKey: structKey, canonOrder: canonOrder}
-		keys = append(keys, key)
-		if _, dup := plans[structKey]; !dup {
-			plans[structKey] = &trackedPlan{qs: qs, opts: job.Opts, g: snap.H.G}
-		}
 	}
 	e.mu.Lock()
 	// Re-check liveness under the lock: a concurrent DeleteInstance
@@ -229,9 +237,6 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	if cur, still := e.instances[id]; still && cur == ent {
 		if keyer != nil {
 			ent.keyer = keyer
-		}
-		for _, key := range keys {
-			ent.results[key] = struct{}{}
 		}
 		for structKey, tp := range plans {
 			if _, tracked := ent.plans[structKey]; !tracked {
@@ -271,10 +276,7 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 
 	e.mu.Lock()
 	e.stats.DeltasApplied += uint64(len(deltas))
-	for k := range ent.results {
-		e.cache.Remove(k)
-	}
-	ent.results = make(map[string]struct{})
+	e.evictResultsLocked(ent)
 	var work map[string]*trackedPlan
 	if res.Structural {
 		work = ent.plans
@@ -303,7 +305,7 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 		if cerr == nil && cp != nil {
 			// Key the new structure once: the keys name the migrated
 			// plan here and key the next job bound to this instance.
-			keyer = graphio.NewKeyer(canonicalQueries(tp.qs), res.New.H.G, tp.opts.Fingerprint(), tp.opts.StructFingerprint())
+			keyer = graphio.NewKeyer(graphio.CanonicalQueries(tp.qs), res.New.H.G, tp.opts.StructFingerprint())
 		}
 		e.mu.Lock()
 		e.plans.Remove(oldSK) // superseded structure

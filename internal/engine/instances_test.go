@@ -9,6 +9,7 @@ import (
 
 	"phom/internal/core"
 	"phom/internal/graph"
+	"phom/internal/graphio"
 	"phom/internal/instance"
 	"phom/internal/phomerr"
 )
@@ -404,10 +405,11 @@ func TestApplyRacesSolves(t *testing.T) {
 	}
 }
 
-// TestBoundJobKeys: a job bound to a snapshot carries the keys
-// InstanceJob derived and reuses them, but one whose Instance (or
-// query) is replaced afterwards is keyed afresh, so it answers its new
-// instance, not the snapshot's memoized result.
+// TestBoundJobKeys: a job bound to a snapshot carries the snapshot
+// structure's Keyer, and groupKeys keys it with that Keyer, to the key a
+// fresh Keyer derives. A job whose Instance (or query) is replaced
+// afterwards is keyed afresh, so it answers its new instance, not the
+// snapshot's memoized result.
 func TestBoundJobKeys(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
@@ -419,14 +421,25 @@ func TestBoundJobKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.keys == nil {
-		t.Fatal("bound job carries no keys")
+	if job.keyer == nil || job.inst == nil {
+		t.Fatal("bound job carries no Keyer or instance")
 	}
-	_, key, _, _, _ := jobKeys(job)
+	keyOf := func(j Job) (string, *graphio.Keyer) {
+		t.Helper()
+		_, keys, keyer, err := groupKeys([]Job{j}, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keys[0], keyer
+	}
+	key, keyer := keyOf(job)
+	if keyer != job.keyer {
+		t.Fatal("groupKeys did not reuse the bound Keyer")
+	}
 	fresh := job
-	fresh.keys = nil
-	if _, want, _, _, _ := jobKeys(fresh); key != want {
-		t.Fatalf("carried key %s, fresh key %s", key, want)
+	fresh.keyer = nil
+	if want, k2 := keyOf(fresh); key != want || k2 == job.keyer {
+		t.Fatalf("bound key %s, fresh key %s", key, want)
 	}
 	if r := e.Do(job); r.Err != nil || r.Result.Prob.RatString() != "2/3" {
 		t.Fatalf("bound job answered %v, %v; want 2/3", r.Result, r.Err)
@@ -434,7 +447,7 @@ func TestBoundJobKeys(t *testing.T) {
 
 	moved := job
 	moved.Instance = instPath(big.NewRat(1, 5), big.NewRat(1, 7))
-	if _, k2, _, _, _ := jobKeys(moved); k2 == key {
+	if k2, keyer := keyOf(moved); k2 == key || keyer == job.keyer {
 		t.Fatal("replaced instance reused the snapshot's key")
 	}
 	if r := e.Do(moved); r.Err != nil || r.Result.Prob.RatString() != "11/35" {
@@ -442,7 +455,67 @@ func TestBoundJobKeys(t *testing.T) {
 	}
 	requeried := job
 	requeried.Query = graph.UnlabeledPath(2)
+	if _, keyer := keyOf(requeried); keyer == job.keyer {
+		t.Fatal("replaced query reused the snapshot's Keyer")
+	}
 	if r := e.Do(requeried); r.Err != nil || r.Result.Prob.RatString() != "1/6" {
 		t.Fatalf("job with a replaced query answered %v, %v; want 1/6", r.Result, r.Err)
+	}
+}
+
+// TestDeltaEvictsResultOfJobBoundBeforeIt: a job bound before a
+// set_prob delta and run after it still answers its snapshot, and the
+// result it memoizes joins the instance's tracking when it runs, so the
+// next delta evicts it instead of leaving it in the memo for good; so
+// does a run that is in flight while a delta evicts.
+func TestDeltaEvictsResultOfJobBoundBeforeIt(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	if _, err := e.CreateInstance("late", instPath(big.NewRat(1, 2), big.NewRat(1, 3))); err != nil {
+		t.Fatal(err)
+	}
+	job, _, err := e.InstanceJob("late", Job{Query: graph.UnlabeledPath(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setProb := func(from, to graph.Vertex, p *big.Rat) {
+		t.Helper()
+		if _, err := e.ApplyDelta("late", -1, []instance.Delta{{Op: instance.OpSetProb, From: from, To: to, Prob: p}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setProb(0, 1, big.NewRat(1, 4))
+	if r := e.Do(job); r.Err != nil || r.Result.Prob.RatString() != "2/3" {
+		t.Fatalf("job bound before the delta answered %v, %v; want its snapshot's 2/3", r.Result, r.Err)
+	}
+	if n := e.Stats().CacheLen; n != 1 {
+		t.Fatalf("CacheLen = %d after the run, want 1", n)
+	}
+	setProb(1, 2, big.NewRat(1, 5))
+	if n := e.Stats().CacheLen; n != 0 {
+		t.Fatalf("CacheLen = %d after the next delta, want 0: the late run's result escaped eviction", n)
+	}
+
+	// A run still in flight at a delta keeps its key tracked: its result
+	// is memoized after that eviction, so the next one must find it.
+	if job, _, err = e.InstanceJob("late", Job{Query: graph.UnlabeledPath(1)}); err != nil {
+		t.Fatal(err)
+	}
+	release := holdWorkers(e, 1)
+	defer release()
+	done := make(chan JobResult, 1)
+	go func() { done <- e.Do(job) }()
+	awaitEngine(t, e, "the bound job in flight", func(inflight int, _ Stats) bool { return inflight == 1 })
+	setProb(0, 1, big.NewRat(1, 6))
+	release()
+	if r := <-done; r.Err != nil || r.Result.Prob.RatString() != "2/5" {
+		t.Fatalf("in-flight job answered %v, %v; want its snapshot's 2/5", r.Result, r.Err)
+	}
+	if n := e.Stats().CacheLen; n != 1 {
+		t.Fatalf("CacheLen = %d after the in-flight run, want 1", n)
+	}
+	setProb(1, 2, big.NewRat(1, 7))
+	if n := e.Stats().CacheLen; n != 0 {
+		t.Fatalf("CacheLen = %d after the next delta, want 0: the in-flight run's result escaped eviction", n)
 	}
 }

@@ -62,24 +62,6 @@ func (c Class) Base() Class {
 	return c
 }
 
-// Union returns the disjoint-union closure of a base class (⊔C), the class
-// itself for classes already closed under disjoint union.
-func (c Class) Union() Class {
-	switch c {
-	case Class1WP:
-		return ClassU1WP
-	case Class2WP:
-		return ClassU2WP
-	case ClassDWT:
-		return ClassUDWT
-	case ClassPT:
-		return ClassUPT
-	case ClassConnected:
-		return ClassAll
-	}
-	return c
-}
-
 // Every class test reads one shape of g. A connected graph has at
 // least |V| − 1 edges (directed edges, so an antiparallel pair or a
 // self-loop counts beyond its undirected edge), with equality exactly

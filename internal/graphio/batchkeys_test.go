@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/big"
@@ -42,65 +43,58 @@ func randProbInstance(r *rand.Rand, n int) *graph.ProbGraph {
 	return p
 }
 
-// TestBatchJobKeysMatchesJobKeys pins the batched keying's contract:
-// every lane's job key, the structure key and the canonical order are
-// byte-identical to independent JobKeys calls — including for a lane
-// that does not share the batch's underlying graph (the unamortized
-// fallback path).
-func TestBatchJobKeysMatchesJobKeys(t *testing.T) {
+// TestKeyerLanesMatchJobKeys pins the per-lane keying contract: one
+// Keyer reused across lanes of one structure gives every lane the job
+// key, structure key and canonical order of an independent JobKeys
+// call, and a lane deep-cloned onto a separate graph value keys equal
+// to its twin (keying is structural, not pointer-based).
+func TestKeyerLanesMatchJobKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	queryCanon := []string{"g;n=2;0>1:\"R\""}
 	fp := "brute=20;match=65536;nofallback=false;prec=auto;tol=1e-09"
 	sfp := "brute=20;match=65536;nofallback=false"
 	for trial := 0; trial < 30; trial++ {
 		base := randProbInstance(r, 2+r.Intn(6))
-		lanes := []*graph.ProbGraph{base}
-		for k := 0; k < 4; k++ {
-			lane := base.CloneProbs()
-			for i := 0; i < lane.G.NumEdges(); i++ {
-				if err := lane.SetProb(i, big.NewRat(int64(r.Intn(18)), 17)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			lanes = append(lanes, lane)
-		}
-		// A foreign lane: same probabilities, separate graph value.
-		lanes = append(lanes, base.Clone())
-
-		jobKeys, structKey, order := BatchJobKeys(queryCanon, lanes, fp, sfp)
-		if len(jobKeys) != len(lanes) {
-			t.Fatalf("trial %d: %d keys for %d lanes", trial, len(jobKeys), len(lanes))
-		}
-		for k, lane := range lanes {
-			wantJob, wantStruct, wantOrder := JobKeys(queryCanon, lane, fp, sfp)
-			if jobKeys[k] != wantJob {
-				t.Fatalf("trial %d lane %d: batch job key %s != %s", trial, k, jobKeys[k], wantJob)
-			}
-			if k == 0 {
-				if structKey != wantStruct {
-					t.Fatalf("trial %d: batch struct key %s != %s", trial, structKey, wantStruct)
-				}
-				for i := range wantOrder {
-					if order[i] != wantOrder[i] {
-						t.Fatalf("trial %d: canonical orders diverge at %d", trial, i)
+		k := NewKeyer(queryCanon, base.G, sfp)
+		for lane := 0; lane < 5; lane++ {
+			p := base
+			if lane > 0 {
+				p = base.CloneProbs()
+				for i := 0; i < p.G.NumEdges(); i++ {
+					if err := p.SetProb(i, big.NewRat(int64(r.Intn(18)), 17)); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
+			wantJob, wantStruct, wantOrder := JobKeys(queryCanon, p, fp, sfp)
+			if got := k.Key(p, fp); got != wantJob {
+				t.Fatalf("trial %d lane %d: lane job key %s != %s", trial, lane, got, wantJob)
+			}
+			if k.StructKey() != wantStruct || !slices.Equal(k.Order(), wantOrder) {
+				t.Fatalf("trial %d lane %d: struct key or order diverges from JobKeys", trial, lane)
+			}
 		}
-		// The deep-cloned lane carries the same probabilities as lane 0,
-		// so their job keys must also collide (keying is structural, not
-		// pointer-based).
-		if jobKeys[len(lanes)-1] != jobKeys[0] {
+		twin := base.Clone()
+		if got, _, _ := JobKeys(queryCanon, twin, fp, sfp); got != k.Key(base, fp) {
 			t.Fatalf("trial %d: equal jobs keyed differently", trial)
 		}
 	}
 }
 
-// TestBatchJobKeysEmpty: no lanes, no keys.
-func TestBatchJobKeysEmpty(t *testing.T) {
-	jobKeys, structKey, order := BatchJobKeys(nil, nil, "fp", "sfp")
-	if jobKeys != nil || structKey != "" || order != nil {
-		t.Fatalf("empty batch produced (%v, %q, %v)", jobKeys, structKey, order)
+// TestKeyerEdgelessGraph: an edgeless instance keys to the documented
+// streams, and its vertex count still separates structures.
+func TestKeyerEdgelessGraph(t *testing.T) {
+	for n := 0; n < 3; n++ {
+		p := graph.NewProbGraph(graph.New(n))
+		wantJob, wantStruct := streamKeys(nil, p, "fp", "sfp")
+		if gotJob, gotStruct, order := JobKeys(nil, p, "fp", "sfp"); gotJob != wantJob || gotStruct != wantStruct || len(order) != 0 {
+			t.Fatalf("n=%d: keys (%s, %s, %v), stream (%s, %s)", n, gotJob, gotStruct, order, wantJob, wantStruct)
+		}
+	}
+	a, _, _ := JobKeys(nil, graph.NewProbGraph(graph.New(1)), "fp", "sfp")
+	b, _, _ := JobKeys(nil, graph.NewProbGraph(graph.New(2)), "fp", "sfp")
+	if a == b {
+		t.Fatal("edgeless graphs of different sizes share a key")
 	}
 }
 
@@ -203,25 +197,39 @@ func sortedEdgeOrder(g *graph.Graph) []int {
 }
 
 // streamKeys is the reference definition of JobKeys: SHA-256 over the
-// job and structure byte streams written out in full.
+// structure byte stream written out in full, then over the job stream —
+// the structure key, each probability's numerator and denominator as a
+// uvarint header (twice the byte length, plus one if negative) and the
+// big-endian magnitude, and the options.
 func streamKeys(queryCanon []string, p *graph.ProbGraph, fp, sfp string) (jobKey, structKey string) {
 	var job, str bytes.Buffer
 	str.WriteString("struct\n")
 	for _, q := range queryCanon {
-		fmt.Fprintf(&job, "q %d\n%s\n", len(q), q)
 		fmt.Fprintf(&str, "q %d\n%s\n", len(q), q)
 	}
-	fmt.Fprintf(&job, "i n=%d\n", p.G.NumVertices())
 	fmt.Fprintf(&str, "i n=%d\n", p.G.NumVertices())
 	for _, ei := range sortedEdgeOrder(p.G) {
 		e := p.G.Edge(ei)
-		fmt.Fprintf(&job, "%d>%d:%q=%s/%s\n", e.From, e.To, e.Label, p.Prob(ei).Num(), p.Prob(ei).Denom())
 		fmt.Fprintf(&str, "%d>%d:%q\n", e.From, e.To, e.Label)
 	}
-	fmt.Fprintf(&job, "o %d\n%s\n", len(fp), fp)
 	fmt.Fprintf(&str, "o %d\n%s\n", len(sfp), sfp)
-	hj, hs := sha256.Sum256(job.Bytes()), sha256.Sum256(str.Bytes())
-	return hex.EncodeToString(hj[:]), hex.EncodeToString(hs[:])
+	hs := sha256.Sum256(str.Bytes())
+	structKey = hex.EncodeToString(hs[:])
+	fmt.Fprintf(&job, "job\n%s", structKey)
+	for _, ei := range sortedEdgeOrder(p.G) {
+		for _, x := range []*big.Int{p.Prob(ei).Num(), p.Prob(ei).Denom()} {
+			mag := new(big.Int).Abs(x).Bytes()
+			h := uint64(2 * len(mag))
+			if x.Sign() < 0 {
+				h++
+			}
+			job.Write(binary.AppendUvarint(nil, h))
+			job.Write(mag)
+		}
+	}
+	fmt.Fprintf(&job, "o %d\n%s\n", len(fp), fp)
+	hj := sha256.Sum256(job.Bytes())
+	return hex.EncodeToString(hj[:]), structKey
 }
 
 // TestKeyerMatchesStream: a Keyer reused across reweighted lanes of one
@@ -233,7 +241,10 @@ func TestKeyerMatchesStream(t *testing.T) {
 	fp, sfp := "brute=20;prec=exact", "brute=20"
 	for trial := 0; trial < 20; trial++ {
 		base := randProbInstance(r, 2+r.Intn(6))
-		k := NewKeyer(queryCanon, base.G, fp, sfp)
+		k := NewKeyer(queryCanon, base.G, sfp)
+		if !slices.Equal(k.Order(), sortedEdgeOrder(base.G)) {
+			t.Fatalf("trial %d: canonical order %v, want %v", trial, k.Order(), sortedEdgeOrder(base.G))
+		}
 		for lane := 0; lane < 4; lane++ {
 			p := base.CloneProbs()
 			for i := 0; i < p.G.NumEdges(); i++ {
@@ -243,29 +254,22 @@ func TestKeyerMatchesStream(t *testing.T) {
 				}
 			}
 			wantJob, wantStruct := streamKeys(queryCanon, p, fp, sfp)
-			gotJob, gotStruct, order := k.Keys(p)
-			if !slices.Equal(order, sortedEdgeOrder(p.G)) {
-				t.Fatalf("trial %d: canonical order %v, want %v", trial, order, sortedEdgeOrder(p.G))
-			}
+			gotJob := k.Key(p, fp)
 			oneJob, oneStruct, _ := JobKeys(queryCanon, p, fp, sfp)
-			if gotJob != wantJob || gotStruct != wantStruct || oneJob != wantJob || oneStruct != wantStruct {
+			if gotJob != wantJob || k.StructKey() != wantStruct || oneJob != wantJob || oneStruct != wantStruct {
 				t.Fatalf("trial %d lane %d: keys (%s, %s) / JobKeys (%s, %s), stream (%s, %s)",
-					trial, lane, gotJob, gotStruct, oneJob, oneStruct, wantJob, wantStruct)
+					trial, lane, gotJob, k.StructKey(), oneJob, oneStruct, wantJob, wantStruct)
 			}
 		}
-		if sk, _ := StructKeyJob(queryCanon, base.G, sfp); k.StructKey() != sk {
-			t.Fatalf("trial %d: Keyer struct key %s, StructKeyJob %s", trial, k.StructKey(), sk)
-		}
-		if !k.For(queryCanon, base.G, fp, sfp) {
+		if !k.For(queryCanon, base.G, sfp) {
 			t.Fatal("Keyer does not recognize its own shape")
 		}
-		if k.For(queryCanon[:1], base.G, fp, sfp) || k.For(queryCanon, base.Clone().G, fp, sfp) ||
-			k.For(queryCanon, base.G, fp+"x", sfp) || k.For(queryCanon, base.G, fp, sfp+"x") {
+		if k.For(queryCanon[:1], base.G, sfp) || k.For(queryCanon, base.Clone().G, sfp) || k.For(queryCanon, base.G, sfp+"x") {
 			t.Fatal("Keyer claims a shape it was not built for")
 		}
 	}
 	var none *Keyer
-	if none.For(queryCanon, graph.New(1), fp, sfp) {
+	if none.For(queryCanon, graph.New(1), sfp) {
 		t.Fatal("nil Keyer claims a shape")
 	}
 }

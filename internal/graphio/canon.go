@@ -1,14 +1,13 @@
 package graphio
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/sha256"
-	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math/big"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -84,10 +83,10 @@ func JobKey(queryCanon []string, instanceCanon, optsFingerprint string) string {
 // instance section is the probability-stripped CanonicalGraph of the
 // instance's underlying graph, so jobs that differ only in edge
 // probabilities share a key. It is the string-based reference form of
-// the structure key; package engine derives its cache keys with the
-// one-pass JobKeys below instead, which hashes a different byte stream
-// — the two schemes define the same equivalence on jobs but produce
-// different key values, so a single cache must use one consistently. A
+// the structure key; package engine derives its cache keys with a
+// Keyer (below) instead, which hashes a different byte stream — the two
+// schemes define the same equivalence on jobs but produce different key
+// values, so a single cache must use one consistently. A
 // leading domain tag keeps StructKey and JobKey values disjoint even
 // for identical sections.
 func StructKey(queryCanon []string, instanceStructCanon, optsFingerprint string) string {
@@ -101,202 +100,143 @@ func StructKey(queryCanon []string, instanceStructCanon, optsFingerprint string)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// The structure byte stream — "struct\n", the query sections, the
-// instance header, one canonical edge line per edge, the options
-// section — is written in one place, NewKeyer, behind JobKeys,
-// BatchJobKeys and StructKeyJob. Plan-cache correctness depends on
-// them producing identical structure keys (compiled plans are stamped
-// with StructKeyJob, the engine keys lookups with JobKeys), so the
-// stream must have a single definition; TestStructKeyJobMatchesJobKeys
-// pins the equality end to end.
-
-// writeJobSections writes the query sections and the instance header
-// shared by the job and structure streams.
-func writeJobSections(w io.Writer, queryCanon []string, numVertices int) {
-	for _, q := range queryCanon {
-		fmt.Fprintf(w, "q %d\n%s\n", len(q), q)
+// CanonicalQueries returns the sorted canonical serializations of a
+// union's disjuncts. Disjunct order is irrelevant to the probability of
+// a union (Pr(G₁ ∨ G₂) = Pr(G₂ ∨ G₁)), so every key and route over
+// disjuncts reads them through here.
+func CanonicalQueries(qs []*graph.Graph) []string {
+	canon := make([]string, len(qs))
+	for i, q := range qs {
+		canon[i] = CanonicalGraph(q)
 	}
-	fmt.Fprintf(w, "i n=%d\n", numVertices)
+	sort.Strings(canon)
+	return canon
 }
 
-// writeOptsSection writes the options fingerprint section closing both
-// streams.
-func writeOptsSection(w io.Writer, optsFingerprint string) {
-	fmt.Fprintf(w, "o %d\n%s\n", len(optsFingerprint), optsFingerprint)
-}
+// The two streams keyed here are written in one place each. The
+// structure stream — "struct\n", the query sections, the instance
+// header "i n=<vertices>\n", one canonical edge line per edge in
+// canonical edge order, the options section — is written by NewKeyer.
+// Compiled plans are stamped with its key (package core) and the engine
+// looks plans up by it, and plan snapshots persist it, so it must not
+// change. The job stream — "job\n", the structure key, the edge
+// probabilities in canonical edge order (appendRat), the options
+// section — is written by Keyer.Key: the structure enters a job key as
+// its 64-byte hash, not as the edge list again.
 
-// JobKeys computes JobKey and StructKey for an instance in one pass:
-// the instance's edges are visited once in canonical edge order
-// (numeric, no string sort) and streamed into both hashes, instead of
-// materializing the CanonicalProbGraph / CanonicalGraph strings and
-// hashing them separately. Equal inputs up to edge insertion order
-// yield equal keys, like the string-based forms; the key VALUES differ
-// from JobKey/StructKey over Canonical* strings (different byte
-// streams), so a cache must consistently use one scheme. Package engine
-// uses this one — key derivation runs on every submission, and the
-// plan-hit fast path should not spend its win on hashing. The canonical
-// edge order is returned so callers can reuse it (probability
-// transport) without re-sorting.
-//
-// The two keys take separate options fingerprints: the job key hashes
-// the full result-affecting fingerprint, the structure key hashes the
-// compile-affecting subset (core.Options.StructFingerprint) — which is
-// how jobs differing only in evaluation policy (precision, tolerance)
-// share one cached plan while keeping distinct result-cache entries.
-//
-// JobKeys is NewKeyer followed by one Keys call; callers keying the
-// same structure repeatedly keep the Keyer instead.
-func JobKeys(queryCanon []string, p *graph.ProbGraph, optsFingerprint, structOptsFingerprint string) (jobKey, structKey string, order []int) {
-	return NewKeyer(queryCanon, p.G, optsFingerprint, structOptsFingerprint).Keys(p)
-}
-
-// Keyer is the probability-independent half of JobKeys for one job
-// shape (query disjuncts, instance graph, options fingerprints): the
-// structure key, the canonical edge order, every canonical edge line
-// and the job hash's state after the query and instance header. Keys
-// then renders and hashes only the probabilities. A Keyer is immutable
-// and safe for concurrent use.
+// Keyer is the structure identity of one job shape (query disjuncts,
+// instance graph, compile-affecting options fingerprint): its structure
+// key and canonical edge order. Key then hashes one probability
+// assignment of that graph into a job key. A Keyer is immutable and
+// safe for concurrent use.
 type Keyer struct {
-	g                   *graph.Graph
-	queryCanon          []string
-	optsFP, structOptFP string
-	structKey           string
-	order               []int
-	// lines holds the canonical edge lines in canonical order, each
-	// ending in the '=' the probability continues; ends[i] is the end
-	// of line i.
-	lines []byte
-	ends  []int
-	// state is the marshaled job hash after the header; prefix is the
-	// header itself, re-hashed when the state does not round-trip.
-	state, prefix []byte
+	g           *graph.Graph
+	queryCanon  []string
+	structOptFP string
+	structKey   string
+	order       []int
 }
 
-// NewKeyer derives the structure half of the keys of jobs with the
-// given disjuncts, instance graph and options fingerprints.
-func NewKeyer(queryCanon []string, g *graph.Graph, optsFingerprint, structOptsFingerprint string) *Keyer {
-	k := &Keyer{g: g, queryCanon: queryCanon, optsFP: optsFingerprint, structOptFP: structOptsFingerprint}
-	var header bytes.Buffer
-	writeJobSections(&header, queryCanon, g.NumVertices())
-	k.prefix = header.Bytes()
-	hp := sha256.New()
-	hp.Write(k.prefix)
-	k.state, _ = hp.(encoding.BinaryMarshaler).MarshalBinary()
-
-	k.order = CanonicalEdgeOrder(g)
-	k.ends = make([]int, len(k.order))
-	structLines := make([]byte, 0, 16*len(k.order))
-	for i, ei := range k.order {
-		start := len(k.lines)
-		k.lines = canonEdgeLine(k.lines, g.Edge(ei))
+// NewKeyer keys the structure of jobs with the given (sorted canonical)
+// disjuncts, instance graph and structure options fingerprint
+// (core.Options.StructFingerprint).
+func NewKeyer(queryCanon []string, g *graph.Graph, structOptsFingerprint string) *Keyer {
+	k := &Keyer{g: g, queryCanon: queryCanon, structOptFP: structOptsFingerprint, order: CanonicalEdgeOrder(g)}
+	b := []byte("struct\n")
+	for _, q := range queryCanon {
+		b = fmt.Appendf(b, "q %d\n%s\n", len(q), q)
+	}
+	b = fmt.Appendf(b, "i n=%d\n", g.NumVertices())
+	for _, ei := range k.order {
 		// Lines self-delimit: labels are quoted, so '\n' cannot occur
 		// unescaped inside one.
-		structLines = append(append(structLines, k.lines[start:]...), '\n')
-		k.lines = append(k.lines, '=')
-		k.ends[i] = len(k.lines)
+		b = append(canonEdgeLine(b, g.Edge(ei)), '\n')
 	}
-	hs := sha256.New()
-	fmt.Fprintf(hs, "struct\n")
-	hs.Write(k.prefix)
-	hs.Write(structLines)
-	writeOptsSection(hs, structOptsFingerprint)
-	k.structKey = hex.EncodeToString(hs.Sum(nil))
+	sum := sha256.Sum256(appendOptsSection(b, structOptsFingerprint))
+	k.structKey = hex.EncodeToString(sum[:])
 	return k
 }
 
-// For reports whether k keys jobs of exactly this shape: the same graph
-// value (pointer identity), disjuncts and options fingerprints.
-func (k *Keyer) For(queryCanon []string, g *graph.Graph, optsFingerprint, structOptsFingerprint string) bool {
-	return k != nil && k.g == g && k.optsFP == optsFingerprint && k.structOptFP == structOptsFingerprint &&
-		slices.Equal(k.queryCanon, queryCanon)
+// appendOptsSection appends the options fingerprint section closing
+// both streams: "o <length>\n<fingerprint>\n".
+func appendOptsSection(b []byte, optsFingerprint string) []byte {
+	b = strconv.AppendInt(append(b, "o "...), int64(len(optsFingerprint)), 10)
+	return append(append(append(b, '\n'), optsFingerprint...), '\n')
 }
 
-// StructKey returns the structure key of k's jobs, equal to the
-// StructKeyJob of the same disjuncts, graph and structure fingerprint.
+// For reports whether k keys jobs of exactly this shape: the same graph
+// value (pointer identity), disjuncts and structure fingerprint.
+func (k *Keyer) For(queryCanon []string, g *graph.Graph, structOptsFingerprint string) bool {
+	return k != nil && k.g == g && k.structOptFP == structOptsFingerprint && slices.Equal(k.queryCanon, queryCanon)
+}
+
+// StructKey returns the structure key of k's jobs: jobs that differ
+// only in edge probabilities or evaluation policy share it.
 func (k *Keyer) StructKey() string { return k.structKey }
 
-// Keys returns the job key of p, whose underlying graph must be k's,
-// with the shared structure key and canonical edge order (the order
-// slice is shared and must not be mutated).
-func (k *Keyer) Keys(p *graph.ProbGraph) (jobKey, structKey string, order []int) {
+// Order returns the canonical edge order of k's graph. The slice is
+// shared and must not be mutated.
+func (k *Keyer) Order() []int { return k.order }
+
+// Key returns the job key of p, whose underlying graph must be k's,
+// under the full result-affecting options fingerprint
+// (core.Options.Fingerprint). The structure key fixes the edge count
+// and every probability self-delimits (appendRat), so the stream reads
+// one way only.
+func (k *Keyer) Key(p *graph.ProbGraph, optsFingerprint string) string {
 	if p.G != k.g {
-		panic("graphio: Keyer.Keys on another graph")
+		panic("graphio: Keyer.Key on another graph")
 	}
-	hj := sha256.New()
-	if k.state == nil || hj.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state) != nil {
-		hj = sha256.New()
-		hj.Write(k.prefix)
+	// One buffer, one hash: per-edge hash writes would dominate keying.
+	b := make([]byte, 0, 4+len(k.structKey)+8*len(k.order)+len(optsFingerprint)+16)
+	b = append(append(b, "job\n"...), k.structKey...)
+	for _, ei := range k.order {
+		b = appendRat(b, p.Prob(ei))
 	}
-	// The whole edge section is rendered into one buffer and hashed with
-	// a single Write: per-edge hash writes and big.Int decimal rendering
-	// would dominate keying.
-	buf := make([]byte, 0, len(k.lines)+8*len(k.order))
-	start := 0
-	for i, ei := range k.order {
-		buf = append(buf, k.lines[start:k.ends[i]]...)
-		buf = appendRat(buf, p.Prob(ei))
-		buf = append(buf, '\n')
-		start = k.ends[i]
-	}
-	hj.Write(buf)
-	writeOptsSection(hj, k.optsFP)
-	return hex.EncodeToString(hj.Sum(nil)), k.structKey, k.order
+	sum := sha256.Sum256(appendOptsSection(b, optsFingerprint))
+	return hex.EncodeToString(sum[:])
 }
 
-// StructKeyJob computes the structure key and canonical edge order of
-// a job directly from the instance's underlying graph: the structure
-// half of JobKeys (a Keyer), so the two return identical structKey
-// values for the same job. It exists for callers that have no
-// probability assignment at hand: package core stamps every compiled
-// plan with its structure key so plans serialize self-describing (the
-// engine's snapshot restore keys them without re-deriving anything).
-func StructKeyJob(queryCanon []string, g *graph.Graph, optsFingerprint string) (structKey string, order []int) {
-	k := NewKeyer(queryCanon, g, "", optsFingerprint)
-	return k.structKey, k.order
+// JobKeys keys one job: the job key and structure key of p with the
+// canonical edge order (a Keyer used once). Equal inputs up to edge
+// insertion order yield equal keys, like the string-based JobKey and
+// StructKey; the key VALUES differ from those (different byte streams),
+// so a cache must consistently use one scheme. The job key hashes the
+// full result-affecting fingerprint, the structure key the
+// compile-affecting subset (core.Options.StructFingerprint), which is
+// how jobs differing only in evaluation policy (precision, tolerance)
+// share one cached plan while keeping distinct result-cache entries.
+// Callers keying the same structure repeatedly keep the Keyer instead.
+func JobKeys(queryCanon []string, p *graph.ProbGraph, optsFingerprint, structOptsFingerprint string) (jobKey, structKey string, order []int) {
+	k := NewKeyer(queryCanon, p.G, structOptsFingerprint)
+	return k.Key(p, optsFingerprint), k.structKey, k.order
 }
 
-// BatchJobKeys computes JobKeys for a batch of same-structure lanes in
-// one pass: K instances sharing one underlying graph get K job keys,
-// one structure key and one canonical edge order, byte-identical to K
-// independent JobKeys calls. The shared work is one Keyer; per lane
-// only the probability suffixes and the options section are hashed.
-// This is the keying half of the engine's batched reweight path:
-// deriving K memo-cache keys must not cost K full canonicalizations, or
-// batching's win dies in the hasher.
-//
-// Lanes whose instance does not share instances[0]'s underlying graph
-// value are keyed with a full per-lane JobKeys pass — correct, just not
-// amortized. Callers that group by graph identity (package engine) never
-// hit that path.
-func BatchJobKeys(queryCanon []string, instances []*graph.ProbGraph, optsFingerprint, structOptsFingerprint string) (jobKeys []string, structKey string, order []int) {
-	if len(instances) == 0 {
-		return nil, "", nil
-	}
-	k := NewKeyer(queryCanon, instances[0].G, optsFingerprint, structOptsFingerprint)
-	jobKeys = make([]string, len(instances))
-	for i, inst := range instances {
-		if inst.G != k.g {
-			jobKeys[i], _, _ = JobKeys(queryCanon, inst, optsFingerprint, structOptsFingerprint)
-			continue
-		}
-		jobKeys[i], _, _ = k.Keys(inst)
-	}
-	return jobKeys, k.structKey, k.order
+// appendRat appends r as its numerator then its denominator, each in
+// appendInt's form. big.Rat keeps r normalized, so equal rationals
+// append equal bytes; no decimal rendering, which would dominate
+// keying.
+func appendRat(b []byte, r *big.Rat) []byte {
+	return appendInt(appendInt(b, r.Num()), r.Denom())
 }
 
-// appendRat appends r in the canonical "num/denom" form, with a fast
-// path for machine-word-sized numerators and denominators (the shape of
-// real probability traffic) that skips big.Int's slower decimal
-// rendering. Byte-identical to Num().Append + "/" + Denom().Append.
-func appendRat(buf []byte, r *big.Rat) []byte {
-	if n, d := r.Num(), r.Denom(); n.IsInt64() && d.IsInt64() {
-		buf = strconv.AppendInt(buf, n.Int64(), 10)
-		buf = append(buf, '/')
-		return strconv.AppendInt(buf, d.Int64(), 10)
+// appendInt appends x as a uvarint header — twice its magnitude's byte
+// length, plus one if x is negative — followed by the magnitude's
+// minimal big-endian bytes, so every integer appends distinct,
+// self-delimiting bytes.
+func appendInt(b []byte, x *big.Int) []byte {
+	n := (x.BitLen() + 7) / 8
+	h := uint64(2 * n)
+	if x.Sign() < 0 {
+		h++
 	}
-	buf = r.Num().Append(buf, 10)
-	buf = append(buf, '/')
-	return r.Denom().Append(buf, 10)
+	b = binary.AppendUvarint(b, h)
+	words := x.Bits() // little-endian magnitude
+	const wordBytes = bits.UintSize / 8
+	for i := n - 1; i >= 0; i-- {
+		b = append(b, byte(words[i/wordBytes]>>(8*(i%wordBytes))))
+	}
+	return b
 }
 
 // CanonicalEdgeOrder returns the edge indices of g sorted by endpoint

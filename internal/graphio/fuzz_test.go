@@ -3,7 +3,9 @@ package graphio
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -319,4 +321,117 @@ func TestJobKeysMatchesReferenceEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzJobKeysEquivalence: on random small labeled graphs, JobKeys and a
+// Keyer's Key agree, and keys are equal exactly when the string
+// references are: job keys when JobKey over CanonicalProbGraph is,
+// structure keys when StructKey over CanonicalGraph is. Each draw builds
+// one job twice — edges inserted in two random orders, probabilities
+// spelled as fractions and as decimals — beside a CloneProbs lane keyed
+// by the first copy's Keyer and a variant that moves one probability,
+// label, edge or vertex.
+func FuzzJobKeysEquivalence(f *testing.F) {
+	for v := uint8(0); v < 4; v++ {
+		f.Add(int64(v), uint8(4), v)
+	}
+	f.Add(int64(9), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, size, variant uint8) {
+		r := rand.New(rand.NewSource(seed))
+		type edge struct {
+			from, to graph.Vertex
+			label    graph.Label
+			num, den int64
+		}
+		dens := []int64{1, 2, 4, 5, 8, 10, 16, 20, 25, 40}
+		prob := func() (int64, int64) {
+			d := dens[r.Intn(len(dens))]
+			return r.Int63n(d + 1), d
+		}
+		n := 1 + int(size%5)
+		var edges []edge
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if r.Intn(3) == 0 {
+					num, den := prob()
+					edges = append(edges, edge{graph.Vertex(u), graph.Vertex(v), []graph.Label{"R", "S"}[r.Intn(2)], num, den})
+				}
+			}
+		}
+		build := func(n int, edges []edge, decimal bool) *graph.ProbGraph {
+			g := graph.New(n)
+			perm := r.Perm(len(edges))
+			for _, i := range perm {
+				g.MustAddEdge(edges[i].from, edges[i].to, edges[i].label)
+			}
+			p := graph.NewProbGraph(g)
+			for _, i := range perm {
+				e := edges[i]
+				s := fmt.Sprintf("%d/%d", e.num, e.den)
+				if decimal {
+					s = big.NewRat(e.num, e.den).FloatString(6)
+				}
+				q, err := ParseRat(s)
+				if err != nil {
+					t.Fatalf("ParseRat(%q): %v", s, err)
+				}
+				p.MustSetEdgeProb(e.from, e.to, q)
+			}
+			return p
+		}
+		a, twin := build(n, edges, false), build(n, edges, true)
+		lane := a.CloneProbs()
+		for i := 0; i < lane.G.NumEdges(); i++ {
+			if r.Intn(2) == 0 {
+				num, den := prob()
+				if err := lane.SetProb(i, big.NewRat(num, den)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		vn, ve := n, append([]edge(nil), edges...)
+		if len(ve) == 0 || variant%4 == 3 {
+			vn++
+		} else {
+			i := r.Intn(len(ve))
+			switch variant % 4 {
+			case 0:
+				ve[i].num, ve[i].den = prob()
+			case 1:
+				ve[i].label += "'"
+			case 2:
+				ve = append(ve[:i], ve[i+1:]...)
+			}
+		}
+		jobs := []*graph.ProbGraph{a, twin, lane, build(vn, ve, r.Intn(2) == 0)}
+
+		qc := []string{CanonicalGraph(graph.Path1WP("R"))}
+		const fp, sfp = "fp", "sfp"
+		ka := NewKeyer(qc, a.G, sfp)
+		jk := make([]string, len(jobs))
+		sk := make([]string, len(jobs))
+		for i, p := range jobs {
+			jk[i], sk[i], _ = JobKeys(qc, p, fp, sfp)
+			k := ka
+			if p.G != a.G {
+				k = NewKeyer(qc, p.G, sfp)
+			}
+			if got := k.Key(p, fp); got != jk[i] || k.StructKey() != sk[i] {
+				t.Fatalf("job %d: Keyer (%s, %s), JobKeys (%s, %s)", i, got, k.StructKey(), jk[i], sk[i])
+			}
+		}
+		if jk[0] != jk[1] {
+			t.Fatalf("the same job keyed differently:\n%s\n%s", CanonicalProbGraph(a), CanonicalProbGraph(twin))
+		}
+		for i, x := range jobs {
+			for j, y := range jobs {
+				refJob := JobKey(qc, CanonicalProbGraph(x), fp) == JobKey(qc, CanonicalProbGraph(y), fp)
+				refStruct := StructKey(qc, CanonicalGraph(x.G), sfp) == StructKey(qc, CanonicalGraph(y.G), sfp)
+				if (jk[i] == jk[j]) != refJob || (sk[i] == sk[j]) != refStruct {
+					t.Fatalf("jobs %d,%d: job keys equal %v (reference %v), structure keys equal %v (reference %v)",
+						i, j, jk[i] == jk[j], refJob, sk[i] == sk[j], refStruct)
+				}
+			}
+		}
+	})
 }

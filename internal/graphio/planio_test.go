@@ -181,11 +181,11 @@ func TestPlanSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStructKeyJobMatchesJobKeys pins the invariant the warm-start path
-// depends on: the structure key core stamps on compiled plans
-// (StructKeyJob) is the key the engine derives for the same job
-// (JobKeys), for any edge insertion order.
-func TestStructKeyJobMatchesJobKeys(t *testing.T) {
+// TestNewKeyerMatchesJobKeys pins the invariant the warm-start path
+// depends on: the structure key core stamps on compiled plans (a bare
+// NewKeyer, no probabilities at hand) is the key the engine derives for
+// the same job (JobKeys), for any edge insertion order.
+func TestNewKeyerMatchesJobKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + r.Intn(6)
@@ -213,11 +213,12 @@ func TestStructKeyJobMatchesJobKeys(t *testing.T) {
 		fp := "brute=20;match=65536;nofallback=false"
 		// JobKeys takes the full result fingerprint and the structure
 		// fingerprint separately; the structure hash consumes only the
-		// latter, which is what StructKeyJob must match.
+		// latter, which is what NewKeyer must match.
 		_, structKey, order := JobKeys(queryCanon, p, fp+";prec=fast;tol=-", fp)
-		gotKey, gotOrder := StructKeyJob(queryCanon, g, fp)
+		k := NewKeyer(queryCanon, g, fp)
+		gotKey, gotOrder := k.StructKey(), k.Order()
 		if gotKey != structKey {
-			t.Fatalf("trial %d: StructKeyJob %s, JobKeys %s", trial, gotKey, structKey)
+			t.Fatalf("trial %d: NewKeyer %s, JobKeys %s", trial, gotKey, structKey)
 		}
 		for i := range order {
 			if order[i] != gotOrder[i] {

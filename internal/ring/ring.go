@@ -24,7 +24,6 @@ import (
 // (and therefore never moves keys between healthy nodes).
 type Ring struct {
 	points []point // sorted by hash, ties broken by node index
-	nodes  int
 	vnodes int
 }
 
@@ -40,7 +39,7 @@ func New(n, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{nodes: n, vnodes: vnodes}
+	r := &Ring{vnodes: vnodes}
 	if n <= 0 {
 		return r
 	}
@@ -63,9 +62,6 @@ func New(n, vnodes int) *Ring {
 // node's key share stays within a few percent of fair for small
 // clusters (the 2–8 replica deployments phomgate targets).
 const DefaultVNodes = 128
-
-// Nodes returns the number of nodes the ring was built over.
-func (r *Ring) Nodes() int { return r.nodes }
 
 // VNodes returns the number of virtual nodes each node projects.
 func (r *Ring) VNodes() int { return r.vnodes }

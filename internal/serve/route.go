@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"phom/internal/approx"
@@ -85,15 +84,8 @@ func routeParsed(req *ReweightRequest) RouteInfo {
 		raw, _ := json.Marshal(req)
 		return rawRoute(raw, err)
 	}
-	canon := make([]string, len(qs))
-	for i, q := range qs {
-		canon[i] = graphio.CanonicalGraph(q)
-	}
-	// Disjunct order is irrelevant to the result, so it must be
-	// irrelevant to placement too (mirrors the engine's job keying).
-	sort.Strings(canon)
 	info := RouteInfo{
-		Key:     graphio.StructKey(canon, graphio.CanonicalGraph(job.Instance.G), ""),
+		Key:     graphio.StructKey(graphio.CanonicalQueries(qs), graphio.CanonicalGraph(job.Instance.G), ""),
 		Edges:   job.Instance.G.NumEdges(),
 		Vectors: 1,
 	}
