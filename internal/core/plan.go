@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 
 	"phom/internal/boolform"
@@ -52,12 +53,23 @@ type CompiledPlan struct {
 	// plan, not just approx-compiled ones, because the plan cache shares
 	// one plan across precision modes.
 	approx *approxState
-	// key yields the job's structure identity — a graphio.Keyer's
-	// structure key and the compile-time canonical edge order —
-	// memoized and computed on first use (sync.OnceValues), so plain
-	// Solve callers never pay for hashing a key they don't consume. Plans restored
-	// from bytes carry the decoded identity directly.
-	key func() (structKey string, canonOrder []int)
+	// keyer yields the job's structure identity, a graphio.Keyer over
+	// the compile-time graph, built on first use (sync.OnceValue), so
+	// plain Solve callers never pay for hashing a key they don't
+	// consume. A plan restored from bytes has no graph, hence no Keyer:
+	// keyer is nil, and structKey and canonOrder hold the decoded key.
+	keyer      func() *graphio.Keyer
+	structKey  string
+	canonOrder []int
+}
+
+// Keyer returns the Keyer of the plan's structure, which keys the jobs
+// the plan serves, or nil for a plan restored from bytes.
+func (cp *CompiledPlan) Keyer() *graphio.Keyer {
+	if cp.keyer == nil {
+		return nil
+	}
+	return cp.keyer()
 }
 
 // NumEdges returns the length of the probability vector Evaluate
@@ -71,8 +83,10 @@ func (cp *CompiledPlan) NumEdges() int { return cp.numEdges }
 // cache and is embedded in the serialized form. Computed on first use,
 // then memoized; safe for concurrent callers.
 func (cp *CompiledPlan) StructKey() string {
-	k, _ := cp.key()
-	return k
+	if k := cp.Keyer(); k != nil {
+		return k.StructKey()
+	}
+	return cp.structKey
 }
 
 // CanonOrder returns the canonical edge order of the compile-time
@@ -81,8 +95,10 @@ func (cp *CompiledPlan) StructKey() string {
 // numberings onto the plan's numbering. The returned slice is shared
 // and must not be mutated.
 func (cp *CompiledPlan) CanonOrder() []int {
-	_, order := cp.key()
-	return order
+	if k := cp.Keyer(); k != nil {
+		return k.Order()
+	}
+	return cp.canonOrder
 }
 
 // Program returns the flattened evaluation program, or nil for opaque
@@ -113,11 +129,10 @@ func (cp *CompiledPlan) MarshalBinary() ([]byte, error) {
 	if cp.opaque {
 		return nil, fmt.Errorf("core: opaque plans are not serializable")
 	}
-	structKey, canonOrder := cp.key()
 	return graphio.AppendPlanRecord(nil, &graphio.PlanRecord{
-		StructKey:  structKey,
+		StructKey:  cp.StructKey(),
 		Method:     uint8(cp.method),
-		CanonOrder: canonOrder,
+		CanonOrder: cp.CanonOrder(),
 		Program:    cp.prog,
 		Parts:      cp.parts,
 	})
@@ -136,13 +151,13 @@ func (cp *CompiledPlan) UnmarshalBinary(data []byte) error {
 	if m > MethodAutomatonPT {
 		return fmt.Errorf("core: serialized plan has non-structural method %d", rec.Method)
 	}
-	structKey, canonOrder := rec.StructKey, rec.CanonOrder
 	*cp = CompiledPlan{
-		method:   m,
-		prog:     rec.Program,
-		parts:    rec.Parts,
-		numEdges: rec.Program.NumEdges,
-		key:      func() (string, []int) { return structKey, canonOrder },
+		method:     m,
+		prog:       rec.Program,
+		parts:      rec.Parts,
+		numEdges:   rec.Program.NumEdges,
+		structKey:  rec.StructKey,
+		canonOrder: rec.CanonOrder,
 	}
 	return nil
 }
@@ -325,10 +340,11 @@ func CompileUCQ(qs UCQ, h *graph.ProbGraph, opts *Options) (*CompiledPlan, error
 // disjuncts, construction of the chosen cell's evaluation artifact and
 // its lowering to the flat Program IR — or, when no cell applies, an
 // opaque plan over the exponential baselines (unless fallback is
-// disabled). The probabilities of h are used only for validation: the
-// returned plan depends solely on the structure of qs and h (and on
-// opts, for the baseline limits), so it can be evaluated against any
-// probability assignment over h's edge list.
+// disabled). Only the shape of h is checked (ProbGraph.Validate, O(1));
+// its probabilities are not read: the returned plan depends solely on
+// the structure of qs and h (and on opts, for the baseline limits), so
+// it can be evaluated against any probability assignment over h's edge
+// list.
 //
 // The guard table polls ctx before each route, and the lowering polls
 // it every phomerr.CheckInterval emitted ops, so a cancelled context
@@ -348,10 +364,10 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		}
 	}
 	n := h.G.NumEdges()
-	key := planKey(qs, h.G, opts)
+	keyer := planKey(qs, h.G, opts)
 	if len(qs) == 0 {
 		// The empty union is false.
-		return sealConst(ctx, MethodTrivial, new(big.Rat), n, key)
+		return sealConst(ctx, MethodTrivial, new(big.Rat), n, keyer)
 	}
 	if h.G.NumVertices() == 0 {
 		return nil, phomerr.New(phomerr.CodeBadInput, "core: empty instance graph")
@@ -361,10 +377,10 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 	}
 	live, edgeless, unlabeled := liveDisjuncts(qs, h.G)
 	if edgeless {
-		return sealConst(ctx, MethodTrivial, graph.RatOne, n, key)
+		return sealConst(ctx, MethodTrivial, graph.RatOne, n, keyer)
 	}
 	if len(live) == 0 {
-		return sealConst(ctx, MethodLabelMismatch, new(big.Rat), n, key)
+		return sealConst(ctx, MethodLabelMismatch, new(big.Rat), n, keyer)
 	}
 	rt, err := route(ctx, live, h, unlabeled)
 	if err != nil {
@@ -376,21 +392,21 @@ func CompileUCQContext(ctx context.Context, qs UCQ, h *graph.ProbGraph, opts *Op
 		if err != nil {
 			return nil, err
 		}
-		return seal(rt.method, b, out, factors, key)
+		return seal(rt.method, b, out, factors, keyer)
 	}
-	return opaquePlan(live, h, opts, key)
+	return opaquePlan(live, h, opts, keyer)
 }
 
-// planKey returns the job's structure identity, computed on first use:
-// a graphio.NewKeyer over the canonical disjuncts, the engine's keying,
+// planKey returns the job's structure identity, built on first use: a
+// graphio.NewKeyer over the canonical disjuncts, the engine's keying,
 // so the structure key stamped on a plan is the one the engine's plan
-// cache derives for the same job. The disjunct list is copied — the
+// cache derives for the same job, and the engine can key the plan's
+// jobs with the plan's own Keyer. The disjunct list is copied — the
 // caller keeps its slice.
-func planKey(qs UCQ, g *graph.Graph, opts *Options) func() (string, []int) {
+func planKey(qs UCQ, g *graph.Graph, opts *Options) func() *graphio.Keyer {
 	qs = append(UCQ(nil), qs...)
-	return sync.OnceValues(func() (string, []int) {
-		k := graphio.NewKeyer(graphio.CanonicalQueries(qs), g, opts.StructFingerprint())
-		return k.StructKey(), k.Order()
+	return sync.OnceValue(func() *graphio.Keyer {
+		return graphio.NewKeyer(graphio.CanonicalQueries(qs), g, opts.StructFingerprint())
 	})
 }
 
@@ -400,7 +416,7 @@ func planKey(qs UCQ, g *graph.Graph, opts *Options) func() (string, []int) {
 // through here, so non-opaque plans are always serializable. The
 // builder polls its context as the compile-time dynamic programs
 // unroll, so a cancelled compile surfaces here.
-func seal(m Method, b *plan.Builder, out uint32, factors []uint32, key func() (string, []int)) (*CompiledPlan, error) {
+func seal(m Method, b *plan.Builder, out uint32, factors []uint32, keyer func() *graphio.Keyer) (*CompiledPlan, error) {
 	prog, parts, err := b.FinishParts(out, factors)
 	if err != nil {
 		return nil, err
@@ -410,15 +426,15 @@ func seal(m Method, b *plan.Builder, out uint32, factors []uint32, key func() (s
 		prog:     prog,
 		parts:    parts,
 		numEdges: prog.NumEdges,
-		key:      key,
+		keyer:    keyer,
 	}, nil
 }
 
 // sealConst seals the one-constant plan of a job decided by structure
 // alone.
-func sealConst(ctx context.Context, m Method, v *big.Rat, numEdges int, key func() (string, []int)) (*CompiledPlan, error) {
+func sealConst(ctx context.Context, m Method, v *big.Rat, numEdges int, keyer func() *graphio.Keyer) (*CompiledPlan, error) {
 	b := plan.NewBuilder(ctx, numEdges)
-	return seal(m, b, b.Const(v), nil, key)
+	return seal(m, b, b.Const(v), nil, keyer)
 }
 
 // opaquePlan builds the plan of an exponential-baseline cell over the
@@ -429,13 +445,14 @@ func sealConst(ctx context.Context, m Method, v *big.Rat, numEdges int, key func
 // carries both — which path an evaluation takes is decided by the
 // options it is evaluated under, and a cached plan serves jobs of every
 // precision mode.
-func opaquePlan(qs UCQ, h *graph.ProbGraph, opts *Options, key func() (string, []int)) (*CompiledPlan, error) {
+func opaquePlan(qs UCQ, h *graph.ProbGraph, opts *Options, keyer func() *graphio.Keyer) (*CompiledPlan, error) {
 	matchLimit, bruteLimit := opts.matchLimit(), opts.bruteLimit()
 	extract := func(ctx context.Context) (*boolform.DNF, error) {
 		return unionLineage(ctx, qs, h.G, matchLimit)
 	}
 	resolve := func(ctx context.Context, probs []*big.Rat) (*Result, error) {
-		h2, err := reweighted(h, probs)
+		// h's structure, read-only to the solver, under probs.
+		h2, err := graph.WithProbs(h.G, slices.Clone(probs))
 		if err != nil {
 			return nil, err
 		}
@@ -476,19 +493,6 @@ func opaquePlan(qs UCQ, h *graph.ProbGraph, opts *Options, key func() (string, [
 		resolve:  resolve,
 		approx:   &approxState{extract: extract},
 		numEdges: h.G.NumEdges(),
-		key:      key,
+		keyer:    keyer,
 	}, nil
-}
-
-// reweighted returns h's structure carrying the given probability
-// assignment; the underlying graph is shared (it is read-only to the
-// solver), the probabilities are fresh.
-func reweighted(h *graph.ProbGraph, probs []*big.Rat) (*graph.ProbGraph, error) {
-	h2 := graph.NewProbGraph(h.G)
-	for i, p := range probs {
-		if err := h2.SetProb(i, p); err != nil {
-			return nil, err
-		}
-	}
-	return h2, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,7 +201,7 @@ func halves(n int) []*big.Rat {
 }
 
 func reweightedTo(h *graph.ProbGraph, probs []*big.Rat) *graph.ProbGraph {
-	h2, err := reweighted(h, probs)
+	h2, err := graph.WithProbs(h.G, slices.Clone(probs))
 	if err != nil {
 		panic(err)
 	}

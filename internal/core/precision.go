@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 
+	"phom/internal/graph"
 	"phom/internal/phomerr"
 	"phom/internal/plan"
 )
@@ -210,9 +211,10 @@ func (cp *CompiledPlan) evaluateExact(ctx context.Context, probs []*big.Rat) (*R
 	return &Result{Prob: pr, Method: cp.method, Precision: PrecisionExact}, nil
 }
 
-// validateProbs checks a probability vector against the plan: right
-// length, no nils, every entry in [0,1]. Shared by the single-vector
-// and batched evaluation entry points.
+// validateProbs checks a raw probability vector against the plan: right
+// length, no nils, every entry in [0,1] (graph.InUnit). Shared by the
+// single-vector and batched evaluation entry points; it is the one
+// range scan an engine lane gets.
 func (cp *CompiledPlan) validateProbs(probs []*big.Rat) error {
 	if len(probs) != cp.numEdges {
 		return phomerr.New(phomerr.CodeBadInput, "core: %d probabilities for a plan over %d edges", len(probs), cp.numEdges)
@@ -221,11 +223,7 @@ func (cp *CompiledPlan) validateProbs(probs []*big.Rat) error {
 		if p == nil {
 			return phomerr.New(phomerr.CodeBadInput, "core: nil probability for edge %d", i)
 		}
-		// p ∈ [0,1] iff 0 ≤ num ≤ denom (big.Rat keeps denom > 0 and the
-		// sign on num). Comparing the parts directly avoids Rat.Cmp's
-		// cross-multiplication, which allocates — this runs per edge per
-		// lane on the batched reweight path.
-		if p.Num().Sign() < 0 || p.Num().Cmp(p.Denom()) > 0 {
+		if !graph.InUnit(p) {
 			return phomerr.New(phomerr.CodeBadInput, "core: edge %d probability %s outside [0,1]", i, p.RatString())
 		}
 	}

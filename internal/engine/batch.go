@@ -77,32 +77,42 @@ func batchGroups(jobs []Job) [][]int {
 // (batchGroups groups on the instance graph value). It is the one place
 // a job is keyed. The structure is keyed once — by the lead's bound
 // Keyer (InstanceJobs) when it fits the job, else afresh — and each lane
-// hashes only its probabilities on top of the structure key.
-func groupKeys(jobs []Job, lanes []int) (qs []*graph.Graph, keys []string, keyer *graphio.Keyer, err error) {
+// hashes only its probabilities on top of the structure key. errs[k] is
+// lane k's refusal: every lane's when the request itself is malformed,
+// else a lane whose probability vector does not fit its graph (an O(1)
+// check, made before Key reads the vector). A refused lane has no key.
+func groupKeys(jobs []Job, lanes []int) (qs []*graph.Graph, keys []string, errs []error, keyer *graphio.Keyer) {
+	keys, errs = make([]string, len(lanes)), make([]error, len(lanes))
 	lead := jobs[lanes[0]]
-	if qs, err = lead.Disjuncts(); err != nil {
-		return nil, nil, nil, err
+	qs, err := lead.Disjuncts()
+	if err != nil {
+		for k := range errs {
+			errs[k] = err
+		}
+		return nil, keys, errs, nil
 	}
 	canon, sfp := graphio.CanonicalQueries(qs), lead.Opts.StructFingerprint()
 	if keyer = lead.keyer; !keyer.For(canon, lead.Instance.G, sfp) {
 		keyer = graphio.NewKeyer(canon, lead.Instance.G, sfp)
 	}
 	fp := lead.Opts.Fingerprint()
-	keys = make([]string, len(lanes))
 	for k, i := range lanes {
-		keys[k] = keyer.Key(jobs[i].Instance, fp)
+		if errs[k] = phomerr.Wrap(phomerr.CodeBadInput, jobs[i].Instance.Validate()); errs[k] == nil {
+			keys[k] = keyer.Key(jobs[i].Instance, fp)
+		}
 	}
-	return qs, keys, keyer, nil
+	return qs, keys, errs, keyer
 }
 
 // runGroup takes the jobs at lanes — one group of batchGroups — from key
 // to answer and calls deliver exactly once per lane, as soon as that
 // lane's answer is known. Per lane, in one pass under the engine mutex:
-// a memo hit is served; a key already in flight coalesces onto that
-// call, whether another caller or an identical lane of this group
-// registered it; any other key registers a new call this group leads.
-// The led calls run as one worker task (execute). A lane whose ctx
-// fires before its call completes abandons the call (see abandon).
+// a lane groupKeys refused fails; a memo hit is served; a key already in
+// flight coalesces onto that call, whether another caller or an
+// identical lane of this group registered it; any other key registers
+// a new call this group leads. The led calls run as one worker task
+// (execute). A lane whose ctx fires before its call completes abandons
+// the call (see abandon).
 func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver func(i int, r JobResult)) {
 	e.mu.Lock()
 	if e.closed {
@@ -130,27 +140,23 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 		ctx, cancel = context.WithTimeout(ctx, lead.Timeout)
 		defer cancel()
 	}
-	qs, keys, keyer, err := groupKeys(jobs, lanes)
-	if err != nil {
-		e.mu.Lock()
-		e.stats.Rejected += uint64(len(lanes))
-		e.mu.Unlock()
-		for _, i := range lanes {
-			deliver(i, JobResult{Err: err})
-		}
-		return
-	}
+	qs, keys, errs, keyer := groupKeys(jobs, lanes)
 
 	ready := make(chan int, len(lanes))
 	calls := make([]*call, len(lanes)) // the call each undelivered lane waits on
 	shared := make([]bool, len(lanes))
-	var hits []StreamResult
+	var done []StreamResult // refused lanes and memo hits
 	var ex *execution
 	var execCtx context.Context
 	var led []*call
 	var ledInst []*graph.ProbGraph
 	e.mu.Lock()
 	for k, key := range keys {
+		if errs[k] != nil {
+			e.stats.Rejected++
+			done = append(done, StreamResult{Index: lanes[k], JobResult: JobResult{Err: errs[k]}})
+			continue
+		}
 		// An instance job's key joins its instance's tracking record
 		// here, when it is computed, so the next delta evicts whatever
 		// this run memoizes (nil results: the instance is deleted).
@@ -159,7 +165,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 		}
 		if res, ok := e.cache.Get(key); ok {
 			e.stats.CacheHits++
-			hits = append(hits, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
+			done = append(done, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
 			continue
 		}
 		// An abandoned call cannot be joined: its execution may already
@@ -185,10 +191,10 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 		calls[k] = c
 	}
 	e.mu.Unlock()
-	for _, h := range hits {
-		deliver(h.Index, h.JobResult)
+	for _, d := range done {
+		deliver(d.Index, d.JobResult)
 	}
-	pending := len(lanes) - len(hits)
+	pending := len(lanes) - len(done)
 
 	// Wait for the lanes' calls, handing the led calls' task to a worker
 	// meanwhile. enqueue is nil once the task is off this goroutine's
@@ -227,7 +233,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 		return
 	}
 	e.abandon(calls)
-	err = phomerr.FromContext(ctx)
+	err := phomerr.FromContext(ctx)
 	for k, c := range calls {
 		if c != nil {
 			deliver(lanes[k], JobResult{Err: err, Shared: shared[k]})
@@ -297,31 +303,20 @@ func (e *Engine) execute(ctx context.Context, calls []*call, instances []*graph.
 	outs := failed(len(calls), err)
 	planHit := make([]bool, len(calls))
 	if err == nil {
-		var vecs [][]*big.Rat
-		var idx []int
+		// groupKeys checked every lane's shape; EvaluateBatch makes each
+		// lane's one range scan, so each fails exactly as it would alone.
+		vecs := make([][]*big.Rat, len(instances))
 		for k, inst := range instances {
-			// A fresh compile validated lane 0's probabilities; check
-			// every other lane the same way, so each fails exactly as
-			// it would alone.
-			if hit || k > 0 {
-				if err := phomerr.Wrap(phomerr.CodeBadInput, inst.Validate()); err != nil {
-					outs[k].Err = err
-					continue
-				}
-			}
+			planHit[k] = hit
 			if hit {
-				planHit[k] = true
-				vecs = append(vecs, transportProbs(cp, canonOrder, inst))
+				vecs[k] = transportProbs(cp, canonOrder, inst)
 			} else {
-				vecs = append(vecs, inst.Probs())
+				vecs[k] = inst.Probs()
 			}
-			idx = append(idx, k)
 		}
 		// The lanes' own options pick the numeric substrate: a cached
 		// plan is shared across precision modes.
-		for j, o := range cp.EvaluateBatch(ctx, vecs, opts) {
-			outs[idx[j]] = o
-		}
+		outs = cp.EvaluateBatch(ctx, vecs, opts)
 	}
 
 	prec := opts.EffectivePrecision()

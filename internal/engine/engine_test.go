@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"phom/internal/core"
 	"phom/internal/gen"
 	"phom/internal/graph"
+	"phom/internal/phomerr"
 )
 
 // mixedWorkload builds distinct jobs spanning the tractable cells of
@@ -635,6 +637,59 @@ func TestPlanCacheInvalidProbs(t *testing.T) {
 	}
 	if r.Err.Error() != wantErr.Error() {
 		t.Errorf("engine error %q, sequential error %q", r.Err, wantErr)
+	}
+}
+
+// TestMisshapedProbGraphRejected: a ProbGraph whose vector no longer
+// fits its graph — the graph grew after it was wrapped, or the vector
+// was never built — fails its own lane with the typed bad-input error
+// a sequential solve reports, through Do and SolveBatch, on a plan miss
+// and on a plan hit; its valid batch neighbours still answer. Keying
+// such a lane used to read past its vector and panic.
+func TestMisshapedProbGraphRejected(t *testing.T) {
+	g := graph.New(4)
+	g.MustAddEdge(0, 1, "R")
+	g.MustAddEdge(1, 2, "R")
+	short := graph.NewProbGraph(g)
+	g.MustAddEdge(2, 3, "R")
+	valid := graph.NewProbGraph(g)
+	valid.MustSetEdgeProb(1, 2, big.NewRat(1, 2))
+	q := graph.Path1WP("R", "R")
+	bad := []*graph.ProbGraph{short, {G: g}}
+	want, err := core.Solve(q, valid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, warm := range []bool{false, true} {
+		e := New(Options{Workers: 1})
+		if warm {
+			// Prime the plan cache with the structure, under other
+			// probabilities so the result memo cannot answer.
+			if r := e.Do(Job{Query: q, Instance: graph.NewProbGraph(g)}); r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		for _, h := range bad {
+			_, wantErr := core.Solve(q, h, nil)
+			if r := e.Do(Job{Query: q, Instance: h}); !errors.Is(r.Err, phomerr.ErrBadInput) || wantErr == nil || r.Err.Error() != wantErr.Error() {
+				t.Errorf("warm=%v Do: err %v, sequential %v", warm, r.Err, wantErr)
+			}
+		}
+		// The bad lanes share the valid lane's graph, so they group with
+		// it; one leads the group.
+		jobs := []Job{{Query: q, Instance: short}, {Query: q, Instance: valid}, {Query: q, Instance: bad[1]}}
+		for i, r := range e.SolveBatch(jobs) {
+			switch {
+			case i == 1 && (r.Err != nil || r.Result.Prob.RatString() != want.Prob.RatString()):
+				t.Errorf("warm=%v SolveBatch: valid lane %v, want %s", warm, r, want.Prob.RatString())
+			case i != 1 && !errors.Is(r.Err, phomerr.ErrBadInput):
+				t.Errorf("warm=%v SolveBatch: lane %d err %v, want bad input", warm, i, r.Err)
+			}
+		}
+		if st := e.Stats(); st.Rejected != 4 {
+			t.Errorf("warm=%v: Rejected = %d, want 4", warm, st.Rejected)
+		}
+		e.Close()
 	}
 }
 

@@ -303,9 +303,9 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 		cp, incremental, cerr := core.PatchCompileUCQContext(e.baseCtx, tp.qs, old, tp.g, res.New.H, tp.opts)
 		var keyer *graphio.Keyer
 		if cerr == nil && cp != nil {
-			// Key the new structure once: the keys name the migrated
-			// plan here and key the next job bound to this instance.
-			keyer = graphio.NewKeyer(graphio.CanonicalQueries(tp.qs), res.New.H.G, tp.opts.StructFingerprint())
+			// The migrated plan's Keyer, built once, names the plan here
+			// and keys the next job bound to this instance.
+			keyer = cp.Keyer()
 		}
 		e.mu.Lock()
 		e.plans.Remove(oldSK) // superseded structure

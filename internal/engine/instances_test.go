@@ -190,10 +190,22 @@ func testStructuralDeltaMigratesPlan(t *testing.T, base Job) {
 	if after.FullRecompiles != before.FullRecompiles {
 		t.Fatalf("FullRecompiles moved: %d", after.FullRecompiles)
 	}
+	// The structure is keyed once per delta: the instance binds the
+	// migrated plan's own Keyer, and the next bound job carries it.
+	e.mu.Lock()
+	bound := e.instances["m"].keyer
+	migrated, _ := e.plans.Get(bound.StructKey())
+	e.mu.Unlock()
+	if migrated == nil || migrated.Keyer() != bound {
+		t.Fatal("the instance's bound Keyer is not the migrated plan's Keyer")
+	}
 
 	job2, ver2, err := e.InstanceJob("m", base)
 	if err != nil || ver2 != 2 {
 		t.Fatalf("InstanceJob v2: %v (version %d)", err, ver2)
+	}
+	if job2.keyer != bound {
+		t.Fatal("the job bound after the delta re-keyed the structure")
 	}
 	r2 := e.Do(job2)
 	if r2.Err != nil {
@@ -426,9 +438,9 @@ func TestBoundJobKeys(t *testing.T) {
 	}
 	keyOf := func(j Job) (string, *graphio.Keyer) {
 		t.Helper()
-		_, keys, keyer, err := groupKeys([]Job{j}, []int{0})
-		if err != nil {
-			t.Fatal(err)
+		_, keys, errs, keyer := groupKeys([]Job{j}, []int{0})
+		if errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 		return keys[0], keyer
 	}

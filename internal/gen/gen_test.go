@@ -67,6 +67,11 @@ func TestRandProbValid(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < g.NumEdges(); i++ {
+			if pr := p.Prob(i); pr.Sign() < 0 || pr.Cmp(graph.RatOne) > 0 {
+				t.Fatalf("edge %d probability %s outside [0,1]", i, pr.RatString())
+			}
+		}
 	}
 }
 

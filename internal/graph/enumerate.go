@@ -38,16 +38,3 @@ func ForEachHomomorphism(query, instance *Graph, fn func(Homomorphism) bool) {
 	}
 	rec(0)
 }
-
-// CountHomomorphisms returns the number of homomorphisms from query to
-// instance, up to the given limit (0 = no limit). This differs from the
-// PHom problem (which weights worlds, not matches); it exists for tests
-// and diagnostics.
-func CountHomomorphisms(query, instance *Graph, limit int) int {
-	count := 0
-	ForEachHomomorphism(query, instance, func(Homomorphism) bool {
-		count++
-		return limit == 0 || count < limit
-	})
-	return count
-}

@@ -106,6 +106,31 @@ func TestHeight(t *testing.T) {
 	}
 }
 
+// EquivalentUnlabeledPath returns the unlabeled 1WP →^m equivalent to the
+// unlabeled query graph g, when one exists:
+//
+//   - if g is a ⊔DWT, m is its height (Proposition 5.5 and §3.1);
+//   - more generally, if g is a graded DAG, m is its difference of levels
+//     and the equivalence holds over ⊔DWT instances (Proposition 3.6);
+//
+// The second result reports whether g is graded. Callers must check the
+// instance-side applicability themselves: over non-⊔DWT instances a
+// general graded query need not be equivalent to a path.
+func (g *Graph) EquivalentUnlabeledPath() (*Graph, bool) {
+	if !g.IsUnlabeled() {
+		return nil, false
+	}
+	if g.InClass(ClassUDWT) {
+		h, _ := g.LongestDirectedPath()
+		return UnlabeledPath(h), true
+	}
+	m, ok := g.DifferenceOfLevels()
+	if !ok {
+		return nil, false
+	}
+	return UnlabeledPath(m), true
+}
+
 // TestEquivalentUnlabeledPathIsEquivalent: for random unlabeled ⊔DWT
 // queries, the normalized path must be homomorphically equivalent to the
 // query (Proposition 5.5), checked with the backtracking oracle.

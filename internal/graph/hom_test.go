@@ -181,3 +181,15 @@ func TestForEachHomomorphismMatchesFind(t *testing.T) {
 		}
 	}
 }
+
+// CountHomomorphisms returns the number of homomorphisms from query to
+// instance, up to the given limit (0 = no limit). This differs from the
+// PHom problem (which weights worlds, not matches).
+func CountHomomorphisms(query, instance *Graph, limit int) int {
+	count := 0
+	ForEachHomomorphism(query, instance, func(Homomorphism) bool {
+		count++
+		return limit == 0 || count < limit
+	})
+	return count
+}

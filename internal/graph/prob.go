@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // Common rational constants. Treat as read-only.
@@ -41,22 +42,32 @@ func NewProbGraph(g *Graph) *ProbGraph {
 }
 
 // WithProbs returns g under the probability assignment probs (parallel
-// to g's edge list), validated like Validate. It adopts probs and its
-// values without copying them, so the caller hands over a slice it no
-// longer uses, holding values nobody mutates: fresh copies, or values
-// read from another ProbGraph (which never mutates them).
+// to g's edge list), checking every entry: the one constructor that
+// scans a vector. It adopts probs and its values without copying them,
+// so the caller hands over a slice it no longer uses, holding values
+// nobody mutates (fresh copies, RatOne, or another ProbGraph's values).
 func WithProbs(g *Graph, probs []*big.Rat) (*ProbGraph, error) {
 	p := &ProbGraph{G: g, probs: probs}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	for i, r := range probs {
+		if r == nil {
+			return nil, fmt.Errorf("probgraph: edge %d has nil probability", i)
+		}
+		if err := checkProb(r); err != nil {
+			return nil, err
+		}
+	}
 	return p, nil
 }
 
-// inUnit reports 0 ≤ r ≤ 1 without allocating (r.Cmp(RatOne) would
+// InUnit reports 0 ≤ r ≤ 1 without allocating (r.Cmp(RatOne) would
 // multiply both sides out): a non-integral normalized Rat has a positive
-// denominator, so r ≤ 1 iff its numerator is at most it.
-func inUnit(r *big.Rat) bool {
+// denominator, so r ≤ 1 iff its numerator is at most it. It is the one
+// range predicate: every value a ProbGraph stores, and every raw vector
+// a compiled plan evaluates, passed it.
+func InUnit(r *big.Rat) bool {
 	if r.Sign() < 0 {
 		return false
 	}
@@ -66,16 +77,46 @@ func inUnit(r *big.Rat) bool {
 	return r.Num().Cmp(r.Denom()) <= 0
 }
 
+// checkProb is InUnit as the error every write of a ProbGraph reports.
+func checkProb(r *big.Rat) error {
+	if !InUnit(r) {
+		return fmt.Errorf("probgraph: probability %s outside [0,1]", r.RatString())
+	}
+	return nil
+}
+
 // SetProb sets π of the i-th edge (edge-list order).
 func (p *ProbGraph) SetProb(i int, r *big.Rat) error {
 	if i < 0 || i >= len(p.probs) {
 		return fmt.Errorf("probgraph: edge index %d out of range", i)
 	}
-	if !inUnit(r) {
-		return fmt.Errorf("probgraph: probability %s outside [0,1]", r.RatString())
+	if err := checkProb(r); err != nil {
+		return err
 	}
 	p.probs[i] = new(big.Rat).Set(r)
 	return nil
+}
+
+// AddEdge appends the edge (from, to, label) to p.G, in place (a caller
+// sharing the graph clones it first), and r to π. On error p is
+// unchanged.
+func (p *ProbGraph) AddEdge(from, to Vertex, label Label, r *big.Rat) error {
+	if err := checkProb(r); err != nil {
+		return err
+	}
+	if err := p.G.AddEdge(from, to, label); err != nil {
+		return err
+	}
+	p.probs = append(p.probs, new(big.Rat).Set(r))
+	return nil
+}
+
+// RemoveEdge removes the i-th edge and its probability; later edges
+// shift down one index. p.G becomes a fresh graph (Graph.WithoutEdge),
+// so a graph shared with other values is never touched.
+func (p *ProbGraph) RemoveEdge(i int) {
+	p.G = p.G.WithoutEdge(i)
+	p.probs = slices.Delete(p.probs, i, i+1)
 }
 
 // SetEdgeProb sets π of the edge (from, to).
@@ -160,18 +201,13 @@ func (p *ProbGraph) CloneProbs() *ProbGraph {
 	return q
 }
 
-// Validate checks that every probability is a rational in [0, 1].
+// Validate checks what construction cannot guarantee, in O(1): that π
+// still has one entry per edge of G. Every write stores only checked
+// values in [0,1], but a caller can add edges to G after wrapping it,
+// or write a zero-value &ProbGraph{G: g}.
 func (p *ProbGraph) Validate() error {
 	if len(p.probs) != p.G.NumEdges() {
 		return fmt.Errorf("probgraph: %d probabilities for %d edges", len(p.probs), p.G.NumEdges())
-	}
-	for i, r := range p.probs {
-		if r == nil {
-			return fmt.Errorf("probgraph: edge %d has nil probability", i)
-		}
-		if !inUnit(r) {
-			return fmt.Errorf("probgraph: edge %d probability %s outside [0,1]", i, r.RatString())
-		}
 	}
 	return nil
 }
@@ -209,28 +245,6 @@ func (p *ProbGraph) Component(part *Partition, ci int) *ProbGraph {
 		q.probs[j] = p.probs[i] // shared: probabilities are replaced, never mutated
 	}
 	return q
-}
-
-// InducedWithEdges returns the probabilistic subgraph of p induced by
-// vs (renumbered in the given order, as InducedSubgraph does), together
-// with the map from its edge indices back to the edge indices of p. It
-// scans the whole edge list; Component is the linear per-component
-// form, and the tests compare the two.
-func (p *ProbGraph) InducedWithEdges(vs []Vertex) (*ProbGraph, []int) {
-	sub, remap := p.G.InducedSubgraph(vs)
-	q := NewProbGraph(sub)
-	// InducedSubgraph scans p's edge list in order, so the subgraph's
-	// j-th edge is the j-th edge of p with both endpoints in vs.
-	em := make([]int, 0, sub.NumEdges())
-	for i, e := range p.G.edges {
-		nf, okf := remap[e.From]
-		nt, okt := remap[e.To]
-		if okf && okt {
-			q.MustSetEdgeProb(nf, nt, p.probs[i])
-			em = append(em, i)
-		}
-	}
-	return q, em
 }
 
 // Probs returns the probability vector π in edge-list order, as a fresh

@@ -134,6 +134,28 @@ func TestCloneProbGraph(t *testing.T) {
 	}
 }
 
+// InducedWithEdges returns the probabilistic subgraph of p induced by
+// vs (renumbered in the given order, as InducedSubgraph does), together
+// with the map from its edge indices back to the edge indices of p. It
+// scans the whole edge list; the tests compare Component, the linear
+// per-component form, against it.
+func (p *ProbGraph) InducedWithEdges(vs []Vertex) (*ProbGraph, []int) {
+	sub, remap := p.G.InducedSubgraph(vs)
+	q := NewProbGraph(sub)
+	// InducedSubgraph scans p's edge list in order, so the subgraph's
+	// j-th edge is the j-th edge of p with both endpoints in vs.
+	em := make([]int, 0, sub.NumEdges())
+	for i, e := range p.G.edges {
+		nf, okf := remap[e.From]
+		nt, okt := remap[e.To]
+		if okf && okt {
+			q.MustSetEdgeProb(nf, nt, p.probs[i])
+			em = append(em, i)
+		}
+	}
+	return q, em
+}
+
 // TestComponentsWithEdgesMatchInduced pins the one-pass Lemma 3.7 split
 // against the per-component reference: on random multi-component
 // graphs, every component ComponentsWithEdges returns is exactly
@@ -195,14 +217,14 @@ func TestInUnitMatchesCmp(t *testing.T) {
 	}
 	for _, r := range cases {
 		want := r.Sign() >= 0 && r.Cmp(RatOne) <= 0
-		if got := inUnit(r); got != want {
-			t.Errorf("inUnit(%s) = %v, want %v", r.RatString(), got, want)
+		if got := InUnit(r); got != want {
+			t.Errorf("InUnit(%s) = %v, want %v", r.RatString(), got, want)
 		}
 	}
 }
 
-// TestWithProbs: the adopting constructor validates like Validate and
-// shares the given values.
+// TestWithProbs: the adopting constructor checks the length, every
+// entry's range and nils, and shares the given values.
 func TestWithProbs(t *testing.T) {
 	g := Path1WP("R", "S")
 	half := big.NewRat(1, 2)
@@ -215,5 +237,63 @@ func TestWithProbs(t *testing.T) {
 	}
 	if _, err := WithProbs(g, []*big.Rat{half}); err == nil {
 		t.Fatal("short probability vector accepted")
+	}
+	if _, err := WithProbs(g, []*big.Rat{half, nil}); err == nil {
+		t.Fatal("nil probability accepted")
+	}
+}
+
+// TestValidateChecksShape: Validate catches the two ways a ProbGraph's
+// vector can stop fitting its graph after construction.
+func TestValidateChecksShape(t *testing.T) {
+	g := Path1WP("R", "S")
+	p := NewProbGraph(g)
+	g.MustAddEdge(2, 0, "T")
+	if err := p.Validate(); err == nil {
+		t.Error("graph grown after wrapping: Validate accepted 2 probabilities for 3 edges")
+	}
+	if err := (&ProbGraph{G: g}).Validate(); err == nil {
+		t.Error("zero-value ProbGraph accepted")
+	}
+	if err := NewProbGraph(g).Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAddRemoveEdgeKeepParallel: the structural edits move an edge and
+// its probability together, reject an out-of-range probability or a bad
+// edge without changing p, and never touch a graph p shares.
+func TestAddRemoveEdgeKeepParallel(t *testing.T) {
+	p := NewProbGraph(Path1WP("R", "S"))
+	p.MustSetEdgeProb(1, 2, RatHalf)
+	for _, bad := range []struct {
+		from, to Vertex
+		r        *big.Rat
+	}{{2, 0, big.NewRat(3, 2)}, {2, 0, big.NewRat(-1, 2)}, {0, 1, RatHalf}, {0, 9, RatHalf}} {
+		if err := p.AddEdge(bad.from, bad.to, "T", bad.r); err == nil {
+			t.Errorf("AddEdge(%d, %d, %s) accepted", bad.from, bad.to, bad.r.RatString())
+		}
+	}
+	if p.G.NumEdges() != 2 || p.Validate() != nil {
+		t.Fatalf("a failed AddEdge changed p: %v", p)
+	}
+	third := big.NewRat(1, 3)
+	if err := p.AddEdge(2, 0, "T", third); err != nil {
+		t.Fatal(err)
+	}
+	third.SetInt64(0) // AddEdge copies the caller's value
+	shared := p.G
+	p.RemoveEdge(0)
+	if shared.NumEdges() != 3 {
+		t.Fatal("RemoveEdge mutated the graph it replaced")
+	}
+	if p.Validate() != nil || p.G.NumEdges() != 2 {
+		t.Fatalf("after RemoveEdge: %v", p)
+	}
+	if r, ok := p.EdgeProb(1, 2); !ok || r.Cmp(RatHalf) != 0 {
+		t.Errorf("edge 1>2 carries %v after the removal", r)
+	}
+	if r, ok := p.EdgeProb(2, 0); !ok || r.Cmp(big.NewRat(1, 3)) != 0 {
+		t.Errorf("edge 2>0 carries %v after the removal", r)
 	}
 }

@@ -13,6 +13,20 @@ import (
 	"phom/internal/plan"
 )
 
+// checkProbs fails t unless the parsed pg has one probability per edge,
+// each in [0, 1].
+func checkProbs(t *testing.T, pg *graph.ProbGraph) {
+	t.Helper()
+	if err := pg.Validate(); err != nil {
+		t.Fatalf("parser accepted a mis-shaped probabilistic graph: %v", err)
+	}
+	for i := 0; i < pg.G.NumEdges(); i++ {
+		if r := pg.Prob(i); r.Sign() < 0 || r.Cmp(graph.RatOne) > 0 {
+			t.Fatalf("parser accepted probability %s on edge %d", r.RatString(), i)
+		}
+	}
+}
+
 // FuzzParseProbGraph: the text parser must never panic — malformed input
 // errors cleanly — and accepted input must round-trip through
 // WriteProbGraph with a stable canonical form.
@@ -37,9 +51,7 @@ func FuzzParseProbGraph(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := pg.Validate(); err != nil {
-			t.Fatalf("parser accepted an invalid probabilistic graph: %v", err)
-		}
+		checkProbs(t, pg)
 		var buf bytes.Buffer
 		if err := WriteProbGraph(&buf, pg); err != nil {
 			t.Fatalf("write-back failed: %v", err)
@@ -176,9 +188,7 @@ func FuzzUnmarshalProbGraphJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := pg.Validate(); err != nil {
-			t.Fatalf("JSON parser accepted an invalid probabilistic graph: %v", err)
-		}
+		checkProbs(t, pg)
 		out, err := MarshalProbGraphJSON(pg)
 		if err != nil {
 			t.Fatalf("marshal-back failed: %v", err)

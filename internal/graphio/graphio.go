@@ -33,7 +33,7 @@ const (
 // "1", "2.5e-3") with the malicious-input guards of this package: the
 // token length and any decimal exponent are bounded before big.Rat
 // allocates. It does not enforce the [0,1] probability range — that is
-// the job of graph.ProbGraph.SetProb.
+// the job of the graph.ProbGraph that stores the value.
 func ParseRat(s string) (*big.Rat, error) {
 	if len(s) > maxRatLen {
 		return nil, fmt.Errorf("graphio: rational token longer than %d bytes", maxRatLen)
@@ -71,11 +71,7 @@ func ParseEdgeKey(key string) (from, to int, ok bool) {
 // ParseProbGraph reads the text format from r.
 func ParseProbGraph(r io.Reader) (*graph.ProbGraph, error) {
 	var g *graph.Graph
-	type probEdge struct {
-		idx int
-		p   *big.Rat
-	}
-	var probs []probEdge
+	var probs []*big.Rat // parallel to g's edge list
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -119,13 +115,14 @@ func ParseProbGraph(r io.Reader) (*graph.ProbGraph, error) {
 			if err := g.AddEdge(graph.Vertex(from), graph.Vertex(to), graph.Label(fields[3])); err != nil {
 				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 			}
+			p := graph.RatOne
 			if len(fields) == 5 {
-				p, err := ParseRat(fields[4])
-				if err != nil {
+				var err error
+				if p, err = ParseRat(fields[4]); err != nil {
 					return nil, fmt.Errorf("graphio: line %d: bad probability %q: %v", lineNo, fields[4], err)
 				}
-				probs = append(probs, probEdge{idx: g.NumEdges() - 1, p: p})
 			}
+			probs = append(probs, p)
 		default:
 			return nil, fmt.Errorf("graphio: line %d: unknown directive %q", lineNo, fields[0])
 		}
@@ -136,13 +133,7 @@ func ParseProbGraph(r io.Reader) (*graph.ProbGraph, error) {
 	if g == nil {
 		return nil, fmt.Errorf("graphio: no vertices directive")
 	}
-	pg := graph.NewProbGraph(g)
-	for _, pe := range probs {
-		if err := pg.SetProb(pe.idx, pe.p); err != nil {
-			return nil, err
-		}
-	}
-	return pg, nil
+	return graph.WithProbs(g, probs)
 }
 
 // ParseGraph reads the text format from r, rejecting probability
@@ -222,30 +213,21 @@ func UnmarshalProbGraphJSON(data []byte) (*graph.ProbGraph, error) {
 		return nil, fmt.Errorf("graphio: vertex count %d exceeds limit %d", jg.Vertices, MaxParseVertices)
 	}
 	g := graph.New(jg.Vertices)
-	type probEdge struct {
-		idx int
-		p   *big.Rat
-	}
-	var probs []probEdge
+	probs := make([]*big.Rat, 0, len(jg.Edges)) // parallel to g's edge list
 	for _, je := range jg.Edges {
 		if err := g.AddEdge(graph.Vertex(je.From), graph.Vertex(je.To), graph.Label(je.Label)); err != nil {
 			return nil, err
 		}
+		p := graph.RatOne
 		if je.Prob != "" {
-			p, err := ParseRat(je.Prob)
-			if err != nil {
+			var err error
+			if p, err = ParseRat(je.Prob); err != nil {
 				return nil, fmt.Errorf("graphio: bad probability %q: %v", je.Prob, err)
 			}
-			probs = append(probs, probEdge{idx: g.NumEdges() - 1, p: p})
 		}
+		probs = append(probs, p)
 	}
-	pg := graph.NewProbGraph(g)
-	for _, pe := range probs {
-		if err := pg.SetProb(pe.idx, pe.p); err != nil {
-			return nil, err
-		}
-	}
-	return pg, nil
+	return graph.WithProbs(g, probs)
 }
 
 // WriteDOT renders p as a Graphviz digraph; uncertain edges are dashed

@@ -102,7 +102,7 @@ type Instance struct {
 
 // New creates an instance at version 1 owning a deep copy of h (the
 // caller's graph stays free to mutate). The instance must be non-empty
-// and carry valid probabilities; failures are typed CodeBadInput.
+// and well-shaped (ProbGraph.Validate); failures are typed CodeBadInput.
 func New(id string, h *graph.ProbGraph) (*Instance, error) {
 	if h == nil || h.G.NumVertices() == 0 {
 		return nil, phomerr.New(phomerr.CodeBadInput, "instance: empty instance graph")
@@ -161,8 +161,10 @@ func (in *Instance) Apply(ifVersion int64, deltas []Delta) (*ApplyResult, error)
 			"instance %s is at version %d, not %d", in.id, old.Version, ifVersion)
 	}
 
-	g := old.H.G // shared until the first structural delta clones it
-	probs := old.H.Probs()
+	// h copies the old vector over the shared graph, which the first
+	// add_edge clones. Each delta's probability is checked as it is
+	// written; the old values are not scanned again.
+	h := old.H.CloneProbs()
 	structural := false
 	for di, d := range deltas {
 		switch d.Op {
@@ -170,60 +172,41 @@ func (in *Instance) Apply(ifVersion int64, deltas []Delta) (*ApplyResult, error)
 			if d.Prob == nil {
 				return nil, phomerr.New(phomerr.CodeBadInput, "instance: delta %d: set_prob without a probability", di)
 			}
-			i, ok := g.EdgeIndex(d.From, d.To)
+			i, ok := h.G.EdgeIndex(d.From, d.To)
 			if !ok {
 				return nil, phomerr.New(phomerr.CodeBadInput, "instance: delta %d: no edge %d>%d", di, d.From, d.To)
 			}
-			if err := validProb(d.Prob); err != nil {
+			if err := h.SetProb(i, d.Prob); err != nil {
 				return nil, phomerr.New(phomerr.CodeBadInput, "instance: delta %d: %v", di, err)
 			}
-			probs[i] = new(big.Rat).Set(d.Prob)
 		case OpAddEdge:
-			p := graph.RatOne
-			if d.Prob != nil {
-				if err := validProb(d.Prob); err != nil {
-					return nil, phomerr.New(phomerr.CodeBadInput, "instance: delta %d: %v", di, err)
-				}
-				p = new(big.Rat).Set(d.Prob)
+			p := d.Prob
+			if p == nil {
+				p = graph.RatOne
 			}
-			if g == old.H.G {
-				g = g.Clone()
+			if h.G == old.H.G {
+				h.G = h.G.Clone()
 			}
-			if err := g.AddEdge(d.From, d.To, d.Label); err != nil {
+			if err := h.AddEdge(d.From, d.To, d.Label, p); err != nil {
 				return nil, phomerr.Wrap(phomerr.CodeBadInput, fmt.Errorf("instance: delta %d: %w", di, err))
 			}
-			probs = append(probs, p)
 			structural = true
 		case OpRemoveEdge:
-			i, ok := g.EdgeIndex(d.From, d.To)
+			i, ok := h.G.EdgeIndex(d.From, d.To)
 			if !ok {
 				return nil, phomerr.New(phomerr.CodeBadInput, "instance: delta %d: no edge %d>%d", di, d.From, d.To)
 			}
-			g = g.WithoutEdge(i) // always returns a fresh graph
-			probs = append(probs[:i], probs[i+1:]...)
+			h.RemoveEdge(i)
 			structural = true
 		default:
 			return nil, phomerr.New(phomerr.CodeBadInput, "instance: delta %d: unknown op %d", di, d.Op)
 		}
 	}
 
-	// probs holds the old snapshot's values and fresh copies of the
-	// delta's: the new snapshot can share them all.
-	h2, err := graph.WithProbs(g, probs)
-	if err != nil {
-		return nil, phomerr.Wrap(phomerr.CodeBadInput, err)
-	}
-	next := &Snapshot{H: h2, Version: old.Version + 1}
+	next := &Snapshot{H: h, Version: old.Version + 1}
 	in.cur.Store(next)
 	in.deltas.Add(int64(len(deltas)))
 	return &ApplyResult{Old: old, New: next, Structural: structural}, nil
-}
-
-func validProb(r *big.Rat) error {
-	if r.Sign() < 0 || r.Cmp(graph.RatOne) > 0 {
-		return fmt.Errorf("probability %s outside [0,1]", r.RatString())
-	}
-	return nil
 }
 
 // ClassCensus tallies the tightest class of every connected component

@@ -140,6 +140,8 @@ func TestApplyAtomicOnError(t *testing.T) {
 		{{Op: OpSetProb, From: 0, To: 1, Prob: big.NewRat(1, 2)}, {Op: OpSetProb, From: 0, To: 2}},                     // missing prob
 		{{Op: OpSetProb, From: 0, To: 2, Prob: big.NewRat(1, 2)}},                                                      // no such edge
 		{{Op: OpSetProb, From: 0, To: 1, Prob: big.NewRat(3, 2)}},                                                      // out of range
+		{{Op: OpSetProb, From: 0, To: 1, Prob: big.NewRat(-1, 2)}},                                                     // negative
+		{{Op: OpAddEdge, From: 2, To: 0, Label: graph.Unlabeled, Prob: big.NewRat(3, 2)}},                              // new edge out of range
 		{{Op: OpAddEdge, From: 0, To: 1, Label: graph.Unlabeled}},                                                      // duplicate edge
 		{{Op: OpAddEdge, From: 0, To: 9, Label: graph.Unlabeled}},                                                      // endpoint out of range
 		{{Op: OpRemoveEdge, From: 2, To: 1}},                                                                           // no such edge

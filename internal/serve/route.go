@@ -57,18 +57,6 @@ type RouteInfo struct {
 	ParseErr error
 }
 
-// RouteJob parses one solve/reweight wire job just far enough to route
-// it. It never fails: malformed jobs get a byte-hash key and their
-// ParseErr recorded, so the gateway can still proxy them to a
-// deterministic backend and let it produce the authoritative error.
-func RouteJob(raw []byte) RouteInfo {
-	var req ReweightRequest // superset of SolveRequest; extra fields ignored on plain solves
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return rawRoute(raw, err)
-	}
-	return routeParsed(&req)
-}
-
 // routeParsed derives the RouteInfo of a decoded wire job.
 func routeParsed(req *ReweightRequest) RouteInfo {
 	job, err := req.SolveRequest.toJob(core.PrecisionExact, 0)
@@ -171,9 +159,12 @@ func (c *RouteCache) Len() int {
 	return c.infos.Len()
 }
 
-// Route is RouteJob through the cache: identical results, with the
-// parse/classify work skipped when the request's structure fields have
-// been routed before.
+// Route parses one solve/reweight wire job just far enough to route
+// it, skipping the parse/classify work when the request's structure
+// fields have been routed before. It never fails: a malformed job gets
+// a byte-hash key and its ParseErr recorded, so the gateway can still
+// proxy it to a deterministic backend and let that backend produce the
+// authoritative error.
 func (c *RouteCache) Route(raw []byte) RouteInfo {
 	var req ReweightRequest
 	if err := json.Unmarshal(raw, &req); err != nil {

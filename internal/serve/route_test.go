@@ -15,6 +15,16 @@ func routeBody(t *testing.T, fields map[string]any) []byte {
 	return b
 }
 
+// RouteJob routes one wire job with no cache: the reference that
+// Route's hits and misses must match.
+func RouteJob(raw []byte) RouteInfo {
+	var req ReweightRequest // superset of SolveRequest; extra fields ignored on plain solves
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return rawRoute(raw, err)
+	}
+	return routeParsed(&req)
+}
+
 func TestRouteJobKeysAndClasses(t *testing.T) {
 	solve := routeBody(t, map[string]any{
 		"query_text": tractableQueryText, "instance_text": tractableInstanceText,
