@@ -37,7 +37,7 @@
 //	               id mints one). GET lists the live instance ids.
 //	GET  /instances/{id}  version, size, lifetime delta count and the
 //	               per-component class census; DELETE removes the
-//	               instance and evicts its cached plans and results.
+//	               instance and evicts its cached plans.
 //	POST /instances/{id}/delta  apply a batch of typed deltas
 //	               ({"deltas": [{"op": "set_prob" | "add_edge" |
 //	               "remove_edge", "edge": "from>to", "prob": "1/4",

@@ -26,9 +26,10 @@ type BatchOutcome struct {
 // EvaluateBatch evaluates the plan against every probability vector
 // of probVecs and returns one outcome per lane, in lane order. Each
 // lane's outcome — result, precision served, certified bounds, or
-// error — is identical to what Evaluate(ctx, probVecs[k], opts) would
-// return; a malformed lane fails only itself. Under the fast and auto
-// precision modes the lanes share one batched kernel dispatch.
+// error — does not depend on the other lanes, so it is what Evaluate
+// (a batch of one) returns for probVecs[k]; a malformed lane fails
+// only itself. Under the fast and auto precision modes the lanes share
+// one batched kernel dispatch.
 // Cancellation aborts the batched kernel at an op checkpoint and any
 // per-lane exact fallbacks at theirs, so a cancelled batch surfaces the
 // typed cancellation error on the lanes that had not completed.
@@ -45,7 +46,7 @@ func (cp *CompiledPlan) EvaluateBatch(ctx context.Context, probVecs [][]*big.Rat
 	// extraction cost is paid once).
 	if cp.opaque || pol.prec == PrecisionExact || pol.prec == PrecisionApprox {
 		for k, probs := range probVecs {
-			res, err := cp.Evaluate(ctx, probs, opts)
+			res, err := cp.evaluateLane(ctx, probs, pol)
 			out[k] = BatchOutcome{Result: res, Err: err}
 		}
 		return out

@@ -24,7 +24,13 @@ import (
 // batch stays valid when instance.Apply replays it sequentially. The
 // batch is a function of r's state and g alone (live edges are listed
 // in sorted order, not map order), so a seed reproduces its stream.
-func randDeltaBatch(r *rand.Rand, g *graph.Graph, labels []graph.Label) []instance.Delta {
+//
+// With keep other than ClassAll, 7 in 8 insertions keep the graph in
+// class keep (removals always do, for the union classes): an arbitrary
+// insertion knocks a union-family instance out of its class, so its
+// plan turns opaque and never splices again. The rest stay arbitrary,
+// so the from-scratch fallback is still drawn.
+func randDeltaBatch(r *rand.Rand, g *graph.Graph, keep graph.Class) []instance.Delta {
 	type pe struct{ from, to graph.Vertex }
 	present := map[pe]bool{}
 	for i := 0; i < g.NumEdges(); i++ {
@@ -44,6 +50,26 @@ func randDeltaBatch(r *rand.Rand, g *graph.Graph, labels []graph.Label) []instan
 		return live
 	}
 	n := g.NumVertices()
+	// keepingAdd draws up to 16 pairs and returns the first whose edge
+	// keeps the live graph in class keep — re-adding a removed edge,
+	// extending a path at an end or a tree at a root, or joining two
+	// components as keep allows — or (0, 0), no edge, if none does.
+	keepingAdd := func() (graph.Vertex, graph.Vertex) {
+		for try := 0; try < 16; try++ {
+			u, v := graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n))
+			if u == v {
+				continue
+			}
+			h := graph.New(n)
+			for _, e := range liveEdges() {
+				h.MustAddEdge(e.from, e.to, graph.Unlabeled)
+			}
+			if h.AddEdge(u, v, graph.Unlabeled) == nil && h.InClass(keep) {
+				return u, v
+			}
+		}
+		return 0, 0
+	}
 	var out []instance.Delta
 	for k := 1 + r.Intn(3); k > 0; k-- {
 		switch r.Intn(3) {
@@ -56,12 +82,15 @@ func randDeltaBatch(r *rand.Rand, g *graph.Graph, labels []graph.Label) []instan
 			out = append(out, instance.Delta{Op: instance.OpSetProb, From: p.from, To: p.to, Prob: gen.RandRat(r)})
 		case 1: // add_edge
 			u, v := graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n))
+			if keep != graph.ClassAll && r.Intn(8) != 0 {
+				u, v = keepingAdd()
+			}
 			if u == v || present[pe{u, v}] {
 				continue
 			}
 			present[pe{u, v}] = true
 			out = append(out, instance.Delta{Op: instance.OpAddEdge, From: u, To: v,
-				Label: gen.RandLabel(r, labels), Prob: gen.RandRat(r)})
+				Label: graph.Unlabeled, Prob: gen.RandRat(r)})
 		case 2: // remove_edge
 			live := liveEdges()
 			if len(live) < 2 {
@@ -125,7 +154,7 @@ func TestPatchCompileDifferentialCorpus(t *testing.T) {
 			}
 			curG := h.G
 			for step := 0; step < 5; step++ {
-				batch := randDeltaBatch(r, inst.Snapshot().H.G, nil)
+				batch := randDeltaBatch(r, inst.Snapshot().H.G, graph.ClassAll)
 				if len(batch) == 0 {
 					continue
 				}
@@ -205,7 +234,7 @@ func TestPatchCompileUCQSplices(t *testing.T) {
 			curG := h.G
 			// An opaque plan never splices: the stream ends there.
 			for step := 0; step < 4 && cur != nil && !cur.Opaque(); step++ {
-				batch := randDeltaBatch(r, curG, nil)
+				batch := randDeltaBatch(r, curG, graph.ClassAll)
 				if len(batch) == 0 {
 					continue
 				}
@@ -676,7 +705,9 @@ func TestPatchCompileSplicesMatchlessComposite(t *testing.T) {
 // union family. Random-model plans are opaque: they never splice, and
 // checking them re-solves every vector by brute force, so drawn as
 // often as the union families they took most of the budget. As a
-// minority they keep the full-recompile fallback covered.
+// minority they keep the full-recompile fallback covered. A union
+// family's deltas keep it in its class (randDeltaBatch's keep), bar
+// one insertion in eight, so its plans stay compiled and splice.
 func FuzzPatchCompileMatchesCompile(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, uint8(seed), uint8(3), uint8(seed))
@@ -687,8 +718,9 @@ func FuzzPatchCompileMatchesCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, fam, steps, disjuncts uint8) {
 		r := rand.New(rand.NewSource(seed))
 		family := unions[int(fam)%len(unions)]
+		keep := family.Class()
 		if fam%8 == 0 {
-			family = models[int(fam/8)%len(models)]
+			family, keep = models[int(fam/8)%len(models)], graph.ClassAll
 		}
 		g := gen.RandFamily(r, family, 5+r.Intn(7), nil)
 		if g.NumEdges() == 0 {
@@ -715,7 +747,7 @@ func FuzzPatchCompileMatchesCompile(f *testing.F) {
 		}
 		curH := h
 		for step := 0; step < 1+int(steps)%4; step++ {
-			batch := randDeltaBatch(r, curH.G, nil)
+			batch := randDeltaBatch(r, curH.G, keep)
 			if len(batch) == 0 {
 				continue
 			}

@@ -171,12 +171,20 @@ func (o *Options) policy() evalPolicy {
 // Exact program execution and the float kernel poll ctx every
 // phomerr.CheckInterval ops, and opaque plans pass ctx into their
 // exponential re-solve or sampling loop, so cancellation works on the
-// evaluation side of the pipeline too.
+// evaluation side of the pipeline too. Evaluate is EvaluateBatch of
+// one lane.
 func (cp *CompiledPlan) Evaluate(ctx context.Context, probs []*big.Rat, opts *Options) (*Result, error) {
+	out := cp.EvaluateBatch(ctx, [][]*big.Rat{probs}, opts)[0]
+	return out.Result, out.Err
+}
+
+// evaluateLane evaluates one probability vector on a substrate with no
+// vectorized kernel: an opaque plan, or the exact and approx modes. It
+// is EvaluateBatch's per-lane path.
+func (cp *CompiledPlan) evaluateLane(ctx context.Context, probs []*big.Rat, pol evalPolicy) (*Result, error) {
 	if err := cp.validateProbs(probs); err != nil {
 		return nil, err
 	}
-	pol := opts.policy()
 	if cp.opaque {
 		// Opaque plans have no program, hence no float kernel. The approx
 		// mode routes them to the Karp–Luby estimator over the plan's
@@ -186,17 +194,6 @@ func (cp *CompiledPlan) Evaluate(ctx context.Context, probs []*big.Rat, opts *Op
 			return cp.evaluateApprox(ctx, probs, pol)
 		}
 		return cp.resolve(ctx, probs)
-	}
-	if pol.prec == PrecisionFast || pol.prec == PrecisionAuto {
-		// One lane of the batched kernel: a lane's enclosure is the same
-		// whatever the batch width, and a lane degenerating to NaN is
-		// rejected by serveFloat like any other unservable enclosure.
-		ivs, err := cp.prog.ExecFloatBatchCtx(ctx, [][]*big.Rat{probs})
-		if err == nil {
-			if res, ok := cp.serveFloat(ivs[0], pol.prec, pol.tol); ok {
-				return res, nil
-			}
-		}
 	}
 	return cp.evaluateExact(ctx, probs)
 }

@@ -110,9 +110,10 @@ func groupKeys(jobs []Job, lanes []int) (qs []*graph.Graph, keys []string, errs 
 // a lane groupKeys refused fails; a memo hit is served; a key already in
 // flight coalesces onto that call, whether another caller or an
 // identical lane of this group registered it; any other key registers
-// a new call this group leads. The led calls run as one worker task
-// (execute). A lane whose ctx fires before its call completes abandons
-// the call (see abandon).
+// a new call this group leads. A stateless lane marks the call it
+// waits on for the memo (call.memo). The led calls run as one worker
+// task (execute). A lane whose ctx fires before its call completes
+// abandons the call (see abandon).
 func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver func(i int, r JobResult)) {
 	e.mu.Lock()
 	if e.closed {
@@ -157,12 +158,6 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 			done = append(done, StreamResult{Index: lanes[k], JobResult: JobResult{Err: errs[k]}})
 			continue
 		}
-		// An instance job's key joins its instance's tracking record
-		// here, when it is computed, so the next delta evicts whatever
-		// this run memoizes (nil results: the instance is deleted).
-		if ent := jobs[lanes[k]].inst; ent != nil && ent.results != nil {
-			ent.results[key] = struct{}{}
-		}
 		if res, ok := e.cache.Get(key); ok {
 			e.stats.CacheHits++
 			done = append(done, StreamResult{Index: lanes[k], JobResult: JobResult{Result: cloneResult(res), CacheHit: true}})
@@ -187,6 +182,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 			led = append(led, c)
 			ledInst = append(ledInst, jobs[lanes[k]].Instance)
 		}
+		c.memo = c.memo || jobs[lanes[k]].keyer == nil
 		c.subs = append(c.subs, subscriber{ready: ready, lane: k})
 		calls[k] = c
 	}
@@ -336,17 +332,18 @@ func (e *Engine) execute(ctx context.Context, calls []*call, instances []*graph.
 	e.complete(calls, outs, planHit)
 }
 
-// complete records the calls' outcomes, memoizes the successful ones
-// somebody still waits for (abandoned results never reach the cache),
-// retires the calls from the in-flight table, and notifies their
-// subscribers. planHit may be nil (no lane was evaluated).
+// complete records the calls' outcomes, memoizes the successful ones a
+// stateless lane still waits for (abandoned and instance-only results
+// never reach the cache), retires the calls from the in-flight table,
+// and notifies their subscribers. planHit may be nil (no lane was
+// evaluated).
 func (e *Engine) complete(calls []*call, outs []core.BatchOutcome, planHit []bool) {
 	var subs []subscriber
 	e.mu.Lock()
 	for k, c := range calls {
 		c.res, c.err = outs[k].Result, outs[k].Err
 		c.planHit = planHit != nil && planHit[k]
-		if c.err == nil && !c.abandoned {
+		if c.err == nil && !c.abandoned && c.memo {
 			e.cache.Add(c.key, c.res)
 		}
 		// Only remove the entry if it is still this call: an abandoned

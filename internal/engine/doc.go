@@ -2,8 +2,8 @@
 // the core solver. An Engine owns a bounded pool of worker goroutines
 // that execute solver jobs, deduplicates identical in-flight jobs
 // (singleflight: concurrent submissions of the same job share one
-// execution), and memoizes completed results in a bounded LRU cache
-// keyed by the canonical job hash of package graphio.
+// execution), and memoizes completed stateless results in a bounded
+// LRU cache keyed by the canonical job hash of package graphio.
 //
 // Every job takes one path from key to answer: it is a lane of a batch
 // group (batch.go). DoContext runs a group of one on the caller's
@@ -18,8 +18,14 @@
 // canonical edge order) — the Keyer an instance job was bound with
 // (InstanceJobs) when it still fits, else a fresh one — and each lane's
 // memo key hashes the structure key, the lane's probabilities and its
-// options. Instance jobs' memo keys join their instance's tracking
-// record in runGroup's memo pass, where they are computed.
+// options.
+//
+// Jobs against a live instance (InstanceJobs) are keyed, coalesced and
+// served from the memo like any job, but their results are not
+// memoized unless a stateless lane waits on the same call. The key is
+// content, so an entry could not go stale; but a live instance rarely
+// repeats its content (the traced live workload read a memo hit ratio
+// of 0), and holding its results cost resident memory (instances.go).
 //
 // Below the result cache sits a second, structure-keyed cache of
 // compiled solver plans (core.Compile / internal/plan), keyed by the

@@ -100,12 +100,11 @@ type Job struct {
 	// entries and in-flight executions.
 	Timeout time.Duration
 
-	// keyer and inst are InstanceJobs' binding. keyer keys the bound
-	// snapshot's structure; groupKeys uses it while the job's instance
-	// graph, query and options still fit it. inst is the live instance
-	// whose tracking record the job's memo key joins when it runs.
+	// keyer is InstanceJobs' binding: it keys the bound snapshot's
+	// structure, and groupKeys uses it while the job's instance graph,
+	// query and options still fit it. A bound job is an instance job,
+	// whose result is not memoized (see call.memo).
 	keyer *graphio.Keyer
-	inst  *instEntry
 }
 
 func (j Job) disjuncts() []*graph.Graph {
@@ -165,7 +164,9 @@ type Stats struct {
 	Submitted uint64 `json:"submitted"`
 	// Solved counts jobs actually executed by a worker.
 	Solved uint64 `json:"solved"`
-	// CacheHits counts jobs answered from the memo cache.
+	// CacheHits counts jobs answered from the memo cache. Instance jobs
+	// count when a stateless job memoized equal content; their own
+	// results are not memoized.
 	CacheHits uint64 `json:"cache_hits"`
 	// Coalesced counts jobs deduplicated onto an identical in-flight job,
 	// whether another caller submitted it or it is an identical lane of
@@ -244,7 +245,9 @@ type Stats struct {
 	FullRecompiles uint64 `json:"full_recompiles"`
 	// Instances is the current number of live registered instances.
 	Instances int `json:"instances"`
-	// CacheLen is the current number of memoized results.
+	// CacheLen is the current number of memoized results: results of
+	// stateless jobs only (an instance job's result is memoized only
+	// when a stateless job coalesced onto it).
 	CacheLen int `json:"cache_len"`
 	// PlanCacheLen is the current number of cached compiled plans.
 	PlanCacheLen int `json:"plan_cache_len"`
@@ -268,10 +271,15 @@ type call struct {
 	// its execution may already be cancelled — they replace it in the
 	// in-flight table instead, and its result never reaches the cache.
 	abandoned bool
-	subs      []subscriber // lanes to notify on completion
-	res       *core.Result
-	err       error
-	planHit   bool // evaluated against a cached plan
+	// memo is set once a stateless lane — a job not bound to a live
+	// instance — waits on the call, whether it leads the call or
+	// coalesces onto it; complete memoizes only such calls' results
+	// (instances.go says why instance results are not memoized).
+	memo    bool
+	subs    []subscriber // lanes to notify on completion
+	res     *core.Result
+	err     error
+	planHit bool // evaluated against a cached plan
 }
 
 // subscriber is one lane waiting for a call: completion sends the

@@ -1,23 +1,26 @@
 package engine
 
 // instances.go: the engine's registry of live named instances
-// (internal/instance) and the cache discipline around their mutations.
+// (internal/instance) and the plan discipline around their mutations.
 // A solve against an instance is an ordinary engine job over the
-// instance's current snapshot — same memo cache, same plan cache, same
-// singleflight — plus a tracking record: the entry remembers which memo
-// keys and which structural plans the instance's snapshots produced.
-// InstanceJobs binds a job to the snapshot, to the Keyer of its
-// structure (kept on the entry, so reweights of one graph key the
-// structure once) and to the entry, and records the structure's plan.
-// The job's memo key is computed where every job's is, in groupKeys,
-// and runGroup's memo pass records it on the entry then — so a job
-// bound before a delta and run after it is still evicted by the next.
-// ApplyDelta then keeps the caches honest with surgical precision:
+// instance's current snapshot — same plan cache, same singleflight —
+// plus a tracking record: the entry remembers which structural plans
+// the instance's snapshots produced. InstanceJobs binds a job to the
+// snapshot and to the Keyer of its structure (kept on the entry, so
+// reweights of one graph key the structure once), and records the
+// structure's plan.
 //
-//   - every delta (probability or structural) evicts exactly the
-//     instance's own memoized results — other instances' and plain
-//     stateless jobs' entries are untouched; a key still in flight
-//     stays tracked, since its result is memoized after the eviction;
+// Instance results are not memoized. A job's memo key is its content
+// (structure key, probabilities, options; graphio.Keyer.Key), so a
+// memoized answer could never go stale; but a live instance rarely
+// repeats a (structure, probabilities) pair between deltas — the traced
+// live workload read a memo hit ratio of 0 — and memoizing its results
+// without evicting them raised that workload's peak RSS by 20–50%. So
+// an instance solve may read the memo (a stateless job with equal
+// content is a correct hit) and coalesces in flight as usual, but its
+// result reaches the memo only when a stateless lane waits on the same
+// call (call.memo). ApplyDelta and DeleteInstance touch only plans:
+//
 //   - a probability-only batch leaves every compiled plan valid (the
 //     structure key did not move): the next solve is a pure reweight,
 //     zero recompilation;
@@ -61,15 +64,14 @@ type trackedPlan struct {
 	g    *graph.Graph
 }
 
-// instEntry is the registry record of one live instance. The maps are
-// guarded by the engine mutex; applyMu serializes ApplyDelta (and
-// DeleteInstance) per instance so plan migration never races a
+// instEntry is the registry record of one live instance. plans and
+// keyer are guarded by the engine mutex; applyMu serializes ApplyDelta
+// (and DeleteInstance) per instance so plan migration never races a
 // concurrent delta's migration on the same entry.
 type instEntry struct {
 	inst    *instance.Instance
 	applyMu chan struct{} // 1-buffered semaphore: per-instance write lock
 	plans   map[string]*trackedPlan
-	results map[string]struct{}
 	// keyer is the structure half of the keys of the last job bound to
 	// this instance; it keys the next one with the same shape on the
 	// same snapshot graph (probability deltas keep the graph value).
@@ -107,7 +109,6 @@ func (e *Engine) CreateInstance(id string, h *graph.ProbGraph) (*instance.Instan
 		inst:    in,
 		applyMu: make(chan struct{}, 1),
 		plans:   make(map[string]*trackedPlan),
-		results: make(map[string]struct{}),
 	}
 	return in, nil
 }
@@ -135,10 +136,10 @@ func (e *Engine) ListInstances() []string {
 	return ids
 }
 
-// DeleteInstance unregisters the instance and evicts its memoized
-// results and tracked plans from the caches. It reports whether the
-// instance existed. Solves holding the last snapshot finish unharmed
-// (the snapshot is immutable); they just no longer feed the tracking.
+// DeleteInstance unregisters the instance and drops its tracked plans
+// from the plan cache; the memo holds no instance-only results. It
+// reports whether the instance existed. Solves holding the last
+// snapshot finish unharmed (the snapshot is immutable).
 func (e *Engine) DeleteInstance(id string) bool {
 	e.mu.Lock()
 	ent, ok := e.instances[id]
@@ -155,34 +156,20 @@ func (e *Engine) DeleteInstance(id string) bool {
 		return false // lost a delete race; the other call did the work
 	}
 	delete(e.instances, id)
-	e.evictResultsLocked(ent)
-	ent.results = nil // stop tracking: later runs of bound jobs record nothing
 	for sk := range ent.plans {
 		e.plans.Remove(sk)
 	}
 	return true
 }
 
-// evictResultsLocked drops the entry's memoized results from the memo
-// cache. A key still in flight stays tracked: its call memoizes the
-// result after this eviction, so the next one must find it. Caller
-// holds e.mu.
-func (e *Engine) evictResultsLocked(ent *instEntry) {
-	for k := range ent.results {
-		e.cache.Remove(k)
-		if _, running := e.inflight[k]; !running {
-			delete(ent.results, k)
-		}
-	}
-}
-
 // InstanceJob resolves an instance-scoped job: it loads the instance's
 // current snapshot into job.Instance and registers the job's structural
-// plan with the instance's tracking record; running the job registers
-// its memo key there. A later delta can so invalidate and migrate
-// exactly this work. The returned job is an ordinary engine job — run
-// it through DoContext, Stream or SolveBatch as usual. The snapshot's version is returned so callers
-// can report which version answered.
+// plan with the instance's tracking record, so a later structural delta
+// migrates exactly this plan. The returned job is an ordinary engine
+// job — run it through DoContext, Stream or SolveBatch as usual —
+// except that its result is not memoized (a memo entry with equal
+// content still serves it). The snapshot's version is returned so
+// callers can report which version answered.
 func (e *Engine) InstanceJob(id string, job Job) (Job, uint64, error) {
 	jobs, version, err := e.InstanceJobs(id, []Job{job})
 	if err != nil {
@@ -198,11 +185,10 @@ func (e *Engine) InstanceJob(id string, job Job) (Job, uint64, error) {
 // snapshot, so all of them answer the same version even while deltas
 // commit concurrently, and returns that version. Binding sets the
 // snapshot as the job's instance and, unexported, the snapshot
-// structure's Keyer and the instance's tracking record, and tracks the
-// structure's plan; the job's memo key is computed and tracked when it
-// runs (runGroup). A job that fails validation (no query) is bound but
-// not tracked; running it fails with the typed error InstanceJob
-// reports for it.
+// structure's Keyer, which also marks the job as an instance job whose
+// result is not memoized; it tracks the structure's plan. A job that
+// fails validation (no query) is bound but not tracked; running it
+// fails with the typed error InstanceJob reports for it.
 func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	e.mu.Lock()
 	ent, ok := e.instances[id]
@@ -218,7 +204,7 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	bound := make([]Job, len(jobs))
 	plans := make(map[string]*trackedPlan)
 	for i, job := range jobs {
-		job.Instance, job.inst = snap.H, ent
+		job.Instance = snap.H
 		if qs, err := job.Disjuncts(); err == nil {
 			canon, sfp := graphio.CanonicalQueries(qs), job.Opts.StructFingerprint()
 			if !keyer.For(canon, snap.H.G, sfp) {
@@ -233,7 +219,7 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 	}
 	e.mu.Lock()
 	// Re-check liveness under the lock: a concurrent DeleteInstance
-	// must not see its eviction silently undone by this tracking write.
+	// must not see its plan drop silently undone by this tracking write.
 	if cur, still := e.instances[id]; still && cur == ent {
 		if keyer != nil {
 			ent.keyer = keyer
@@ -250,11 +236,11 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 
 // ApplyDelta applies a batch of deltas to the named instance (see
 // instance.Apply for atomicity and the ifVersion optimistic check) and
-// keeps the engine caches coherent: the instance's memoized results are
-// evicted, and — when the batch changed the structure — every tracked
-// plan is migrated to the new structure through
+// keeps the plan cache coherent: when the batch changed the structure,
+// every tracked plan is migrated to the new structure through
 // core.PatchCompileUCQContext, reusing the untouched components'
-// compiled parts.
+// compiled parts. The memo holds no instance results, so a delta
+// evicts nothing from it.
 // Failed batches (conflict, malformed delta) change nothing.
 func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta) (*instance.ApplyResult, error) {
 	e.mu.Lock()
@@ -276,7 +262,6 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 
 	e.mu.Lock()
 	e.stats.DeltasApplied += uint64(len(deltas))
-	e.evictResultsLocked(ent)
 	var work map[string]*trackedPlan
 	if res.Structural {
 		work = ent.plans

@@ -68,10 +68,10 @@ func TestInstanceRegistryLifecycle(t *testing.T) {
 	}
 }
 
-// TestDeltaInvalidatesOnlyTouchedInstance is the targeted-invalidation
-// pin: a delta evicts exactly the touched instance's memoized results.
-// A sibling instance's entries and a plain stateless job's entry keep
-// serving cache hits.
+// TestDeltaInvalidatesOnlyTouchedInstance: after a delta the touched
+// instance answers its new probabilities, a sibling instance still
+// answers its own, and a plain stateless job's memo entry — the only
+// one, since instance results are not memoized — keeps serving hits.
 func TestDeltaInvalidatesOnlyTouchedInstance(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer e.Close()
@@ -96,14 +96,18 @@ func TestDeltaInvalidatesOnlyTouchedInstance(t *testing.T) {
 		}
 		return r
 	}
-	// Warm all three cache entries, then confirm they hit.
+	scratch := func(id string) string {
+		in, _ := e.Instance(id)
+		want, err := core.Solve(q, in.Snapshot().H, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want.Prob.RatString()
+	}
 	runInst("a")
-	runInst("b")
+	rb := runInst("b")
 	if r := e.Do(stateless); r.Err != nil {
 		t.Fatal(r.Err)
-	}
-	if !runInst("a").CacheHit || !runInst("b").CacheHit || !e.Do(stateless).CacheHit {
-		t.Fatal("expected warm cache hits before the delta")
 	}
 
 	if _, err := e.ApplyDelta("a", -1, []instance.Delta{
@@ -111,29 +115,96 @@ func TestDeltaInvalidatesOnlyTouchedInstance(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}
-	ra := runInst("a")
-	if ra.CacheHit {
-		t.Fatal("touched instance served a stale cached result after the delta")
+	if ra := runInst("a"); ra.CacheHit || ra.Result.Prob.RatString() != scratch("a") {
+		t.Fatalf("touched instance answered %s (hit %v), want a fresh %s", ra.Result.Prob.RatString(), ra.CacheHit, scratch("a"))
 	}
-	// The fresh result reflects the new probability: 1 − (1−3/4)(1−1/3)
-	// for the single-edge query on the two-edge path = … just compare to
-	// a from-scratch solve.
-	snap, _ := e.Instance("a")
-	want, err := core.Solve(q, snap.Snapshot().H, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Result.Prob.RatString() != want.Prob.RatString() {
-		t.Fatalf("post-delta result %s != scratch %s", ra.Result.Prob.RatString(), want.Prob.RatString())
-	}
-	if !runInst("b").CacheHit {
-		t.Fatal("sibling instance's cache entry was evicted")
+	if r := runInst("b"); r.Result.Prob.RatString() != rb.Result.Prob.RatString() {
+		t.Fatalf("sibling instance answered %s after the delta, %s before", r.Result.Prob.RatString(), rb.Result.Prob.RatString())
 	}
 	if !e.Do(stateless).CacheHit {
 		t.Fatal("stateless job's cache entry was evicted")
 	}
-	if s := e.Stats(); s.DeltasApplied != 1 {
-		t.Fatalf("DeltasApplied = %d, want 1", s.DeltasApplied)
+	if s := e.Stats(); s.DeltasApplied != 1 || s.CacheLen != 1 {
+		t.Fatalf("DeltasApplied = %d, CacheLen = %d; want 1, 1", s.DeltasApplied, s.CacheLen)
+	}
+}
+
+// TestInstanceResultsSkipMemo pins the memo rule: a call's result is
+// memoized only if a stateless lane waits on it. An instance solve
+// leaves the memo empty and its repeat misses; a stateless job with
+// the same content fills it, and the instance solve is then served from
+// that entry; a stateless lane coalescing onto an instance-led call
+// gets that call memoized.
+func TestInstanceResultsSkipMemo(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	q := graph.UnlabeledPath(1)
+	if _, err := e.CreateInstance("m", instPath(big.NewRat(1, 2), big.NewRat(1, 3))); err != nil {
+		t.Fatal(err)
+	}
+	runInst := func() JobResult {
+		t.Helper()
+		job, _, err := e.InstanceJob("m", Job{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := e.Do(job)
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		return r
+	}
+	for i := 0; i < 2; i++ {
+		if r := runInst(); r.CacheHit || r.Result.Prob.RatString() != "2/3" {
+			t.Fatalf("instance solve %d: %s, hit %v; want 2/3 from no memo entry", i, r.Result.Prob.RatString(), r.CacheHit)
+		}
+		if n := e.Stats().CacheLen; n != 0 {
+			t.Fatalf("CacheLen = %d after instance solve %d, want 0", n, i)
+		}
+	}
+
+	stateless := e.Do(Job{Query: q, Instance: instPath(big.NewRat(1, 2), big.NewRat(1, 3))})
+	if stateless.Err != nil || stateless.CacheHit {
+		t.Fatalf("stateless job: %v, hit %v", stateless.Err, stateless.CacheHit)
+	}
+	if n := e.Stats().CacheLen; n != 1 {
+		t.Fatalf("CacheLen = %d after the stateless job, want 1", n)
+	}
+	if r := runInst(); !r.CacheHit || r.Result.Prob.RatString() != stateless.Result.Prob.RatString() {
+		t.Fatalf("instance solve after the stateless job: %s, hit %v; want %s from the memo",
+			r.Result.Prob.RatString(), r.CacheHit, stateless.Result.Prob.RatString())
+	}
+
+	// New content: the instance solve leads the call, held in flight
+	// until a stateless lane with the same content coalesces onto it.
+	if _, err := e.ApplyDelta("m", -1, []instance.Delta{{Op: instance.OpSetProb, From: 0, To: 1, Prob: big.NewRat(3, 4)}}); err != nil {
+		t.Fatal(err)
+	}
+	release := holdWorkers(e, 1)
+	defer release()
+	job, _, err := e.InstanceJob("m", Job{Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	led := make(chan JobResult, 1)
+	go func() { led <- e.Do(job) }()
+	awaitEngine(t, e, "the instance-led call in flight", func(inflight int, _ Stats) bool { return inflight == 1 })
+	joined := make(chan JobResult, 1)
+	go func() { joined <- e.Do(Job{Query: q, Instance: instPath(big.NewRat(3, 4), big.NewRat(1, 3))}) }()
+	awaitEngine(t, e, "the stateless lane coalesced", func(_ int, s Stats) bool { return s.Coalesced == 1 })
+	release()
+	rl, rj := <-led, <-joined
+	if rl.Err != nil || rj.Err != nil {
+		t.Fatalf("led: %v, joined: %v", rl.Err, rj.Err)
+	}
+	if rl.Result.Prob.RatString() != "5/6" || !rj.Shared || rj.Result.Prob.RatString() != "5/6" {
+		t.Fatalf("led %s, joined %s (shared %v); want 5/6 twice", rl.Result.Prob.RatString(), rj.Result.Prob.RatString(), rj.Shared)
+	}
+	if n := e.Stats().CacheLen; n != 2 {
+		t.Fatalf("CacheLen = %d after the coalesced call, want 2", n)
+	}
+	if r := runInst(); !r.CacheHit {
+		t.Fatal("instance solve missed the entry its coalesced call memoized")
 	}
 }
 
@@ -421,7 +492,7 @@ func TestApplyRacesSolves(t *testing.T) {
 // structure's Keyer, and groupKeys keys it with that Keyer, to the key a
 // fresh Keyer derives. A job whose Instance (or query) is replaced
 // afterwards is keyed afresh, so it answers its new instance, not the
-// snapshot's memoized result.
+// snapshot's.
 func TestBoundJobKeys(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
@@ -433,8 +504,8 @@ func TestBoundJobKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.keyer == nil || job.inst == nil {
-		t.Fatal("bound job carries no Keyer or instance")
+	if job.keyer == nil {
+		t.Fatal("bound job carries no Keyer")
 	}
 	keyOf := func(j Job) (string, *graphio.Keyer) {
 		t.Helper()
@@ -472,62 +543,5 @@ func TestBoundJobKeys(t *testing.T) {
 	}
 	if r := e.Do(requeried); r.Err != nil || r.Result.Prob.RatString() != "1/6" {
 		t.Fatalf("job with a replaced query answered %v, %v; want 1/6", r.Result, r.Err)
-	}
-}
-
-// TestDeltaEvictsResultOfJobBoundBeforeIt: a job bound before a
-// set_prob delta and run after it still answers its snapshot, and the
-// result it memoizes joins the instance's tracking when it runs, so the
-// next delta evicts it instead of leaving it in the memo for good; so
-// does a run that is in flight while a delta evicts.
-func TestDeltaEvictsResultOfJobBoundBeforeIt(t *testing.T) {
-	e := New(Options{Workers: 1})
-	defer e.Close()
-	if _, err := e.CreateInstance("late", instPath(big.NewRat(1, 2), big.NewRat(1, 3))); err != nil {
-		t.Fatal(err)
-	}
-	job, _, err := e.InstanceJob("late", Job{Query: graph.UnlabeledPath(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setProb := func(from, to graph.Vertex, p *big.Rat) {
-		t.Helper()
-		if _, err := e.ApplyDelta("late", -1, []instance.Delta{{Op: instance.OpSetProb, From: from, To: to, Prob: p}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	setProb(0, 1, big.NewRat(1, 4))
-	if r := e.Do(job); r.Err != nil || r.Result.Prob.RatString() != "2/3" {
-		t.Fatalf("job bound before the delta answered %v, %v; want its snapshot's 2/3", r.Result, r.Err)
-	}
-	if n := e.Stats().CacheLen; n != 1 {
-		t.Fatalf("CacheLen = %d after the run, want 1", n)
-	}
-	setProb(1, 2, big.NewRat(1, 5))
-	if n := e.Stats().CacheLen; n != 0 {
-		t.Fatalf("CacheLen = %d after the next delta, want 0: the late run's result escaped eviction", n)
-	}
-
-	// A run still in flight at a delta keeps its key tracked: its result
-	// is memoized after that eviction, so the next one must find it.
-	if job, _, err = e.InstanceJob("late", Job{Query: graph.UnlabeledPath(1)}); err != nil {
-		t.Fatal(err)
-	}
-	release := holdWorkers(e, 1)
-	defer release()
-	done := make(chan JobResult, 1)
-	go func() { done <- e.Do(job) }()
-	awaitEngine(t, e, "the bound job in flight", func(inflight int, _ Stats) bool { return inflight == 1 })
-	setProb(0, 1, big.NewRat(1, 6))
-	release()
-	if r := <-done; r.Err != nil || r.Result.Prob.RatString() != "2/5" {
-		t.Fatalf("in-flight job answered %v, %v; want its snapshot's 2/5", r.Result, r.Err)
-	}
-	if n := e.Stats().CacheLen; n != 1 {
-		t.Fatalf("CacheLen = %d after the in-flight run, want 1", n)
-	}
-	setProb(1, 2, big.NewRat(1, 7))
-	if n := e.Stats().CacheLen; n != 0 {
-		t.Fatalf("CacheLen = %d after the next delta, want 0: the in-flight run's result escaped eviction", n)
 	}
 }

@@ -10,7 +10,7 @@ package serve
 //	POST   /instances                create (server mints an id if absent)
 //	GET    /instances                list ids
 //	GET    /instances/{id}           version, size, per-component class census
-//	DELETE /instances/{id}           unregister, evict caches
+//	DELETE /instances/{id}           unregister, drop tracked plans
 //	POST   /instances/{id}/delta     apply a delta batch (if_version CAS)
 //	POST   /instances/{id}/solve     SolveRequest minus the instance fields
 //	POST   /instances/{id}/reweight  ReweightRequest minus the instance fields
