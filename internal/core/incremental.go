@@ -94,6 +94,9 @@ func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Gr
 	// per-component dynamic programs the splice is saving. The new graph
 	// is a fresh value (structural deltas rebuild, never mutate), so its
 	// TightestClass memo starts clean and nothing stale is consulted here.
+	// Its Partition, taken first, is memoized: the guards' component
+	// count reads it, and so does a fallback compile.
+	newP := newG.Partition()
 	live, edgeless, unlabeled := liveDisjuncts(qs, newG)
 	oldLive, _, _ := liveDisjuncts(qs, oldG)
 	if edgeless || len(live) == 0 || !slices.Equal(live, oldLive) {
@@ -114,7 +117,7 @@ func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Gr
 	// Diff the component partitions. Components are listed in the same
 	// deterministic order (sorted vertices, ordered by smallest vertex)
 	// the compilers consumed, so old part ci belongs to old component ci.
-	oldP, newP := oldG.Partition(), newG.Partition()
+	oldP := oldG.Partition()
 	if len(old.parts) != len(oldP.Comps) {
 		return nil, nil
 	}
@@ -148,8 +151,13 @@ func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Gr
 	// stateless job inserting edges differently, or a plan restored from
 	// a snapshot. Plan edge p is the oldG edge of equal canonical rank,
 	// so the splice renumbers plan edges through both canonical orders,
-	// and locates each plan edge's old component the same way.
-	planOrder, gOrder := old.CanonOrder(), graphio.CanonicalEdgeOrder(oldG)
+	// and locates each plan edge's old component the same way. On the
+	// live path the old plan's Keyer was built for oldG itself, so its
+	// order is oldG's and the plan numbering is oldG's own.
+	planOrder, gOrder := old.CanonOrder(), old.CanonOrder()
+	if k := old.Keyer(); k == nil || k.Graph() != oldG {
+		gOrder = graphio.CanonicalEdgeOrder(oldG)
+	}
 	if len(planOrder) != len(gOrder) || old.NumEdges() != len(gOrder) {
 		return nil, nil
 	}

@@ -706,8 +706,11 @@ func TestPatchCompileSplicesMatchlessComposite(t *testing.T) {
 // checking them re-solves every vector by brute force, so drawn as
 // often as the union families they took most of the budget. As a
 // minority they keep the full-recompile fallback covered. A union
-// family's deltas keep it in its class (randDeltaBatch's keep), bar
-// one insertion in eight, so its plans stay compiled and splice.
+// family is drawn as two or three components of 3–6 vertices each, so
+// its plan is a composite with a part table and a delta leaves some
+// component intact, and its deltas keep it in its class
+// (randDeltaBatch's keep), bar one insertion in eight, so its plans
+// stay compiled and splice.
 func FuzzPatchCompileMatchesCompile(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, uint8(seed), uint8(3), uint8(seed))
@@ -717,12 +720,16 @@ func FuzzPatchCompileMatchesCompile(f *testing.F) {
 	opts := &Options{BruteForceLimit: 12}
 	f.Fuzz(func(t *testing.T, seed int64, fam, steps, disjuncts uint8) {
 		r := rand.New(rand.NewSource(seed))
-		family := unions[int(fam)%len(unions)]
-		keep := family.Class()
+		keep := unions[int(fam)%len(unions)].Class()
+		var g *graph.Graph
 		if fam%8 == 0 {
-			family, keep = models[int(fam/8)%len(models)], graph.ClassAll
+			keep = graph.ClassAll
+			g = gen.RandFamily(r, models[int(fam/8)%len(models)], 5+r.Intn(7), nil)
+		} else {
+			g = gen.RandUnion(r, 2+r.Intn(2), func(r *rand.Rand) *graph.Graph {
+				return gen.RandInClass(r, keep.Base(), 3+r.Intn(4), nil)
+			})
 		}
-		g := gen.RandFamily(r, family, 5+r.Intn(7), nil)
 		if g.NumEdges() == 0 {
 			return
 		}

@@ -299,17 +299,14 @@ func route(ctx context.Context, qs UCQ, h *graph.ProbGraph, unlabeled bool) (*so
 // (|σ| = 1), which after the label check holds iff g uses at most one
 // label.
 func liveDisjuncts(qs UCQ, g *graph.Graph) (live UCQ, edgeless, unlabeled bool) {
-	gLabels := map[graph.Label]bool{}
-	for _, l := range g.Labels() {
-		gLabels[l] = true
-	}
+	gLabels := g.Labels() // sorted
 next:
 	for _, q := range qs {
 		if q.NumEdges() == 0 {
 			return nil, true, false
 		}
 		for _, l := range q.Labels() {
-			if !gLabels[l] {
+			if _, ok := slices.BinarySearch(gLabels, l); !ok {
 				continue next
 			}
 		}

@@ -195,31 +195,35 @@ func ClassIncluded(a, b Class) bool {
 	if a == b || b == ClassAll {
 		return true
 	}
-	direct := map[Class][]Class{
-		Class1WP:       {Class2WP, ClassDWT, ClassU1WP},
-		Class2WP:       {ClassPT, ClassU2WP},
-		ClassDWT:       {ClassPT, ClassUDWT},
-		ClassPT:        {ClassConnected, ClassUPT},
-		ClassConnected: {ClassAll},
-		ClassU1WP:      {ClassU2WP, ClassUDWT},
-		ClassU2WP:      {ClassUPT},
-		ClassUDWT:      {ClassUPT},
-		ClassUPT:       {ClassAll},
+	if a < 0 || a >= numClasses || b < 0 || b >= numClasses {
+		return false
 	}
-	seen := map[Class]bool{a: true}
-	stack := []Class{a}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range direct[c] {
-			if d == b {
-				return true
-			}
-			if !seen[d] {
-				seen[d] = true
-				stack = append(stack, d)
+	return classIncluded[a][b]
+}
+
+// classIncluded is the transitive closure of the inclusion diagram,
+// computed once: classification asks ClassIncluded dozens of times per
+// request.
+var classIncluded = func() (inc [numClasses][numClasses]bool) {
+	for _, e := range [][2]Class{
+		{Class1WP, Class2WP}, {Class1WP, ClassDWT}, {Class1WP, ClassU1WP},
+		{Class2WP, ClassPT}, {Class2WP, ClassU2WP},
+		{ClassDWT, ClassPT}, {ClassDWT, ClassUDWT},
+		{ClassPT, ClassConnected}, {ClassPT, ClassUPT},
+		{ClassConnected, ClassAll},
+		{ClassU1WP, ClassU2WP}, {ClassU1WP, ClassUDWT},
+		{ClassU2WP, ClassUPT},
+		{ClassUDWT, ClassUPT},
+		{ClassUPT, ClassAll},
+	} {
+		inc[e[0]][e[1]] = true
+	}
+	for k := range numClasses {
+		for i := range numClasses {
+			for j := range numClasses {
+				inc[i][j] = inc[i][j] || inc[i][k] && inc[k][j]
 			}
 		}
 	}
-	return false
-}
+	return inc
+}()

@@ -1,49 +1,11 @@
 package graph
 
-import "sort"
-
 // ConnectedComponents partitions the vertices of g into the connected
 // components of its underlying undirected graph. Components are returned
 // with vertices sorted, and components ordered by their smallest vertex,
-// so the output is deterministic.
-func (g *Graph) ConnectedComponents() [][]Vertex {
-	seen := make([]bool, g.n)
-	var comps [][]Vertex
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []Vertex
-		stack := []Vertex{Vertex(s)}
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			// Walk the incident edge indices directly rather than
-			// through Neighbors: traversal only needs each endpoint
-			// once, and seen[] already deduplicates, so the map and
-			// sort Neighbors pays for are wasted here. Classification
-			// asks for components on every serving-path prediction,
-			// which makes this the hottest loop in the package.
-			for _, i := range g.out[v] {
-				if u := g.edges[i].To; !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-			for _, i := range g.in[v] {
-				if u := g.edges[i].From; !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	return comps
-}
+// so the output is deterministic. The slices are g.Partition()'s:
+// shared, and must not be mutated.
+func (g *Graph) ConnectedComponents() [][]Vertex { return g.Partition().Comps }
 
 // IsConnected reports whether the underlying undirected graph of g is
 // connected. Following the paper, the single-vertex graph is connected and
@@ -51,8 +13,13 @@ func (g *Graph) ConnectedComponents() [][]Vertex {
 func (g *Graph) IsConnected() bool { return g.n > 0 && g.numComponents() == 1 }
 
 // numComponents counts the connected components of the underlying
-// undirected graph of g without listing them.
+// undirected graph of g without listing them: the class tests need only
+// the count, and a fresh graph that is only classified (a request
+// answered from a cached plan) never needs its Partition.
 func (g *Graph) numComponents() int {
+	if p := g.part.Load(); p != nil {
+		return len(p.Comps)
+	}
 	seen := make([]bool, g.n)
 	var stack []Vertex
 	comps := 0
@@ -88,18 +55,20 @@ func (g *Graph) numComponents() int {
 // old vertex → new vertex. Edges with an endpoint outside vs are dropped.
 func (g *Graph) InducedSubgraph(vs []Vertex) (*Graph, map[Vertex]Vertex) {
 	remap := make(map[Vertex]Vertex, len(vs))
+	pos := make([]Vertex, g.n) // vertex -> new vertex + 1, 0 outside vs
 	for i, v := range vs {
 		remap[v] = Vertex(i)
-	}
-	h := New(len(vs))
-	for _, e := range g.edges {
-		nf, okf := remap[e.From]
-		nt, okt := remap[e.To]
-		if okf && okt {
-			h.MustAddEdge(nf, nt, e.Label)
+		if v >= 0 && int(v) < g.n {
+			pos[v] = Vertex(i + 1)
 		}
 	}
-	return h, remap
+	var edges []Edge
+	for _, e := range g.edges {
+		if nf, nt := pos[e.From], pos[e.To]; nf > 0 && nt > 0 {
+			edges = append(edges, Edge{From: nf - 1, To: nt - 1, Label: e.Label})
+		}
+	}
+	return fromEdges(len(vs), edges), remap
 }
 
 // Partition is the split of a graph into the connected components of
@@ -119,23 +88,73 @@ type Partition struct {
 	pos []int
 }
 
-// Partition returns the connected-component partition of g.
+// Partition returns the connected-component partition of g. It is
+// memoized on g like TightestClass (AddEdge and AddVertex reset it), so
+// every caller of one graph shares one Partition: its slices must not
+// be mutated.
+//
+// One traversal labels each vertex with its component, numbering
+// components in order of their smallest vertex; one ascending pass over
+// the vertices then lists each component's vertices already sorted, and
+// one pass over the edges lists each component's edges in edge order.
+// Each listing is carved out of one backing array.
 func (g *Graph) Partition() *Partition {
-	p := &Partition{
-		Comps: g.ConnectedComponents(),
-		Of:    make([]int, g.n),
-		pos:   make([]int, g.n),
+	if p := g.part.Load(); p != nil {
+		return p
 	}
-	for ci, vs := range p.Comps {
-		for k, v := range vs {
-			p.Of[v], p.pos[v] = ci, k
+	p := &Partition{Of: make([]int, g.n), pos: make([]int, g.n)}
+	for v := range p.Of {
+		p.Of[v] = -1
+	}
+	var stack []Vertex
+	comps := 0
+	for s := range p.Of {
+		if p.Of[s] >= 0 {
+			continue
 		}
+		p.Of[s] = comps
+		stack = append(stack[:0], Vertex(s))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			// Walk the incident edge indices directly rather than
+			// through Neighbors: Of already deduplicates.
+			for _, i := range g.out[v] {
+				if u := g.edges[i].To; p.Of[u] < 0 {
+					p.Of[u] = comps
+					stack = append(stack, u)
+				}
+			}
+			for _, i := range g.in[v] {
+				if u := g.edges[i].From; p.Of[u] < 0 {
+					p.Of[u] = comps
+					stack = append(stack, u)
+				}
+			}
+		}
+		comps++
 	}
-	p.Edges = make([][]int, len(p.Comps))
+
+	size := make([]int, comps)
+	for v, c := range p.Of {
+		p.pos[v] = size[c]
+		size[c]++
+	}
+	p.Comps = carve(make([]Vertex, g.n), size)
+	for v, c := range p.Of {
+		p.Comps[c] = append(p.Comps[c], Vertex(v))
+	}
+
+	clear(size)
+	for _, e := range g.edges {
+		size[p.Of[e.From]]++
+	}
+	p.Edges = carve(make([]int, len(g.edges)), size)
 	for i, e := range g.edges {
-		ci := p.Of[e.From]
-		p.Edges[ci] = append(p.Edges[ci], i)
+		c := p.Of[e.From]
+		p.Edges[c] = append(p.Edges[c], i)
 	}
+	g.part.Store(p)
 	return p
 }
 
@@ -143,12 +162,12 @@ func (g *Graph) Partition() *Partition {
 // standalone graph: the graph InducedSubgraph(part.Comps[ci]) returns,
 // built from the component's own edges only.
 func (g *Graph) Component(part *Partition, ci int) *Graph {
-	h := New(len(part.Comps[ci]))
-	for _, i := range part.Edges[ci] {
+	edges := make([]Edge, len(part.Edges[ci]))
+	for j, i := range part.Edges[ci] {
 		e := g.edges[i]
-		h.MustAddEdge(Vertex(part.pos[e.From]), Vertex(part.pos[e.To]), e.Label)
+		edges[j] = Edge{From: Vertex(part.pos[e.From]), To: Vertex(part.pos[e.To]), Label: e.Label}
 	}
-	return h
+	return fromEdges(len(part.Comps[ci]), edges)
 }
 
 // Components returns each connected component of g as a standalone graph

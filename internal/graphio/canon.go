@@ -35,7 +35,14 @@ func canonEdgeLine(b []byte, e graph.Edge) []byte {
 	b = append(b, '>')
 	b = strconv.AppendInt(b, int64(e.To), 10)
 	b = append(b, ':')
-	return strconv.AppendQuote(b, string(e.Label))
+	// strconv.AppendQuote leaves printable ASCII other than '"' and '\\'
+	// as is, so such a label (the usual case) is quoted by hand.
+	for i := 0; i < len(e.Label); i++ {
+		if c := e.Label[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, string(e.Label))
+		}
+	}
+	return append(append(append(b, '"'), e.Label...), '"')
 }
 
 // CanonicalGraph returns the canonical serialization of g.
@@ -142,7 +149,7 @@ type Keyer struct {
 // (core.Options.StructFingerprint).
 func NewKeyer(queryCanon []string, g *graph.Graph, structOptsFingerprint string) *Keyer {
 	k := &Keyer{g: g, queryCanon: queryCanon, structOptFP: structOptsFingerprint, order: CanonicalEdgeOrder(g)}
-	b := []byte("struct\n")
+	b := append(make([]byte, 0, 64+16*g.NumEdges()), "struct\n"...)
 	for _, q := range queryCanon {
 		b = fmt.Appendf(b, "q %d\n%s\n", len(q), q)
 	}
@@ -173,6 +180,9 @@ func (k *Keyer) For(queryCanon []string, g *graph.Graph, structOptsFingerprint s
 // StructKey returns the structure key of k's jobs: jobs that differ
 // only in edge probabilities or evaluation policy share it.
 func (k *Keyer) StructKey() string { return k.structKey }
+
+// Graph returns the graph k keys.
+func (k *Keyer) Graph() *graph.Graph { return k.g }
 
 // Order returns the canonical edge order of k's graph. The slice is
 // shared and must not be mutated.
@@ -225,13 +235,31 @@ func appendRat(b []byte, r *big.Rat) []byte {
 // minimal big-endian bytes, so every integer appends distinct,
 // self-delimiting bytes.
 func appendInt(b []byte, x *big.Int) []byte {
+	words := x.Bits() // little-endian magnitude
+	if len(words) <= 1 {
+		// One word: the common case of a probability's numerator and
+		// denominator, without BitLen's and the general loop's calls.
+		var w uint64
+		if len(words) == 1 {
+			w = uint64(words[0])
+		}
+		n := (bits.Len64(w) + 7) / 8
+		h := byte(2 * n)
+		if x.Sign() < 0 {
+			h++
+		}
+		b = append(b, h) // h < 0x80: a one-byte uvarint
+		for i := n - 1; i >= 0; i-- {
+			b = append(b, byte(w>>(8*i)))
+		}
+		return b
+	}
 	n := (x.BitLen() + 7) / 8
 	h := uint64(2 * n)
 	if x.Sign() < 0 {
 		h++
 	}
 	b = binary.AppendUvarint(b, h)
-	words := x.Bits() // little-endian magnitude
 	const wordBytes = bits.UintSize / 8
 	for i := n - 1; i >= 0; i-- {
 		b = append(b, byte(words[i/wordBytes]>>(8*(i%wordBytes))))
@@ -256,9 +284,11 @@ func CanonicalEdgeOrder(g *graph.Graph) []int {
 	for v := 0; v < g.NumVertices(); v++ {
 		start := len(order)
 		order = append(order, g.OutEdges(graph.Vertex(v))...)
-		slices.SortFunc(order[start:], func(a, b int) int {
-			return cmp.Compare(g.Edge(a).To, g.Edge(b).To)
-		})
+		if len(order)-start > 1 {
+			slices.SortFunc(order[start:], func(a, b int) int {
+				return cmp.Compare(g.Edge(a).To, g.Edge(b).To)
+			})
+		}
 	}
 	return order
 }

@@ -1,6 +1,11 @@
 package graphio
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/big"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,5 +110,41 @@ func TestJobKey(t *testing.T) {
 	// Length prefixes prevent concatenation ambiguity between sections.
 	if JobKey([]string{"a"}, "b", "c") == JobKey([]string{"ab"}, "", "c") {
 		t.Fatal("section boundaries are ambiguous")
+	}
+}
+
+// TestCanonEncodingsMatchReference pins the two hand-rolled encodings
+// of the key streams to their references: canonEdgeLine's label
+// quoting (a fast path for printable ASCII) to strconv.Quote on
+// arbitrary bytes, and appendInt (a fast path for one-word magnitudes)
+// to its definition, a uvarint of twice the byte length plus the sign
+// followed by the big-endian magnitude, across word boundaries.
+func TestCanonEncodingsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for k := 0; k < 20000; k++ {
+		bs := make([]byte, r.Intn(6))
+		for i := range bs {
+			if bs[i] = byte(r.Intn(256)); r.Intn(2) == 0 {
+				bs[i] = byte(0x20 + r.Intn(0x60))
+			}
+		}
+		e := graph.Edge{From: 3, To: 7, Label: graph.Label(bs)}
+		if got, want := string(canonEdgeLine(nil, e)), "3>7:"+strconv.Quote(string(bs)); got != want {
+			t.Fatalf("label %q: %s, want %s", bs, got, want)
+		}
+	}
+	for k := 0; k < 20000; k++ {
+		x := new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), uint(r.Intn(130))))
+		if r.Intn(2) == 0 {
+			x.Neg(x)
+		}
+		h := uint64(2 * len(x.Bytes()))
+		if x.Sign() < 0 {
+			h++
+		}
+		want := append(binary.AppendUvarint(nil, h), x.Bytes()...)
+		if got := appendInt(nil, x); !bytes.Equal(got, want) {
+			t.Fatalf("%v: %x, want %x", x, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"slices"
 
 	"phom/internal/phomerr"
@@ -29,7 +30,7 @@ import (
 // snapshot round-trips stay byte-identical (see graphio's plan
 // encoding).
 
-// value is one entry of the Builder's value table: a canonical,
+// value is one entry of the Builder's value list: a canonical,
 // deduplicated computation. a and b are value ids (operands) for
 // OpMul/OpAdd; a is a value id for OpOneMinus, an instance edge index
 // for OpLoad and an index into the Builder's constants for OpConst.
@@ -52,12 +53,30 @@ type value struct {
 type Builder struct {
 	numEdges int
 	vals     []value
-	exprs    map[value]uint32  // non-constant values
+	// table numbers the non-constant values: an open-addressing hash
+	// table, probed linearly from a hash of (code, a, b), whose slots
+	// hold a handle plus one (0: empty). It holds the
+	// len(vals) − len(consts) non-constant handles and is kept at most
+	// half full; shift is 64 − log2(len(table)). Handles are still
+	// assigned in emit order (the next index into vals), so the table
+	// decides only which emits are new.
+	table    []uint32
+	shift    uint
 	consts   []*big.Rat        // the distinct constants, by OpConst's a
 	constIdx map[string]uint32 // constant values by RatString
 	check    *phomerr.Checkpoint
 	err      error
 }
+
+// The value table is sized on its first use: a compile interns about
+// 11 values per instance edge on the serving corpus, so a table of
+// slotsPerEdge = 32 slots per edge (at most 16 values) rarely grows.
+// A large instance starts at maxFirstTable slots and grows from there,
+// so a compile that interns little never zeroes a huge table.
+const (
+	slotsPerEdge  = 32
+	maxFirstTable = 1 << 16
+)
 
 // NewBuilder returns a Builder for programs over numEdges instance
 // edges whose emit methods poll ctx every phomerr.CheckInterval calls:
@@ -67,7 +86,6 @@ type Builder struct {
 func NewBuilder(ctx context.Context, numEdges int) *Builder {
 	return &Builder{
 		numEdges: numEdges,
-		exprs:    make(map[value]uint32),
 		constIdx: make(map[string]uint32),
 		check:    phomerr.NewCheckpoint(ctx),
 	}
@@ -111,14 +129,55 @@ func (b *Builder) operands(hs ...uint32) bool {
 	return true
 }
 
+// intern returns the handle of the non-constant value v, appending v
+// to the value list when it is new.
 func (b *Builder) intern(v value) uint32 {
-	if id, ok := b.exprs[v]; ok {
-		return id
+	if 2*(len(b.vals)-len(b.consts)+1) > len(b.table) {
+		b.grow()
+	}
+	s := b.home(v)
+	for h := b.table[s]; h != 0; h = b.table[s] {
+		if b.vals[h-1] == v {
+			return h - 1
+		}
+		s = (s + 1) & (len(b.table) - 1)
 	}
 	id := uint32(len(b.vals))
 	b.vals = append(b.vals, v)
-	b.exprs[v] = id
+	b.table[s] = id + 1
 	return id
+}
+
+// home is the first slot of v's probe sequence.
+func (b *Builder) home(v value) int {
+	h := (uint64(v.a)<<32 | uint64(v.b)) * 0x9e3779b97f4a7c15
+	h = (h ^ uint64(v.code)) * 0xbf58476d1ce4e5b9
+	return int(h >> b.shift)
+}
+
+// grow doubles the value table and reinserts its handles, or
+// allocates the first table when there is none.
+func (b *Builder) grow() {
+	old := b.table
+	size := 2 * len(old)
+	if old == nil {
+		size = 16
+		for size < slotsPerEdge*b.numEdges && size < maxFirstTable {
+			size *= 2
+		}
+	}
+	b.table = make([]uint32, size)
+	b.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, h := range old {
+		if h == 0 {
+			continue
+		}
+		s := b.home(b.vals[h-1])
+		for b.table[s] != 0 {
+			s = (s + 1) & (len(b.table) - 1)
+		}
+		b.table[s] = h
+	}
 }
 
 // konst interns an exact constant; the table keeps its own copy of r.
