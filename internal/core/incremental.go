@@ -201,5 +201,22 @@ func patchCompile(ctx context.Context, qs UCQ, old *CompiledPlan, oldG *graph.Gr
 	if err != nil {
 		return nil, err
 	}
-	return seal(old.method, b, out, factors, planKey(qs, newG, opts))
+	cp, err := seal(old.method, b, out, factors, planKey(qs, newG, opts))
+	if err != nil || len(cp.parts) != len(intactOld) {
+		return cp, err
+	}
+	cp.replayed = intactOld
+	return cp, nil
+}
+
+// CarryMemo hands the part memo of old — the plan cp was spliced from
+// by PatchCompile — on to cp: every part cp replayed out of old keeps
+// its recorded factor, which still serves while its loads read the
+// same values. It returns nil when nothing carries over: cp did not
+// come out of a splice, or m is not a memo of old's program.
+func (cp *CompiledPlan) CarryMemo(old *CompiledPlan, m *plan.PartMemo) *plan.PartMemo {
+	if cp.replayed == nil || old == nil || !m.Of(old.prog) {
+		return nil
+	}
+	return m.Carry(cp.prog, cp.replayed)
 }

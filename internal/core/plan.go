@@ -41,6 +41,15 @@ type CompiledPlan struct {
 	// parts is the program's part table (plan.FinishParts); nil unless
 	// the plan is a composite of at least two components.
 	parts []int
+	// owners derives the part table's ownership (plan.NewPartOwners) on
+	// first use, so only plans evaluated through EvaluateMemo pay for
+	// it; nil when the plan has no part table.
+	owners func() *plan.PartOwners
+	// replayed[j] is the part of the plan this one was spliced from
+	// (PatchCompile) that part j replays, or −1 for a part compiled
+	// afresh; nil unless the plan came out of a splice. CarryMemo reads
+	// it.
+	replayed []int
 	// resolve is the opaque re-solve; it picks the baseline per
 	// evaluation and honors the caller's context (the baselines are the
 	// exponential work cancellation exists for).
@@ -155,11 +164,21 @@ func (cp *CompiledPlan) UnmarshalBinary(data []byte) error {
 		method:     m,
 		prog:       rec.Program,
 		parts:      rec.Parts,
+		owners:     partOwners(rec.Program, rec.Parts),
 		numEdges:   rec.Program.NumEdges,
 		structKey:  rec.StructKey,
 		canonOrder: rec.CanonOrder,
 	}
 	return nil
+}
+
+// partOwners returns the lazy ownership derivation of a program with
+// part table parts, or nil when there is no table.
+func partOwners(prog *plan.Program, parts []int) func() *plan.PartOwners {
+	if parts == nil {
+		return nil
+	}
+	return sync.OnceValue(func() *plan.PartOwners { return plan.NewPartOwners(prog, parts) })
 }
 
 // solveRoute is one tractable cell the solver can dispatch a union of
@@ -422,6 +441,7 @@ func seal(m Method, b *plan.Builder, out uint32, factors []uint32, keyer func() 
 		method:   m,
 		prog:     prog,
 		parts:    parts,
+		owners:   partOwners(prog, parts),
 		numEdges: prog.NumEdges,
 		keyer:    keyer,
 	}, nil

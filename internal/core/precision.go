@@ -208,6 +208,36 @@ func (cp *CompiledPlan) evaluateExact(ctx context.Context, probs []*big.Rat) (*R
 	return &Result{Prob: pr, Method: cp.method, Precision: PrecisionExact}, nil
 }
 
+// EvaluateMemo is Evaluate for a caller that evaluates the plan again
+// and again under probability vectors sharing most of their *big.Rat
+// values, such as the snapshots of a live instance, whose unchanged
+// edges keep their values across versions. memo is what the previous
+// call returned (nil at first). Under exact precision the interpreter
+// skips every Lemma 3.7 part whose loads read the same values as when
+// memo recorded it (plan.ExecMemo), and the returned memo records this
+// call; the result is the one Evaluate returns. The caller must never
+// mutate a probability value once passed. Other precisions, opaque
+// plans and plans without a skippable part evaluate as Evaluate does
+// and return a nil memo.
+func (cp *CompiledPlan) EvaluateMemo(ctx context.Context, probs []*big.Rat, opts *Options, memo *plan.PartMemo) (*Result, *plan.PartMemo, error) {
+	var own *plan.PartOwners
+	if cp.owners != nil && opts.EffectivePrecision() == PrecisionExact {
+		own = cp.owners()
+	}
+	if own == nil {
+		res, err := cp.Evaluate(ctx, probs, opts)
+		return res, nil, err
+	}
+	if err := cp.validateProbs(probs); err != nil {
+		return nil, nil, err
+	}
+	pr, next, err := cp.prog.ExecMemo(ctx, probs, own, memo)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Prob: pr, Method: cp.method, Precision: PrecisionExact}, next, nil
+}
+
 // validateProbs checks a raw probability vector against the plan: right
 // length, no nils, every entry in [0,1] (graph.InUnit). Shared by the
 // single-vector and batched evaluation entry points; it is the one

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/big"
+	"slices"
 	"time"
 
 	"phom/internal/core"
@@ -151,6 +152,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 	var execCtx context.Context
 	var led []*call
 	var ledInst []*graph.ProbGraph
+	var ledMemo []*trackedPlan
 	e.mu.Lock()
 	for k, key := range keys {
 		if errs[k] != nil {
@@ -181,6 +183,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 			ex.live++
 			led = append(led, c)
 			ledInst = append(ledInst, jobs[lanes[k]].Instance)
+			ledMemo = append(ledMemo, jobs[lanes[k]].partMemo())
 		}
 		c.memo = c.memo || jobs[lanes[k]].keyer == nil
 		c.subs = append(c.subs, subscriber{ready: ready, lane: k})
@@ -206,7 +209,7 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 	if ex != nil {
 		task = func() {
 			defer ex.cancel()
-			e.execute(execCtx, led, ledInst, qs, lead.Opts, keyer.StructKey(), keyer.Order())
+			e.execute(execCtx, led, ledInst, ledMemo, qs, lead.Opts, keyer.StructKey(), keyer.Order())
 		}
 		drop = func() { e.complete(led, failed(len(led), phomerr.FromContext(execCtx)), nil) }
 		enqueue, withdraw = e.jobs, execCtx.Done()
@@ -288,16 +291,18 @@ func (e *Engine) abandon(calls []*call) {
 // execute runs one group's led calls on the calling worker: it acquires
 // the structure's compiled plan through acquirePlan, transports every
 // lane's probabilities onto the plan's edge numbering, and evaluates all
-// lanes through core's batched kernel. Every lane then counts as
-// executed (Solved); failed lanes count Errors, lanes evaluated against
-// a cached plan count PlanHits, and successful lanes update the
-// precision counters.
-func (e *Engine) execute(ctx context.Context, calls []*call, instances []*graph.ProbGraph, qs []*graph.Graph, opts *core.Options, structKey string, canonOrder []int) {
+// lanes through core's batched kernel — or, for the exact lanes of live
+// instances (memos[k] non-nil), one by one through their plan's part
+// memo. Every lane then counts as executed (Solved); failed lanes count
+// Errors, lanes evaluated against a cached plan count PlanHits, and
+// successful lanes update the precision counters.
+func (e *Engine) execute(ctx context.Context, calls []*call, instances []*graph.ProbGraph, memos []*trackedPlan, qs []*graph.Graph, opts *core.Options, structKey string, canonOrder []int) {
 	// All lanes share one graph value (grouping keys on it), so a fresh
 	// plan compiled against lane 0 numbers every lane's edges.
 	cp, hit, err := e.acquirePlan(ctx, structKey, canonOrder, qs, instances[0], opts)
 	outs := failed(len(calls), err)
 	planHit := make([]bool, len(calls))
+	var reused, evaluated uint64
 	if err == nil {
 		// groupKeys checked every lane's shape; EvaluateBatch makes each
 		// lane's one range scan, so each fails exactly as it would alone.
@@ -312,11 +317,17 @@ func (e *Engine) execute(ctx context.Context, calls []*call, instances []*graph.
 		}
 		// The lanes' own options pick the numeric substrate: a cached
 		// plan is shared across precision modes.
-		outs = cp.EvaluateBatch(ctx, vecs, opts)
+		if slices.ContainsFunc(memos, func(tp *trackedPlan) bool { return tp != nil }) {
+			outs, reused, evaluated = evaluateMemo(ctx, cp, vecs, memos, opts)
+		} else {
+			outs = cp.EvaluateBatch(ctx, vecs, opts)
+		}
 	}
 
 	prec := opts.EffectivePrecision()
 	e.mu.Lock()
+	e.stats.PartsReused += reused
+	e.stats.PartsEvaluated += evaluated
 	e.stats.Solved += uint64(len(outs))
 	for k, o := range outs {
 		if planHit[k] {
@@ -330,6 +341,30 @@ func (e *Engine) execute(ctx context.Context, calls []*call, instances []*graph.
 	}
 	e.mu.Unlock()
 	e.complete(calls, outs, planHit)
+}
+
+// evaluateMemo evaluates exact lanes one by one, each lane with a
+// tracking record through its part memo (core.CompiledPlan.EvaluateMemo),
+// publishing the memo the run returns. It also returns how many parts
+// those runs reused and evaluated.
+func evaluateMemo(ctx context.Context, cp *core.CompiledPlan, vecs [][]*big.Rat, memos []*trackedPlan, opts *core.Options) (outs []core.BatchOutcome, reused, evaluated uint64) {
+	outs = make([]core.BatchOutcome, len(vecs))
+	for k, probs := range vecs {
+		tp := memos[k]
+		if tp == nil {
+			outs[k].Result, outs[k].Err = cp.Evaluate(ctx, probs, opts)
+			continue
+		}
+		res, next, err := cp.EvaluateMemo(ctx, probs, opts, tp.memo.Load())
+		outs[k] = core.BatchOutcome{Result: res, Err: err}
+		if next != nil {
+			tp.memo.Store(next)
+			r, e := next.Counts()
+			reused += uint64(r)
+			evaluated += uint64(e)
+		}
+	}
+	return outs, reused, evaluated
 }
 
 // complete records the calls' outcomes, memoizes the successful ones a

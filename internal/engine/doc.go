@@ -26,6 +26,12 @@
 // content, so an entry could not go stale; but a live instance rarely
 // repeats its content (the traced live workload read a memo hit ratio
 // of 0), and holding its results cost resident memory (instances.go).
+// What an instance keeps instead is a part memo per tracked plan: an
+// exact solve bound to a snapshot skips the Lemma 3.7 parts whose
+// probabilities no delta touched since the last solve
+// (core.CompiledPlan.EvaluateMemo), and a structural delta carries the
+// memo of the parts its splice replayed (Stats.PartsReused and
+// Stats.PartsEvaluated).
 //
 // Below the result cache sits a second, structure-keyed cache of
 // compiled solver plans (core.Compile / internal/plan), keyed by the

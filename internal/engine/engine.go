@@ -105,6 +105,21 @@ type Job struct {
 	// query and options still fit it. A bound job is an instance job,
 	// whose result is not memoized (see call.memo).
 	keyer *graphio.Keyer
+	// tracked and snap complete the binding: the instance's tracking
+	// record of the structure's plan, whose part memo an exact lane
+	// reads and publishes while Instance is still the bound snapshot
+	// snap (whose probability values are never mutated).
+	tracked *trackedPlan
+	snap    *graph.ProbGraph
+}
+
+// partMemo returns the tracking record whose part memo the job's lane
+// may use, or nil.
+func (j Job) partMemo() *trackedPlan {
+	if j.tracked == nil || j.Instance != j.snap || j.Opts.EffectivePrecision() != core.PrecisionExact {
+		return nil
+	}
+	return j.tracked
 }
 
 func (j Job) disjuncts() []*graph.Graph {
@@ -243,6 +258,13 @@ type Stats struct {
 	// local (route change, a change in which disjuncts are live, an
 	// opaque or constant plan).
 	FullRecompiles uint64 `json:"full_recompiles"`
+	// PartsReused counts the Lemma 3.7 parts exact instance solves took
+	// from their plan's part memo instead of evaluating them: parts
+	// whose probabilities no delta touched since the last solve.
+	PartsReused uint64 `json:"parts_reused"`
+	// PartsEvaluated counts the parts those solves evaluated (and
+	// recorded for the next one).
+	PartsEvaluated uint64 `json:"parts_evaluated"`
 	// Instances is the current number of live registered instances.
 	Instances int `json:"instances"`
 	// CacheLen is the current number of memoized results: results of

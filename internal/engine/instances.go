@@ -38,12 +38,14 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"phom/internal/core"
 	"phom/internal/graph"
 	"phom/internal/graphio"
 	"phom/internal/instance"
 	"phom/internal/phomerr"
+	"phom/internal/plan"
 )
 
 // ErrNoInstance is returned by instance-scoped engine methods when the
@@ -62,6 +64,11 @@ type trackedPlan struct {
 	qs   []*graph.Graph
 	opts *core.Options
 	g    *graph.Graph
+	// memo is the part memo of the last exact solve through the plan
+	// (core.CompiledPlan.EvaluateMemo). Solves of any version read and
+	// publish it: a memo of a stale version or of a plan since replaced
+	// only costs the parts that no longer match.
+	memo atomic.Pointer[plan.PartMemo]
 }
 
 // instEntry is the registry record of one live instance. plans and
@@ -225,12 +232,19 @@ func (e *Engine) InstanceJobs(id string, jobs []Job) ([]Job, uint64, error) {
 			ent.keyer = keyer
 		}
 		for structKey, tp := range plans {
-			if _, tracked := ent.plans[structKey]; !tracked {
+			if old, tracked := ent.plans[structKey]; tracked {
+				plans[structKey] = old // keep its part memo
+			} else {
 				ent.plans[structKey] = tp
 			}
 		}
 	}
 	e.mu.Unlock()
+	for i := range bound {
+		if k := bound[i].keyer; k != nil {
+			bound[i].tracked, bound[i].snap = plans[k.StructKey()], snap.H
+		}
+	}
 	return bound, snap.Version, nil
 }
 
@@ -302,7 +316,9 @@ func (e *Engine) ApplyDelta(id string, ifVersion int64, deltas []instance.Delta)
 			}
 			e.plans.Add(keyer.StructKey(), cp)
 			if cur, still := e.instances[id]; still && cur == ent {
-				ent.plans[keyer.StructKey()] = &trackedPlan{qs: tp.qs, opts: tp.opts, g: res.New.H.G}
+				next := &trackedPlan{qs: tp.qs, opts: tp.opts, g: res.New.H.G}
+				next.memo.Store(cp.CarryMemo(old, tp.memo.Load()))
+				ent.plans[keyer.StructKey()] = next
 				ent.keyer = keyer
 			}
 		}

@@ -63,6 +63,8 @@ type Graph struct {
 	tightest atomic.Int32
 	// part memoizes Partition() under the same rules as tightest.
 	part atomic.Pointer[Partition]
+	// canon memoizes Canonical under the same rules.
+	canon atomic.Pointer[string]
 }
 
 // New returns a graph with n isolated vertices (n ≥ 1; the paper requires
@@ -129,9 +131,9 @@ func (g *Graph) AddVertex() Vertex {
 	return Vertex(g.n - 1)
 }
 
-// changed drops the memos (TightestClass, Partition) after a structural
-// edit. A fresh graph has none, and a parse adds every edge to one, so
-// it loads before it stores.
+// changed drops the memos (TightestClass, Partition, Canonical) after
+// a structural edit. A fresh graph has none, and a parse adds every
+// edge to one, so it loads before it stores.
 func (g *Graph) changed() {
 	if g.tightest.Load() != 0 {
 		g.tightest.Store(0)
@@ -139,6 +141,23 @@ func (g *Graph) changed() {
 	if g.part.Load() != nil {
 		g.part.Store(nil)
 	}
+	if g.canon.Load() != nil {
+		g.canon.Store(nil)
+	}
+}
+
+// Canonical returns build(g), computed on first use and memoized on g
+// like TightestClass. It holds the canonical text of a query graph
+// (graphio.CanonicalQueries), which keys every job against it: a query
+// that never changes is serialized once. build must be a pure function
+// of g's vertices and edges, the same on every call.
+func (g *Graph) Canonical(build func(*Graph) string) string {
+	if s := g.canon.Load(); s != nil {
+		return *s
+	}
+	s := build(g)
+	g.canon.Store(&s)
+	return s
 }
 
 // AddEdge inserts the edge from −label→ to. It fails if an endpoint is out

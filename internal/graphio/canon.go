@@ -110,11 +110,12 @@ func StructKey(queryCanon []string, instanceStructCanon, optsFingerprint string)
 // CanonicalQueries returns the sorted canonical serializations of a
 // union's disjuncts. Disjunct order is irrelevant to the probability of
 // a union (Pr(G₁ ∨ G₂) = Pr(G₂ ∨ G₁)), so every key and route over
-// disjuncts reads them through here.
+// disjuncts reads them through here. Each disjunct's serialization is
+// memoized on its graph (graph.Graph.Canonical).
 func CanonicalQueries(qs []*graph.Graph) []string {
 	canon := make([]string, len(qs))
 	for i, q := range qs {
-		canon[i] = CanonicalGraph(q)
+		canon[i] = q.Canonical(CanonicalGraph)
 	}
 	sort.Strings(canon)
 	return canon

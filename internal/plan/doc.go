@@ -46,10 +46,15 @@
 // alike.
 //
 // ExecCtx keeps each register as a big.Int numerator over a power of
-// the inputs' common denominator, so an evaluation pays one GCD at the
-// end instead of one per op; a big.Rat loop inside the same entry takes
-// over on inputs where that representation would not pay (unrelated
-// denominators, or degrees no honest lowering produces).
+// the inputs' common denominator, so an evaluation normalizes once at
+// the end instead of once per op, and when that denominator's primes
+// are below 64 it divides them out word by word instead of running a
+// GCD; a big.Rat loop inside the same entry takes over on inputs where
+// that representation would not pay (unrelated denominators, or
+// degrees no honest lowering produces). ExecMemo is ExecCtx with a part
+// memo: a composite evaluated again under mostly unchanged probability
+// values skips the Lemma 3.7 parts whose loads still read the same
+// values (partmemo.go).
 //
 // Programs are immutable after construction and safe for concurrent
 // execution; every ExecCtx returns a freshly allocated *big.Rat.

@@ -76,7 +76,7 @@ func checkIntMatchesRat(t *testing.T, prog *Program, probs []*big.Rat) {
 		t.Fatal(err)
 	}
 	if got.RatString() != want.RatString() {
-		_, ok, _ := prog.execInt(nil, probs)
+		_, ok, _ := prog.execInt(nil, probs, nil)
 		t.Fatalf("ExecCtx %s != big.Rat loop %s (integer path taken: %v, %d ops)",
 			got.RatString(), want.RatString(), ok, prog.NumOps())
 	}
@@ -96,7 +96,7 @@ func TestExecIntMatchesRatRandom(t *testing.T) {
 		fam := trial % numFamilies
 		probs := familyProbs(r, fam, numEdges)
 		checkIntMatchesRat(t, prog, probs)
-		if _, ok, _ := prog.execInt(nil, probs); ok {
+		if _, ok, _ := prog.execInt(nil, probs, nil); ok {
 			taken[fam]++
 		}
 	}
@@ -122,6 +122,11 @@ func FuzzExecIntMatchesRat(f *testing.F) {
 	f.Add(int64(42), uint8(0), uint8(3), uint8(famDyadic))
 	f.Add(int64(-7), uint8(7), uint8(60), uint8(famCoprime))
 	f.Add(int64(9), uint8(5), uint8(63), uint8(famMixed))
+	// Smooth denominators, the GCD-free normalization's inputs.
+	f.Add(int64(3), uint8(8), uint8(48), uint8(famDecimal9))
+	f.Add(int64(17), uint8(6), uint8(63), uint8(famDecimal9))
+	f.Add(int64(5), uint8(8), uint8(40), uint8(famDyadic))
+	f.Add(int64(-11), uint8(3), uint8(63), uint8(famDyadic))
 	f.Fuzz(func(t *testing.T, seed int64, edges, ops, fam uint8) {
 		r := rand.New(rand.NewSource(seed))
 		numEdges := int(edges % 9)
@@ -157,7 +162,7 @@ func TestExecIntDegreeGuard(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, ok, _ := prog.execInt(nil, probs); ok {
+		if _, ok, _ := prog.execInt(nil, probs, nil); ok {
 			t.Error("integer path ran a degree-2^40 register")
 		}
 		got, err := prog.ExecCtx(context.Background(), probs)
@@ -193,7 +198,7 @@ func TestExecIntCertainEdgesDegreeZero(t *testing.T) {
 	if prog.NumOps() != 23 {
 		t.Fatalf("program has %d ops, want Load, 20 Muls, Const, Add", prog.NumOps())
 	}
-	got, ok, err := prog.execInt(nil, []*big.Rat{big.NewRat(1, 1)})
+	got, ok, err := prog.execInt(nil, []*big.Rat{big.NewRat(1, 1)}, nil)
 	if err != nil || !ok {
 		t.Fatalf("execInt ok=%v err=%v on a certain edge", ok, err)
 	}

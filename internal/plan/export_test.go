@@ -6,5 +6,5 @@ import "math/big"
 // this package (which compile real plans through package core), so they
 // can assert that an input takes the integer path.
 func ExecInt(p *Program, probs []*big.Rat) (*big.Rat, bool, error) {
-	return p.execInt(nil, probs)
+	return p.execInt(nil, probs, nil)
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 
@@ -144,8 +145,9 @@ func (p *Program) Validate() error {
 // programs compute, hence RatString-byte-identical.
 //
 // Registers normally run as big.Int numerators over powers of one
-// common denominator D (execInt), normalized by a single GCD at the
-// end; the big.Rat loop (execRat), which pays a GCD per op, serves the
+// common denominator D (execInt), normalized once at the end, without
+// a GCD when D's prime factors are small; the big.Rat loop (execRat),
+// which pays a GCD per op, serves the
 // inputs where that representation would not pay off. Either way the
 // interpreter polls ctx every phomerr.CheckInterval ops, so a cancelled
 // context aborts a long exact evaluation within one checkpoint
@@ -155,7 +157,7 @@ func (p *Program) ExecCtx(ctx context.Context, probs []*big.Rat) (*big.Rat, erro
 		return nil, fmt.Errorf("plan: %d probabilities for a program over %d edges", len(probs), p.NumEdges)
 	}
 	cp := phomerr.NewCheckpoint(ctx)
-	if r, ok, err := p.execInt(cp, probs); ok {
+	if r, ok, err := p.execInt(cp, probs, nil); ok {
 		return r, err
 	}
 	return p.execRat(cp, probs)
@@ -183,6 +185,7 @@ type intFile struct {
 	powOK []bool
 	d     big.Int
 	t, q  big.Int
+	w, r  big.Int // normalize's scratch
 }
 
 var intFilePool sync.Pool
@@ -237,6 +240,121 @@ func (f *intFile) load(z *big.Int, x *big.Rat) int {
 	return 1
 }
 
+// smallPrimes are the primes below 64. A D whose prime factors all lie
+// here (decimals, dyadics, k/16, thirds) is smooth: normalize divides
+// them out of the answer a machine word at a time instead of running a
+// GCD. wordPow[i] is the largest power of smallPrimes[i] that fits a
+// word, and wordExp[i] its exponent.
+var (
+	smallPrimes      = [...]uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61}
+	wordPow, wordExp = func() (pw [len(smallPrimes)]uint64, ex [len(smallPrimes)]int) {
+		for i, p := range smallPrimes {
+			pw[i] = 1
+			for pw[i] <= math.MaxUint64/p {
+				pw[i] *= p
+				ex[i]++
+			}
+		}
+		return pw, ex
+	}()
+)
+
+// normalize returns the reduced rational n / D^k, overwriting n. When D
+// is smooth it strips D's primes from n, at most as many of each as D^k
+// holds, and writes the coprime numerator and the rest of D^k straight
+// into the result (big.Rat's Num and Denom are references once it is
+// set), so no GCD runs. Any other D goes through SetFrac.
+func (f *intFile) normalize(n *big.Int, k int) *big.Rat {
+	if k == 0 || n.Sign() == 0 {
+		return new(big.Rat).SetInt(n)
+	}
+	var exp [len(smallPrimes)]int
+	if !f.factorD(&exp) {
+		return new(big.Rat).SetFrac(n, f.dpow(k))
+	}
+	neg := n.Sign() < 0
+	n.Abs(n)
+	r := new(big.Rat).SetInt64(1)
+	den := r.Denom()
+	var twos int
+	for i, e := range exp {
+		if e == 0 {
+			continue
+		}
+		left := k*e - f.strip(n, i, k*e)
+		if i == 0 {
+			twos = left
+		} else if left > 0 {
+			f.w.SetInt64(int64(left))
+			den.Mul(den, f.t.Exp(f.t.SetUint64(smallPrimes[i]), &f.w, nil))
+		}
+	}
+	den.Lsh(den, uint(twos))
+	if neg {
+		n.Neg(n)
+	}
+	r.Num().Set(n)
+	return r
+}
+
+// factorD sets exp[i] to the multiplicity of smallPrimes[i] in D and
+// reports whether D is smooth (they make up all of D).
+func (f *intFile) factorD(exp *[len(smallPrimes)]int) bool {
+	rest := f.r.Set(&f.d)
+	for i := range smallPrimes {
+		if rest.Cmp(intOne) == 0 {
+			break
+		}
+		exp[i] = f.strip(rest, i, rest.BitLen())
+	}
+	return rest.Cmp(intOne) == 0
+}
+
+// strip divides z (> 0) by smallPrimes[i] as often as that divides it,
+// at most e times, and returns how often it did: one word division per
+// wordExp[i] factors, and one more once a remainder shows the rest.
+func (f *intFile) strip(z *big.Int, i, e int) int {
+	if i == 0 {
+		m := min(int(z.TrailingZeroBits()), e)
+		z.Rsh(z, uint(m))
+		return m
+	}
+	p, m := smallPrimes[i], 0
+	for m < e {
+		j, pw := wordExp[i], wordPow[i]
+		if e-m < j {
+			j, pw = e-m, wordPower(p, e-m)
+		}
+		f.q.QuoRem(z, f.w.SetUint64(pw), &f.t)
+		if f.t.Sign() == 0 {
+			z.Set(&f.q)
+			m += j
+			continue
+		}
+		// z = q·p^j + rem with 0 < rem < p^j, so p divides z exactly as
+		// often as it divides rem.
+		v, rem := 0, f.t.Uint64()
+		for rem%p == 0 {
+			rem /= p
+			v++
+		}
+		if v > 0 {
+			z.Quo(z, f.w.SetUint64(wordPower(p, v)))
+		}
+		return m + v
+	}
+	return m
+}
+
+// wordPower returns p^j, which the caller knows fits a word.
+func wordPower(p uint64, j int) uint64 {
+	r := uint64(1)
+	for ; j > 0; j-- {
+		r *= p
+	}
+	return r
+}
+
 // input returns the rational a Load or Const op reads; ok is false for
 // the other opcodes.
 func (p *Program) input(op *Op, probs []*big.Rat) (x *big.Rat, ok bool) {
@@ -249,7 +367,7 @@ func (p *Program) input(op *Op, probs []*big.Rat) (x *big.Rat, ok bool) {
 	return nil, false
 }
 
-// execInt is the integer interpreter behind ExecCtx. Every register
+// execInt is the integer interpreter behind ExecCtx and ExecMemo. Every register
 // holds a rational N / D^k as its numerator N and degree k, where D is
 // the lcm of the denominators of the probabilities and constants the
 // program reads: a Load or non-integer Const has degree 1 (integers have
@@ -265,87 +383,157 @@ func (p *Program) input(op *Op, probs []*big.Rat) (x *big.Rat, ok bool) {
 //   - a degree exceeds the program's Load+Const count, which only a
 //     hostile decoded program can reach and which would otherwise
 //     build powers like D^(2^k).
-func (p *Program) execInt(cp *phomerr.Checkpoint, probs []*big.Rat) (r *big.Rat, ok bool, err error) {
-	// D and the degree bound cover only what the program reads, so edges
-	// it never loads cost nothing and cannot trip the fallback.
-	maxBits, maxDeg := 0, 0
-	for i := range p.Ops {
-		x, ok := p.input(&p.Ops[i], probs)
-		if !ok {
-			continue
-		}
-		if x == nil {
-			return nil, false, nil
-		}
-		maxDeg++
-		if !x.IsInt() {
-			maxBits = max(maxBits, x.Denom().BitLen())
-		}
-	}
+//
+// With a part run (ExecMemo) the ops of clean parts are skipped, their
+// factors' registers filled from the input memo, and every other
+// part's factor is recorded for the next run. The result is normalized
+// by normalize, without a GCD whenever D is smooth.
+func (p *Program) execInt(cp *phomerr.Checkpoint, probs []*big.Rat, run *partRun) (r *big.Rat, ok bool, err error) {
 	f := getIntFile(p.NumRegs)
 	defer intFilePool.Put(f)
-	limit := max(denomBlowup*maxBits, 64)
-	f.d.SetInt64(1)
-	for i := range p.Ops {
-		x, ok := p.input(&p.Ops[i], probs)
-		if !ok || x.IsInt() {
-			continue
+	whole := [1]opRun{{hi: int32(len(p.Ops)), part: -1}}
+	runs, maxDeg := whole[:], 0
+	if run != nil {
+		if maxDeg, ok = run.prepare(p, f, probs); !ok {
+			return nil, false, nil
 		}
-		den := x.Denom()
-		if den.Cmp(&f.d) == 0 {
-			continue
+		runs = run.own.runs
+	} else {
+		// D and the degree bound cover only what the program reads, so
+		// edges it never loads cost nothing and cannot trip the fallback.
+		inputs, maxBits, ok := p.inputBits(probs, nil)
+		if !ok {
+			return nil, false, nil
 		}
-		if f.q.QuoRem(&f.d, den, &f.t); f.t.Sign() == 0 {
-			continue // den divides D
-		}
-		f.q.GCD(nil, nil, &f.d, den)
-		f.t.Quo(den, &f.q)
-		f.d.Mul(&f.d, &f.t)
-		if f.d.BitLen() > limit {
+		maxDeg = inputs
+		f.d.SetInt64(1)
+		if !f.foldInputs(&f.d, p, probs, nil, max(denomBlowup*maxBits, 64)) {
 			return nil, false, nil
 		}
 	}
 
 	num, deg := f.num, f.deg
-	for i := range p.Ops {
-		if err := cp.Check(); err != nil {
-			return nil, true, err
+	for _, seg := range runs {
+		rec := -1 // the op whose result part seg.part records
+		if j := seg.part; j >= 0 {
+			fi := run.own.factor[j]
+			if run.clean[j] {
+				if fi >= int(seg.lo) && fi < int(seg.hi) {
+					op, pv := &p.Ops[fi], run.out.parts[j]
+					num[op.Dst].Set(&pv.n)
+					deg[op.Dst] = pv.k
+				}
+				continue
+			}
+			rec = fi
 		}
-		op := &p.Ops[i]
-		dst := &num[op.Dst]
-		switch op.Code {
-		case OpConst, OpLoad:
-			x, _ := p.input(op, probs)
-			deg[op.Dst] = f.load(dst, x)
-		case OpMul:
-			k := deg[op.A] + deg[op.B]
-			if k > maxDeg {
+		for i := int(seg.lo); i < int(seg.hi); i++ {
+			if err := cp.Check(); err != nil {
+				return nil, true, err
+			}
+			op := &p.Ops[i]
+			dst := &num[op.Dst]
+			switch op.Code {
+			case OpConst, OpLoad:
+				x, _ := p.input(op, probs)
+				deg[op.Dst] = f.load(dst, x)
+			case OpMul:
+				k := deg[op.A] + deg[op.B]
+				if k > maxDeg {
+					return nil, false, nil
+				}
+				dst.Mul(&num[op.A], &num[op.B])
+				deg[op.Dst] = k
+			case OpAdd:
+				a, b := op.A, op.B
+				if deg[a] > deg[b] {
+					a, b = b, a
+				}
+				k := deg[b]
+				if deg[a] == k {
+					dst.Add(&num[a], &num[b])
+				} else {
+					f.t.Mul(&num[a], f.dpow(k-deg[a]))
+					dst.Add(&f.t, &num[b])
+				}
+				deg[op.Dst] = k
+			case OpOneMinus:
+				k := deg[op.A]
+				dst.Sub(f.dpow(k), &num[op.A])
+				deg[op.Dst] = k
+			default:
 				return nil, false, nil
 			}
-			dst.Mul(&num[op.A], &num[op.B])
-			deg[op.Dst] = k
-		case OpAdd:
-			a, b := op.A, op.B
-			if deg[a] > deg[b] {
-				a, b = b, a
+			if i == rec {
+				run.record(p, int(seg.part), dst, deg[op.Dst], probs)
 			}
-			k := deg[b]
-			if deg[a] == k {
-				dst.Add(&num[a], &num[b])
-			} else {
-				f.t.Mul(&num[a], f.dpow(k-deg[a]))
-				dst.Add(&f.t, &num[b])
-			}
-			deg[op.Dst] = k
-		case OpOneMinus:
-			k := deg[op.A]
-			dst.Sub(f.dpow(k), &num[op.A])
-			deg[op.Dst] = k
-		default:
-			return nil, false, nil
 		}
 	}
-	return new(big.Rat).SetFrac(&num[p.Out], f.dpow(deg[p.Out])), true, nil
+	return f.normalize(&num[p.Out], deg[p.Out]), true, nil
+}
+
+// inputBits counts the inputs (Load and Const operands) read by the
+// ops at idx, every op when idx is nil, and returns the bits of their
+// widest non-integer denominator; ok is false on a nil probability.
+func (p *Program) inputBits(probs []*big.Rat, idx []int32) (inputs, maxBits int, ok bool) {
+	n := len(idx)
+	if idx == nil {
+		n = len(p.Ops)
+	}
+	for t := 0; t < n; t++ {
+		i := t
+		if idx != nil {
+			i = int(idx[t])
+		}
+		x, ok := p.input(&p.Ops[i], probs)
+		if !ok {
+			continue
+		}
+		if x == nil {
+			return 0, 0, false
+		}
+		inputs++
+		if !x.IsInt() {
+			maxBits = max(maxBits, x.Denom().BitLen())
+		}
+	}
+	return inputs, maxBits, true
+}
+
+// foldInputs folds the denominators of the inputs read by the ops at
+// idx (every op when idx is nil) into z, as fold does.
+func (f *intFile) foldInputs(z *big.Int, p *Program, probs []*big.Rat, idx []int32, limit int) bool {
+	n := len(idx)
+	if idx == nil {
+		n = len(p.Ops)
+	}
+	for t := 0; t < n; t++ {
+		i := t
+		if idx != nil {
+			i = int(idx[t])
+		}
+		x, ok := p.input(&p.Ops[i], probs)
+		if ok && !x.IsInt() && !f.fold(z, x.Denom(), limit) {
+			return false
+		}
+	}
+	return true
+}
+
+// fold sets z to lcm(z, den) and reports whether z still fits in limit
+// bits (D's bound: denomBlowup times the widest input denominator, and
+// at least a word).
+func (f *intFile) fold(z, den *big.Int, limit int) bool {
+	if den.Cmp(z) == 0 {
+		return true
+	}
+	if f.q.QuoRem(z, den, &f.t); f.t.Sign() == 0 {
+		return true // den divides z
+	}
+	f.q.GCD(nil, nil, z, den)
+	f.t.Quo(den, &f.q)
+	z.Mul(z, &f.t)
+	return z.BitLen() <= limit
 }
 
 // ratRegPool recycles the register files of execRat. A reused big.Rat
