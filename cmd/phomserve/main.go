@@ -1,7 +1,7 @@
 // Command phomserve serves PHom evaluation over HTTP JSON, backed by the
-// concurrent engine of internal/engine (worker pool, in-flight
-// deduplication, LRU memoization). Probabilities are computed exactly by
-// default and returned both as rational strings and float64
+// concurrent engine of internal/engine (bounded execution slots,
+// in-flight deduplication, LRU memoization). Probabilities are computed
+// exactly by default and returned both as rational strings and float64
 // approximations, together with the algorithm used and the predicted
 // combined complexity of the input pair (the Tables 1–3 verdict). Jobs
 // may instead request the dual-precision fast path ("options":
@@ -114,7 +114,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "engine executions run at once (0 = GOMAXPROCS)")
 		cache     = flag.Int("cache", 0, fmt.Sprintf("result cache capacity (0 = %d, negative disables)", engine.DefaultCacheSize))
 		planCache = flag.Int("plancache", 0, fmt.Sprintf("compiled-plan cache capacity (0 = %d, negative disables)", engine.DefaultPlanCacheSize))
 		maxBody   = flag.Int64("maxbody", serve.DefaultMaxBodyBytes, "request body cap in bytes (oversized requests get 413)")

@@ -3,7 +3,7 @@ package phom
 import "phom/internal/engine"
 
 // Concurrent batch evaluation, re-exported from internal/engine. An
-// Engine owns a worker pool that executes Solve/SolveUCQ jobs,
+// Engine bounds how many Solve/SolveUCQ executions run at once,
 // deduplicates identical in-flight jobs (singleflight), and memoizes
 // completed results in a bounded LRU cache keyed by a canonical hash of
 // (query, instance, options). A second, structure-keyed cache holds

@@ -112,9 +112,9 @@ func groupKeys(jobs []Job, lanes []int) (qs []*graph.Graph, keys []string, errs 
 // flight coalesces onto that call, whether another caller or an
 // identical lane of this group registered it; any other key registers
 // a new call this group leads. A stateless lane marks the call it
-// waits on for the memo (call.memo). The led calls run as one worker
-// task (execute). A lane whose ctx fires before its call completes
-// abandons the call (see abandon).
+// waits on for the memo (call.memo). The led calls run as one
+// execution (execute) on a goroutine of their own. A lane whose ctx
+// fires before its call completes abandons the call (see abandon).
 func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver func(i int, r JobResult)) {
 	e.mu.Lock()
 	if e.closed {
@@ -195,32 +195,41 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 	}
 	pending := len(lanes) - len(done)
 
-	// Wait for the lanes' calls, handing the led calls' task to a worker
-	// meanwhile. enqueue is nil once the task is off this goroutine's
-	// hands; withdraw fires if the execution is cancelled (engine
-	// shutdown) before a worker took the task, and then drop completes
-	// the led calls with the typed error, unexecuted. Checking ctx before
-	// every step makes a group that is dead on arrival — its context
-	// already cancelled, or a deadline expired before dispatch — abandon
-	// its lanes deterministically instead of racing a free worker.
-	var task, drop func()
-	var enqueue chan<- func()
-	var withdraw <-chan struct{}
+	// Wait for the lanes' calls. The led calls' execution starts after
+	// the first ctx check, so a group that is dead on arrival — its
+	// context already cancelled, or a deadline expired before dispatch —
+	// abandons its lanes before anything runs; it still starts after
+	// abandoning, for callers that coalesced onto a led call meanwhile.
+	// It takes a slot unless execCtx has fired or fires first (every led
+	// call abandoned, or engine shutdown), and then completes the led
+	// calls unexecuted with the typed error. Close waits for it.
+	var start func() // nil once started, or when the group leads no call
 	if ex != nil {
-		task = func() {
-			defer ex.cancel()
-			e.execute(execCtx, led, ledInst, ledMemo, qs, lead.Opts, keyer.StructKey(), keyer.Order())
+		start = func() {
+			e.active.Add(1)
+			go func() {
+				growStack(0)
+				defer e.active.Done()
+				defer ex.cancel()
+				if execCtx.Err() == nil {
+					select {
+					case e.slots <- struct{}{}:
+						e.execute(execCtx, led, ledInst, ledMemo, qs, lead.Opts, keyer.StructKey(), keyer.Order())
+						<-e.slots
+						return
+					case <-execCtx.Done():
+					}
+				}
+				e.complete(led, failed(len(led), phomerr.FromContext(execCtx)), nil)
+			}()
 		}
-		drop = func() { e.complete(led, failed(len(led), phomerr.FromContext(execCtx)), nil) }
-		enqueue, withdraw = e.jobs, execCtx.Done()
 	}
 	for pending > 0 && ctx.Err() == nil {
+		if start != nil {
+			start()
+			start = nil
+		}
 		select {
-		case enqueue <- task:
-			enqueue, withdraw = nil, nil
-		case <-withdraw:
-			drop()
-			enqueue, withdraw = nil, nil
 		case k := <-ready:
 			deliver(lanes[k], calls[k].result(shared[k]))
 			calls[k] = nil
@@ -238,34 +247,27 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, lanes []int, deliver 
 			deliver(lanes[k], JobResult{Err: err, Shared: shared[k]})
 		}
 	}
-	if enqueue == nil {
-		return
+	if start != nil {
+		start()
 	}
-	// The task never reached a worker. If every call it leads is
-	// abandoned now, nobody wants it; otherwise lanes of other callers
-	// still wait on some of them, so keep offering the task on their
-	// behalf until a worker takes it or they leave too. The engine
-	// cannot close meanwhile: this goroutine holds an active count.
-	if execCtx.Err() != nil {
-		drop()
-		return
-	}
-	e.active.Add(1)
-	go func() {
-		defer e.active.Done()
-		select {
-		case e.jobs <- task:
-		case <-execCtx.Done():
-			drop()
-		}
-	}()
+}
+
+// growStack grows a new execution goroutine's stack in one copy while
+// it is nearly empty. Exact evaluation runs ~16 KB deep; grown by
+// doublings, the deepening stack was copied each time, ~10% of a live
+// instance solve (a set_prob step on a 256-edge ⊔2WP, 2 vCPU).
+//
+//go:noinline
+func growStack(i int) byte {
+	var frame [8 << 10]byte
+	return frame[i]
 }
 
 // abandon withdraws the undelivered lanes (non-nil calls[k]) from their
 // calls after the group's context fired; each departure counts
 // Canceled. A call whose last waiter leaves is abandoned, and an
-// execution whose led calls are all abandoned is cancelled, so its
-// worker stops at the next cooperative checkpoint: one impatient caller
+// execution whose led calls are all abandoned is cancelled, so it
+// stops at the next cooperative checkpoint: one impatient caller
 // cannot cancel work another caller still waits for.
 func (e *Engine) abandon(calls []*call) {
 	var stop []context.CancelFunc
@@ -288,7 +290,7 @@ func (e *Engine) abandon(calls []*call) {
 	}
 }
 
-// execute runs one group's led calls on the calling worker: it acquires
+// execute runs one group's led calls, holding a slot: it acquires
 // the structure's compiled plan through acquirePlan, transports every
 // lane's probabilities onto the plan's edge numbering, and evaluates all
 // lanes through core's batched kernel — or, for the exact lanes of live

@@ -283,7 +283,7 @@ func TestBatchPlanHitAcrossBatches(t *testing.T) {
 
 // TestStreamCoalescesWithDoContext: a Stream lane and a DoContext job
 // with the same key share one execution, whichever arrives first. The
-// only worker is held until both sides are registered, so the overlap
+// only slot is held until both sides are registered, so the overlap
 // is deterministic: the late side reports Shared, and Solved counts the
 // shared key once.
 func TestStreamCoalescesWithDoContext(t *testing.T) {
@@ -297,7 +297,7 @@ func TestStreamCoalescesWithDoContext(t *testing.T) {
 			want := solveSequential(t, jobs)
 			e := New(Options{Workers: 1})
 			defer e.Close()
-			release := holdWorkers(e, 1)
+			release := holdSlots(e, 1)
 			defer release()
 
 			single := make(chan JobResult, 1)

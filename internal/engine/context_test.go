@@ -46,8 +46,8 @@ func fastJob(seed int64) Job {
 
 // when runs f on its own goroutine as soon as cond holds of the
 // engine's counters. It is how these tests interrupt a job at the state
-// they mean to test — a worker evaluating it, a caller waiting for a
-// worker — instead of sleeping and hoping the job got there. A
+// they mean to test — an execution evaluating it, a caller waiting for
+// a slot — instead of sleeping and hoping the job got there. A
 // condition still false when the test ends gives up without calling f.
 func when(t *testing.T, e *Engine, cond func(Stats) bool, f func()) {
 	stop := make(chan struct{})
@@ -66,15 +66,15 @@ func when(t *testing.T, e *Engine, cond func(Stats) bool, f func()) {
 }
 
 // compiled is the condition that n plans have compiled. Each job of
-// these tests compiles its own plan on a worker and then evaluates it
-// there, so once a slow job's plan is counted a worker is running its
-// exponential evaluation, which only cancellation ends.
+// these tests compiles its own plan in its execution and then evaluates
+// it there, so once a slow job's plan is counted an execution is
+// running its exponential evaluation, which only cancellation ends.
 func compiled(n uint64) func(Stats) bool {
 	return func(s Stats) bool { return s.PlanCompiles >= n }
 }
 
 // closeWithin fails the test if Close does not return within d — a
-// hanging Close means a worker is stuck on work cancellation should
+// hanging Close means an execution is stuck on work cancellation should
 // have stopped (the goroutine-leak guard of these tests).
 func closeWithin(t *testing.T, e *Engine, d time.Duration) {
 	t.Helper()
@@ -92,7 +92,7 @@ func closeWithin(t *testing.T, e *Engine, d time.Duration) {
 
 // TestDoContextCancelMidSolve: cancelling the only caller of a running
 // exponential job aborts the execution promptly (Close returning is
-// the proof the worker stopped) and reports the typed error.
+// the proof the execution stopped) and reports the typed error.
 func TestDoContextCancelMidSolve(t *testing.T) {
 	e := New(Options{Workers: 2})
 	job := slowJob(t, 14, 16) // ≈ 2^29 worlds: days of work uncancelled
@@ -184,13 +184,13 @@ func TestCoalescedCancelIndependence(t *testing.T) {
 	})
 
 	// The cancelling caller is a lane of a two-lane Stream group, and it
-	// leaves while the group's task still waits for the only worker:
-	// the task must still reach a worker for the DoContext caller that
+	// leaves while the group's execution still waits for the only slot:
+	// the execution must still run for the DoContext caller that
 	// coalesced onto the lane's call.
 	t.Run("stream lane", func(t *testing.T) {
 		jobs := reweightWorkload(t, 97, 2, nil)
 		e := New(Options{Workers: 1})
-		release := holdWorkers(e, 1)
+		release := holdSlots(e, 1)
 		defer release()
 
 		ctx1, cancel1 := context.WithCancel(context.Background())
@@ -257,9 +257,9 @@ func TestSolveBatchContextCancelMidBatch(t *testing.T) {
 	e := New(Options{Workers: 2})
 	jobs := []Job{fastJob(1), slowJob(t, 14, 16), fastJob(2), slowJob(t, 15, 17)}
 	ctx, cancel := context.WithCancel(context.Background())
-	// Two workers: each compiles at least the first job it takes before
-	// a slow one pins it, so two compiles always happen, and by then a
-	// slow job is running or waiting for a worker.
+	// Two slots: each execution compiles its job before a slow one pins
+	// a slot, so two compiles always happen, and by then a slow job is
+	// running or waiting for a slot.
 	when(t, e, compiled(2), cancel)
 	start := time.Now()
 	out := e.SolveBatchContext(ctx, jobs)
@@ -336,15 +336,116 @@ func TestStreamCancel(t *testing.T) {
 	closeWithin(t, e, 30*time.Second)
 }
 
+// TestStreamCancelCountsEveryLane: a Stream whose context fires while
+// groups still wait for a fan-out slot counts every job as submitted
+// and every one of them as canceled, whichever side of the fan-out the
+// cancellation found it on.
+func TestStreamCancelCountsEveryLane(t *testing.T) {
+	e := New(Options{Workers: 1})
+	release := holdSlots(e, 1)
+	defer release()
+	jobs := make([]Job, 16) // distinct instances: sixteen groups of one
+	for i := range jobs {
+		jobs[i] = fastJob(int64(i))
+	}
+	// The fan-out admits four groups per slot; their executions wait on
+	// the held slot, so once they are submitted the rest are queueing.
+	ctx, cancel := context.WithCancel(context.Background())
+	when(t, e, func(s Stats) bool { return s.Submitted >= 4 }, cancel)
+	n := 0
+	for sr := range e.Stream(ctx, jobs) {
+		n++
+		if !errors.Is(sr.Err, phomerr.ErrCanceled) {
+			t.Fatalf("job %d err = %v, want ErrCanceled", sr.Index, sr.Err)
+		}
+	}
+	if n != len(jobs) {
+		t.Fatalf("delivered %d results for %d jobs", n, len(jobs))
+	}
+	if st := e.Stats(); st.Submitted != uint64(len(jobs)) || st.Canceled != uint64(len(jobs)) {
+		t.Fatalf("Submitted=%d Canceled=%d, want %d each", st.Submitted, st.Canceled, len(jobs))
+	}
+	release()
+	closeWithin(t, e, 30*time.Second)
+}
+
+// TestHeldSlotsBlockExecution: Options.Workers bounds the executions
+// that run at once. With every slot held a submitted job neither
+// compiles nor completes; freeing one slot completes it.
+func TestHeldSlotsBlockExecution(t *testing.T) {
+	e := New(Options{Workers: 2})
+	releaseOne, releaseOther := holdSlots(e, 1), holdSlots(e, 1)
+	defer releaseOther()
+	done := make(chan JobResult, 1)
+	go func() { done <- e.Do(fastJob(1)) }()
+	awaitEngine(t, e, "the job's call", func(n int, _ Stats) bool { return n == 1 })
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched() // give a wrongly started execution time to show
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("job completed with every slot held: %+v", r)
+	default:
+	}
+	if st := e.Stats(); st.PlanCompiles != 0 || st.Solved != 0 {
+		t.Fatalf("PlanCompiles=%d Solved=%d with every slot held, want 0", st.PlanCompiles, st.Solved)
+	}
+	releaseOne()
+	if r := <-done; r.Err != nil || r.Result == nil {
+		t.Fatalf("job after a slot freed: %+v", r)
+	}
+	if st := e.Stats(); st.PlanCompiles != 1 || st.Solved != 1 {
+		t.Fatalf("PlanCompiles=%d Solved=%d, want 1 each", st.PlanCompiles, st.Solved)
+	}
+	releaseOther()
+	closeWithin(t, e, 30*time.Second)
+}
+
+// TestDeadOnArrivalStartsNoExecution: a DoContext or a Stream whose
+// context is already cancelled starts no execution, though every slot
+// is free: nothing is solved, compiled or failed, and no call is left
+// in flight.
+func TestDeadOnArrivalStartsNoExecution(t *testing.T) {
+	e := New(Options{Workers: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	jobs := []Job{fastJob(1), fastJob(2)}
+	const iters = 200
+	for i := 0; i < iters; i++ {
+		if r := e.DoContext(ctx, jobs[0]); !errors.Is(r.Err, phomerr.ErrCanceled) {
+			t.Fatalf("iteration %d: DoContext err = %v, want ErrCanceled", i, r.Err)
+		}
+		for sr := range e.Stream(ctx, jobs) {
+			if !errors.Is(sr.Err, phomerr.ErrCanceled) {
+				t.Fatalf("iteration %d: Stream job %d err = %v, want ErrCanceled", i, sr.Index, sr.Err)
+			}
+		}
+	}
+	closeWithin(t, e, 30*time.Second)
+	st := e.Stats()
+	if st.Solved != 0 || st.PlanCompiles != 0 || st.Errors != 0 {
+		t.Fatalf("Solved=%d PlanCompiles=%d Errors=%d, want 0", st.Solved, st.PlanCompiles, st.Errors)
+	}
+	if want := uint64(3 * iters); st.Submitted != want || st.Canceled != want {
+		t.Fatalf("Submitted=%d Canceled=%d, want %d each", st.Submitted, st.Canceled, want)
+	}
+	e.mu.Lock()
+	n := len(e.inflight)
+	e.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d calls left in flight", n)
+	}
+}
+
 // TestDoContextCancelWhileQueued: a caller whose context fires while
-// its job is still waiting for a worker slot returns promptly — it
+// its job is still waiting for a slot returns promptly — it
 // must not sit in the queue behind long-running jobs.
 func TestDoContextCancelWhileQueued(t *testing.T) {
 	base, cancelBase := context.WithCancel(context.Background())
 	defer cancelBase()
 	e := New(Options{Workers: 1, BaseContext: base})
-	// Occupy the only worker with an exponential job, and wait until
-	// the worker is evaluating it.
+	// Occupy the only slot with an exponential job, and wait until its
+	// execution is evaluating it.
 	hogJob := slowJob(t, 14, 16)
 	hog := make(chan JobResult, 1)
 	hogBusy := make(chan struct{})
@@ -352,8 +453,8 @@ func TestDoContextCancelWhileQueued(t *testing.T) {
 	go func() { hog <- e.Do(hogJob) }()
 	<-hogBusy
 
-	// Cancel once the second job is submitted: with the only worker
-	// busy it can only be waiting for one.
+	// Cancel once the second job is submitted: with the only slot
+	// taken it can only be waiting for one.
 	ctx, cancel := context.WithCancel(context.Background())
 	when(t, e, func(s Stats) bool { return s.Submitted >= 2 }, cancel)
 	start := time.Now()

@@ -1,9 +1,10 @@
 // Package engine provides a concurrent batch-evaluation engine on top of
-// the core solver. An Engine owns a bounded pool of worker goroutines
-// that execute solver jobs, deduplicates identical in-flight jobs
-// (singleflight: concurrent submissions of the same job share one
-// execution), and memoizes completed stateless results in a bounded
-// LRU cache keyed by the canonical job hash of package graphio.
+// the core solver. An Engine bounds how many executions run at once
+// (Options.Workers slots, each execution on a goroutine of its own),
+// deduplicates identical in-flight jobs (singleflight: concurrent
+// submissions of the same job share one execution), and memoizes
+// completed stateless results in a bounded LRU cache keyed by the
+// canonical job hash of package graphio.
 //
 // Every job takes one path from key to answer: it is a lane of a batch
 // group (batch.go). DoContext runs a group of one on the caller's
@@ -11,7 +12,7 @@
 // and run each group, however wide, through the same runner. Per lane
 // the runner serves a memo hit, coalesces onto an identical in-flight
 // call (of any caller), or registers a call the group leads; the led
-// calls run as one worker task.
+// calls run as one execution, which takes a slot.
 //
 // Every job is keyed in one place, groupKeys: a graphio.Keyer keys the
 // structure of the group's shared instance graph once (structure key,

@@ -45,7 +45,8 @@ var ErrClosed error = phomerr.New(phomerr.CodeUnavailable, "engine: closed")
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the number of worker goroutines. 0 means GOMAXPROCS.
+	// Workers bounds how many group executions run at once (each
+	// takes one of Workers slots). 0 means GOMAXPROCS.
 	Workers int
 	// CacheSize bounds the number of memoized results, and through it
 	// their total size (see memoWordsPerEntry). 0 means
@@ -177,7 +178,8 @@ type Stats struct {
 	// Submitted counts jobs accepted by Solve, SolveUCQ, Do and
 	// SolveBatch (including ones that later failed).
 	Submitted uint64 `json:"submitted"`
-	// Solved counts jobs actually executed by a worker.
+	// Solved counts jobs actually executed (evaluated or failed in
+	// evaluation), not served from the memo or coalesced.
 	Solved uint64 `json:"solved"`
 	// CacheHits counts jobs answered from the memo cache. Instance jobs
 	// count when a stateless job memoized equal content; their own
@@ -312,11 +314,11 @@ type subscriber struct {
 	lane  int
 }
 
-// execution is one group's worker task, which evaluates every call the
-// group leads. Its context derives from the engine's base context (so
-// engine shutdown aborts it) and is cancelled once every call it leads
-// is abandoned, so the worker stops computing results nobody wants at
-// its next cooperative checkpoint. live is guarded by the engine mutex.
+// execution is one group's run of every call the group leads. Its
+// context derives from the engine's base context (so engine shutdown
+// aborts it) and is cancelled once every call it leads is abandoned, so
+// it stops computing results nobody wants at its next cooperative
+// checkpoint. live is guarded by the engine mutex.
 type execution struct {
 	live   int // led calls not yet abandoned
 	cancel context.CancelFunc
@@ -325,16 +327,14 @@ type execution struct {
 // Engine is a concurrent batch evaluator. Create with New; an Engine
 // must not be copied. All methods are safe for concurrent use.
 type Engine struct {
-	workers  int
-	jobs     chan func()
-	wg       sync.WaitGroup // worker goroutines
-	snapPath string         // Options.PlanSnapshotPath
+	slots    chan struct{} // one per running execution, Options.Workers in all
+	snapPath string        // Options.PlanSnapshotPath
 	baseCtx  context.Context
 	baseStop context.CancelFunc // releases baseCtx's child registration on Close
 
 	mu         sync.Mutex
 	closed     bool
-	active     sync.WaitGroup // Solve/SolveBatch calls in flight, for Close
+	active     sync.WaitGroup // Solve/SolveBatch calls and executions in flight, for Close
 	inflight   map[string]*call
 	cache      *lru.Cache[*core.Result]       // nil (always missing) when memoization is disabled
 	plans      *lru.Cache[*core.CompiledPlan] // nil (always missing) when plan caching is disabled
@@ -377,8 +377,7 @@ func New(opts Options) *Engine {
 		snapPath = "" // no plan cache to restore into or snapshot from
 	}
 	e := &Engine{
-		workers:    workers,
-		jobs:       make(chan func()),
+		slots:      make(chan struct{}, workers),
 		snapPath:   snapPath,
 		baseCtx:    baseCtx,
 		baseStop:   baseStop,
@@ -401,20 +400,11 @@ func New(opts Options) *Engine {
 			e.stats.SnapshotErrors++ // engine not yet shared: no lock needed
 		}
 	}
-	e.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer e.wg.Done()
-			for task := range e.jobs {
-				task()
-			}
-		}()
-	}
 	return e
 }
 
-// Workers returns the size of the worker pool.
-func (e *Engine) Workers() int { return e.workers }
+// Workers returns how many executions may run at once.
+func (e *Engine) Workers() int { return cap(e.slots) }
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
@@ -428,7 +418,8 @@ func (e *Engine) Stats() Stats {
 }
 
 // Solve computes Pr(G ⇝ H) through the engine, equivalent to core.Solve
-// but scheduled on the worker pool, deduplicated and memoized.
+// but scheduled under the engine's concurrency bound, deduplicated and
+// memoized.
 func (e *Engine) Solve(q *graph.Graph, h *graph.ProbGraph, opts *core.Options) (*core.Result, error) {
 	r := e.Do(Job{Query: q, Instance: h, Opts: opts})
 	return r.Result, r.Err
@@ -469,12 +460,12 @@ func (e *Engine) DoContext(ctx context.Context, job Job) JobResult {
 	return r
 }
 
-// SolveBatch evaluates all jobs concurrently on the worker pool and
-// returns their results in job order. Identical jobs (within the batch
-// or with other concurrent callers) are solved once and shared; results
-// of previously solved jobs come from the cache. The call blocks until
-// every job is done; per-job failures are reported in the corresponding
-// JobResult, not by failing the batch.
+// SolveBatch evaluates all jobs concurrently under the engine's
+// concurrency bound and returns their results in job order. Identical
+// jobs (within the batch or with other concurrent callers) are solved
+// once and shared; results of previously solved jobs come from the
+// cache. The call blocks until every job is done; per-job failures are
+// reported in the corresponding JobResult, not by failing the batch.
 func (e *Engine) SolveBatch(jobs []Job) []JobResult {
 	return e.SolveBatchContext(context.Background(), jobs)
 }
@@ -536,21 +527,26 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan StreamResult {
 	go func() {
 		// Bound the submission fan-out: a slot is acquired *before*
 		// spawning, so a million-job stream holds at most a few
-		// goroutines per worker alive at a time rather than a million
-		// stacks. A group occupies one slot for all its lanes. Groups
-		// waiting on each other's calls cannot deadlock the stream: a
-		// call is only ever registered by a group that already holds a
-		// slot, and its execution reaches the workers, which drain
-		// independently of these slots.
-		sem := make(chan struct{}, 4*e.workers)
+		// goroutines per engine slot alive at a time rather than a
+		// million stacks. A group occupies one slot for all its lanes.
+		// Groups waiting on each other's calls cannot deadlock the
+		// stream: a call is only ever registered by a group that already
+		// holds a slot, and its execution takes an engine slot, which
+		// frees independently of these.
+		sem := make(chan struct{}, 4*e.Workers())
 		var wg sync.WaitGroup
 		for _, lanes := range batchGroups(jobs) {
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
 				// Cancelled while queueing: deliver the typed error
-				// directly — no worker slot, no goroutine — so the
-				// consumer still sees one result per job.
+				// directly — no goroutine — so the consumer still sees
+				// one result per job. The lanes count as submitted and
+				// canceled, as the lanes runGroup abandons do.
+				e.mu.Lock()
+				e.stats.Submitted += uint64(len(lanes))
+				e.stats.Canceled += uint64(len(lanes))
+				e.mu.Unlock()
 				err := phomerr.FromContext(ctx)
 				for _, i := range lanes {
 					deliver(i, JobResult{Err: err})
@@ -570,8 +566,8 @@ func (e *Engine) Stream(ctx context.Context, jobs []Job) <-chan StreamResult {
 	return out
 }
 
-// Close shuts the engine down: it waits for in-flight jobs to finish,
-// stops the workers, snapshots the plan cache to
+// Close shuts the engine down: it waits for in-flight jobs and their
+// executions to finish, snapshots the plan cache to
 // Options.PlanSnapshotPath if one was configured, and makes further
 // submissions fail with ErrClosed. Close is idempotent: the second and
 // later calls return nil without repeating any of this (in particular
@@ -584,9 +580,7 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	e.active.Wait() // no submission can enqueue after closed is set
-	close(e.jobs)
-	e.wg.Wait()
+	e.active.Wait() // no submission can start after closed is set
 	// All jobs have drained; release the engine's registration in the
 	// base context (a leak otherwise when BaseContext is long-lived).
 	e.baseStop()
@@ -713,12 +707,12 @@ func (e *Engine) LoadPlans(r io.Reader) (int, error) {
 // table coalesces only byte-identical jobs (probabilities included), so
 // without this a cold burst of reweighted variants of one structure —
 // the dominant serving pattern — would compile the same plan once per
-// worker. A caller that finds its structure being compiled waits for
+// slot. A caller that finds its structure being compiled waits for
 // that compilation and then re-checks the cache; on a compile error
 // nothing is cached, so a waiter becomes the next leader (errors are
-// never cached). Waiting holds a worker, which cannot deadlock: the
-// flight is only ever registered by a task already running on some
-// worker, which finishes independently. With plan caching disabled no
+// never cached). Waiting holds a slot, which cannot deadlock: the
+// flight is only ever registered by an execution already holding a
+// slot, which finishes independently. With plan caching disabled no
 // flight is registered — there is nothing to wait for, and compiles of
 // one structure must not serialize.
 //

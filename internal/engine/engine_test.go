@@ -297,17 +297,22 @@ func TestResultCacheWordBudget(t *testing.T) {
 	}
 }
 
-// holdWorkers occupies n workers with tasks that block until the
-// returned release is called, so a job submitted meanwhile stays in
-// flight — registered, not yet executed — for as long as a test needs.
-// release is idempotent; defer it after Close so it runs first.
-func holdWorkers(e *Engine, n int) (release func()) {
-	gate := make(chan struct{})
+// holdSlots takes n of the engine's execution slots until the returned
+// release is called, so a job submitted meanwhile stays in flight —
+// registered, not yet executed — for as long as a test needs. release
+// is idempotent; defer it after Close so it runs first.
+func holdSlots(e *Engine, n int) (release func()) {
 	for i := 0; i < n; i++ {
-		e.jobs <- func() { <-gate }
+		e.slots <- struct{}{}
 	}
 	var once sync.Once
-	return func() { once.Do(func() { close(gate) }) }
+	return func() {
+		once.Do(func() {
+			for i := 0; i < n; i++ {
+				<-e.slots
+			}
+		})
+	}
 }
 
 // awaitEngine polls the engine until cond holds of its in-flight call
@@ -330,13 +335,13 @@ func awaitEngine(t *testing.T, e *Engine, what string, cond func(inflight int, s
 	}
 }
 
-// TestSingleflightCoalescing holds the only worker, so the leader's call
+// TestSingleflightCoalescing holds the only slot, so the leader's call
 // stays in flight while the followers arrive: coalescing is
 // deterministic rather than timing-dependent.
 func TestSingleflightCoalescing(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
-	release := holdWorkers(e, 1)
+	release := holdSlots(e, 1)
 	defer release()
 	h := graph.NewProbGraph(graph.Path1WP("R"))
 	h.MustSetEdgeProb(0, 1, graph.Rat("1/3"))

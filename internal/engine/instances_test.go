@@ -180,7 +180,7 @@ func TestInstanceResultsSkipMemo(t *testing.T) {
 	if _, err := e.ApplyDelta("m", -1, []instance.Delta{{Op: instance.OpSetProb, From: 0, To: 1, Prob: big.NewRat(3, 4)}}); err != nil {
 		t.Fatal(err)
 	}
-	release := holdWorkers(e, 1)
+	release := holdSlots(e, 1)
 	defer release()
 	job, _, err := e.InstanceJob("m", Job{Query: q})
 	if err != nil {

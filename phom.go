@@ -36,8 +36,8 @@
 //     cost;
 //   - Predict, the complexity classifier reproducing Tables 1–3;
 //   - BruteForce and LineageShannon, the exact exponential baselines;
-//   - Engine, a concurrent batch evaluator (worker pool, in-flight
-//     deduplication, memoization) with context-aware submission
+//   - Engine, a concurrent batch evaluator (bounded execution slots,
+//     in-flight deduplication, memoization) with context-aware submission
 //     (DoContext, SolveBatchContext) and completion-order streaming
 //     (Stream), which also backs the cmd/phomserve HTTP service.
 //
